@@ -28,9 +28,10 @@ from .linalg import (
     hermitian_eigenvalues,
     is_psd,
     require_finite,
+    require_hermitian,
     symplectic_form,
 )
-from .states import GaussianState, make_state, random_state, validate_state
+from .states import GaussianState, make_state, mode_counts, random_state, validate_state
 from .steering import is_unsteerable, steering_form
 
 
@@ -54,7 +55,7 @@ class GaussianChannel:
                 f"invalid mode partition ({self.modes_a}, {self.modes_b})")
         dim = self.dim
         k = require_finite(np.array(self.K, dtype=float), "K")
-        m = require_finite(np.array(self.M, dtype=float), "M")
+        m = np.array(self.M, dtype=float)
         dbar = require_finite(np.array(self.dbar, dtype=float), "dbar")
         if k.shape != (dim, dim):
             raise ValidationError(f"K must have shape ({dim}, {dim}), got {k.shape}")
@@ -62,10 +63,7 @@ class GaussianChannel:
             raise ValidationError(f"M must have shape ({dim}, {dim}), got {m.shape}")
         if dbar.shape != (dim,):
             raise ValidationError(f"dbar must have length {dim}, got {dbar.shape}")
-        defect = float(np.abs(m - m.T).max())
-        if defect > 1e-12 * max(1.0, float(np.abs(m).max())):
-            raise ValidationError(f"M is not symmetric (defect {defect:.6e})")
-        m = (m + m.T) / 2.0
+        m = require_hermitian(m, name="M")
         rep = is_psd(m, DEFAULT_PSD_TOL)
         if not rep.ok:
             raise ValidationError(
@@ -307,7 +305,7 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
         out = apply(ch, state, enforce=False)
         rep = validate_state(out, tol) if predicate == "bona-fide" \
             else is_unsteerable(out, tol)
-        margin = rep.min_eigenvalue / max(1.0, abs(rep.max_eigenvalue))
+        margin = rep.margin
         worst = min(worst, margin)
         margin_sum += margin
         if not rep.ok:
@@ -337,12 +335,11 @@ def channel_from_json(text: str) -> GaussianChannel:
     missing = {"modes_a", "modes_b", "K", "M", "dbar"} - set(doc)
     if missing:
         raise ValidationError(f"channel document missing keys: {sorted(missing)}")
-    if not isinstance(doc["modes_a"], int) or not isinstance(doc["modes_b"], int):
-        raise ValidationError("modes_a and modes_b must be integers")
+    modes_a, modes_b = mode_counts(doc)
     try:
         k = np.array(doc["K"], dtype=float)
         m = np.array(doc["M"], dtype=float)
         dbar = np.array(doc["dbar"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"K/M/dbar must be numeric arrays: {exc}") from None
-    return GaussianChannel(doc["modes_a"], doc["modes_b"], k, m, dbar)
+    return GaussianChannel(modes_a, modes_b, k, m, dbar)

@@ -5,9 +5,11 @@ Subcommands: ``check`` (bona fide + steering verdicts), ``quantify``
 (decay trajectory as CSV), ``sample`` (Monte-Carlo falsification), and
 ``verify`` (replay the regression suites).
 
-Exit codes: 0 success, 2 invalid input, 3 physicality (bona fide) violation,
-4 sampling abort.  The GSTEER_TOL environment variable overrides the default
-tolerance; a ``--tol`` flag overrides both.  All numeric output is printed
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 invalid input,
+3 physicality (bona fide) violation, 4 sampling abort.  The GSTEER_TOL
+environment variable overrides the default tolerance; a ``--tol`` flag
+overrides both.  Either must be a finite nonnegative number (exit 2
+otherwise); ``verify`` takes no tolerance.  All numeric output is printed
 with 17 significant digits, and fixed seeds give byte-identical output.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -45,11 +48,23 @@ EXIT_PHYSICALITY = 3
 EXIT_SAMPLING = 4
 
 
-def _default_tol() -> float:
+def _resolve_tol(flag: str | None) -> float:
+    """The tolerance from ``--tol``, else GSTEER_TOL, else the default; one
+    parse rule for both, rejecting unparsable, NaN, infinite or negative
+    values."""
+    source, text = "--tol", flag
+    if text is None:
+        source, text = "GSTEER_TOL", os.environ.get("GSTEER_TOL")
+        if text is None:
+            return DEFAULT_PSD_TOL
     try:
-        return float(os.environ.get("GSTEER_TOL", DEFAULT_PSD_TOL))
+        tol = float(text)
     except ValueError:
-        return DEFAULT_PSD_TOL
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(
+            f"{source} must be a finite nonnegative number, got {text!r}")
+    return tol
 
 
 def _read_file(path: str) -> str:
@@ -155,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "channel classification, and decay sweeps at the "
                     "covariance-matrix level.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", default=None,
                         help="PSD tolerance (default from GSTEER_TOL or 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -202,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper edge of the sampled symplectic spectrum")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="replay the regression and property suites")
+    p = sub.add_parser("verify", help="replay the regression and property suites")
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="all")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_verify)
@@ -214,11 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tol is None:
-        args.tol = _default_tol()
-    elif args.tol < 0:
-        parser.error(f"--tol must be nonnegative, got {args.tol}")
     try:
+        if "tol" in vars(args):
+            args.tol = _resolve_tol(args.tol)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "

@@ -17,11 +17,12 @@ evaluated alongside every sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, ValidationError, is_psd, symplectic_form
-from .states import GaussianState, make_state
+from .states import GaussianState, ensure_bona_fide, make_state
 from .steering import j2
 
 
@@ -85,17 +86,41 @@ def stationary_state(bath: BathParameters, tol: float = DEFAULT_PSD_TOL) -> Gaus
     return make_state(1, 1, gamma_infinity(bath, tol), tol=tol)
 
 
+def _require_two_mode(state0: GaussianState) -> None:
+    if (state0.modes_a, state0.modes_b) != (1, 1):
+        raise ValidationError("evolution is defined for (1+1)-mode states")
+
+
+def _relaxed(state0: GaussianState, cov_inf: np.ndarray, lam: float,
+             t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance and mean at time t >= 0 of the closed-form relaxation."""
+    if not np.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be >= 0, got {t}")
+    w = np.exp(-lam * t)
+    return w * state0.cov + (1.0 - w) * cov_inf, np.exp(-lam * t / 2.0) * state0.mean
+
+
 def evolve(state0: GaussianState, bath: BathParameters, t: float,
            tol: float = DEFAULT_PSD_TOL) -> GaussianState:
     """State at time t >= 0 under the closed-form relaxation."""
-    if (state0.modes_a, state0.modes_b) != (1, 1):
-        raise ValidationError("evolution is defined for (1+1)-mode states")
-    if not np.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    w = np.exp(-bath.lam * t)
-    cov = w * state0.cov + (1.0 - w) * gamma_infinity(bath, tol)
-    mean = np.exp(-bath.lam * t / 2.0) * state0.mean
+    _require_two_mode(state0)
+    cov, mean = _relaxed(state0, gamma_infinity(bath, tol), bath.lam, t)
     return make_state(1, 1, cov, mean, tol=tol)
+
+
+def relaxation(state0: GaussianState, bath: BathParameters,
+               tol: float = DEFAULT_PSD_TOL) -> Callable[[float], GaussianState]:
+    """The map t -> state at time t, for evaluating many times.
+
+    ``state0`` and the stationary covariance are validated here, once.  Every
+    state the map returns has a convex combination of these two bona fide
+    covariances, so it is bona fide by construction and is built without
+    re-validation; only t is checked.
+    """
+    _require_two_mode(state0)
+    ensure_bona_fide(state0, tol)
+    cov_inf = gamma_infinity(bath, tol)
+    return lambda t: GaussianState(1, 1, *_relaxed(state0, cov_inf, bath.lam, t))
 
 
 @dataclass(frozen=True)
@@ -137,12 +162,13 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
         raise ValidationError("t_grid must be strictly increasing")
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
+    state_at = relaxation(state0, bath, tol)
     j2_start = j2(state0, tol)
     j2_inf = j2(stationary_state(bath, tol), tol)
     values = np.empty(t_grid.size)
     bounds = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        values[i] = j2(evolve(state0, bath, t, tol), tol)
+        values[i] = j2(state_at(t), tol)
         w = np.exp(-bath.lam * t)
         bounds[i] = w * j2_start + (1.0 - w) * j2_inf
     return Trajectory(t_grid, values, bounds)

@@ -26,6 +26,9 @@ def load_channel(name: str) -> GaussianChannel:
 
 # (1+1)-mode state whose j2 grows under the shear channel below
 STATE_SHEAR_WITNESS = "state_shear_witness.json"
+# (1+2)-mode state just past the steering boundary, steerable at tol 1e-9 with
+# j2 below tol * Tr(cov): j1 = j2 = 0 must track the verdict, not a j2 threshold
+STATE_TOLERANCE_BAND_WITNESS = "state_tolerance_band_witness.json"
 # local channel with a non-orthogonal symplectic shear on A
 CHANNEL_SHEAR_LOCAL = "channel_shear_local.json"
 # passes bona-fide sampling but fails the validity certificate

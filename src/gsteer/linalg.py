@@ -37,16 +37,10 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(h: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest entry of |h - h^dagger| and its index."""
-    d = np.abs(h - np.conj(h).T)
-    i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-    return float(d[i, j]), (int(i), int(j))
-
-
 def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL,
                       name: str = "matrix") -> np.ndarray:
-    """Validate near-Hermiticity and return the symmetrized (h + h^dagger)/2.
+    """Validate a square, finite, near-Hermitian matrix and return the
+    symmetrized (h + h^dagger)/2.
 
     The tolerance is relative to max(1, largest |entry|); inputs beyond it are
     rejected rather than repaired, naming the worst entry.
@@ -57,13 +51,15 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL,
     if arr.shape[0] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     require_finite(arr, name)
-    defect, (i, j) = hermiticity_defect(arr)
+    adj = np.conj(arr).T
     scale = max(1.0, float(np.abs(arr).max()))
-    if defect > tol * scale:
+    defect = np.abs(arr - adj)
+    if float(defect.max()) > tol * scale:
+        i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
         raise ValidationError(
-            f"{name} is not Hermitian: |h[{i},{j}] - conj(h[{j},{i}])| = "
-            f"{defect:.6e} exceeds {tol:g} * {scale:.6e}")
-    return (arr + np.conj(arr).T) / 2.0
+            f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
+            f"{defect[i, j]:.6e} exceeds {tol:g} * {scale:.6e}")
+    return (arr + adj) / 2.0
 
 
 def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -85,17 +81,28 @@ class PsdReport:
     max_eigenvalue: float
     tol: float
 
+    @classmethod
+    def from_eigenvalues(cls, ev: np.ndarray, tol: float) -> PsdReport:
+        """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
+        for an ascending eigenvalue array ``ev``."""
+        if not tol >= 0:
+            raise ValidationError(f"tol must be nonnegative, got {tol}")
+        lo, hi = float(ev[0]), float(ev[-1])
+        return cls(lo >= -tol * max(1.0, abs(hi)), lo, hi, tol)
+
+    @property
+    def margin(self) -> float:
+        """Minimum eigenvalue relative to max(1, |lambda_max|); the test
+        passes when the margin is above -tol, up to rounding."""
+        return self.min_eigenvalue / max(1.0, abs(self.max_eigenvalue))
+
     def __bool__(self) -> bool:
         return self.ok
 
 
 def is_psd(h: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """PSD test passing iff lambda_min >= -tol * max(1, |lambda_max|)."""
-    if tol < 0:
-        raise ValidationError(f"tol must be nonnegative, got {tol}")
-    ev = hermitian_eigenvalues(h)
-    lo, hi = float(ev[0]), float(ev[-1])
-    return PsdReport(lo >= -tol * max(1.0, abs(hi)), lo, hi, tol)
+    """Tolerant PSD test of a (near-)Hermitian matrix; see PsdReport.from_eigenvalues."""
+    return PsdReport.from_eigenvalues(hermitian_eigenvalues(h), tol)
 
 
 def real_embed(h: np.ndarray) -> np.ndarray:
@@ -117,13 +124,8 @@ def jacobi_eigenvalues(mat: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     cross-checked; meant for the small (<= ~32x32) matrices this package
     works with.
     """
-    a = np.array(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {a.shape}")
+    a = require_hermitian(np.array(mat, dtype=float))
     scale = max(1.0, float(np.abs(a).max()))
-    if a.size and float(np.abs(a - a.T).max()) > HERMITICITY_TOL * scale:
-        raise ValidationError("matrix must be symmetric")
-    a = (a + a.T) / 2.0
     n = a.shape[0]
     if n < 2:
         return np.diag(a).copy()

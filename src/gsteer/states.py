@@ -21,12 +21,12 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PSD_TOL,
-    HERMITICITY_TOL,
     PsdReport,
     ValidationError,
     is_psd,
     random_symplectic,
     require_finite,
+    require_hermitian,
     symplectic_form,
 )
 
@@ -95,32 +95,34 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return is_psd(g, tol)
 
 
-def _require_symmetric(cov: np.ndarray, name: str = "cov") -> np.ndarray:
-    defect = float(np.abs(cov - cov.T).max()) if cov.size else 0.0
-    scale = max(1.0, float(np.abs(cov).max())) if cov.size else 1.0
-    if defect > HERMITICITY_TOL * scale:
-        i, j = np.unravel_index(int(np.argmax(np.abs(cov - cov.T))), cov.shape)
-        raise ValidationError(
-            f"{name} is not symmetric: |cov[{i},{j}] - cov[{j},{i}]| = {defect:.6e}")
-    return (cov + cov.T) / 2.0
-
-
-def make_state(modes_a: int, modes_b: int, cov, mean=None,
-               tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """Validated constructor: shapes, symmetry, finiteness, bona fide condition."""
-    cov = require_finite(np.array(cov, dtype=float), "cov")
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError(f"cov must be square, got shape {cov.shape}")
-    cov = _require_symmetric(cov)
-    if mean is None:
-        mean = np.zeros(cov.shape[0])
-    state = GaussianState(modes_a, modes_b, cov, mean)
+def ensure_bona_fide(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+    """Return ``state`` unchanged if it passes the bona fide test, else raise
+    BonaFideError carrying the minimum eigenvalue of cov + i*Omega."""
     report = validate_state(state, tol)
     if not report.ok:
         raise BonaFideError(
             f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
             f"is {report.min_eigenvalue:.6e} (tol {tol:g})", report.min_eigenvalue)
     return state
+
+
+def make_state(modes_a: int, modes_b: int, cov, mean=None,
+               tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+    """Validated constructor: shapes, symmetry, finiteness, bona fide condition."""
+    cov = require_hermitian(np.array(cov, dtype=float), name="cov")
+    if mean is None:
+        mean = np.zeros(cov.shape[0])
+    return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean), tol)
+
+
+def mode_counts(doc: dict) -> tuple[int, int]:
+    """``modes_a`` and ``modes_b`` of a parsed document, which must be JSON
+    integers (``true``/``false`` are rejected, though Python counts bool as int)."""
+    counts = doc["modes_a"], doc["modes_b"]
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
+        raise ValidationError(
+            f"modes_a and modes_b must be integers, got {counts[0]!r} and {counts[1]!r}")
+    return counts
 
 
 def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
@@ -274,17 +276,12 @@ def state_from_json(text: str, tol: float = DEFAULT_PSD_TOL,
     missing = {"modes_a", "modes_b", "cov", "mean"} - set(doc)
     if missing:
         raise ValidationError(f"state document missing keys: {sorted(missing)}")
-    modes_a, modes_b = doc["modes_a"], doc["modes_b"]
-    if not isinstance(modes_a, int) or not isinstance(modes_b, int):
-        raise ValidationError("modes_a and modes_b must be integers")
+    modes_a, modes_b = mode_counts(doc)
     try:
         cov = np.array(doc["cov"], dtype=float)
         mean = np.array(doc["mean"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cov/mean must be numeric arrays: {exc}") from None
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError(f"cov must be a square matrix, got shape {cov.shape}")
     if require_bona_fide:
         return make_state(modes_a, modes_b, cov, mean, tol=tol)
-    cov = _require_symmetric(require_finite(cov, "cov"))
-    return GaussianState(modes_a, modes_b, cov, mean)
+    return GaussianState(modes_a, modes_b, require_hermitian(cov, name="cov"), mean)

@@ -54,28 +54,35 @@ def _steering_eigenvalues(state: GaussianState) -> np.ndarray:
 
 def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Tolerant PSD verdict for the steering matrix (truthy report with margin)."""
+    return PsdReport.from_eigenvalues(_steering_eigenvalues(state), tol)
+
+
+def _diagnose(state: GaussianState, tol: float,
+              clamp: bool = True) -> tuple[PsdReport, float, float]:
+    """Verdict and (j1, j2) from one eigendecomposition of the steering matrix.
+
+    With clamp=True both j values are exactly 0 when the verdict is
+    unsteerable; otherwise they are the raw trace-norm excesses.
+    """
     ev = _steering_eigenvalues(state)
-    lo, hi = float(ev[0]), float(ev[-1])
-    return PsdReport(lo >= -tol * max(1.0, abs(hi)), lo, hi, tol)
+    report = PsdReport.from_eigenvalues(ev, tol)
+    if clamp and report.ok:
+        return report, 0.0, 0.0
+    tn = float(np.abs(ev).sum())
+    tr = float(np.trace(state.cov))
+    return report, tn / tr - 1.0, tn - tr
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
              clamp: bool = True) -> tuple[float, float]:
     """(j1, j2) from one eigendecomposition of the steering matrix.
 
-    With clamp=True (the default) values within tol of zero, scaled by
-    Tr(cov) for j2, are reported as exactly 0 so unsteerable states yield
-    exact zeros; the two clamping conditions coincide because
-    j1 = j2 / Tr(cov).  Pass clamp=False for the raw values.
+    With clamp=True (the default) j1 and j2 are exactly 0 if and only if the
+    unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
+    and the raw values otherwise.  Pass clamp=False for the raw values.
     """
-    ev = _steering_eigenvalues(state)
-    tn = float(np.abs(ev).sum())
-    tr = float(np.trace(state.cov))
-    j2_raw = tn - tr
-    j1_raw = tn / tr - 1.0
-    if clamp and j2_raw <= tol * tr:
-        return 0.0, 0.0
-    return j1_raw, j2_raw
+    _, j1_val, j2_val = _diagnose(state, tol, clamp)
+    return j1_val, j2_val
 
 
 def j1(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
@@ -110,16 +117,8 @@ class SteeringReport:
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
     """Full steering diagnosis from a single eigendecomposition."""
-    ev = _steering_eigenvalues(state)
-    lo, hi = float(ev[0]), float(ev[-1])
-    verdict = lo >= -tol * max(1.0, abs(hi))
-    tn = float(np.abs(ev).sum())
-    tr = float(np.trace(state.cov))
-    j2_val = tn - tr
-    j1_val = tn / tr - 1.0
-    if j2_val <= tol * tr:
-        j1_val = j2_val = 0.0
-    return SteeringReport(verdict, j1_val, j2_val, lo, tol)
+    report, j1_val, j2_val = _diagnose(state, tol)
+    return SteeringReport(report.ok, j1_val, j2_val, report.min_eigenvalue, tol)
 
 
 def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .channels import (
     side_b_channel,
     tensor_local,
 )
-from .dynamics import BathParameters, evolve, sweep
+from .dynamics import BathParameters, relaxation, sweep
 from .linalg import (
     hermitian_eigenvalues,
     random_orthogonal,
@@ -44,6 +44,7 @@ from .steering import (
     n3_upper_bound_pure,
     pure_family_state,
     steering_matrix,
+    steering_report,
 )
 
 DEFAULT_SEED = 7
@@ -230,9 +231,10 @@ def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> i
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float, tol: float = 1e-9) -> float:
     """First grid time with j2 below threshold (inf if never)."""
+    state_at = relaxation(state0, bath, tol)
     t = 0.0
     while t <= t_max + dt / 2:
-        if j2(evolve(state0, bath, t, tol), tol) < threshold:
+        if j2(state_at(t), tol) < threshold:
             return t
         t += dt
     return np.inf
@@ -262,6 +264,17 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
     results.append(CheckResult("shear-witness-j2-increases", j2_out > j2_in,
                                "j2 output > j2 input", f"{j2_out:.6f} vs {j2_in:.6f}",
                                "strict"))
+
+    # faithfulness on the tolerance band: the verdict and j1 = j2 = 0 agree
+    band = fixtures.load_state(fixtures.STATE_TOLERANCE_BAND_WITNESS)
+    rep = steering_report(band)
+    verdict = bool(is_unsteerable(band).ok)
+    faithful = (rep.unsteerable == verdict == (rep.j1 == 0.0) == (rep.j2 == 0.0)
+                and j_values(band) == (rep.j1, rep.j2))
+    results.append(CheckResult("tolerance-band-witness-faithful", faithful,
+                               "unsteerable == (j1 == 0) == (j2 == 0)",
+                               f"unsteerable={verdict}, j1={rep.j1:.6e}, j2={rep.j2:.6e}, "
+                               f"min eigenvalue {rep.min_eigenvalue:.6e}", "1e-9"))
 
     # certificate sign regressions for the two non-certified channels
     ch1 = fixtures.load_channel(fixtures.CHANNEL_NONCERT_BONAFIDE)

@@ -261,6 +261,26 @@ class TestVerify:
         assert "FAIL doomed" in out
         assert "0/1 checks passed" in out
 
+    def test_tol_flag_rejected(self):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--tol", "5"])
+        assert err.value.code == 2
+
+    def test_env_var_tolerance_not_read(self, capsys, monkeypatch):
+        import gsteer.cli
+        from gsteer.verify import CheckResult
+
+        monkeypatch.setenv("GSTEER_TOL", "abc")
+        monkeypatch.setattr(gsteer.cli, "run_suite", lambda suite, seed=0: [
+            CheckResult("fine", True, "0", "0", "exact")])
+        assert main(["verify", "--suite", "paper"]) == 0
+
+    def test_tolerance_band_witness_check(self):
+        from gsteer.verify import paper_suite
+
+        results = {r.name: r for r in paper_suite(mc_samples=1, grid_density=2)}
+        assert results["tolerance-band-witness-faithful"].passed
+
     def test_unknown_suite_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["verify", "--suite", "bogus"])
@@ -270,6 +290,63 @@ class TestVerify:
 
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("bogus")
+
+
+class TestTolerance:
+    def test_infinite_flag_rejected(self, tmp_path, capsys):
+        # cov = 0.2 I: cov + i*Omega has minimum eigenvalue -0.8
+        doc = {"modes_a": 1, "modes_b": 1,
+               "cov": (0.2 * np.eye(4)).tolist(), "mean": [0.0] * 4}
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--tol", "inf", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "bona_fide" not in captured.out
+        assert "--tol" in captured.err
+
+    def test_infinite_env_var_rejected(self, vacuum_file, capsys, monkeypatch):
+        monkeypatch.setenv("GSTEER_TOL", "inf")
+        assert main(["quantify", vacuum_file]) == 2
+        assert "Infinity" not in capsys.readouterr().out
+
+    def test_nan_flag_rejected(self, vacuum_file, capsys):
+        assert main(["check", "--tol", "nan", vacuum_file]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_unparsable_env_var_rejected(self, vacuum_file, capsys, monkeypatch):
+        monkeypatch.setenv("GSTEER_TOL", "abc")
+        assert main(["check", vacuum_file]) == 2
+        assert "GSTEER_TOL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1e-9", "-inf", "inf", "nan", "abc"])
+    def test_one_rule_for_flag_and_env_var(self, value, vacuum_file, monkeypatch):
+        assert main(["quantify", f"--tol={value}", vacuum_file]) == 2
+        monkeypatch.setenv("GSTEER_TOL", value)
+        assert main(["quantify", vacuum_file]) == 2
+
+    def test_flag_overrides_bad_env_var(self, vacuum_file, monkeypatch):
+        monkeypatch.setenv("GSTEER_TOL", "abc")
+        assert main(["check", "--tol", "1e-9", vacuum_file]) == 0
+
+
+class TestBooleanModeCounts:
+    @pytest.mark.parametrize("key", ["modes_a", "modes_b"])
+    def test_state_document(self, key, tmp_path, capsys):
+        doc = json.loads(state_to_json(make_state(1, 1, np.eye(4))))
+        doc[key] = True
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert "integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["modes_a", "modes_b"])
+    def test_channel_document(self, key, tmp_path, capsys):
+        doc = json.loads(fixtures.fixture_text(fixtures.CHANNEL_SHEAR_LOCAL))
+        doc[key] = True
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(doc))
+        assert main(["channel", str(path), "--classify"]) == 2
+        assert "integers" in capsys.readouterr().err
 
 
 class TestRoundTrip:

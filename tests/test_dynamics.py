@@ -11,8 +11,9 @@ from gsteer.dynamics import (
     sweep,
 )
 from gsteer.linalg import ValidationError
-from gsteer.states import squeezed_vacuum_state, validate_state
+from gsteer.states import BonaFideError, GaussianState, squeezed_vacuum_state, validate_state
 from gsteer.steering import j2
+from gsteer.verify import first_passage_time
 
 SINH1_SQ = 1.3810978455418155      # sinh(1)^2
 COSH1_SINH1 = 1.8134302039235093   # cosh(1) * sinh(1)
@@ -188,6 +189,34 @@ class TestSweep:
             sweep(s, bath, [-1.0, 0.0])
         with pytest.raises(ValidationError):
             sweep(s, bath, [])
+
+    def test_points_equal_evolve(self):
+        # sweep builds each point without re-validation; evolve validates it
+        bath = BathParameters(0.3, 0.5, 2.0, 0.2)
+        s = squeezed_vacuum_state(0.8)
+        grid = np.linspace(0.0, 20.0, 41)
+        expected = [j2(evolve(s, bath, t)) for t in grid]
+        assert sweep(s, bath, grid).j2_values.tolist() == expected
+
+    def test_non_bona_fide_start_rejected(self):
+        bath = BathParameters(0.0, 1.0, 0.0, 0.1)
+        bad = GaussianState(1, 1, 0.5 * np.eye(4), np.zeros(4))
+        with pytest.raises(BonaFideError):
+            sweep(bad, bath, [1.0, 2.0])
+
+
+class TestFirstPassage:
+    def test_equals_evolve_loop(self):
+        bath = BathParameters(0.0, 2.0, 0.0, 0.1)
+        s = squeezed_vacuum_state(1.0)
+        t = 0.0
+        while j2(evolve(s, bath, t)) >= 0.01 and t <= 10.0:
+            t += 0.01
+        assert first_passage_time(s, bath, 0.01, 10.0, 0.01) == t
+
+    def test_never_below_threshold(self):
+        bath = BathParameters(0.0, 0.0, 0.0, 0.1)
+        assert first_passage_time(squeezed_vacuum_state(1.0), bath, -1.0, 1.0, 0.1) == np.inf
 
 
 class TestTrajectory:

@@ -152,6 +152,14 @@ class TestIsPsd:
         with pytest.raises(ValidationError):
             is_psd(np.eye(2), tol=-1.0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValidationError):
+            is_psd(np.eye(2), tol=float("nan"))
+
+    def test_margin_relative_to_largest_eigenvalue(self):
+        assert is_psd(np.diag([-1.0, 4.0])).margin == -0.25
+        assert is_psd(np.diag([-0.5, 0.25])).margin == -0.5
+
     @given(tol1=st.floats(0, 1e-6), tol2=st.floats(0, 1e-6))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_tol(self, tol1, tol2):

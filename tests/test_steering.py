@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gsteer import fixtures
 from gsteer.linalg import ValidationError, hermitian_eigenvalues, random_orthogonal, random_orthogonal_symplectic
 from gsteer.states import (
     make_state,
@@ -113,6 +114,42 @@ class TestJValues:
 
         doc = json.loads(steering_report(pure_family_state(1.5)).to_json())
         assert set(doc) == {"unsteerable", "j1", "j2", "min_eigenvalue", "tol_used"}
+
+
+def tolerance_band_witness():
+    """(1+2)-mode state: A1/B1 in standard form with a = b = 5 and c = -d just
+    past the steering boundary, B2 in vacuum; lambda_min is -1.05e-8."""
+    c = 4.472135965565
+    cov = np.eye(6)
+    cov[:4, :4] = [[5.0, 0.0, c, 0.0], [0.0, 5.0, 0.0, -c],
+                   [c, 0.0, 5.0, 0.0], [0.0, -c, 0.0, 5.0]]
+    return make_state(1, 2, cov)
+
+
+class TestToleranceBandWitness:
+    # at tol 1e-9 the verdict threshold is 1e-8 (lambda_max ~ 10) but
+    # j2 = 2.1e-8 lies below tol * Tr(cov) = 2.2e-8; at tol 1e-8 it is unsteerable
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_zero_iff_unsteerable(self, tol):
+        s = tolerance_band_witness()
+        rep = steering_report(s, tol)
+        verdict = bool(is_unsteerable(s, tol).ok)
+        j1_val, j2_val = j_values(s, tol)
+        assert rep.unsteerable == verdict == (j1_val == 0.0) == (j2_val == 0.0)
+        assert (rep.j1, rep.j2) == (j1_val, j2_val)
+
+    def test_steerable_at_default_tol_with_raw_values(self):
+        s = tolerance_band_witness()
+        rep = steering_report(s)
+        assert rep.min_eigenvalue == pytest.approx(-1.05e-8, rel=1e-3)
+        assert not rep.unsteerable
+        assert (rep.j1, rep.j2) == j_values(s, clamp=False)
+        assert rep.j2 > 0.0
+
+    def test_bundled_fixture_is_the_witness(self):
+        s = fixtures.load_state(fixtures.STATE_TOLERANCE_BAND_WITNESS)
+        assert (s.modes_a, s.modes_b) == (1, 2)
+        assert np.array_equal(s.cov, tolerance_band_witness().cov)
 
 
 class TestClosedFormSchmidt:
