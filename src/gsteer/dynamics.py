@@ -86,41 +86,34 @@ def stationary_state(bath: BathParameters, tol: float = DEFAULT_PSD_TOL) -> Gaus
     return make_state(1, 1, gamma_infinity(bath, tol), tol=tol)
 
 
-def _require_two_mode(state0: GaussianState) -> None:
-    if (state0.modes_a, state0.modes_b) != (1, 1):
-        raise ValidationError("evolution is defined for (1+1)-mode states")
-
-
-def _relaxed(state0: GaussianState, cov_inf: np.ndarray, lam: float,
-             t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance and mean at time t >= 0 of the closed-form relaxation."""
-    if not np.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
-    w = np.exp(-lam * t)
-    return w * state0.cov + (1.0 - w) * cov_inf, np.exp(-lam * t / 2.0) * state0.mean
-
-
-def evolve(state0: GaussianState, bath: BathParameters, t: float,
-           tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """State at time t >= 0 under the closed-form relaxation."""
-    _require_two_mode(state0)
-    cov, mean = _relaxed(state0, gamma_infinity(bath, tol), bath.lam, t)
-    return make_state(1, 1, cov, mean, tol=tol)
-
-
 def relaxation(state0: GaussianState, bath: BathParameters,
                tol: float = DEFAULT_PSD_TOL) -> Callable[[float], GaussianState]:
-    """The map t -> state at time t, for evaluating many times.
+    """The map t -> state at time t >= 0 under the closed-form relaxation.
 
     ``state0`` and the stationary covariance are validated here, once.  Every
     state the map returns has a convex combination of these two bona fide
     covariances, so it is bona fide by construction and is built without
     re-validation; only t is checked.
     """
-    _require_two_mode(state0)
+    if (state0.modes_a, state0.modes_b) != (1, 1):
+        raise ValidationError("evolution is defined for (1+1)-mode states")
     ensure_bona_fide(state0, tol)
     cov_inf = gamma_infinity(bath, tol)
-    return lambda t: GaussianState(1, 1, *_relaxed(state0, cov_inf, bath.lam, t))
+
+    def state_at(t: float) -> GaussianState:
+        if not np.isfinite(t) or t < 0:
+            raise ValidationError(f"time must be >= 0, got {t}")
+        w = np.exp(-bath.lam * t)
+        return GaussianState(1, 1, w * state0.cov + (1.0 - w) * cov_inf,
+                             np.exp(-bath.lam * t / 2.0) * state0.mean)
+
+    return state_at
+
+
+def evolve(state0: GaussianState, bath: BathParameters, t: float,
+           tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+    """State at time t >= 0 under the closed-form relaxation."""
+    return relaxation(state0, bath, tol)(t)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,8 @@ def _diagnose(state: GaussianState, tol: float,
     """Verdict and (j1, j2) from one eigendecomposition of the steering matrix.
 
     With clamp=True both j values are exactly 0 when the verdict is
-    unsteerable; otherwise they are the raw trace-norm excesses.
+    unsteerable and positive when it is not; otherwise they are the raw
+    trace-norm excesses.
     """
     ev = _steering_eigenvalues(state)
     report = PsdReport.from_eigenvalues(ev, tol)
@@ -70,7 +71,14 @@ def _diagnose(state: GaussianState, tol: float,
         return report, 0.0, 0.0
     tn = float(np.abs(ev).sum())
     tr = float(np.trace(state.cov))
-    return report, tn / tr - 1.0, tn - tr
+    j1_val, j2_val = tn / tr - 1.0, tn - tr
+    if clamp and not (j1_val > 0.0 and j2_val > 0.0):
+        # at a tol near 0 a rounding-level negative eigenvalue can make the
+        # verdict steerable while tn - tr rounds to <= 0; the same excess,
+        # 2 * sum|negative eigenvalues|, is positive whenever one is negative
+        j2_val = -2.0 * float(ev[ev < 0.0].sum())
+        j1_val = j2_val / tr
+    return report, j1_val, j2_val
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
@@ -79,7 +87,8 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
 
     With clamp=True (the default) j1 and j2 are exactly 0 if and only if the
     unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
-    and the raw values otherwise.  Pass clamp=False for the raw values.
+    and positive otherwise, at every tol >= 0.  Pass clamp=False for the raw
+    values, which rounding can leave at 0 or below for a steerable verdict.
     """
     _, j1_val, j2_val = _diagnose(state, tol, clamp)
     return j1_val, j2_val

@@ -146,6 +146,26 @@ class TestToleranceBandWitness:
         assert (rep.j1, rep.j2) == j_values(s, clamp=False)
         assert rep.j2 > 0.0
 
+    def test_zero_iff_unsteerable_at_zero_tol(self):
+        # B is a rotated pure squeezed state, so lambda_min is 0 up to
+        # rounding; where rounding makes it negative the tol = 0 verdict is
+        # steerable and both j values must be positive, not 0 or negative
+        steerable = 0
+        for k in range(40):
+            c, s_ = np.cos(0.1 * k), np.sin(0.1 * k)
+            rot = np.array([[c, -s_], [s_, c]])
+            cov = np.zeros((4, 4))
+            cov[:2, :2] = 3.0 * np.eye(2)
+            cov[2:, 2:] = rot @ np.diag([3.0, 1.0 / 3.0]) @ rot.T
+            s = make_state(1, 1, cov)
+            rep = steering_report(s, 0.0)
+            j1_val, j2_val = j_values(s, 0.0)
+            assert rep.unsteerable == bool(is_unsteerable(s, 0.0).ok)
+            assert rep.unsteerable == (j1_val == 0.0) == (j2_val == 0.0)
+            assert j1_val >= 0.0 and j2_val >= 0.0
+            steerable += not rep.unsteerable
+        assert steerable > 0
+
     def test_bundled_fixture_is_the_witness(self):
         s = fixtures.load_state(fixtures.STATE_TOLERANCE_BAND_WITNESS)
         assert (s.modes_a, s.modes_b) == (1, 2)
