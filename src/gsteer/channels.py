@@ -25,14 +25,12 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    hermitian_eigenvalues,
-    is_psd,
     require_finite,
     require_hermitian,
-    symplectic_form,
+    steering_form,
 )
-from .states import GaussianState, make_state, mode_counts, random_state, validate_state
-from .steering import is_unsteerable, steering_form
+from .states import GaussianState, ensure_bona_fide, mode_counts, random_state, validate_state
+from .steering import is_unsteerable
 
 
 class SamplingAbortError(RuntimeError):
@@ -64,7 +62,7 @@ class GaussianChannel:
         if dbar.shape != (dim,):
             raise ValidationError(f"dbar must have length {dim}, got {dbar.shape}")
         m = require_hermitian(m, name="M")
-        rep = is_psd(m, DEFAULT_PSD_TOL)
+        rep = PsdReport.of_hermitian(m, DEFAULT_PSD_TOL)
         if not rep.ok:
             raise ValidationError(
                 f"M must be PSD, min eigenvalue {rep.min_eigenvalue:.6e}")
@@ -103,11 +101,17 @@ def side_b_channel(K, M, dbar=None) -> GaussianChannel:
     return GaussianChannel(0, k.shape[0] // 2, k, M, dbar)
 
 
+def certificate_matrix(k: np.ndarray, m, f_out: np.ndarray, f_in: np.ndarray) -> np.ndarray:
+    """The symmetrized certificate M + F_out - K F_in K^T for Hermitian
+    offsets F_out and F_in; pass m = 0 for the M-free part."""
+    cert = m + f_out - k @ f_in @ k.T
+    return (cert + np.conj(cert).T) / 2.0
+
+
 def is_valid_gaussian(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Certificate M + i*Omega - i K Omega K^T >= 0."""
-    omega = symplectic_form(ch.n_modes)
-    cert = ch.M + 1j * omega - 1j * ch.K @ omega @ ch.K.T
-    return is_psd(cert, tol)
+    omega = steering_form(0, ch.n_modes)
+    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, omega, omega), tol)
 
 
 def is_unsteerable_channel(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
@@ -118,17 +122,14 @@ def is_unsteerable_channel(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) ->
     steering.
     """
     f = steering_form(ch.modes_a, ch.modes_b)
-    cert = ch.M + f - ch.K @ f @ ch.K.T
-    return is_psd(cert, tol)
+    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, f, f), tol)
 
 
 def is_steering_breaking(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Certificate M + F - i K Omega K^T >= 0; sufficient for every output
     state to be unsteerable."""
-    f = steering_form(ch.modes_a, ch.modes_b)
-    omega = symplectic_form(ch.n_modes)
-    cert = ch.M + f - 1j * ch.K @ omega @ ch.K.T
-    return is_psd(cert, tol)
+    f, omega = steering_form(ch.modes_a, ch.modes_b), steering_form(0, ch.n_modes)
+    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, f, omega), tol)
 
 
 @dataclass(frozen=True)
@@ -163,23 +164,20 @@ def apply(ch: GaussianChannel, state: GaussianState, tol: float = DEFAULT_PSD_TO
           enforce: bool | None = None) -> GaussianState:
     """Apply the channel: cov' = K cov K^T + M, mean' = K mean + dbar.
 
-    When the channel passes the validity certificate the output is
-    re-validated (a failure would signal a numerical bug); otherwise the
-    output is returned unvalidated so experiments on non-certified channels
-    can inspect the result.  ``enforce`` overrides that decision.
+    When the channel passes the validity certificate the output is tested
+    for the bona fide condition (a failure would signal a numerical bug);
+    otherwise it is returned untested so experiments on non-certified
+    channels can inspect the result.  ``enforce`` overrides that decision.
     """
     if (ch.modes_a, ch.modes_b) != (state.modes_a, state.modes_b):
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
             f"state ({state.modes_a},{state.modes_b})")
-    cov = ch.K @ state.cov @ ch.K.T + ch.M
-    cov = (cov + cov.T) / 2.0
-    mean = ch.K @ state.mean + ch.dbar
+    out = GaussianState(ch.modes_a, ch.modes_b, ch.K @ state.cov @ ch.K.T + ch.M,
+                        ch.K @ state.mean + ch.dbar)
     if enforce is None:
         enforce = bool(is_valid_gaussian(ch, tol).ok)
-    if enforce:
-        return make_state(ch.modes_a, ch.modes_b, cov, mean, tol=tol)
-    return GaussianState(ch.modes_a, ch.modes_b, cov, mean)
+    return ensure_bona_fide(out, tol) if enforce else out
 
 
 def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel,
@@ -225,13 +223,10 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng,
     n = modes_a + modes_b
     dim = 2 * n
     k = rng.uniform(-1.0, 1.0, (dim, dim)) / dim
-    omega = symplectic_form(n)
-    f = steering_form(modes_a, modes_b)
-    valid_part = 1j * omega - 1j * k @ omega @ k.T
-    unst_part = f - k @ f @ k.T
+    omega, f = steering_form(0, n), steering_form(modes_a, modes_b)
     alpha = max(0.0,
-                -float(hermitian_eigenvalues(valid_part)[0]),
-                -float(hermitian_eigenvalues(unst_part)[0]))
+                -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, omega, omega))[0]),
+                -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, f, f))[0]))
     m = (alpha + slack) * np.eye(dim)
     return GaussianChannel(modes_a, modes_b, k, m, np.zeros(dim))
 

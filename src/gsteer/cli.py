@@ -125,10 +125,10 @@ def cmd_channel(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.dt <= 0:
-        raise ValidationError(f"--dt must be positive, got {args.dt}")
-    if args.tmax < 0:
-        raise ValidationError(f"--tmax must be nonnegative, got {args.tmax}")
+    if not math.isfinite(args.dt) or args.dt <= 0:
+        raise ValidationError(f"--dt must be finite and positive, got {args.dt}")
+    if not math.isfinite(args.tmax) or args.tmax < 0:
+        raise ValidationError(f"--tmax must be finite and nonnegative, got {args.tmax}")
     bath = BathParameters(args.nth, args.R, args.phi, args.lam)
     start = squeezed_vacuum_state(args.r)
     t_grid = np.arange(0.0, args.tmax + args.dt / 2, args.dt)

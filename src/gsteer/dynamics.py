@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, ValidationError, is_psd, symplectic_form
-from .states import GaussianState, ensure_bona_fide, make_state
+from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, steering_form
+from .states import GaussianState, ensure_bona_fide
 from .steering import j2
 
 
@@ -74,7 +74,7 @@ def gamma_infinity(bath: BathParameters, tol: float = DEFAULT_PSD_TOL) -> np.nda
     cov = np.zeros((4, 4))
     cov[:2, :2] = block
     cov[2:, 2:] = block
-    rep = is_psd(cov.astype(complex) + 1j * symplectic_form(2), tol)
+    rep = PsdReport.of_hermitian(cov + steering_form(0, 2), tol)
     if not rep.ok:
         raise ValidationError(
             f"stationary covariance is not bona fide (min eigenvalue "
@@ -83,7 +83,8 @@ def gamma_infinity(bath: BathParameters, tol: float = DEFAULT_PSD_TOL) -> np.nda
 
 
 def stationary_state(bath: BathParameters, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    return make_state(1, 1, gamma_infinity(bath, tol), tol=tol)
+    """Zero-mean state at the stationary covariance (bona fide: gamma_infinity tests it)."""
+    return GaussianState(1, 1, gamma_infinity(bath, tol), np.zeros(4))
 
 
 def relaxation(state0: GaussianState, bath: BathParameters,

@@ -8,6 +8,7 @@ between threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +22,26 @@ class ValidationError(ValueError):
     """An input fails a structural precondition (shape, symmetry, finiteness)."""
 
 
+@functools.lru_cache(maxsize=None)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Direct sum of ``n_modes`` copies of [[0, 1], [-1, 0]]."""
+    """Direct sum of ``n_modes`` copies of [[0, 1], [-1, 0]], built once per
+    mode count and shared read-only."""
     if n_modes < 0:
         raise ValidationError(f"n_modes must be nonnegative, got {n_modes}")
-    if n_modes == 0:
-        return np.zeros((0, 0))
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.setflags(write=False)
+    return omega
+
+
+@functools.lru_cache(maxsize=None)
+def steering_form(modes_a: int, modes_b: int) -> np.ndarray:
+    """The Hermitian offset 0_A (+) i*Omega_B, built once per partition and
+    shared read-only; ``steering_form(0, n)`` is i*Omega, the bona fide offset."""
+    dim = 2 * (modes_a + modes_b)
+    z = np.zeros((dim, dim), dtype=complex)
+    z[2 * modes_a :, 2 * modes_a :] = 1j * symplectic_form(modes_b)
+    z.setflags(write=False)
+    return z
 
 
 def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -37,13 +51,12 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL,
-                      name: str = "matrix") -> np.ndarray:
+def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a square, finite, near-Hermitian matrix and return the
     symmetrized (h + h^dagger)/2.
 
-    The tolerance is relative to max(1, largest |entry|); inputs beyond it are
-    rejected rather than repaired, naming the worst entry.
+    The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|);
+    inputs beyond it are rejected rather than repaired, naming the worst entry.
     """
     arr = np.asarray(h)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -54,22 +67,22 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL,
     adj = np.conj(arr).T
     scale = max(1.0, float(np.abs(arr).max()))
     defect = np.abs(arr - adj)
-    if float(defect.max()) > tol * scale:
+    if float(defect.max()) > HERMITICITY_TOL * scale:
         i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
         raise ValidationError(
             f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
-            f"{defect[i, j]:.6e} exceeds {tol:g} * {scale:.6e}")
+            f"{defect[i, j]:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
     return (arr + adj) / 2.0
 
 
-def hermitian_eigenvalues(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """All eigenvalues of a (near-)Hermitian matrix, ascending and real."""
-    return np.linalg.eigvalsh(require_hermitian(h, tol))
+    return np.linalg.eigvalsh(require_hermitian(h))
 
 
-def trace_norm(h: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(h: np.ndarray) -> float:
     """Sum of absolute eigenvalues; equals trace(h) exactly when h is PSD."""
-    return float(np.abs(hermitian_eigenvalues(h, tol)).sum())
+    return float(np.abs(hermitian_eigenvalues(h)).sum())
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,12 @@ class PsdReport:
             raise ValidationError(f"tol must be nonnegative, got {tol}")
         lo, hi = float(ev[0]), float(ev[-1])
         return cls(lo >= -tol * max(1.0, abs(hi)), lo, hi, tol)
+
+    @classmethod
+    def of_hermitian(cls, h: np.ndarray, tol: float) -> PsdReport:
+        """The PSD test of a matrix that is Hermitian by construction, such as
+        a certificate built from validated data; ``h`` is not re-checked."""
+        return cls.from_eigenvalues(np.linalg.eigvalsh(h), tol)
 
     @property
     def margin(self) -> float:

@@ -23,11 +23,10 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    is_psd,
     random_symplectic,
     require_finite,
     require_hermitian,
-    symplectic_form,
+    steering_form,
 )
 
 
@@ -43,8 +42,9 @@ class BonaFideError(ValidationError):
 class GaussianState:
     """Immutable (modes_a + modes_b)-mode Gaussian state record.
 
-    Only shape consistency is checked here; use :func:`make_state` for the
-    fully validated constructor.  The arrays are copied and frozen.
+    The one structural check of a covariance matrix: shape, finiteness and
+    symmetry within HERMITICITY_TOL; the cov stored is symmetrized, and
+    :func:`make_state` adds the bona fide test.  The arrays are frozen.
     """
 
     modes_a: int
@@ -53,17 +53,16 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
+        cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
         if self.modes_a < 1 or self.modes_b < 1:
             raise ValidationError(
                 f"mode counts must be positive, got ({self.modes_a}, {self.modes_b})")
         dim = 2 * (self.modes_a + self.modes_b)
-        cov = np.array(self.cov, dtype=float)
         mean = np.array(self.mean, dtype=float)
         if cov.shape != (dim, dim):
             raise ValidationError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
         if mean.shape != (dim,):
             raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
-        require_finite(cov, "cov")
         require_finite(mean, "mean")
         cov.setflags(write=False)
         mean.setflags(write=False)
@@ -90,9 +89,7 @@ class GaussianState:
 
 def validate_state(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Bona fide report: tolerant PSD test of cov + i*Omega."""
-    g = state.cov.astype(complex)
-    g += 1j * symplectic_form(state.n_modes)
-    return is_psd(g, tol)
+    return PsdReport.of_hermitian(state.cov + steering_form(0, state.n_modes), tol)
 
 
 def ensure_bona_fide(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
@@ -108,10 +105,11 @@ def ensure_bona_fide(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> Gaus
 
 def make_state(modes_a: int, modes_b: int, cov, mean=None,
                tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """Validated constructor: shapes, symmetry, finiteness, bona fide condition."""
-    cov = require_hermitian(np.array(cov, dtype=float), name="cov")
+    """Validated constructor: the checks of :class:`GaussianState` plus the
+    bona fide condition; the mean defaults to zero."""
+    cov = np.asarray(cov, dtype=float)
     if mean is None:
-        mean = np.zeros(cov.shape[0])
+        mean = np.zeros(cov.shape[:1])
     return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean), tol)
 
 
@@ -228,7 +226,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng,
     [-1, 1], then returns S diag(nu) S^T with zero mean.  Deterministic for a
     fixed integer seed; pass independent generators for parallel sampling.
     """
-    if max_sympl_eigen < 1.0:
+    if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
         raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
     rng = np.random.default_rng(rng)
     n = modes_a + modes_b
@@ -282,6 +280,5 @@ def state_from_json(text: str, tol: float = DEFAULT_PSD_TOL,
         mean = np.array(doc["mean"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cov/mean must be numeric arrays: {exc}") from None
-    if require_bona_fide:
-        return make_state(modes_a, modes_b, cov, mean, tol=tol)
-    return GaussianState(modes_a, modes_b, require_hermitian(cov, name="cov"), mean)
+    state = GaussianState(modes_a, modes_b, cov, mean)
+    return ensure_bona_fide(state, tol) if require_bona_fide else state

@@ -22,39 +22,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_PSD_TOL,
-    PsdReport,
-    ValidationError,
-    hermitian_eigenvalues,
-    symplectic_form,
-)
+from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, steering_form
 from .states import GaussianState, check_standard_form_params, make_state
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
 
 
-def steering_form(modes_a: int, modes_b: int) -> np.ndarray:
-    """The Hermitian offset 0_A (+) i*Omega_B."""
-    dim = 2 * (modes_a + modes_b)
-    z = np.zeros((dim, dim), dtype=complex)
-    z[2 * modes_a :, 2 * modes_a :] = 1j * symplectic_form(modes_b)
-    return z
-
-
 def steering_matrix(state: GaussianState) -> np.ndarray:
-    """cov + 0_A (+) i*Omega_B as a complex Hermitian matrix."""
+    """cov + 0_A (+) i*Omega_B, Hermitian by construction because
+    GaussianState stores a symmetric cov."""
     return state.cov + steering_form(state.modes_a, state.modes_b)
-
-
-def _steering_eigenvalues(state: GaussianState) -> np.ndarray:
-    return hermitian_eigenvalues(steering_matrix(state))
 
 
 def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Tolerant PSD verdict for the steering matrix (truthy report with margin)."""
-    return PsdReport.from_eigenvalues(_steering_eigenvalues(state), tol)
+    return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
 def _diagnose(state: GaussianState, tol: float,
@@ -65,7 +48,7 @@ def _diagnose(state: GaussianState, tol: float,
     unsteerable and positive when it is not; otherwise they are the raw
     trace-norm excesses.
     """
-    ev = _steering_eigenvalues(state)
+    ev = np.linalg.eigvalsh(steering_matrix(state))
     report = PsdReport.from_eigenvalues(ev, tol)
     if clamp and report.ok:
         return report, 0.0, 0.0
@@ -202,13 +185,11 @@ def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
 
     All equal to 1 exactly when the state is pure.
     """
-    omega = symplectic_form(state.n_modes)
-    ev = np.linalg.eigvals(1j * omega @ state.cov)
+    ev = np.linalg.eigvals(steering_form(0, state.n_modes) @ state.cov)
     return np.sort(np.abs(ev))
 
 
-def pure_overlap_2mode(pure: GaussianState, other: GaussianState,
-                       purity_tol: float = PURITY_TOL) -> float:
+def pure_overlap_2mode(pure: GaussianState, other: GaussianState) -> float:
     """Overlap Tr(rho sigma) = 4 / sqrt(det(cov_p + cov_s)) for (1+1)-mode
     states with zero means, the first of which must be pure."""
     for name, st in (("first", pure), ("second", other)):
@@ -217,7 +198,7 @@ def pure_overlap_2mode(pure: GaussianState, other: GaussianState,
         if np.abs(st.mean).max() > 1e-12:
             raise ValidationError(f"{name} state must have zero mean")
     nu = symplectic_eigenvalues(pure)
-    if np.abs(nu - 1.0).max() > purity_tol:
+    if np.abs(nu - 1.0).max() > PURITY_TOL:
         raise ValidationError(
             f"first state is not pure: symplectic eigenvalues {nu}")
     det = float(np.linalg.det(pure.cov + other.cov))

@@ -18,6 +18,7 @@ from . import fixtures
 from .channels import (
     GaussianChannel,
     apply,
+    certificate_matrix,
     is_unsteerable_channel,
     is_valid_gaussian,
     random_unsteerable_channel,
@@ -28,11 +29,12 @@ from .channels import (
 )
 from .dynamics import BathParameters, relaxation, sweep
 from .linalg import (
+    ValidationError,
     hermitian_eigenvalues,
     random_orthogonal,
     random_orthogonal_symplectic,
     random_symplectic,
-    symplectic_form,
+    steering_form,
     trace_norm,
 )
 from .states import make_state, mix_covariances, random_state, squeezed_vacuum_state
@@ -133,9 +135,9 @@ def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     ch_a = _random_side_a(modes_a, rng)
     dim_b = 2 * modes_b
     k_b = rng.uniform(-1.0, 1.0, (dim_b, dim_b))
-    omega = symplectic_form(modes_b)
-    part = 1j * omega - 1j * k_b @ omega @ k_b.T
-    alpha = max(0.0, -float(hermitian_eigenvalues(part)[0]))
+    omega = steering_form(0, modes_b)
+    part = certificate_matrix(k_b, 0.0, omega, omega)
+    alpha = max(0.0, -float(np.linalg.eigvalsh(part)[0]))
     m_b = _random_psd(dim_b, rng) + (alpha + 1e-6) * np.eye(dim_b)
     ch_b = side_b_channel(k_b, m_b)
     return tensor_local(ch_a, ch_b)
@@ -230,7 +232,12 @@ def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> i
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float, tol: float = 1e-9) -> float:
-    """First grid time with j2 below threshold (inf if never)."""
+    """First grid time with j2 below threshold (inf if never); dt must be
+    finite and positive, t_max finite and nonnegative."""
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
+    if not np.isfinite(t_max) or t_max < 0:
+        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
     state_at = relaxation(state0, bath, tol)
     t = 0.0
     while t <= t_max + dt / 2:

@@ -203,6 +203,12 @@ class TestSweep:
     def test_invalid_dt_exits_2(self):
         assert main(["sweep", "--dt", "0"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--dt", "--tmax"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_grid_exits_2(self, flag, value, capsys):
+        assert main(["sweep", flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+
     def test_invalid_bath_exits_2(self):
         assert main(["sweep", "--nth", "-1"]) == 2
 
@@ -226,6 +232,12 @@ class TestSample:
                      "--predicate", "unsteerable-preserving",
                      "--max-sympl-eigen", "1.0"]) == 4
         assert "oversampling" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_max_sympl_eigen_exits_2(self, noncert_channel_file, value, capsys):
+        assert main(["sample", noncert_channel_file, "--n", "5",
+                     "--max-sympl-eigen", value]) == 2
+        assert capsys.readouterr().err.startswith("error: max_sympl_eigen must be >= 1")
 
     def test_deterministic_output(self, noncert_channel_file, capsys):
         args = ["sample", noncert_channel_file, "--n", "50", "--seed", "9"]

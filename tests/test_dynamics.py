@@ -207,6 +207,16 @@ class TestFirstPassage:
         bath = BathParameters(0.0, 0.0, 0.0, 0.1)
         assert first_passage_time(squeezed_vacuum_state(1.0), bath, -1.0, 1.0, 0.1) == np.inf
 
+    @pytest.mark.parametrize("t_max, dt", [
+        (1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (1.0, np.inf),
+        (-1.0, 0.1), (np.nan, 0.1), (np.inf, 0.1),
+    ])
+    def test_bad_grid_rejected(self, t_max, dt):
+        # a threshold above j2(state0) would stop the scan at t = 0 if it ran
+        bath = BathParameters(0.0, 0.0, 0.0, 0.1)
+        with pytest.raises(ValidationError, match="dt must be|t_max must be"):
+            first_passage_time(squeezed_vacuum_state(1.0), bath, 10.0, t_max, dt)
+
 
 class TestTrajectory:
     def test_csv_format(self):

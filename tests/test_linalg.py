@@ -13,6 +13,7 @@ from gsteer.linalg import (
     random_orthogonal_symplectic,
     random_symplectic,
     real_embed,
+    steering_form,
     symplectic_form,
     trace_norm,
 )
@@ -58,6 +59,21 @@ class TestSymplecticForm:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             symplectic_form(-1)
+
+    @pytest.mark.parametrize("build, args", [
+        (symplectic_form, (0,)), (symplectic_form, (2,)),
+        (steering_form, (1, 1)), (steering_form, (1, 2)), (steering_form, (0, 3)),
+    ])
+    def test_shared_read_only(self, build, args):
+        form = build(*args)
+        assert build(*args) is form
+        assert not form.flags.writeable
+        with pytest.raises(ValueError):
+            form[...] = 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_steering_form_without_a_modes_is_i_omega(self, n):
+        assert np.array_equal(steering_form(0, n), 1j * symplectic_form(n))
 
 
 class TestHermitianEigenvalues:

@@ -61,6 +61,20 @@ class TestMakeState:
         with pytest.raises(ValidationError, match="symmetric"):
             make_state(1, 1, cov)
 
+    def test_record_rejects_asymmetric(self):
+        # GaussianState itself is the one structural check of a covariance
+        cov = np.eye(4)
+        cov[0, 1] = 0.5
+        with pytest.raises(ValidationError, match="cov is not symmetric"):
+            GaussianState(1, 1, cov, np.zeros(4))
+
+    def test_rounding_asymmetry_stored_symmetrized(self):
+        cov = np.eye(4)
+        cov[0, 1] = 1e-14
+        s = GaussianState(1, 1, cov, np.zeros(4))
+        assert np.array_equal(s.cov, s.cov.T)
+        assert s.cov[0, 1] == 5e-15
+
     def test_nonfinite_rejected(self):
         cov = np.eye(4)
         cov[0, 0] = np.nan
@@ -194,6 +208,11 @@ class TestRandomState:
     def test_rejects_small_max_eigenvalue(self):
         with pytest.raises(ValidationError):
             random_state(1, 1, 0.5, 0)
+
+    @pytest.mark.parametrize("vmax", [np.nan, np.inf])
+    def test_rejects_nonfinite_max_eigenvalue(self, vmax):
+        with pytest.raises(ValidationError, match="max_sympl_eigen must be >= 1"):
+            random_state(1, 1, vmax, 0)
 
     def test_all_samples_bona_fide(self):
         # the sampler is valid by construction; make_state re-checks every draw
