@@ -4,8 +4,10 @@ A state of m modes on side A and n modes on side B is fully described by its
 2(m+n) x 2(m+n) covariance matrix and its mean vector, both in the
 (Q1, P1, Q2, P2, ...) quadrature ordering with the A modes first.  A
 covariance matrix is physical ("bona fide") iff cov + i*Omega >= 0, where
-Omega is the symplectic form; all constructors here enforce that with a
-tolerant PSD test.
+Omega is the symplectic form.  ``make_state``, ``standard_form_state``,
+``mix_covariances`` and ``state_from_json`` test that with a tolerant PSD test;
+``schmidt_pure_state``, ``squeezed_vacuum_state`` and ``random_state`` build it
+bona fide by construction and test nothing.
 
 Mean vectors are carried everywhere even though the steering quantities
 ignore them, because channels act on them and file round-trips must be
@@ -43,8 +45,8 @@ class GaussianState:
     """Immutable (modes_a + modes_b)-mode Gaussian state record.
 
     The one structural check of a covariance matrix: shape, finiteness and
-    symmetry within HERMITICITY_TOL; the cov stored is symmetrized, and
-    :func:`make_state` adds the bona fide test.  The arrays are frozen.
+    symmetry within HERMITICITY_TOL; the cov stored is symmetrized.  It
+    does not test bona fide; :func:`make_state` does.  The arrays are frozen.
     """
 
     modes_a: int
@@ -158,9 +160,9 @@ def standard_form_state(a: float, b: float, c: float, d: float,
     return make_state(1, 1, cov, tol=tol)
 
 
-def schmidt_pure_state(modes_a: int, modes_b: int, gammas,
-                       tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """Pure-state covariance in phase-space Schmidt form.
+def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
+    """Pure-state covariance in phase-space Schmidt form (bona fide: pure, every
+    symplectic eigenvalue is 1).
 
     Each mixing factor gamma_k >= 1 couples mode A_k to mode B_k through the
     off-diagonal block diag(sqrt(gamma_k^2 - 1), -sqrt(gamma_k^2 - 1)); the
@@ -190,13 +192,13 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas,
         block = np.diag([coupling, -coupling])
         cov[2 * i : 2 * i + 2, 2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2] = block
         cov[2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2, 2 * i : 2 * i + 2] = block
-    return make_state(modes_a, modes_b, cov, tol=tol)
+    return GaussianState(modes_a, modes_b, cov, np.zeros(cov.shape[0]))
 
 
-def squeezed_vacuum_state(r: float, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+def squeezed_vacuum_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0.
 
-    Identical to the Schmidt pure state at gamma = cosh(2r).
+    Identical to the Schmidt pure state at gamma = cosh(2r): pure, so bona fide.
     """
     if not np.isfinite(r) or r < 0:
         raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
@@ -207,7 +209,7 @@ def squeezed_vacuum_state(r: float, tol: float = DEFAULT_PSD_TOL) -> GaussianSta
         [sh, 0.0, ch, 0.0],
         [0.0, -sh, 0.0, ch],
     ])
-    return make_state(1, 1, cov, tol=tol)
+    return GaussianState(1, 1, cov, np.zeros(4))
 
 
 def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
@@ -217,9 +219,9 @@ def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng,
-                 tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """Random bona fide state, valid by construction.
+def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> GaussianState:
+    """Random state, bona fide by construction: cov + i*Omega = S (D + i*Omega) S^T
+    with D + i*Omega >= 0 because every nu_k >= 1.
 
     Draws symplectic eigenvalues nu_k uniform in [1, max_sympl_eigen] and a
     random symplectic S = exp(Omega H) with H symmetric, entries uniform in
@@ -232,14 +234,15 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng,
     n = modes_a + modes_b
     nu = rng.uniform(1.0, max_sympl_eigen, n)
     sympl = random_symplectic(n, rng)
-    return make_state(modes_a, modes_b, williamson_inverse(nu, sympl), tol=tol)
+    return GaussianState(modes_a, modes_b, williamson_inverse(nu, sympl), np.zeros(2 * n))
 
 
 def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float,
                     tol: float = DEFAULT_PSD_TOL) -> GaussianState:
     """State with the convex combination p1*cov1 + (1-p1)*cov2 of covariances.
 
-    Always bona fide (the PSD cone is convex); means mix with the same weights.
+    Bona fide when both inputs are (the PSD cone is convex); tested, because
+    a GaussianState need not be.  Means mix with the same weights.
     """
     if (s1.modes_a, s1.modes_b) != (s2.modes_a, s2.modes_b):
         raise ValidationError(
@@ -248,7 +251,7 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float,
         raise ValidationError(f"p1 must lie in [0, 1], got {p1}")
     cov = p1 * s1.cov + (1.0 - p1) * s2.cov
     mean = p1 * s1.mean + (1.0 - p1) * s2.mean
-    return make_state(s1.modes_a, s1.modes_b, cov, mean, tol=tol)
+    return ensure_bona_fide(GaussianState(s1.modes_a, s1.modes_b, cov, mean), tol)
 
 
 def state_to_json(state: GaussianState) -> str:

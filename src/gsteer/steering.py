@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, steering_form
-from .states import GaussianState, check_standard_form_params, make_state
+from .states import GaussianState, check_standard_form_params
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
@@ -158,8 +158,9 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
     return j1_val, j2_val
 
 
-def pure_family_state(r: float, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """The r-parametrized (1+1)-mode pure family: Schmidt form with gamma = r."""
+def pure_family_state(r: float) -> GaussianState:
+    """The r-parametrized (1+1)-mode pure family: Schmidt form with gamma = r
+    (bona fide: pure, every symplectic eigenvalue is 1)."""
     if not np.isfinite(r) or r < 1.0:
         raise ValidationError(f"family parameter must be >= 1, got {r}")
     s = np.sqrt(r * r - 1.0)
@@ -169,7 +170,7 @@ def pure_family_state(r: float, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
         [s, 0.0, r, 0.0],
         [0.0, -s, 0.0, r],
     ])
-    return make_state(1, 1, cov, tol=tol)
+    return GaussianState(1, 1, cov, np.zeros(4))
 
 
 def n3_upper_bound_pure(r: float) -> float:

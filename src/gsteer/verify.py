@@ -29,6 +29,7 @@ from .channels import (
 )
 from .dynamics import BathParameters, relaxation, sweep
 from .linalg import (
+    DEFAULT_PSD_TOL,
     ValidationError,
     hermitian_eigenvalues,
     random_orthogonal,
@@ -37,7 +38,7 @@ from .linalg import (
     steering_form,
     trace_norm,
 )
-from .states import make_state, mix_covariances, random_state, squeezed_vacuum_state
+from .states import GaussianState, mix_covariances, random_state, squeezed_vacuum_state
 from .steering import (
     is_unsteerable,
     j2,
@@ -96,12 +97,13 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng,
 
 
 def upward_closure_trials(n_trials: int, rng, tol: float = 1e-8) -> int:
-    """Adding a PSD matrix to an unsteerable covariance must stay unsteerable."""
+    """Adding a PSD matrix to an unsteerable covariance must stay unsteerable
+    (the sum is bona fide, so it is built without a test)."""
     rng = np.random.default_rng(rng)
     violations = 0
     for _ in range(n_trials):
         s = _random_unsteerable(1, 1, 5.0, rng, tol)
-        bigger = make_state(1, 1, s.cov + _random_psd(s.dim, rng), tol=tol)
+        bigger = GaussianState(1, 1, s.cov + _random_psd(s.dim, rng), s.mean)
         if not is_unsteerable(bigger, tol).ok:
             violations += 1
     return violations
@@ -231,7 +233,7 @@ def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> i
 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
-                       t_max: float, dt: float, tol: float = 1e-9) -> float:
+                       t_max: float, dt: float, tol: float = DEFAULT_PSD_TOL) -> float:
     """First grid time with j2 below threshold (inf if never); dt must be
     finite and positive, t_max finite and nonnegative."""
     if not np.isfinite(dt) or dt <= 0:
@@ -381,7 +383,8 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
     return results
 
 
-def properties_suite(seed: int = DEFAULT_SEED, trials: int = 1000) -> list[CheckResult]:
+def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    trials = 1000  # per randomized check
     results = [
         _count_check("faithfulness-1p1",
                      faithfulness_trials(1, 1, trials, seed), trials, "clamp 1e-9"),
@@ -410,12 +413,11 @@ def properties_suite(seed: int = DEFAULT_SEED, trials: int = 1000) -> list[Check
     return results
 
 
-def run_suite(suite: str, seed: int = DEFAULT_SEED, mc_samples: int = 10000,
-              trials: int = 1000) -> list[CheckResult]:
+def run_suite(suite: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if suite == "paper":
-        return paper_suite(seed, mc_samples)
+        return paper_suite(seed)
     if suite == "properties":
-        return properties_suite(seed, trials)
+        return properties_suite(seed)
     if suite == "all":
-        return paper_suite(seed, mc_samples) + properties_suite(seed, trials)
+        return paper_suite(seed) + properties_suite(seed)
     raise ValueError(f"unknown suite {suite!r}")

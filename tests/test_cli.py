@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ class TestChannel:
         out_path = tmp_path / "out.json"
         assert main(["channel", str(ch_path), witness_state_file,
                      "--output", str(out_path)]) == 0
-        original = state_from_json(open(witness_state_file).read())
+        original = state_from_json(Path(witness_state_file).read_text())
         result = state_from_json(out_path.read_text())
         assert np.array_equal(result.cov, original.cov)
 
@@ -363,7 +364,7 @@ class TestBooleanModeCounts:
 
 class TestRoundTrip:
     def test_state_parse_serialize_parse(self, witness_state_file):
-        text = open(witness_state_file).read()
+        text = Path(witness_state_file).read_text()
         first = state_from_json(text)
         serialized = state_to_json(first)
         second = state_from_json(serialized)

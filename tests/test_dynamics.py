@@ -39,6 +39,9 @@ class TestBathParameters:
                     bath = BathParameters(nth, R, phi, 0.1)
                     n, m = bath.photon_number, bath.squeezing
                     assert abs(m) ** 2 <= n * (n + 1.0) + 1e-9 * max(1.0, n * n)
+                    # N(N+1) - |M|^2 = n_th(n_th+1), so gamma_infinity is bona fide
+                    assert n * (n + 1.0) - abs(m) ** 2 == pytest.approx(
+                        nth * (nth + 1.0), abs=1e-9 * max(1.0, n * n))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValidationError):

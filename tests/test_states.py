@@ -215,20 +215,46 @@ class TestRandomState:
             random_state(1, 1, vmax, 0)
 
     def test_all_samples_bona_fide(self):
-        # the sampler is valid by construction; make_state re-checks every draw
+        # the sampler is valid by construction and runs no test; check each draw
         rng = np.random.default_rng(5)
-        failures = 0
-        for _ in range(10_000):
-            try:
-                random_state(1, 1, 5.0, rng, tol=1e-9)
-            except BonaFideError:
-                failures += 1
+        failures = sum(not validate_state(random_state(1, 1, 5.0, rng), 1e-9).ok
+                       for _ in range(10_000))
         assert failures == 0
 
     def test_multimode_partition(self):
         s = random_state(2, 1, 2.0, 9)
         assert s.cov.shape == (6, 6)
         assert validate_state(s).ok
+
+
+class TestBonaFideByConstruction:
+    def test_built_without_eigensolve_and_bona_fide(self, monkeypatch):
+        # these constructors are bona fide by their algebra: they build the
+        # record directly, with no eigensolve, and still pass the test
+        from gsteer.dynamics import BathParameters, gamma_infinity, stationary_state
+        from gsteer.steering import pure_family_state
+
+        bath = BathParameters(0.7, 0.9, 1.3, 0.1)
+        builders = {
+            "random_state 1+1": lambda: random_state(1, 1, 5.0, 3),
+            "random_state 1+2": lambda: random_state(1, 2, 5.0, 4),
+            "squeezed_vacuum_state": lambda: squeezed_vacuum_state(1.3),
+            "schmidt_pure_state": lambda: schmidt_pure_state(1, 2, [2.5]),
+            "pure_family_state": lambda: pure_family_state(4.0),
+            "gamma_infinity": lambda: GaussianState(1, 1, gamma_infinity(bath), np.zeros(4)),
+            "stationary_state": lambda: stationary_state(bath),
+        }
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+        built = {}
+        for name, build in builders.items():
+            built[name] = build()
+            assert not calls, name
+        monkeypatch.undo()
+        for name, state in built.items():
+            assert validate_state(state).ok, name
 
 
 class TestMixCovariances:
