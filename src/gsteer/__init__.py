@@ -40,8 +40,6 @@ from .linalg import (
     ValidationError,
     hermitian_eigenvalues,
     is_psd,
-    jacobi_eigenvalues,
-    real_embed,
     symplectic_form,
     trace_norm,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, ValidationError
 from .states import GaussianState, ensure_bona_fide
-from .steering import j2
+from .steering import j2, j_values_stack
 
 
 @dataclass(frozen=True)
@@ -79,34 +79,36 @@ def stationary_state(bath: BathParameters) -> GaussianState:
     return GaussianState(1, 1, gamma_infinity(bath), np.zeros(4))
 
 
-def relaxation(state0: GaussianState, bath: BathParameters,
-               tol: float = DEFAULT_PSD_TOL) -> Callable[[float], GaussianState]:
-    """The map t -> state at time t >= 0 under the closed-form relaxation.
+def relaxation_covariances(state0: GaussianState, bath: BathParameters,
+                           tol: float = DEFAULT_PSD_TOL) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from times t to the covariances cov(t) of the closed-form
+    relaxation: a 4x4 matrix for one time, a ``(k, 4, 4)`` stack for k times.
 
     ``state0`` is validated here, once; the stationary covariance is bona fide
-    by construction.  Every state the map returns has a convex combination of
-    these two bona fide covariances, so it is bona fide too and is built
-    without re-validation; only t is checked.
+    by construction.  Every covariance the map returns is a convex combination
+    of these two bona fide covariances, so it is bona fide too.  The times
+    are not checked: the caller passes finite t >= 0.
     """
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
     ensure_bona_fide(state0, tol)
     cov_inf = gamma_infinity(bath)
 
-    def state_at(t: float) -> GaussianState:
-        if not np.isfinite(t) or t < 0:
-            raise ValidationError(f"time must be >= 0, got {t}")
-        w = np.exp(-bath.lam * t)
-        return GaussianState(1, 1, w * state0.cov + (1.0 - w) * cov_inf,
-                             np.exp(-bath.lam * t / 2.0) * state0.mean)
+    def covs_at(t) -> np.ndarray:
+        w = np.exp(-bath.lam * np.asarray(t, dtype=float))[..., None, None]
+        return w * state0.cov + (1.0 - w) * cov_inf
 
-    return state_at
+    return covs_at
 
 
 def evolve(state0: GaussianState, bath: BathParameters, t: float,
            tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """State at time t >= 0 under the closed-form relaxation."""
-    return relaxation(state0, bath, tol)(t)
+    """State at time t >= 0 under the closed-form relaxation (bona fide by
+    convexity, see :func:`relaxation_covariances`)."""
+    covs_at = relaxation_covariances(state0, bath, tol)
+    if not np.isfinite(t) or t < 0:
+        raise ValidationError(f"time must be >= 0, got {t}")
+    return GaussianState(1, 1, covs_at(t), np.exp(-bath.lam * t / 2.0) * state0.mean)
 
 
 @dataclass(frozen=True)
@@ -140,24 +142,26 @@ class Trajectory:
 
 def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
-    """j2 along a strictly increasing time grid, with the decay envelope."""
+    """j2 along a strictly increasing time grid, with the decay envelope.
+
+    The covariances of all grid times form one stack, which gets one
+    structural check and one batched eigendecomposition.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValidationError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValidationError("t_grid must be finite")
     if np.any(np.diff(t_grid) <= 0):
         raise ValidationError("t_grid must be strictly increasing")
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
-    state_at = relaxation(state0, bath, tol)
+    covs = relaxation_covariances(state0, bath, tol)(t_grid)
     j2_start = j2(state0, tol)
     j2_inf = j2(stationary_state(bath), tol)
-    values = np.empty(t_grid.size)
-    bounds = np.empty(t_grid.size)
-    for i, t in enumerate(t_grid):
-        values[i] = j2(state_at(t), tol)
-        w = np.exp(-bath.lam * t)
-        bounds[i] = w * j2_start + (1.0 - w) * j2_inf
-    return Trajectory(t_grid, values, bounds)
+    values = j_values_stack(covs, 1, 1, tol)[1]
+    w = np.exp(-bath.lam * t_grid)
+    return Trajectory(t_grid, values, w * j2_start + (1.0 - w) * j2_inf)
 
 
 def j2_initial_squeezed(r: float) -> float:

@@ -52,37 +52,55 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a square, finite, near-Hermitian matrix and return the
-    symmetrized (h + h^dagger)/2.
+    """Validate a square, finite, near-Hermitian matrix, or a stack ``(..., d, d)``
+    of them, and return the symmetrized (h + h^dagger)/2.
 
-    The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|);
-    inputs beyond it are rejected rather than repaired, naming the worst entry.
+    The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|) of
+    each matrix; inputs beyond it are rejected rather than repaired, naming
+    the worst entry (and, for a stack, its matrix).
     """
     arr = np.asarray(h)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] == 0:
+    if arr.shape[-1] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     require_finite(arr, name)
-    adj = np.conj(arr).T
-    scale = max(1.0, float(np.abs(arr).max()))
+    adj = np.conj(arr).swapaxes(-1, -2)
     defect = np.abs(arr - adj)
-    if float(defect.max()) > HERMITICITY_TOL * scale:
-        i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        raise ValidationError(
-            f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
-            f"{defect[i, j]:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
+    # every scale is >= 1, so a defect within HERMITICITY_TOL passes everywhere
+    if defect.max(initial=0.0) > HERMITICITY_TOL:
+        scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+        bad = defect.max(axis=(-2, -1)) > HERMITICITY_TOL * scale
+        if bad.any():
+            k = int(np.argmax(bad.ravel()))
+            dim = arr.shape[-1]
+            worst = defect.reshape(-1, dim, dim)[k]
+            i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
+            label = name if arr.ndim == 2 else (
+                f"{name}{[int(x) for x in np.unravel_index(k, arr.shape[:-2])]}")
+            raise ValidationError(
+                f"{label} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
+                f"{worst[i, j]:.6e} exceeds {HERMITICITY_TOL:g} * {np.ravel(scale)[k]:.6e}")
     return (arr + adj) / 2.0
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a (near-)Hermitian matrix, ascending and real."""
+    """All eigenvalues of a (near-)Hermitian matrix, ascending and real; for a
+    stack ``(..., d, d)``, those of each matrix along the last axis."""
     return np.linalg.eigvalsh(require_hermitian(h))
+
+
+def _eigenvalues_of_one(h: np.ndarray) -> np.ndarray:
+    """hermitian_eigenvalues for the functions that judge a single matrix."""
+    ev = hermitian_eigenvalues(h)
+    if ev.ndim != 1:
+        raise ValidationError(f"expected one matrix, got a stack of shape {np.shape(h)}")
+    return ev
 
 
 def trace_norm(h: np.ndarray) -> float:
     """Sum of absolute eigenvalues; equals trace(h) exactly when h is PSD."""
-    return float(np.abs(hermitian_eigenvalues(h)).sum())
+    return float(np.abs(_eigenvalues_of_one(h)).sum())
 
 
 @dataclass(frozen=True)
@@ -121,56 +139,7 @@ class PsdReport:
 
 def is_psd(h: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Tolerant PSD test of a (near-)Hermitian matrix; see PsdReport.from_eigenvalues."""
-    return PsdReport.from_eigenvalues(hermitian_eigenvalues(h), tol)
-
-
-def real_embed(h: np.ndarray) -> np.ndarray:
-    """Embed Hermitian h = A + iB as the real symmetric [[A, -B], [B, A]].
-
-    The embedding's spectrum is the spectrum of h with every eigenvalue
-    doubled in multiplicity, which gives an independent route to the complex
-    eigenvalues through a purely real solver.
-    """
-    herm = require_hermitian(h)
-    a, b = herm.real, herm.imag
-    return np.block([[a, -b], [b, a]])
-
-
-def jacobi_eigenvalues(mat: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Deliberately independent of the LAPACK-backed path so the two can be
-    cross-checked; meant for the small (<= ~32x32) matrices this package
-    works with.
-    """
-    a = require_hermitian(np.array(mat, dtype=float))
-    scale = max(1.0, float(np.abs(a).max()))
-    n = a.shape[0]
-    if n < 2:
-        return np.diag(a).copy()
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum())))
-        if off <= 1e-14 * scale * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-    return np.sort(np.diag(a))
+    return PsdReport.from_eigenvalues(_eigenvalues_of_one(h), tol)
 
 
 def random_orthogonal(dim: int, rng) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, steering_form
+from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, require_hermitian, steering_form
 from .states import GaussianState, check_standard_form_params
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
@@ -42,18 +42,24 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
 
 def _diagnose(state: GaussianState, tol: float,
               clamp: bool = True) -> tuple[PsdReport, float, float]:
-    """Verdict and (j1, j2) from one eigendecomposition of the steering matrix.
+    """Verdict and (j1, j2) from one eigendecomposition of the steering matrix."""
+    return _from_spectrum(np.linalg.eigvalsh(steering_matrix(state)), state.cov, tol, clamp)
+
+
+def _from_spectrum(ev: np.ndarray, cov: np.ndarray, tol: float,
+                   clamp: bool) -> tuple[PsdReport, float, float]:
+    """Verdict and (j1, j2) from the ascending spectrum ``ev`` of the steering
+    matrix of ``cov``.
 
     With clamp=True both j values are exactly 0 when the verdict is
     unsteerable and positive when it is not; otherwise they are the raw
     trace-norm excesses.
     """
-    ev = np.linalg.eigvalsh(steering_matrix(state))
     report = PsdReport.from_eigenvalues(ev, tol)
     if clamp and report.ok:
         return report, 0.0, 0.0
     tn = float(np.abs(ev).sum())
-    tr = float(np.trace(state.cov))
+    tr = float(np.trace(cov))
     j1_val, j2_val = tn / tr - 1.0, tn - tr
     if clamp and not (j1_val > 0.0 and j2_val > 0.0):
         # at a tol near 0 a rounding-level negative eigenvalue can make the
@@ -62,6 +68,27 @@ def _diagnose(state: GaussianState, tol: float,
         j2_val = -2.0 * float(ev[ev < 0.0].sum())
         j1_val = j2_val / tr
     return report, j1_val, j2_val
+
+
+def j_values_stack(covs: np.ndarray, modes_a: int, modes_b: int,
+                   tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped (j1, j2) arrays for a ``(k, d, d)`` stack of covariance matrices.
+
+    The stack gets the structural check of :class:`GaussianState` (finite,
+    symmetric) and one batched eigendecomposition; every row then goes
+    through the same verdict and clamp as :func:`j_values`, so row i equals
+    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)``.
+    """
+    covs = require_hermitian(np.asarray(covs, dtype=float), name="cov")
+    if modes_a < 1 or modes_b < 1:
+        raise ValidationError(f"mode counts must be positive, got ({modes_a}, {modes_b})")
+    dim = 2 * (modes_a + modes_b)
+    if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
+        raise ValidationError(f"covs must have shape (k, {dim}, {dim}), got {covs.shape}")
+    evs = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
+    j = np.array([_from_spectrum(ev, cov, tol, True)[1:]
+                  for ev, cov in zip(evs, covs)]).reshape(-1, 2)
+    return j[:, 0], j[:, 1]
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
@@ -208,32 +235,6 @@ def pure_overlap_2mode(pure: GaussianState, other: GaussianState) -> float:
     return 4.0 / np.sqrt(det)
 
 
-def _standard_form_overlap_grid(r: float, a: float, b: float,
-                                c: np.ndarray, d: np.ndarray):
-    """Best overlap of the r-family state with unsteerable standard forms on a
-    (c, d) grid at fixed (a, b); closed-form block determinants.
-
-    Returns (overlap, c, d) for the best cell, or None if no cell qualifies.
-    """
-    ab = a * b
-    cc, dd = np.meshgrid(c, d, indexing="ij")
-    s = np.sqrt(r * r - 1.0)
-    det = (((r + a) * (r + b) - (s + cc) ** 2)
-           * ((r + a) * (r + b) - (-s + dd) ** 2))
-    ok = (
-        (a * (ab - cc**2) - b >= 0.0)
-        & (b * (ab - dd**2) - a >= 0.0)
-        & ((ab - cc**2) * (ab - dd**2) + 1.0 - a * a - b * b - 2.0 * cc * dd >= 0.0)
-        & ((ab - cc**2) * (ab - dd**2) >= a * a)
-        & (det > 0.0)
-    )
-    if not ok.any():
-        return None
-    overlap = np.where(ok, 4.0 / np.sqrt(np.where(ok, det, 1.0)), -np.inf)
-    i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-    return float(overlap[i, j]), float(cc[i, j]), float(dd[i, j])
-
-
 def n3_bound_grid(r: float, grid_density: int = 30,
                   with_argmax: bool = False):
     """Grid estimate of the fidelity-based steering bound for the r-family.
@@ -244,23 +245,49 @@ def n3_bound_grid(r: float, grid_density: int = 30,
     inequality (ab - c^2)(ab - d^2) >= a^2, and returns 1 - best overlap.
     Estimates from nested (refined) grids never increase.  With
     ``with_argmax`` the achieved maximizer (a, b, c, d) is returned as well,
-    for diagnosing where the optimum sits.
+    for diagnosing where the optimum sits; ties go to the first cell in
+    (a, b, c, d) order.
+
+    The overlap with the pure r-family state is 4 / sqrt(det(cov_r + cov)),
+    whose determinant factors into two closed-form block halves.  Each pass
+    of the loop evaluates one value of a over all (b, c, d) cells, so memory
+    grows as grid_density**3.
     """
     if not np.isfinite(r) or r < 1.0:
         raise ValidationError(f"family parameter must be >= 1, got {r}")
     if grid_density < 2:
         raise ValidationError(f"grid_density must be >= 2, got {grid_density}")
     axis = np.linspace(1.0, r + 4.0, grid_density)
+    s = np.sqrt(r * r - 1.0)
+    steps = np.arange(grid_density, dtype=float)
+    b = axis[:, None, None]
     best = 0.0
     argmax = None
     for a in axis:
-        for b in axis:
-            cmax = np.sqrt(max(a * b - 1.0, 0.0))
-            grid = np.linspace(-cmax, cmax, grid_density) if cmax > 0 else np.zeros(1)
-            found = _standard_form_overlap_grid(r, a, b, grid, grid)
-            if found is not None and found[0] > best:
-                best = found[0]
-                argmax = (float(a), float(b), found[1], found[2])
+        ab = a * axis
+        cmax = np.sqrt(np.maximum(ab - 1.0, 0.0))
+        # np.linspace(-cmax, cmax, grid_density) for every b, term by term;
+        # at a = b = 1 (cmax = 0) every cell is the single cell c = d = 0
+        grid = steps * ((cmax - -cmax) / (grid_density - 1))[:, None] - cmax[:, None]
+        grid[:, -1] = cmax
+        cc, dd = grid[:, :, None], grid[:, None, :]          # (b, c, 1), (b, 1, d)
+        ab_c, ab_d = ab[:, None, None] - cc**2, ab[:, None, None] - dd**2
+        prod = ab_c * ab_d
+        rr = (r + a) * (r + b)
+        det = (rr - (s + cc) ** 2) * (rr - (-s + dd) ** 2)
+        ok = (
+            (a * ab_c - b >= 0.0)
+            & (b * ab_d - a >= 0.0)
+            & (prod + 1.0 - a * a - b * b - 2.0 * cc * dd >= 0.0)
+            & (prod >= a * a)
+            & (det > 0.0)
+        )
+        overlap = np.where(ok, 4.0 / np.sqrt(np.where(ok, det, 1.0)), -np.inf)
+        k = int(np.argmax(overlap))
+        if overlap.flat[k] > best:
+            best = float(overlap.flat[k])
+            i, j, m = np.unravel_index(k, overlap.shape)
+            argmax = (float(a), float(axis[i]), float(grid[i, j]), float(grid[i, m]))
     bound = max(0.0, 1.0 - best)
     if with_argmax:
         return bound, argmax

@@ -27,7 +27,7 @@ from .channels import (
     side_b_channel,
     tensor_local,
 )
-from .dynamics import BathParameters, relaxation, sweep
+from .dynamics import BathParameters, relaxation_covariances, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
     ValidationError,
@@ -43,6 +43,7 @@ from .steering import (
     is_unsteerable,
     j2,
     j_values,
+    j_values_stack,
     n3_bound_grid,
     n3_upper_bound_pure,
     pure_family_state,
@@ -51,6 +52,8 @@ from .steering import (
 )
 
 DEFAULT_SEED = 7
+# grid times per batched eigendecomposition in first_passage_time
+PASSAGE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -234,18 +237,29 @@ def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> i
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float, tol: float = DEFAULT_PSD_TOL) -> float:
-    """First grid time with j2 below threshold (inf if never); dt must be
-    finite and positive, t_max finite and nonnegative."""
+    """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
+    with j2 below threshold, or inf if there is none; dt must be finite and
+    positive, t_max finite and nonnegative, threshold not NaN.
+
+    The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
+    eigendecomposition per block, so an early passage stops after its block.
+    """
     if not np.isfinite(dt) or dt <= 0:
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_max) or t_max < 0:
         raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
-    state_at = relaxation(state0, bath, tol)
-    t = 0.0
-    while t <= t_max + dt / 2:
-        if j2(state_at(t), tol) < threshold:
-            return t
-        t += dt
+    if np.isnan(threshold):
+        raise ValidationError("threshold must not be NaN")
+    covs_at = relaxation_covariances(state0, bath, tol)
+    t, t_end = 0.0, t_max + dt / 2
+    while t <= t_end:
+        times = []
+        while t <= t_end and len(times) < PASSAGE_BLOCK:
+            times.append(t)
+            t += dt
+        below = np.flatnonzero(j_values_stack(covs_at(times), 1, 1, tol)[1] < threshold)
+        if below.size:
+            return times[below[0]]
     return np.inf
 
 

@@ -11,9 +11,16 @@ from gsteer.dynamics import (
     sweep,
 )
 from gsteer.linalg import ValidationError
-from gsteer.states import BonaFideError, GaussianState, squeezed_vacuum_state, validate_state
+from gsteer.states import (
+    BonaFideError,
+    GaussianState,
+    make_state,
+    squeezed_vacuum_state,
+    validate_state,
+)
 from gsteer.steering import j2
-from gsteer.verify import first_passage_time
+from gsteer.verify import PASSAGE_BLOCK, first_passage_time
+from oracles import first_passage_scan, sweep_points
 
 SINH1_SQ = 1.3810978455418155      # sinh(1)^2
 COSH1_SINH1 = 1.8134302039235093   # cosh(1) * sinh(1)
@@ -197,12 +204,42 @@ class TestSweep:
             sweep(s, bath, [-1.0, 0.0])
         with pytest.raises(ValidationError):
             sweep(s, bath, [])
+        with pytest.raises(ValidationError, match="finite"):
+            sweep(s, bath, [0.0, np.nan])
+        with pytest.raises(ValidationError, match="finite"):
+            sweep(s, bath, [0.0, np.inf])
 
     def test_non_bona_fide_start_rejected(self):
         bath = BathParameters(0.0, 1.0, 0.0, 0.1)
         bad = GaussianState(1, 1, 0.5 * np.eye(4), np.zeros(4))
         with pytest.raises(BonaFideError):
             sweep(bad, bath, [1.0, 2.0])
+
+    @pytest.mark.parametrize("r, bath", [
+        (1.0, BathParameters(0.0, 1.0, 10.0, 0.1)),
+        (0.3, BathParameters(0.7, 0.4, 2.0, 0.15)),
+        (1.7, BathParameters(0.1, 1.3, 5.5, 0.05)),
+        (0.0, BathParameters(2.0, 0.0, 0.0, 0.2)),
+    ])
+    def test_csv_matches_per_point_evolve(self, r, bath):
+        # the stacked sweep against one evolve and one j2 per time point,
+        # byte for byte: the pure start at the default tol, and a slightly
+        # mixed one (bona fide at tol 0) at tol 0
+        grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
+        pure = squeezed_vacuum_state(r)
+        mixed = make_state(1, 1, pure.cov + 1e-3 * np.eye(4), tol=0.0)
+        for state, tol in ((pure, 1e-9), (mixed, 0.0)):
+            expected = "t,j2,bound\n" + "".join(
+                f"{t:.17g},{v:.17g},{b:.17g}\n"
+                for t, v, b in sweep_points(state, bath, grid, tol))
+            assert sweep(state, bath, grid, tol).to_csv() == expected
+
+    def test_one_batched_eigensolve(self, count_eigvalsh):
+        # state0's bona fide test, j2 at both ends of the envelope, and one
+        # call for all 601 grid points
+        grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
+        sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
+        assert len(count_eigvalsh) <= 4
 
 
 class TestFirstPassage:
@@ -219,6 +256,41 @@ class TestFirstPassage:
         bath = BathParameters(0.0, 0.0, 0.0, 0.1)
         with pytest.raises(ValidationError, match="dt must be|t_max must be"):
             first_passage_time(squeezed_vacuum_state(1.0), bath, 10.0, t_max, dt)
+
+    def test_nan_threshold_rejected(self):
+        # every comparison with NaN is false, so the scan would return inf
+        with pytest.raises(ValidationError, match="threshold"):
+            first_passage_time(squeezed_vacuum_state(1.0), BathParameters(0, 1, 0, 0.1),
+                               np.nan, 1.0, 0.1)
+
+    @pytest.mark.parametrize("r, bath, threshold, t_max, dt", [
+        # strong squeezed baths: passage at t ~ 0.1-0.4
+        (1.0, BathParameters(0.0, 2.0, 0.0, 0.1), 0.01, 10.0, 1e-3),
+        (1.0, BathParameters(0.0, 2.37, 0.0, 0.1), 0.01, 10.0, 1e-3),
+        # thermal baths
+        (1.0, BathParameters(5.0, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
+        (1.0, BathParameters(9.3, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
+        # passage inside the first block, at t = 0, and never
+        (0.5, BathParameters(0.0, 0.0, 0.0, 0.5), 0.3, 10.0, 0.01),
+        (1.0, BathParameters(0.0, 1.0, 0.0, 0.1), 10.0, 1.0, 0.1),
+        (1.0, BathParameters(0.0, 0.0, 0.0, 0.1), 0.01, 2.0, 1e-3),
+    ])
+    def test_matches_scalar_scan(self, r, bath, threshold, t_max, dt):
+        state = squeezed_vacuum_state(r)
+        got = first_passage_time(state, bath, threshold, t_max, dt)
+        assert got == first_passage_scan(state, bath, threshold, t_max, dt, 1e-9)
+
+    @pytest.mark.parametrize("bath, threshold, t_max", [
+        (BathParameters(0.0, 2.2, 0.0, 0.1), 0.01, 10.0),
+        (BathParameters(0.0, 0.0, 0.0, 0.1), -1.0, 1.0),
+    ])
+    def test_one_batched_eigensolve_per_block(self, count_eigvalsh, bath, threshold, t_max):
+        # state0's bona fide test plus one call per block of grid times scanned
+        dt = 1e-3
+        t = first_passage_time(squeezed_vacuum_state(1.0), bath, threshold, t_max, dt)
+        points = round(t / dt) + 1 if np.isfinite(t) else round(t_max / dt) + 1
+        blocks = -(-points // PASSAGE_BLOCK)
+        assert len(count_eigvalsh) <= blocks + 2
 
 
 class TestTrajectory:

@@ -8,15 +8,15 @@ from gsteer.linalg import (
     ValidationError,
     hermitian_eigenvalues,
     is_psd,
-    jacobi_eigenvalues,
     random_orthogonal,
     random_orthogonal_symplectic,
     random_symplectic,
-    real_embed,
+    require_hermitian,
     steering_form,
     symplectic_form,
     trace_norm,
 )
+from oracles import jacobi_eigenvalues, real_embed
 
 SQRT13 = 3.605551275463989
 
@@ -118,6 +118,53 @@ class TestHermitianEigenvalues:
         k = rng.uniform(-1e3, 1e3, (4, 4))
         g = k @ np.diag([1.0, 1.0, 2.0, 2.0]) @ k.T
         hermitian_eigenvalues(g)
+
+
+class TestRequireHermitianStack:
+    def test_stack_equals_each_matrix(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([random_hermitian(4, rng, scale=3.0) for _ in range(6)])
+        stack[2, 0, 1] += 1e-14
+        out = require_hermitian(stack)
+        assert out.shape == stack.shape
+        for k in range(len(stack)):
+            assert np.array_equal(out[k], require_hermitian(stack[k]))
+
+    def test_scale_is_per_matrix(self):
+        # 1e-9 asymmetry passes on entries ~1e4 (relative 1e-13) and fails
+        # on the identity (relative 1e-9), whatever else is in the stack
+        big = np.diag([1e4, 1.0, 1.0])
+        big[0, 2] = 1e-9
+        small = np.eye(3)
+        small[1, 2] = 1e-9
+        require_hermitian(np.array([big, big]))
+        with pytest.raises(ValidationError, match=r"h\[1\] is not symmetric: \|h\[1,2\]"):
+            require_hermitian(np.array([big, small]), name="h")
+
+    def test_deeper_stack_names_matrix(self):
+        stack = np.tile(np.eye(2), (2, 3, 1, 1))
+        stack[1, 2, 0, 1] = 1.0
+        with pytest.raises(ValidationError, match=r"m\[1, 2\] is not symmetric"):
+            require_hermitian(stack, name="m")
+
+    def test_single_matrix_functions_reject_stacks(self):
+        # a stack passes the structural check; these judge one matrix only
+        stack = np.array([np.eye(2), -np.eye(2)])
+        assert hermitian_eigenvalues(stack).shape == (2, 2)
+        with pytest.raises(ValidationError, match="one matrix"):
+            trace_norm(stack)
+        with pytest.raises(ValidationError, match="one matrix"):
+            is_psd(stack)
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(ValidationError, match="square"):
+            require_hermitian(np.zeros((2, 3, 4)))
+        with pytest.raises(ValidationError, match="square"):
+            require_hermitian(np.zeros(4))
+        stack = np.array([np.eye(2), np.eye(2)])
+        stack[1, 1, 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            require_hermitian(stack)
 
 
 class TestTraceNorm:

@@ -228,7 +228,7 @@ class TestRandomState:
 
 
 class TestBonaFideByConstruction:
-    def test_built_without_eigensolve_and_bona_fide(self, monkeypatch):
+    def test_built_without_eigensolve_and_bona_fide(self, count_eigvalsh):
         # these constructors are bona fide by their algebra: they build the
         # record directly, with no eigensolve, and still pass the test
         from gsteer.dynamics import BathParameters, gamma_infinity, stationary_state
@@ -244,17 +244,11 @@ class TestBonaFideByConstruction:
             "gamma_infinity": lambda: GaussianState(1, 1, gamma_infinity(bath), np.zeros(4)),
             "stationary_state": lambda: stationary_state(bath),
         }
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
-        built = {}
         for name, build in builders.items():
-            built[name] = build()
-            assert not calls, name
-        monkeypatch.undo()
-        for name, state in built.items():
+            state = build()
+            assert not count_eigvalsh, name
             assert validate_state(state).ok, name
+            count_eigvalsh.clear()
 
 
 class TestMixCovariances:

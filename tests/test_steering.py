@@ -19,6 +19,7 @@ from gsteer.steering import (
     j_closed_schmidt,
     j_closed_standard,
     j_values,
+    j_values_stack,
     n3_bound_grid,
     n3_upper_bound_pure,
     pure_family_state,
@@ -28,6 +29,7 @@ from gsteer.steering import (
     steering_report,
 )
 from gsteer.verify import faithfulness_trials, mixture_bound_trials, upward_closure_trials
+from oracles import n3_bound_grid_cells
 
 SQRT13 = 3.605551275463989
 J1_GAMMA2 = 0.0756939094329987       # (5 + sqrt(13))/8 - 1
@@ -124,6 +126,54 @@ def tolerance_band_witness():
     cov[:4, :4] = [[5.0, 0.0, c, 0.0], [0.0, 5.0, 0.0, -c],
                    [c, 0.0, 5.0, 0.0], [0.0, -c, 0.0, 5.0]]
     return make_state(1, 2, cov)
+
+
+class TestJValuesStack:
+    def test_rows_equal_single_state_values(self):
+        # steerable and unsteerable rows, (1+1) and (1+2), at several tols;
+        # equal, not close, to j_values on each matrix
+        rng = np.random.default_rng(17)
+        for modes_b in (1, 2):
+            states = [random_state(1, modes_b, 4.0, rng) for _ in range(30)]
+            covs = np.array([st.cov for st in states])
+            for tol in (1e-9, 1e-6, 0.0):
+                j1s, j2s = j_values_stack(covs, 1, modes_b, tol)
+                assert [(a, b) for a, b in zip(j1s, j2s)] == [j_values(st, tol) for st in states]
+                assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
+
+    def test_rounding_guard_and_band_witness_rows(self):
+        # the rows where the verdict, the clamp and the rounding guard decide
+        rows = [tolerance_band_witness()]
+        for k in range(40):
+            c, s_ = np.cos(0.1 * k), np.sin(0.1 * k)
+            rot = np.array([[c, -s_], [s_, c]])
+            cov = np.zeros((6, 6))
+            cov[:2, :2] = 3.0 * np.eye(2)
+            cov[2:4, 2:4] = rot @ np.diag([3.0, 1.0 / 3.0]) @ rot.T
+            cov[4:, 4:] = np.eye(2)
+            rows.append(make_state(1, 2, cov))
+        covs = np.array([st.cov for st in rows])
+        for tol in (1e-9, 1e-8, 0.0):
+            j1s, j2s = j_values_stack(covs, 1, 2, tol)
+            assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
+        # at tol 0 rounding makes some rotated rows steerable (guard rows)
+        assert np.count_nonzero(j2s[1:]) > 0
+
+    def test_shape_and_structure_checked(self):
+        covs = np.array([np.eye(4), np.eye(4)])
+        with pytest.raises(ValidationError, match="shape"):
+            j_values_stack(covs, 1, 2)
+        with pytest.raises(ValidationError, match="shape"):
+            j_values_stack(np.eye(4), 1, 1)
+        with pytest.raises(ValidationError, match="mode counts"):
+            j_values_stack(covs, 0, 2)
+        bad = covs.copy()
+        bad[1, 0, 3] = 0.5
+        with pytest.raises(ValidationError, match=r"cov\[1\] is not symmetric"):
+            j_values_stack(bad, 1, 1)
+        bad[1, 0, 3] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            j_values_stack(bad, 1, 1)
 
 
 class TestToleranceBandWitness:
@@ -306,6 +356,16 @@ class TestFidelityBound:
         assert is_unsteerable(sigma, 1e-9).ok
         overlap = pure_overlap_2mode(pure_family_state(2.0), sigma)
         assert bound == pytest.approx(1.0 - overlap, abs=1e-12)
+
+    @pytest.mark.parametrize("density", [2, 5, 13, 20, 30])
+    def test_grid_matches_cell_by_cell_oracle(self, density):
+        # value and maximizer equal, not close: same cells, same arithmetic,
+        # same first-occurrence tie-break
+        rs = [1.0, 2.0, 3.0, 5.0] + np.random.default_rng(density).uniform(1.0, 6.0, 3).tolist()
+        for r in rs:
+            expected = n3_bound_grid_cells(r, density)
+            assert n3_bound_grid(r, density, with_argmax=True) == expected, r
+            assert n3_bound_grid(r, density) == expected[0], r
 
     def test_inequality_matches_psd_criterion(self):
         # closed unsteerability inequality for standard forms vs the PSD test
