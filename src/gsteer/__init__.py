@@ -7,7 +7,6 @@ Markovian squeezed thermal baths.
 """
 
 from .channels import (
-    ChannelClassification,
     GaussianChannel,
     SampleReport,
     SamplingAbortError,
@@ -30,7 +29,6 @@ from .dynamics import (
     Trajectory,
     evolve,
     gamma_infinity,
-    j2_initial_squeezed,
     stationary_state,
     sweep,
 )
@@ -67,7 +65,6 @@ from .steering import (
     n3_bound_grid,
     n3_upper_bound_pure,
     pure_family_state,
-    pure_overlap_2mode,
     steering_matrix,
     steering_report,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, ValidationError
 from .states import GaussianState, ensure_bona_fide
-from .steering import j2, j_values_stack
+from .steering import j_values_stack
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ def relaxation_covariances(state0: GaussianState, bath: BathParameters,
 
     ``state0`` is validated here, once; the stationary covariance is bona fide
     by construction.  Every covariance the map returns is a convex combination
-    of these two bona fide covariances, so it is bona fide too.  The times
-    are not checked: the caller passes finite t >= 0.
+    of these two bona fide covariances (t = 0 and t = inf give them exactly),
+    so it is bona fide too.  The times are not checked: the caller passes t >= 0.
     """
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
@@ -144,8 +144,9 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
     """j2 along a strictly increasing time grid, with the decay envelope.
 
-    The covariances of all grid times form one stack, which gets one
-    structural check and one batched eigendecomposition.
+    The covariances of all grid times, then of t = 0 and t = inf for the
+    envelope's ends, form one stack, which gets one structural check and one
+    batched eigendecomposition.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -156,18 +157,8 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
         raise ValidationError("t_grid must be strictly increasing")
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
-    covs = relaxation_covariances(state0, bath, tol)(t_grid)
-    j2_start = j2(state0, tol)
-    j2_inf = j2(stationary_state(bath), tol)
+    covs = relaxation_covariances(state0, bath, tol)(np.append(t_grid, [0.0, np.inf]))
     values = j_values_stack(covs, 1, 1, tol)[1]
+    j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
-    return Trajectory(t_grid, values, w * j2_start + (1.0 - w) * j2_inf)
-
-
-def j2_initial_squeezed(r: float) -> float:
-    """Closed form 1 + sqrt(4 cosh^2(2r) - 3) - 2 cosh(2r) for the squeezed
-    vacuum; exactly 0 at r = 0."""
-    if not np.isfinite(r) or r < 0:
-        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
-    ch = np.cosh(2.0 * r)
-    return float(1.0 + np.sqrt(4.0 * ch * ch - 3.0) - 2.0 * ch)
+    return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)

@@ -103,6 +103,14 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.abs(_eigenvalues_of_one(h)).sum())
 
 
+def psd_within_tol(lo, hi, tol: float):
+    """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
+    for floats or for arrays of (lambda_min, lambda_max) pairs."""
+    if not tol >= 0:
+        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    return (lo >= -tol) | (lo >= -tol * abs(hi))
+
+
 @dataclass(frozen=True)
 class PsdReport:
     """Verdict of a tolerant positive-semidefiniteness test, with margins."""
@@ -114,12 +122,10 @@ class PsdReport:
 
     @classmethod
     def from_eigenvalues(cls, ev: np.ndarray, tol: float) -> PsdReport:
-        """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
-        for an ascending eigenvalue array ``ev``."""
-        if not tol >= 0:
-            raise ValidationError(f"tol must be nonnegative, got {tol}")
+        """The verdict of :func:`psd_within_tol` for an ascending eigenvalue
+        array ``ev``."""
         lo, hi = float(ev[0]), float(ev[-1])
-        return cls(lo >= -tol * max(1.0, abs(hi)), lo, hi, tol)
+        return cls(bool(psd_within_tol(lo, hi, tol)), lo, hi, tol)
 
     @classmethod
     def of_hermitian(cls, h: np.ndarray, tol: float) -> PsdReport:

@@ -10,9 +10,10 @@ and in difference form
 
     j2 = ||G + 0_A (+) i*Omega_B||_1 - Tr(G).
 
-Both vanish exactly on unsteerable states and are computed from a single
-eigendecomposition, with no optimization.  Means never enter: every function
-here depends on the covariance matrix only.
+Omega_B is traceless, so j2 = 2 * sum|lambda_neg| over the steering matrix's
+negative eigenvalues and j1 = j2 / Tr(G); both are computed in that form from
+a single eigendecomposition, with no optimization.  Means never enter: every
+function here depends on the covariance matrix only.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, require_hermitian, steering_form
+from .linalg import (DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol,
+                     require_hermitian, steering_form)
 from .states import GaussianState, check_standard_form_params
-
-# tolerance for "all symplectic eigenvalues equal 1" purity tests
-PURITY_TOL = 1e-8
 
 
 def steering_matrix(state: GaussianState) -> np.ndarray:
@@ -40,44 +39,33 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
+def _excess(ev: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (j1, j2) of steering-matrix spectra ``ev`` (..., d) and covariances
+    ``cov`` (..., d, d).  j2 is positive if some lambda < 0, else +0.0: the
+    spectrum is never all zeros, and a positive lambda adds max(-lambda, 0) = +0.0."""
+    j2_val = 2.0 * np.maximum(-ev, 0.0).sum(-1)
+    return j2_val / cov.trace(axis1=-2, axis2=-1), j2_val
+
+
 def _diagnose(state: GaussianState, tol: float,
               clamp: bool = True) -> tuple[PsdReport, float, float]:
     """Verdict and (j1, j2) from one eigendecomposition of the steering matrix."""
-    return _from_spectrum(np.linalg.eigvalsh(steering_matrix(state)), state.cov, tol, clamp)
-
-
-def _from_spectrum(ev: np.ndarray, cov: np.ndarray, tol: float,
-                   clamp: bool) -> tuple[PsdReport, float, float]:
-    """Verdict and (j1, j2) from the ascending spectrum ``ev`` of the steering
-    matrix of ``cov``.
-
-    With clamp=True both j values are exactly 0 when the verdict is
-    unsteerable and positive when it is not; otherwise they are the raw
-    trace-norm excesses.
-    """
+    ev = np.linalg.eigvalsh(steering_matrix(state))
     report = PsdReport.from_eigenvalues(ev, tol)
     if clamp and report.ok:
         return report, 0.0, 0.0
-    tn = float(np.abs(ev).sum())
-    tr = float(np.trace(cov))
-    j1_val, j2_val = tn / tr - 1.0, tn - tr
-    if clamp and not (j1_val > 0.0 and j2_val > 0.0):
-        # at a tol near 0 a rounding-level negative eigenvalue can make the
-        # verdict steerable while tn - tr rounds to <= 0; the same excess,
-        # 2 * sum|negative eigenvalues|, is positive whenever one is negative
-        j2_val = -2.0 * float(ev[ev < 0.0].sum())
-        j1_val = j2_val / tr
-    return report, j1_val, j2_val
+    j1_val, j2_val = _excess(ev, state.cov)
+    return report, float(j1_val), float(j2_val)
 
 
 def j_values_stack(covs: np.ndarray, modes_a: int, modes_b: int,
                    tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped (j1, j2) arrays for a ``(k, d, d)`` stack of covariance matrices.
+    """Clamped (j1, j2) arrays, j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(cov),
+    for a ``(k, d, d)`` stack of covariance matrices.
 
     The stack gets the structural check of :class:`GaussianState` (finite,
-    symmetric) and one batched eigendecomposition; every row then goes
-    through the same verdict and clamp as :func:`j_values`, so row i equals
-    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)``.
+    symmetric) and one batched eigendecomposition, and row i equals
+    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)`` bit for bit.
     """
     covs = require_hermitian(np.asarray(covs, dtype=float), name="cov")
     if modes_a < 1 or modes_b < 1:
@@ -86,19 +74,20 @@ def j_values_stack(covs: np.ndarray, modes_a: int, modes_b: int,
     if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
         raise ValidationError(f"covs must have shape (k, {dim}, {dim}), got {covs.shape}")
     evs = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
-    j = np.array([_from_spectrum(ev, cov, tol, True)[1:]
-                  for ev, cov in zip(evs, covs)]).reshape(-1, 2)
-    return j[:, 0], j[:, 1]
+    unsteerable = psd_within_tol(evs[:, 0], evs[:, -1], tol)
+    j1_vals, j2_vals = _excess(evs, covs)
+    return np.where(unsteerable, 0.0, j1_vals), np.where(unsteerable, 0.0, j2_vals)
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
              clamp: bool = True) -> tuple[float, float]:
-    """(j1, j2) from one eigendecomposition of the steering matrix.
+    """(j1, j2) = (j2 / Tr(cov), 2 * sum|lambda_neg|) from one
+    eigendecomposition of the steering matrix.
 
     With clamp=True (the default) j1 and j2 are exactly 0 if and only if the
     unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
     and positive otherwise, at every tol >= 0.  Pass clamp=False for the raw
-    values, which rounding can leave at 0 or below for a steerable verdict.
+    values, which are >= 0 and positive exactly when lambda_min < 0.
     """
     _, j1_val, j2_val = _diagnose(state, tol, clamp)
     return j1_val, j2_val
@@ -208,33 +197,6 @@ def n3_upper_bound_pure(r: float) -> float:
     return 1.0 - 4.0 / (r + 3.0)
 
 
-def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Moduli of the eigenvalues of i*Omega*cov, sorted ascending.
-
-    All equal to 1 exactly when the state is pure.
-    """
-    ev = np.linalg.eigvals(steering_form(0, state.n_modes) @ state.cov)
-    return np.sort(np.abs(ev))
-
-
-def pure_overlap_2mode(pure: GaussianState, other: GaussianState) -> float:
-    """Overlap Tr(rho sigma) = 4 / sqrt(det(cov_p + cov_s)) for (1+1)-mode
-    states with zero means, the first of which must be pure."""
-    for name, st in (("first", pure), ("second", other)):
-        if (st.modes_a, st.modes_b) != (1, 1):
-            raise ValidationError(f"{name} state must be (1+1)-mode")
-        if np.abs(st.mean).max() > 1e-12:
-            raise ValidationError(f"{name} state must have zero mean")
-    nu = symplectic_eigenvalues(pure)
-    if np.abs(nu - 1.0).max() > PURITY_TOL:
-        raise ValidationError(
-            f"first state is not pure: symplectic eigenvalues {nu}")
-    det = float(np.linalg.det(pure.cov + other.cov))
-    if det <= 0:
-        raise ValidationError(f"non-positive determinant {det} in overlap")
-    return 4.0 / np.sqrt(det)
-
-
 def n3_bound_grid(r: float, grid_density: int = 30,
                   with_argmax: bool = False):
     """Grid estimate of the fidelity-based steering bound for the r-family.
@@ -292,10 +254,3 @@ def n3_bound_grid(r: float, grid_density: int = 30,
     if with_argmax:
         return bound, argmax
     return bound
-
-
-def standard_form_unsteerable_inequality(a: float, b: float, c: float, d: float) -> bool:
-    """Unsteerability of a standard-form state as the closed inequality
-    (ab - c^2)(ab - d^2) >= a^2 (A-to-B direction)."""
-    ab = a * b
-    return (ab - c * c) * (ab - d * d) >= a * a

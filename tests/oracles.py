@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from gsteer.dynamics import evolve, stationary_state
-from gsteer.linalg import require_hermitian
+from gsteer.linalg import ValidationError, require_hermitian, steering_form
+from gsteer.states import GaussianState
 from gsteer.steering import j2
+
+# tolerance for "all symplectic eigenvalues equal 1" purity tests
+PURITY_TOL = 1e-8
 
 
 def real_embed(h: np.ndarray) -> np.ndarray:
@@ -126,3 +130,67 @@ def first_passage_scan(state0, bath, threshold: float, t_max: float, dt: float,
             return t
         t += dt
     return np.inf
+
+
+def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
+    """Moduli of the eigenvalues of i*Omega*cov, sorted ascending.
+
+    All equal to 1 exactly when the state is pure.
+    """
+    ev = np.linalg.eigvals(steering_form(0, state.n_modes) @ state.cov)
+    return np.sort(np.abs(ev))
+
+
+def pure_overlap_2mode(pure: GaussianState, other: GaussianState) -> float:
+    """Overlap Tr(rho sigma) = 4 / sqrt(det(cov_p + cov_s)) for (1+1)-mode
+    states with zero means, the first of which must be pure."""
+    for name, st in (("first", pure), ("second", other)):
+        if (st.modes_a, st.modes_b) != (1, 1):
+            raise ValidationError(f"{name} state must be (1+1)-mode")
+        if np.abs(st.mean).max() > 1e-12:
+            raise ValidationError(f"{name} state must have zero mean")
+    nu = symplectic_eigenvalues(pure)
+    if np.abs(nu - 1.0).max() > PURITY_TOL:
+        raise ValidationError(
+            f"first state is not pure: symplectic eigenvalues {nu}")
+    det = float(np.linalg.det(pure.cov + other.cov))
+    if det <= 0:
+        raise ValidationError(f"non-positive determinant {det} in overlap")
+    return 4.0 / np.sqrt(det)
+
+
+def standard_form_unsteerable_inequality(a: float, b: float, c: float, d: float) -> bool:
+    """Unsteerability of a standard-form state as the closed inequality
+    (ab - c^2)(ab - d^2) >= a^2 (A-to-B direction)."""
+    ab = a * b
+    return (ab - c * c) * (ab - d * d) >= a * a
+
+
+def j2_initial_squeezed(r: float) -> float:
+    """Closed form 1 + sqrt(4 cosh^2(2r) - 3) - 2 cosh(2r) for the squeezed
+    vacuum; exactly 0 at r = 0."""
+    if not np.isfinite(r) or r < 0:
+        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
+    ch = np.cosh(2.0 * r)
+    return float(1.0 + np.sqrt(4.0 * ch * ch - 3.0) - 2.0 * ch)
+
+
+def schur_complement(state: GaussianState) -> np.ndarray:
+    """G_B - C^T G_A^-1 C for cov = [[G_A, C], [C^T, G_B]]: the B-side
+    conditional covariance left after a Gaussian measurement on A."""
+    k = 2 * state.modes_a
+    g_a, c, g_b = state.cov[:k, :k], state.cov[:k, k:], state.cov[k:, k:]
+    return g_b - c.T @ np.linalg.solve(g_a, c)
+
+
+def schur_unsteerable_margin(state: GaussianState) -> float:
+    """Margin of the Schur-complement form of the steering criterion
+    (Wiseman, Jones & Doherty, PRL 98, 140402 (2007)): with G_A > 0, the
+    state is unsteerable from A to B iff G_B - C^T G_A^-1 C + i*Omega_B >= 0.
+
+    Returns lambda_min / max(1, |lambda_max|) of that 2n x 2n matrix, so the
+    verdict is ``margin >= 0`` away from a rounding band around 0.
+    """
+    schur = schur_complement(state)
+    ev = np.linalg.eigvalsh(schur + steering_form(0, state.modes_b))
+    return float(ev[0] / max(1.0, abs(ev[-1])))

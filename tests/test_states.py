@@ -158,7 +158,7 @@ class TestSchmidtForm:
             schmidt_pure_state(1, 2, [2.0, 2.0])
 
     def test_all_symplectic_eigenvalues_one(self):
-        from gsteer.steering import symplectic_eigenvalues
+        from oracles import symplectic_eigenvalues
 
         s = schmidt_pure_state(2, 3, [1.3, 2.7])
         assert np.abs(symplectic_eigenvalues(s) - 1.0).max() < 1e-10

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,17 @@ from gsteer.steering import (
     n3_bound_grid,
     n3_upper_bound_pure,
     pure_family_state,
-    pure_overlap_2mode,
-    standard_form_unsteerable_inequality,
     steering_matrix,
     steering_report,
 )
 from gsteer.verify import faithfulness_trials, mixture_bound_trials, upward_closure_trials
-from oracles import n3_bound_grid_cells
+from oracles import (
+    n3_bound_grid_cells,
+    pure_overlap_2mode,
+    schur_complement,
+    schur_unsteerable_margin,
+    standard_form_unsteerable_inequality,
+)
 
 SQRT13 = 3.605551275463989
 J1_GAMMA2 = 0.0756939094329987       # (5 + sqrt(13))/8 - 1
@@ -142,7 +148,9 @@ class TestJValuesStack:
                 assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
 
     def test_rounding_guard_and_band_witness_rows(self):
-        # the rows where the verdict, the clamp and the rounding guard decide
+        # the rows where the verdict and the clamp decide: the band witness,
+        # and rotated rows whose lambda_min is 0 up to rounding, so that at
+        # tol 0 some are steerable with j2 = 2 * |lambda_min| at rounding level
         rows = [tolerance_band_witness()]
         for k in range(40):
             c, s_ = np.cos(0.1 * k), np.sin(0.1 * k)
@@ -156,7 +164,7 @@ class TestJValuesStack:
         for tol in (1e-9, 1e-8, 0.0):
             j1s, j2s = j_values_stack(covs, 1, 2, tol)
             assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
-        # at tol 0 rounding makes some rotated rows steerable (guard rows)
+        # at tol 0 rounding makes some rotated rows steerable
         assert np.count_nonzero(j2s[1:]) > 0
 
     def test_shape_and_structure_checked(self):
@@ -174,6 +182,83 @@ class TestJValuesStack:
         bad[1, 0, 3] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             j_values_stack(bad, 1, 1)
+
+
+def unsteerable_states(count, seed):
+    """The first ``count`` random (1+1) states unsteerable at tol 1e-9."""
+    rng = np.random.default_rng(seed)
+    states = []
+    while len(states) < count:
+        s = random_state(1, 1, 2.0, rng)
+        if is_unsteerable(s).ok:
+            states.append(s)
+    return states
+
+
+class TestNegativeSpectrumForm:
+    # j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(cov), since i*Omega_B is traceless
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_j1_is_j2_over_trace(self, tol):
+        rng = np.random.default_rng(23)
+        for modes_b in (1, 2):
+            states = [random_state(1, modes_b, 4.0, rng) for _ in range(40)]
+            for s in states:
+                for clamp in (True, False):
+                    j1_val, j2_val = j_values(s, tol, clamp)
+                    assert j1_val == j2_val / np.trace(s.cov)
+            covs = np.array([s.cov for s in states])
+            j1s, j2s = j_values_stack(covs, 1, modes_b, tol)
+            assert np.array_equal(j1s, j2s / np.trace(covs, axis1=1, axis2=2))
+            assert np.any(j2s > 0.0)
+
+    def test_raw_values_never_negative_or_negative_zero(self):
+        for s in [make_state(1, 1, np.eye(4))] + unsteerable_states(100, 29):
+            for val in j_values(s, clamp=False):
+                assert val >= 0.0
+                assert math.copysign(1.0, val) == 1.0
+
+    def test_squeezed_vacuum_matches_cancellation_free_closed_form(self):
+        # 1 + sqrt(4 ch^2 - 3) - 2 ch with ch = cosh 2r, rewritten without
+        # the difference of large terms
+        for r in np.linspace(3.0 / 400, 3.0, 400):
+            ch = np.cosh(2.0 * r)
+            exact = 8.0 * np.sinh(r) ** 2 / (np.sqrt(4.0 * ch * ch - 3.0) + 2.0 * ch - 1.0)
+            raw = j2(squeezed_vacuum_state(r), clamp=False)
+            assert abs(raw - exact) <= 1e-11 * exact
+
+
+class TestSchurComplementOracle:
+    # margins this close to 0 are rounding-level on either route
+    BAND = 1e-7
+
+    @pytest.mark.parametrize("modes_b, max_eigen, seed", [(1, 2.0, 31), (2, 3.0, 37)])
+    def test_agrees_with_is_unsteerable(self, modes_b, max_eigen, seed):
+        rng = np.random.default_rng(seed)
+        verdicts = []
+        for _ in range(1000):
+            s = random_state(1, modes_b, max_eigen, rng)
+            margin = schur_unsteerable_margin(s)
+            if abs(margin) <= self.BAND:
+                continue
+            verdicts.append(margin > 0.0)
+            assert verdicts[-1] == is_unsteerable(s).ok
+        assert len(verdicts) > 990
+        assert 100 < sum(verdicts) < len(verdicts) - 100
+
+    def test_one_mode_determinant_form(self):
+        # for one B mode, G_B - C^T G_A^-1 C + i*Omega >= 0 iff the 2x2
+        # Schur complement (positive definite here) has determinant >= 1
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(1000):
+            s = random_state(1, 1, 2.0, rng)
+            det = float(np.linalg.det(schur_complement(s)))
+            if abs(det - 1.0) <= self.BAND:
+                continue
+            checked += 1
+            assert (det > 1.0) == is_unsteerable(s).ok
+        assert checked > 990
 
 
 class TestToleranceBandWitness:
