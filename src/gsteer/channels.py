@@ -33,6 +33,9 @@ from .states import GaussianState, ensure_bona_fide, mode_counts, random_state, 
 from .steering import is_unsteerable
 
 
+CHANNEL_SLACK = 1e-6  # margin of random_unsteerable_channel's M over both certificates
+
+
 class SamplingAbortError(RuntimeError):
     """Rejection sampling exceeded the allowed oversampling factor."""
 
@@ -160,14 +163,14 @@ def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassi
     )
 
 
-def apply(ch: GaussianChannel, state: GaussianState, tol: float = DEFAULT_PSD_TOL,
+def apply(ch: GaussianChannel, state: GaussianState,
           enforce: bool | None = None) -> GaussianState:
     """Apply the channel: cov' = K cov K^T + M, mean' = K mean + dbar.
 
     When the channel passes the validity certificate the output is tested
-    for the bona fide condition (a failure would signal a numerical bug);
-    otherwise it is returned untested so experiments on non-certified
-    channels can inspect the result.  ``enforce`` overrides that decision.
+    for the bona fide condition, both at DEFAULT_PSD_TOL (a failure signals a
+    numerical bug); otherwise it is returned untested so experiments on
+    non-certified channels can inspect the result.  ``enforce`` overrides it.
     """
     if (ch.modes_a, ch.modes_b) != (state.modes_a, state.modes_b):
         raise ValidationError(
@@ -176,12 +179,11 @@ def apply(ch: GaussianChannel, state: GaussianState, tol: float = DEFAULT_PSD_TO
     out = GaussianState(ch.modes_a, ch.modes_b, ch.K @ state.cov @ ch.K.T + ch.M,
                         ch.K @ state.mean + ch.dbar)
     if enforce is None:
-        enforce = bool(is_valid_gaussian(ch, tol).ok)
-    return ensure_bona_fide(out, tol) if enforce else out
+        enforce = bool(is_valid_gaussian(ch).ok)
+    return ensure_bona_fide(out) if enforce else out
 
 
-def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel,
-                 tol: float = DEFAULT_PSD_TOL) -> GaussianChannel:
+def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChannel:
     """Direct sum of an A-side channel and a B-side channel.
 
     Requires each side to pass its own unsteerable certificate, which for an
@@ -194,7 +196,7 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel,
     if ch_b.modes_a != 0:
         raise ValidationError("ch_b must act on B modes only (modes_a == 0)")
     for name, side in (("A", ch_a), ("B", ch_b)):
-        rep = is_unsteerable_channel(side, tol)
+        rep = is_unsteerable_channel(side)
         if not rep.ok:
             raise ValidationError(
                 f"side {name} fails its validity condition "
@@ -210,12 +212,11 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel,
                            np.concatenate([ch_a.dbar, ch_b.dbar]))
 
 
-def random_unsteerable_channel(modes_a: int, modes_b: int, rng,
-                               slack: float = 1e-6) -> GaussianChannel:
+def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     """Random channel passing both the validity and unsteerable certificates.
 
     Draws K with entries uniform in [-1, 1] scaled by 1/(2(m+n)), then sets
-    M = (alpha + slack) * I where alpha compensates the most negative
+    M = (alpha + CHANNEL_SLACK) * I where alpha compensates the most negative
     eigenvalue of the two M-free certificate parts, so both certificates are
     PSD by construction.
     """
@@ -227,7 +228,7 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng,
     alpha = max(0.0,
                 -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, omega, omega))[0]),
                 -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, f, f))[0]))
-    m = (alpha + slack) * np.eye(dim)
+    m = (alpha + CHANNEL_SLACK) * np.eye(dim)
     return GaussianChannel(modes_a, modes_b, k, m, np.zeros(dim))
 
 

@@ -6,11 +6,11 @@ Subcommands: ``check`` (bona fide + steering verdicts), ``quantify``
 ``verify`` (replay the regression suites).
 
 Exit codes: 0 success, 1 a ``verify`` check failed, 2 invalid input,
-3 physicality (bona fide) violation, 4 sampling abort.  The GSTEER_TOL
-environment variable overrides the default tolerance; a ``--tol`` flag
-overrides both.  Either must be a finite nonnegative number (exit 2
-otherwise); ``verify`` takes no tolerance.  All numeric output is printed
-with 17 significant digits, and fixed seeds give byte-identical output.
+3 physicality (bona fide) violation, 4 sampling abort.  Input is judged bona
+fide at the fixed 1e-9; GSTEER_TOL, or over it ``--tol``, sets the analysis
+tolerance (``check``'s bona fide verdict too) and must be finite and
+nonnegative, as must ``--seed`` (exit 2 otherwise); ``verify`` takes no tol.
+Numeric output has 17 significant digits, byte-identical for fixed seeds.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_check(args) -> int:
-    state = state_from_json(_read_file(args.state_file), tol=args.tol,
-                            require_bona_fide=False)
+    state = state_from_json(_read_file(args.state_file), require_bona_fide=False)
     bona = validate_state(state, args.tol)
     steer = is_unsteerable(state, args.tol)
     print(f"bona_fide: {str(bona.ok).lower()}")
@@ -100,7 +99,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_quantify(args) -> int:
-    state = state_from_json(_read_file(args.state_file), tol=args.tol)
+    state = state_from_json(_read_file(args.state_file))
     print(steering_report(state, args.tol).to_json())
     return EXIT_OK
 
@@ -112,9 +111,8 @@ def cmd_channel(args) -> int:
         print(classify(channel, args.tol).to_json())
         ran_something = True
     if args.state_file is not None:
-        state = state_from_json(_read_file(args.state_file), tol=args.tol,
-                                require_bona_fide=False)
-        out = apply(channel, state, tol=args.tol, enforce=False)
+        state = state_from_json(_read_file(args.state_file), require_bona_fide=False)
+        out = apply(channel, state, enforce=False)
         report = validate_state(out, args.tol)
         print(f"output_bona_fide: {str(report.ok).lower()}", file=sys.stderr)
         _write_output(state_to_json(out), args.output)
@@ -231,6 +229,8 @@ def main(argv=None) -> int:
     try:
         if "tol" in vars(args):
             args.tol = _resolve_tol(args.tol)
+        if vars(args).get("seed", 0) < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "

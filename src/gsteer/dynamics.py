@@ -79,8 +79,8 @@ def stationary_state(bath: BathParameters) -> GaussianState:
     return GaussianState(1, 1, gamma_infinity(bath), np.zeros(4))
 
 
-def relaxation_covariances(state0: GaussianState, bath: BathParameters,
-                           tol: float = DEFAULT_PSD_TOL) -> Callable[[np.ndarray], np.ndarray]:
+def relaxation_covariances(state0: GaussianState,
+                           bath: BathParameters) -> Callable[[np.ndarray], np.ndarray]:
     """The map from times t to the covariances cov(t) of the closed-form
     relaxation: a 4x4 matrix for one time, a ``(k, 4, 4)`` stack for k times.
 
@@ -91,7 +91,7 @@ def relaxation_covariances(state0: GaussianState, bath: BathParameters,
     """
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
-    ensure_bona_fide(state0, tol)
+    ensure_bona_fide(state0)
     cov_inf = gamma_infinity(bath)
 
     def covs_at(t) -> np.ndarray:
@@ -101,11 +101,10 @@ def relaxation_covariances(state0: GaussianState, bath: BathParameters,
     return covs_at
 
 
-def evolve(state0: GaussianState, bath: BathParameters, t: float,
-           tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianState:
     """State at time t >= 0 under the closed-form relaxation (bona fide by
     convexity, see :func:`relaxation_covariances`)."""
-    covs_at = relaxation_covariances(state0, bath, tol)
+    covs_at = relaxation_covariances(state0, bath)
     if not np.isfinite(t) or t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
     return GaussianState(1, 1, covs_at(t), np.exp(-bath.lam * t / 2.0) * state0.mean)
@@ -157,7 +156,7 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
         raise ValidationError("t_grid must be strictly increasing")
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
-    covs = relaxation_covariances(state0, bath, tol)(np.append(t_grid, [0.0, np.inf]))
+    covs = relaxation_covariances(state0, bath)(np.append(t_grid, [0.0, np.inf]))
     values = j_values_stack(covs, 1, 1, tol)[1]
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)

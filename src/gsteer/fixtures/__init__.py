@@ -16,8 +16,8 @@ def fixture_text(name: str) -> str:
     return resources.files(__package__).joinpath(name).read_text(encoding="utf-8")
 
 
-def load_state(name: str, **kwargs) -> GaussianState:
-    return state_from_json(fixture_text(name), **kwargs)
+def load_state(name: str) -> GaussianState:
+    return state_from_json(fixture_text(name))
 
 
 def load_channel(name: str) -> GaussianChannel:

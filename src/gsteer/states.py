@@ -4,8 +4,9 @@ A state of m modes on side A and n modes on side B is fully described by its
 2(m+n) x 2(m+n) covariance matrix and its mean vector, both in the
 (Q1, P1, Q2, P2, ...) quadrature ordering with the A modes first.  A
 covariance matrix is physical ("bona fide") iff cov + i*Omega >= 0, where
-Omega is the symplectic form.  ``make_state``, ``standard_form_state``,
-``mix_covariances`` and ``state_from_json`` test that with a tolerant PSD test;
+Omega is the symplectic form.  Input is judged bona fide at the fixed
+DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``: ``make_state``,
+``standard_form_state``, ``mix_covariances`` and ``state_from_json`` test it;
 ``schmidt_pure_state``, ``squeezed_vacuum_state`` and ``random_state`` build it
 bona fide by construction and test nothing.
 
@@ -94,25 +95,25 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(state.cov + steering_form(0, state.n_modes), tol)
 
 
-def ensure_bona_fide(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> GaussianState:
-    """Return ``state`` unchanged if it passes the bona fide test, else raise
+def ensure_bona_fide(state: GaussianState) -> GaussianState:
+    """Return ``state`` unchanged if it passes the bona fide test at the fixed
+    DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``, else raise
     BonaFideError carrying the minimum eigenvalue of cov + i*Omega."""
-    report = validate_state(state, tol)
+    report = validate_state(state)
     if not report.ok:
         raise BonaFideError(
             f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
-            f"is {report.min_eigenvalue:.6e} (tol {tol:g})", report.min_eigenvalue)
+            f"is {report.min_eigenvalue:.6e} (tol {report.tol:g})", report.min_eigenvalue)
     return state
 
 
-def make_state(modes_a: int, modes_b: int, cov, mean=None,
-               tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
     """Validated constructor: the checks of :class:`GaussianState` plus the
     bona fide condition; the mean defaults to zero."""
     cov = np.asarray(cov, dtype=float)
     if mean is None:
         mean = np.zeros(cov.shape[:1])
-    return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean), tol)
+    return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean))
 
 
 def mode_counts(doc: dict) -> tuple[int, int]:
@@ -147,8 +148,7 @@ def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
                 f"standard-form constraint violated: {name} (value {value:.6e})")
 
 
-def standard_form_state(a: float, b: float, c: float, d: float,
-                        tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState:
     """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]]."""
     check_standard_form_params(a, b, c, d)
     cov = np.array([
@@ -157,7 +157,7 @@ def standard_form_state(a: float, b: float, c: float, d: float,
         [c, 0.0, b, 0.0],
         [0.0, d, 0.0, b],
     ])
-    return make_state(1, 1, cov, tol=tol)
+    return make_state(1, 1, cov)
 
 
 def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
@@ -237,8 +237,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     return GaussianState(modes_a, modes_b, williamson_inverse(nu, sympl), np.zeros(2 * n))
 
 
-def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float,
-                    tol: float = DEFAULT_PSD_TOL) -> GaussianState:
+def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> GaussianState:
     """State with the convex combination p1*cov1 + (1-p1)*cov2 of covariances.
 
     Bona fide when both inputs are (the PSD cone is convex); tested, because
@@ -251,7 +250,7 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float,
         raise ValidationError(f"p1 must lie in [0, 1], got {p1}")
     cov = p1 * s1.cov + (1.0 - p1) * s2.cov
     mean = p1 * s1.mean + (1.0 - p1) * s2.mean
-    return ensure_bona_fide(GaussianState(s1.modes_a, s1.modes_b, cov, mean), tol)
+    return ensure_bona_fide(GaussianState(s1.modes_a, s1.modes_b, cov, mean))
 
 
 def state_to_json(state: GaussianState) -> str:
@@ -264,8 +263,7 @@ def state_to_json(state: GaussianState) -> str:
     }, indent=2)
 
 
-def state_from_json(text: str, tol: float = DEFAULT_PSD_TOL,
-                    require_bona_fide: bool = True) -> GaussianState:
+def state_from_json(text: str, require_bona_fide: bool = True) -> GaussianState:
     """Parse a state document; unknown keys are ignored.
 
     With require_bona_fide=False only structural validation runs, which lets
@@ -284,4 +282,4 @@ def state_from_json(text: str, tol: float = DEFAULT_PSD_TOL,
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cov/mean must be numeric arrays: {exc}") from None
     state = GaussianState(modes_a, modes_b, cov, mean)
-    return ensure_bona_fide(state, tol) if require_bona_fide else state
+    return ensure_bona_fide(state) if require_bona_fide else state

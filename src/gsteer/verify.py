@@ -11,11 +11,13 @@ tolerance so failures are directly actionable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import fixtures
 from .channels import (
+    CHANNEL_SLACK,
     GaussianChannel,
     apply,
     certificate_matrix,
@@ -52,6 +54,12 @@ from .steering import (
 )
 
 DEFAULT_SEED = 7
+# fixed knobs of the randomized trial engines: tolerances, spectrum edge, slack
+FAITHFULNESS_TOL = 1e-9
+FAITHFULNESS_VMAX = 2.0
+TRIAL_TOL = 1e-8
+MARGIN_FLOOR = 1e-4
+TRIAL_SLACK = 1e-9
 # grid times per batched eigendecomposition in first_passage_time
 PASSAGE_BLOCK = 128
 
@@ -73,10 +81,10 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # randomized trial engines (shared with the test suite)
 
-def _random_unsteerable(modes_a, modes_b, vmax, rng, tol):
+def _random_unsteerable(modes_a, modes_b, rng):
     while True:
-        s = random_state(modes_a, modes_b, vmax, rng)
-        if is_unsteerable(s, tol).ok:
+        s = random_state(modes_a, modes_b, 5.0, rng)
+        if is_unsteerable(s, TRIAL_TOL).ok:
             return s
 
 
@@ -85,29 +93,28 @@ def _random_psd(dim, rng, scale=0.5):
     return w @ w.T
 
 
-def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng,
-                        clamp_tol: float = 1e-9, vmax: float = 2.0) -> int:
+def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree."""
     rng = np.random.default_rng(rng)
     violations = 0
     for _ in range(n_trials):
-        s = random_state(modes_a, modes_b, vmax, rng)
-        j1_val, j2_val = j_values(s, clamp_tol)
-        verdict = bool(is_unsteerable(s, clamp_tol).ok)
+        s = random_state(modes_a, modes_b, FAITHFULNESS_VMAX, rng)
+        j1_val, j2_val = j_values(s, FAITHFULNESS_TOL)
+        verdict = bool(is_unsteerable(s, FAITHFULNESS_TOL).ok)
         if not ((j1_val == 0.0) == (j2_val == 0.0) == verdict):
             violations += 1
     return violations
 
 
-def upward_closure_trials(n_trials: int, rng, tol: float = 1e-8) -> int:
+def upward_closure_trials(n_trials: int, rng) -> int:
     """Adding a PSD matrix to an unsteerable covariance must stay unsteerable
     (the sum is bona fide, so it is built without a test)."""
     rng = np.random.default_rng(rng)
     violations = 0
     for _ in range(n_trials):
-        s = _random_unsteerable(1, 1, 5.0, rng, tol)
+        s = _random_unsteerable(1, 1, rng)
         bigger = GaussianState(1, 1, s.cov + _random_psd(s.dim, rng), s.mean)
-        if not is_unsteerable(bigger, tol).ok:
+        if not is_unsteerable(bigger, TRIAL_TOL).ok:
             violations += 1
     return violations
 
@@ -117,19 +124,19 @@ def _random_side_a(modes: int, rng) -> GaussianChannel:
     return side_a_channel(rng.uniform(-1.0, 1.0, (dim, dim)), _random_psd(dim, rng))
 
 
-def local_channel_trials(n_trials: int, rng, tol: float = 1e-8) -> int:
+def local_channel_trials(n_trials: int, rng) -> int:
     """Tensor products of valid local channels: certified unsteerable and
     empirically unsteerability-preserving."""
     rng = np.random.default_rng(rng)
     violations = 0
     for _ in range(n_trials):
         ch = random_local_channel(1, 1, rng)
-        if not is_unsteerable_channel(ch, tol).ok:
+        if not is_unsteerable_channel(ch, TRIAL_TOL).ok:
             violations += 1
             continue
-        s = _random_unsteerable(1, 1, 5.0, rng, tol)
+        s = _random_unsteerable(1, 1, rng)
         out = apply(ch, s, enforce=False)
-        if not is_unsteerable(out, tol).ok:
+        if not is_unsteerable(out, TRIAL_TOL).ok:
             violations += 1
     return violations
 
@@ -143,12 +150,12 @@ def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     omega = steering_form(0, modes_b)
     part = certificate_matrix(k_b, 0.0, omega, omega)
     alpha = max(0.0, -float(np.linalg.eigvalsh(part)[0]))
-    m_b = _random_psd(dim_b, rng) + (alpha + 1e-6) * np.eye(dim_b)
+    m_b = _random_psd(dim_b, rng) + (alpha + CHANNEL_SLACK) * np.eye(dim_b)
     ch_b = side_b_channel(k_b, m_b)
     return tensor_local(ch_a, ch_b)
 
 
-def certified_channel_trials(n_trials: int, rng, tol: float = 1e-8) -> int:
+def certified_channel_trials(n_trials: int, rng) -> int:
     """Channels passing the unsteerable certificate keep unsteerable states
     unsteerable; partitions alternate between (1+1) and (1+2)."""
     rng = np.random.default_rng(rng)
@@ -156,20 +163,20 @@ def certified_channel_trials(n_trials: int, rng, tol: float = 1e-8) -> int:
     for i in range(n_trials):
         modes_a, modes_b = (1, 1) if i % 2 == 0 else (1, 2)
         ch = random_unsteerable_channel(modes_a, modes_b, rng)
-        if not (is_unsteerable_channel(ch, tol).ok and is_valid_gaussian(ch, tol).ok):
+        if not (is_unsteerable_channel(ch, TRIAL_TOL).ok
+                and is_valid_gaussian(ch, TRIAL_TOL).ok):
             violations += 1
             continue
-        s = _random_unsteerable(modes_a, modes_b, 5.0, rng, tol)
-        if not is_unsteerable(apply(ch, s, enforce=False), tol).ok:
+        s = _random_unsteerable(modes_a, modes_b, rng)
+        if not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok:
             violations += 1
     return violations
 
 
-def local_symplectic_trials(n_trials: int, rng, tol: float = 1e-8,
-                            margin_floor: float = 1e-4) -> int:
+def local_symplectic_trials(n_trials: int, rng) -> int:
     """Local symplectic conjugation preserves the unsteerable verdict.
 
-    States whose steering-matrix margin sits within margin_floor of the
+    States whose steering-matrix margin sits within MARGIN_FLOOR of the
     boundary (relative) are redrawn: congruence preserves eigenvalue signs
     but not their size, so the tolerant verdict is only meaningful away from
     the boundary.
@@ -179,20 +186,20 @@ def local_symplectic_trials(n_trials: int, rng, tol: float = 1e-8,
     for _ in range(n_trials):
         while True:
             s = random_state(1, 1, 2.0, rng)
-            rep = is_unsteerable(s, tol)
-            if abs(rep.min_eigenvalue) > margin_floor * max(1.0, abs(rep.max_eigenvalue)):
+            rep = is_unsteerable(s, TRIAL_TOL)
+            if abs(rep.min_eigenvalue) > MARGIN_FLOOR * max(1.0, abs(rep.max_eigenvalue)):
                 break
         k = np.zeros((4, 4))
         k[:2, :2] = random_symplectic(1, rng, scale=0.5)
         k[2:, 2:] = random_symplectic(1, rng, scale=0.5)
         ch = GaussianChannel(1, 1, k, np.zeros((4, 4)), np.zeros(4))
         out = apply(ch, s, enforce=False)
-        if bool(is_unsteerable(out, tol).ok) != bool(rep.ok):
+        if bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok):
             violations += 1
     return violations
 
 
-def mixture_bound_trials(n_trials: int, rng, slack: float = 1e-9) -> int:
+def mixture_bound_trials(n_trials: int, rng) -> int:
     """Raw j2 is convex and raw j1 subadditive-plus-one over covariance mixing."""
     rng = np.random.default_rng(rng)
     violations = 0
@@ -204,14 +211,14 @@ def mixture_bound_trials(n_trials: int, rng, slack: float = 1e-9) -> int:
         j1_mix, j2_mix = j_values(mix, clamp=False)
         j1_a, j2_a = j_values(s1, clamp=False)
         j1_b, j2_b = j_values(s2, clamp=False)
-        if j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + slack:
+        if j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + TRIAL_SLACK:
             violations += 1
-        elif j1_mix > j1_a + j1_b + 1.0 + slack:
+        elif j1_mix > j1_a + j1_b + 1.0 + TRIAL_SLACK:
             violations += 1
     return violations
 
 
-def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> int:
+def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
     """j1 and j2 never increase under K_A orthogonal, K_B orthogonal
     symplectic, with arbitrary PSD local noise."""
     rng = np.random.default_rng(rng)
@@ -230,7 +237,7 @@ def orthogonal_monotonicity_trials(n_trials: int, rng, slack: float = 1e-9) -> i
         out = apply(ch, s, enforce=False)
         j1_in, j2_in = j_values(s, clamp=False)
         j1_out, j2_out = j_values(out, clamp=False)
-        if j1_out > j1_in + slack or j2_out > j2_in + slack:
+        if j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK:
             violations += 1
     return violations
 
@@ -250,7 +257,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
     if np.isnan(threshold):
         raise ValidationError("threshold must not be NaN")
-    covs_at = relaxation_covariances(state0, bath, tol)
+    covs_at = relaxation_covariances(state0, bath)
     t, t_end = 0.0, t_max + dt / 2
     while t <= t_end:
         times = []
@@ -399,25 +406,19 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
 
 def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     trials = 1000  # per randomized check
-    results = [
-        _count_check("faithfulness-1p1",
-                     faithfulness_trials(1, 1, trials, seed), trials, "clamp 1e-9"),
-        _count_check("faithfulness-1p2",
-                     faithfulness_trials(1, 2, trials, seed + 1), trials, "clamp 1e-9"),
-        _count_check("upward-closure",
-                     upward_closure_trials(trials, seed + 2), trials, "1e-8"),
-        _count_check("local-channels-unsteerable",
-                     local_channel_trials(trials, seed + 3), trials, "1e-8"),
-        _count_check("certified-channels-preserve",
-                     certified_channel_trials(trials, seed + 4), trials, "1e-8"),
-        _count_check("local-symplectic-verdict",
-                     local_symplectic_trials(trials, seed + 5), trials, "1e-8"),
-        _count_check("mixture-bounds",
-                     mixture_bound_trials(trials, seed + 6), trials, "slack 1e-9"),
-        _count_check("orthogonal-monotonicity",
-                     orthogonal_monotonicity_trials(trials, seed + 7), trials,
-                     "slack 1e-9"),
-    ]
+    short = partial(np.format_float_scientific, trim="-", exp_digits=1)  # "1e-9"
+    clamp, tol = f"clamp {short(FAITHFULNESS_TOL)}", short(TRIAL_TOL)
+    slack = f"slack {short(TRIAL_SLACK)}"
+    checks = (("faithfulness-1p1", faithfulness_trials, (1, 1), clamp),
+              ("faithfulness-1p2", faithfulness_trials, (1, 2), clamp),
+              ("upward-closure", upward_closure_trials, (), tol),
+              ("local-channels-unsteerable", local_channel_trials, (), tol),
+              ("certified-channels-preserve", certified_channel_trials, (), tol),
+              ("local-symplectic-verdict", local_symplectic_trials, (), tol),
+              ("mixture-bounds", mixture_bound_trials, (), slack),
+              ("orthogonal-monotonicity", orthogonal_monotonicity_trials, (), slack))
+    results = [_count_check(name, engine(*lead, trials, seed + i), trials, text)
+               for i, (name, engine, lead, text) in enumerate(checks)]
     state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
     shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
     grew = j2(apply(shear, state)) > j2(state)

@@ -116,7 +116,7 @@ def sweep_points(state0, bath, t_grid, tol: float):
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         w = np.exp(-bath.lam * t)
-        rows.append((t, j2(evolve(state0, bath, t, tol), tol),
+        rows.append((t, j2(evolve(state0, bath, t), tol),
                      w * j2_start + (1.0 - w) * j2_inf))
     return rows
 
@@ -126,7 +126,7 @@ def first_passage_scan(state0, bath, threshold: float, t_max: float, dt: float,
     """``first_passage_time`` as one ``evolve`` per accumulated grid time."""
     t = 0.0
     while t <= t_max + dt / 2:
-        if j2(evolve(state0, bath, t, tol), tol) < threshold:
+        if j2(evolve(state0, bath, t), tol) < threshold:
             return t
         t += dt
     return np.inf

@@ -152,8 +152,8 @@ def test_criterion_05_bound_chain():
 
 
 def test_criterion_06_faithfulness():
-    v11 = faithfulness_trials(1, 1, 1000, 2001, clamp_tol=1e-9)
-    v12 = faithfulness_trials(1, 2, 1000, 2002, clamp_tol=1e-9)
+    v11 = faithfulness_trials(1, 1, 1000, 2001)
+    v12 = faithfulness_trials(1, 2, 1000, 2002)
     ok = v11 == 0 and v12 == 0
     _report(6, "j1 = 0 iff j2 = 0 iff PSD criterion on 2000 random states", ok,
             f"disagreements=({v11}, {v12})")
@@ -161,10 +161,10 @@ def test_criterion_06_faithfulness():
 
 def test_criterion_07_channel_property_suites():
     counts = {
-        "upward-closure": upward_closure_trials(1000, 3001, tol=1e-8),
-        "local-channels": local_channel_trials(1000, 3002, tol=1e-8),
-        "certified-channels": certified_channel_trials(1000, 3003, tol=1e-8),
-        "local-symplectic": local_symplectic_trials(1000, 3004, tol=1e-8),
+        "upward-closure": upward_closure_trials(1000, 3001),
+        "local-channels": local_channel_trials(1000, 3002),
+        "certified-channels": certified_channel_trials(1000, 3003),
+        "local-symplectic": local_symplectic_trials(1000, 3004),
     }
     ok = all(v == 0 for v in counts.values())
     _report(7, "upward closure, local, certified, and symplectic suites "
@@ -172,8 +172,8 @@ def test_criterion_07_channel_property_suites():
 
 
 def test_criterion_08_convexity_and_monotonicity():
-    mix_violations = mixture_bound_trials(1000, 4001, slack=1e-9)
-    mono_violations = orthogonal_monotonicity_trials(1000, 4002, slack=1e-9)
+    mix_violations = mixture_bound_trials(1000, 4001)
+    mono_violations = orthogonal_monotonicity_trials(1000, 4002)
 
     state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
     shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)

@@ -7,7 +7,7 @@ import pytest
 from gsteer import fixtures
 from gsteer.channels import apply
 from gsteer.cli import main
-from gsteer.states import make_state, state_from_json, state_to_json
+from gsteer.states import make_state, squeezed_vacuum_state, state_from_json, state_to_json
 from gsteer.steering import pure_family_state
 
 
@@ -247,6 +247,10 @@ class TestSample:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_negative_seed_exits_2(self, noncert_channel_file, capsys):
+        assert main(["sample", noncert_channel_file, "--n", "5", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+
     def test_different_seeds_differ(self, noncert_channel_file, capsys):
         assert main(["sample", noncert_channel_file, "--n", "50", "--seed", "1"]) == 0
         first = capsys.readouterr().out
@@ -273,6 +277,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL doomed" in out
         assert "0/1 checks passed" in out
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be nonnegative, got -5\n"
 
     def test_tol_flag_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -340,6 +350,50 @@ class TestTolerance:
     def test_flag_overrides_bad_env_var(self, vacuum_file, monkeypatch):
         monkeypatch.setenv("GSTEER_TOL", "abc")
         assert main(["check", "--tol", "1e-9", vacuum_file]) == 0
+
+
+class TestInputTolerance:
+    """Input is judged bona fide at the fixed 1e-9; --tol sets the analysis
+    tolerance only."""
+
+    def test_sweep_at_tol_zero(self, capsys):
+        # the squeezed-vacuum start has lambda_min(cov + i*Omega) = -5.9e-17
+        assert main(["sweep", "--tol", "0", "--r", "1", "--tmax", "1"]) == 0
+        assert capsys.readouterr().out.startswith("t,j2,bound\n0,")
+
+    def test_quantify_pure_state_at_tol_zero(self, tmp_path, capsys):
+        path = tmp_path / "sv.json"
+        path.write_text(state_to_json(squeezed_vacuum_state(1.0)))
+        assert main(["quantify", "--tol", "0", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["unsteerable"] is False and doc["tol_used"] == 0.0
+
+    def test_loose_tol_does_not_admit_unphysical_input(self, tmp_path, capsys):
+        # cov = (1 - 1e-5) I: lambda_min(cov + i*Omega) = -1e-5, inside a
+        # 1e-3 analysis band but outside the fixed 1e-9 input test
+        doc = {"modes_a": 1, "modes_b": 1,
+               "cov": ((1.0 - 1e-5) * np.eye(4)).tolist(), "mean": [0.0] * 4}
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        assert main(["quantify", "--tol", "1e-3", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not bona fide" in captured.err and "(tol 1e-09)" in captured.err
+
+    def test_channel_at_tol_zero(self, tmp_path, capsys):
+        # pin: M is judged at the fixed 1e-9, so a rank-one M whose rounded
+        # spectrum dips below zero is accepted at --tol 0
+        m = np.outer([1.0, 0.1, 0.3, 0.7], [1.0, 0.1, 0.3, 0.7])
+        assert np.linalg.eigvalsh(m)[0] < 0.0
+        ch_path = tmp_path / "rank1.json"
+        doc = {"modes_a": 1, "modes_b": 1, "K": np.eye(4).tolist(), "M": m.tolist(),
+               "dbar": [0.0] * 4}
+        ch_path.write_text(json.dumps(doc))
+        state_path = tmp_path / "sv.json"
+        state_path.write_text(state_to_json(squeezed_vacuum_state(1.0)))
+        assert main(["channel", "--tol", "0", str(ch_path), str(state_path),
+                     "--classify", "--output", str(tmp_path / "out.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["valid_gaussian"]["tol"] == 0.0
 
 
 class TestBooleanModeCounts:

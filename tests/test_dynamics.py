@@ -1,3 +1,6 @@
+import inspect
+import itertools
+
 import numpy as np
 import pytest
 
@@ -222,12 +225,11 @@ class TestSweep:
     ])
     def test_csv_matches_per_point_evolve(self, r, bath):
         # the stacked sweep against one evolve and one j2 per time point,
-        # byte for byte: the pure start at the default tol, and a slightly
-        # mixed one (bona fide at tol 0) at tol 0
+        # byte for byte, for a pure and a slightly mixed start at both tols
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
         pure = squeezed_vacuum_state(r)
-        mixed = make_state(1, 1, pure.cov + 1e-3 * np.eye(4), tol=0.0)
-        for state, tol in ((pure, 1e-9), (mixed, 0.0)):
+        mixed = make_state(1, 1, pure.cov + 1e-3 * np.eye(4))
+        for state, tol in itertools.product((pure, mixed), (1e-9, 0.0)):
             expected = "t,j2,bound\n" + "".join(
                 f"{t:.17g},{v:.17g},{b:.17g}\n"
                 for t, v, b in sweep_points(state, bath, grid, tol))
@@ -290,6 +292,27 @@ class TestFirstPassage:
         points = round(t / dt) + 1 if np.isfinite(t) else round(t_max / dt) + 1
         blocks = -(-points // PASSAGE_BLOCK)
         assert len(count_eigvalsh) <= blocks + 2
+
+
+class TestPureStartAtTolZero:
+    # input is judged bona fide at the fixed DEFAULT_PSD_TOL, whatever the
+    # analysis tol: the pure start would fail the bona fide test at tol 0
+    START = squeezed_vacuum_state(1.0)
+    BATH = BathParameters(0.0, 1.0, 10.0, 0.1)
+
+    def test_start_fails_the_bona_fide_test_at_tol_zero(self):
+        assert not validate_state(self.START, 0.0).ok
+
+    def test_evolve(self):
+        assert "tol" not in inspect.signature(evolve).parameters
+        assert j2(evolve(self.START, self.BATH, 0.0), 0.0) == j2(self.START, 0.0)
+
+    def test_sweep(self):
+        traj = sweep(self.START, self.BATH, [0.0, 1.0], 0.0)
+        assert traj.j2_values[0] == j2(self.START, 0.0) > 0.0
+
+    def test_first_passage_time(self):
+        assert first_passage_time(self.START, self.BATH, 10.0, 1.0, 0.1, 0.0) == 0.0
 
 
 class TestTrajectory:
