@@ -42,7 +42,11 @@ class SamplingAbortError(RuntimeError):
 
 @dataclass(frozen=True)
 class GaussianChannel:
-    """Immutable channel record; M is symmetrized and required PSD."""
+    """Immutable channel record; M is symmetrized and required PSD.
+
+    Composite channels built from checked channels skip the check through
+    :meth:`_by_construction`.
+    """
 
     modes_a: int
     modes_b: int
@@ -72,6 +76,20 @@ class GaussianChannel:
         for name, arr in (("K", k), ("M", m), ("dbar", dbar)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _by_construction(cls, modes_a: int, modes_b: int, k: np.ndarray,
+                         m: np.ndarray, dbar: np.ndarray) -> GaussianChannel:
+        """The record of fresh float arrays of the right shapes that are
+        finite, with M exactly symmetric and PSD by the caller's algebra:
+        they are taken over and frozen, not copied or checked."""
+        for arr in (k, m, dbar):
+            arr.setflags(write=False)
+        channel = object.__new__(cls)
+        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
+                            ("K", k), ("M", m), ("dbar", dbar)):
+            object.__setattr__(channel, name, value)
+        return channel
 
     @property
     def n_modes(self) -> int:
@@ -176,8 +194,11 @@ def apply(ch: GaussianChannel, state: GaussianState,
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
             f"state ({state.modes_a},{state.modes_b})")
-    out = GaussianState(ch.modes_a, ch.modes_b, ch.K @ state.cov @ ch.K.T + ch.M,
-                        ch.K @ state.mean + ch.dbar)
+    # finite inputs can overflow, so both are tested; cov then gets the
+    # symmetrization GaussianState applies, and is exactly symmetric
+    cov = require_finite(ch.K @ state.cov @ ch.K.T + ch.M, "cov")
+    mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
+    out = GaussianState._by_construction(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, mean)
     if enforce is None:
         enforce = bool(is_valid_gaussian(ch).ok)
     return ensure_bona_fide(out) if enforce else out
@@ -190,6 +211,8 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
     A-side channel reduces to M_A >= 0 and for a B-side channel to the full
     validity certificate; the composed channel then always passes the
     unsteerable certificate (its certificate is the direct sum of the sides').
+    Its K, M and dbar are direct sums of the sides' checked arrays, so M is
+    symmetric, finite and PSD by construction and is not checked again.
     """
     if ch_a.modes_b != 0:
         raise ValidationError("ch_a must act on A modes only (modes_b == 0)")
@@ -208,8 +231,8 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
     k[da:, da:] = ch_b.K
     m[:da, :da] = ch_a.M
     m[da:, da:] = ch_b.M
-    return GaussianChannel(ch_a.modes_a, ch_b.modes_b, k, m,
-                           np.concatenate([ch_a.dbar, ch_b.dbar]))
+    return GaussianChannel._by_construction(ch_a.modes_a, ch_b.modes_b, k, m,
+                                            np.concatenate([ch_a.dbar, ch_b.dbar]))
 
 
 def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:

@@ -23,13 +23,14 @@ import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, ValidationError
 from .states import GaussianState, ensure_bona_fide
-from .steering import j_values_stack
+from .steering import _j_values_of_stack
 
 
 @dataclass(frozen=True)
 class BathParameters:
     """Markovian bath: thermal photon number, squeezing (magnitude, phase),
-    and overall damping rate (inverse time units)."""
+    and overall damping rate (inverse time units).  Parameters whose
+    stationary covariance overflows (a large R or n_th) are rejected."""
 
     n_th: float
     R: float
@@ -44,6 +45,12 @@ class BathParameters:
                 raise ValidationError(f"{name} must be finite")
         if not np.isfinite(self.lam) or self.lam <= 0:
             raise ValidationError(f"lam must be positive, got {self.lam}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(gamma_infinity(self)).all()
+        if not finite:
+            raise ValidationError(
+                f"bath parameters n_th = {self.n_th} and R = {self.R} give a "
+                f"non-finite stationary covariance")
 
     @property
     def photon_number(self) -> float:
@@ -63,7 +70,8 @@ def gamma_infinity(bath: BathParameters) -> np.ndarray:
     thermal blocks 2 [[1/2 + L+, M_I], [M_I, 1/2 + L-]] with L+- = N +- Re M.
 
     Bona fide by construction: each block has det = (1 + 2N)^2 - 4|M|^2
-    = 1 + 4 n_th (n_th + 1) >= 1, since N(N+1) - |M|^2 = n_th (n_th + 1)."""
+    = 1 + 4 n_th (n_th + 1) >= 1, since N(N+1) - |M|^2 = n_th (n_th + 1).
+    Exactly symmetric, and finite for every bath that BathParameters accepts."""
     n = bath.photon_number
     m = bath.squeezing
     l_plus, l_minus = n + m.real, n - m.real
@@ -76,7 +84,7 @@ def gamma_infinity(bath: BathParameters) -> np.ndarray:
 
 def stationary_state(bath: BathParameters) -> GaussianState:
     """Zero-mean state at the stationary covariance (bona fide: see gamma_infinity)."""
-    return GaussianState(1, 1, gamma_infinity(bath), np.zeros(4))
+    return GaussianState._by_construction(1, 1, gamma_infinity(bath), np.zeros(4))
 
 
 def relaxation_covariances(state0: GaussianState,
@@ -86,8 +94,9 @@ def relaxation_covariances(state0: GaussianState,
 
     ``state0`` is validated here, once; the stationary covariance is bona fide
     by construction.  Every covariance the map returns is a convex combination
-    of these two bona fide covariances (t = 0 and t = inf give them exactly),
-    so it is bona fide too.  The times are not checked: the caller passes t >= 0.
+    of these two finite, exactly symmetric, bona fide covariances (t = 0 and
+    t = inf give them exactly), so it is all three too and needs no check.
+    The times are not checked: the caller passes t >= 0.
     """
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
@@ -107,7 +116,8 @@ def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianSta
     covs_at = relaxation_covariances(state0, bath)
     if not np.isfinite(t) or t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
-    return GaussianState(1, 1, covs_at(t), np.exp(-bath.lam * t / 2.0) * state0.mean)
+    return GaussianState._by_construction(1, 1, covs_at(t),
+                                          np.exp(-bath.lam * t / 2.0) * state0.mean)
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,9 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     """j2 along a strictly increasing time grid, with the decay envelope.
 
     The covariances of all grid times, then of t = 0 and t = inf for the
-    envelope's ends, form one stack, which gets one structural check and one
-    batched eigendecomposition.
+    envelope's ends, form one stack, which gets one batched
+    eigendecomposition and, being symmetric and finite by construction (see
+    :func:`relaxation_covariances`), no structural check.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -157,7 +168,7 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
     covs = relaxation_covariances(state0, bath)(np.append(t_grid, [0.0, np.inf]))
-    values = j_values_stack(covs, 1, 1, tol)[1]
+    values = _j_values_of_stack(covs, 1, 1, tol)[1]
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
     return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)

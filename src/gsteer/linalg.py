@@ -46,7 +46,7 @@ def steering_form(modes_a: int, modes_b: int) -> np.ndarray:
 
 def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(mat)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -65,7 +65,7 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     if arr.shape[-1] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     require_finite(arr, name)
-    adj = np.conj(arr).swapaxes(-1, -2)
+    adj = (np.conj(arr) if np.iscomplexobj(arr) else arr).swapaxes(-1, -2)
     defect = np.abs(arr - adj)
     # every scale is >= 1, so a defect within HERMITICITY_TOL passes everywhere
     if defect.max(initial=0.0) > HERMITICITY_TOL:

@@ -5,10 +5,27 @@ A state of m modes on side A and n modes on side B is fully described by its
 (Q1, P1, Q2, P2, ...) quadrature ordering with the A modes first.  A
 covariance matrix is physical ("bona fide") iff cov + i*Omega >= 0, where
 Omega is the symplectic form.  Input is judged bona fide at the fixed
-DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``: ``make_state``,
-``standard_form_state``, ``mix_covariances`` and ``state_from_json`` test it;
-``schmidt_pure_state``, ``squeezed_vacuum_state`` and ``random_state`` build it
-bona fide by construction and test nothing.
+DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``.
+
+Two ways in, so that each covariance is checked once:
+
+- Caller input takes the structural check of :class:`GaussianState` (shape,
+  finiteness, symmetry): ``GaussianState(...)`` itself, and ``make_state``,
+  ``standard_form_state``, ``mix_covariances`` and ``state_from_json``, which
+  add the bona fide test.
+- Constructors whose covariance is exactly symmetric with the right shape by
+  their own algebra build the record directly (``GaussianState._by_construction``),
+  with no structural check and no eigensolve.  Each is bona fide by
+  construction and keeps only the finiteness test its algebra cannot spare:
+  ``schmidt_pure_state`` and ``squeezed_vacuum_state`` (and
+  ``steering.pure_family_state``) fill the symmetric pure-state pattern from
+  scalars and reject a scalar that overflows; ``random_state`` symmetrizes
+  S diag(nu) S^T, which overflows for a huge ``max_sympl_eigen``, so its
+  covariance is tested for finiteness; ``channels.apply`` symmetrizes
+  K cov K^T + M after testing it and the mean for finiteness;
+  ``dynamics.stationary_state`` and ``dynamics.evolve`` take a bath's
+  stationary covariance (finite for every bath ``BathParameters`` accepts)
+  and its convex combinations with a checked state's covariance.
 
 Mean vectors are carried everywhere even though the steering quantities
 ignore them, because channels act on them and file round-trips must be
@@ -48,6 +65,8 @@ class GaussianState:
     The one structural check of a covariance matrix: shape, finiteness and
     symmetry within HERMITICITY_TOL; the cov stored is symmetrized.  It
     does not test bona fide; :func:`make_state` does.  The arrays are frozen.
+    Constructors that build an exactly symmetric, finite covariance of the
+    right shape skip the check through :meth:`_by_construction`.
     """
 
     modes_a: int
@@ -71,6 +90,20 @@ class GaussianState:
         mean.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mean", mean)
+
+    @classmethod
+    def _by_construction(cls, modes_a: int, modes_b: int, cov: np.ndarray,
+                         mean: np.ndarray) -> GaussianState:
+        """The record of fresh float arrays that are finite, of the right
+        shape, and (cov) exactly symmetric by the caller's algebra: they are
+        taken over and frozen, not copied or checked."""
+        cov.setflags(write=False)
+        mean.setflags(write=False)
+        state = object.__new__(cls)
+        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
+                            ("cov", cov), ("mean", mean)):
+            object.__setattr__(state, name, value)
+        return state
 
     @property
     def n_modes(self) -> int:
@@ -180,6 +213,10 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     for idx, g in enumerate(gammas):
         if not np.isfinite(g) or g < 1.0:
             raise ValidationError(f"mixing factor gamma[{idx}] = {g} must be >= 1")
+    with np.errstate(over="ignore"):
+        couplings = np.sqrt(gammas**2 - 1.0)
+    if not np.isfinite(couplings).all():
+        raise ValidationError("cov contains non-finite entries")
     a_diag = np.ones(modes_a)
     b_diag = np.ones(modes_b)
     a_diag[:k] = gammas
@@ -187,12 +224,11 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     cov = np.zeros((2 * (modes_a + modes_b), 2 * (modes_a + modes_b)))
     cov[: 2 * modes_a, : 2 * modes_a] = np.diag(np.repeat(a_diag, 2))
     cov[2 * modes_a :, 2 * modes_a :] = np.diag(np.repeat(b_diag, 2))
-    for i in range(k):
-        coupling = np.sqrt(gammas[i] ** 2 - 1.0)
+    for i, coupling in enumerate(couplings):
         block = np.diag([coupling, -coupling])
         cov[2 * i : 2 * i + 2, 2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2] = block
         cov[2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2, 2 * i : 2 * i + 2] = block
-    return GaussianState(modes_a, modes_b, cov, np.zeros(cov.shape[0]))
+    return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(cov.shape[0]))
 
 
 def squeezed_vacuum_state(r: float) -> GaussianState:
@@ -202,14 +238,17 @@ def squeezed_vacuum_state(r: float) -> GaussianState:
     """
     if not np.isfinite(r) or r < 0:
         raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
-    ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    with np.errstate(over="ignore"):
+        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    if not np.isfinite(ch):  # then sh, which is below ch, overflows too
+        raise ValidationError("cov contains non-finite entries")
     cov = np.array([
         [ch, 0.0, sh, 0.0],
         [0.0, ch, 0.0, -sh],
         [sh, 0.0, ch, 0.0],
         [0.0, -sh, 0.0, ch],
     ])
-    return GaussianState(1, 1, cov, np.zeros(4))
+    return GaussianState._by_construction(1, 1, cov, np.zeros(4))
 
 
 def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
@@ -234,7 +273,9 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     n = modes_a + modes_b
     nu = rng.uniform(1.0, max_sympl_eigen, n)
     sympl = random_symplectic(n, rng)
-    return GaussianState(modes_a, modes_b, williamson_inverse(nu, sympl), np.zeros(2 * n))
+    # finite unless a huge max_sympl_eigen overflows the product
+    cov = require_finite(williamson_inverse(nu, sympl), "cov")
+    return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(2 * n))
 
 
 def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> GaussianState:

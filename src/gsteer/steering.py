@@ -19,6 +19,7 @@ function here depends on the covariance matrix only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,13 @@ def j_values_stack(covs: np.ndarray, modes_a: int, modes_b: int,
     dim = 2 * (modes_a + modes_b)
     if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
         raise ValidationError(f"covs must have shape (k, {dim}, {dim}), got {covs.shape}")
+    return _j_values_of_stack(covs, modes_a, modes_b, tol)
+
+
+def _j_values_of_stack(covs: np.ndarray, modes_a: int, modes_b: int,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`j_values_stack` without its structural check, for a
+    ``(k, d, d)`` stack that is finite and exactly symmetric by construction."""
     evs = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
     unsteerable = psd_within_tol(evs[:, 0], evs[:, -1], tol)
     j1_vals, j2_vals = _excess(evs, covs)
@@ -179,14 +187,28 @@ def pure_family_state(r: float) -> GaussianState:
     (bona fide: pure, every symplectic eigenvalue is 1)."""
     if not np.isfinite(r) or r < 1.0:
         raise ValidationError(f"family parameter must be >= 1, got {r}")
-    s = np.sqrt(r * r - 1.0)
+    r = float(r)
+    s = math.sqrt(r * r - 1.0)  # a Python float overflows to inf without a warning
+    if not math.isfinite(s):
+        raise ValidationError("cov contains non-finite entries")
     cov = np.array([
         [r, 0.0, s, 0.0],
         [0.0, r, 0.0, -s],
         [s, 0.0, r, 0.0],
         [0.0, -s, 0.0, r],
     ])
-    return GaussianState(1, 1, cov, np.zeros(4))
+    return GaussianState._by_construction(1, 1, cov, np.zeros(4))
+
+
+def _pure_family_covs(r: np.ndarray) -> np.ndarray:
+    """The ``(k, 4, 4)`` stack of :func:`pure_family_state` covariances, entry
+    for entry, for a 1-D array of r >= 1 whose squares are finite."""
+    s = np.sqrt(r * r - 1.0)
+    covs = np.zeros((r.size, 4, 4))
+    covs[:, [0, 1, 2, 3], [0, 1, 2, 3]] = r[:, None]
+    covs[:, 0, 2] = covs[:, 2, 0] = s
+    covs[:, 1, 3] = covs[:, 3, 1] = -s
+    return covs
 
 
 def n3_upper_bound_pure(r: float) -> float:

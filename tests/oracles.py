@@ -12,7 +12,7 @@ import numpy as np
 from gsteer.dynamics import evolve, stationary_state
 from gsteer.linalg import ValidationError, require_hermitian, steering_form
 from gsteer.states import GaussianState
-from gsteer.steering import j2
+from gsteer.steering import j2, n3_upper_bound_pure, pure_family_state
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
@@ -130,6 +130,19 @@ def first_passage_scan(state0, bath, threshold: float, t_max: float, dt: float,
             return t
         t += dt
     return np.inf
+
+
+def bound_chain_scan(rs, z=n3_upper_bound_pure) -> tuple[bool, str]:
+    """``verify``'s bound-chain check as one ``j2(pure_family_state(r))`` per
+    r, in r order, against the closed bound ``z``."""
+    for r in rs:
+        z_r = z(r)
+        val = j2(pure_family_state(r))
+        if val - z_r < -1e-12 or (r > 1.0 + 1e-12 and val - z_r <= 1e-9):
+            return False, f"violated at r = {r:.2f} (z = {z_r}, j2 = {val})"
+        if r <= 1.0 + 1e-12 and abs(val - z_r) > 1e-9:
+            return False, f"not equal at r = 1 (z = {z_r}, j2 = {val})"
+    return True, ""
 
 
 def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:

@@ -208,6 +208,18 @@ class TestTensorLocal:
         with pytest.raises(ValidationError):
             tensor_local(b, b)
 
+    def test_equals_checked_channel(self):
+        # built without GaussianChannel's check, yet bit-equal to its output
+        rng = np.random.default_rng(37)
+        for modes_b in (1, 2) * 100:
+            ch = random_local_channel(1, modes_b, rng)
+            checked = GaussianChannel(ch.modes_a, ch.modes_b, ch.K, ch.M, ch.dbar)
+            for name in ("K", "M", "dbar"):
+                got, want = getattr(ch, name), getattr(checked, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+                assert not got.flags.writeable, name
+
     def test_dbar_concatenated(self):
         a = side_a_channel(np.eye(2), np.zeros((2, 2)), dbar=[1.0, 2.0])
         b = side_b_channel(np.eye(2), np.zeros((2, 2)), dbar=[3.0, 4.0])

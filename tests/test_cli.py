@@ -213,6 +213,14 @@ class TestSweep:
     def test_invalid_bath_exits_2(self):
         assert main(["sweep", "--nth", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--R", "800"), ("--nth", "1e308")])
+    def test_overflowing_bath_exits_2_without_warnings(self, flag, value, capsys):
+        # pytest turns any numpy overflow warning into an error
+        assert main(["sweep", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bath parameters n_th = ")
+        assert err.endswith("give a non-finite stationary covariance\n")
+
     def test_deterministic_output(self, capsys):
         args = ["sweep", "--r", "0.7", "--phi", "3", "--tmax", "3", "--dt", "0.1"]
         assert main(args) == 0

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,19 @@ class TestBathParameters:
             BathParameters(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             BathParameters(0.0, np.inf, 0.0, 0.1)
+
+    @pytest.mark.parametrize("nth, R", [(0.0, 800.0), (0.0, 360.0), (1e308, 1.0),
+                                        (1e300, 200.0)])
+    def test_overflowing_stationary_covariance_rejected(self, nth, R):
+        # no numpy warning comes first (pytest would raise it)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"bath parameters n_th = {nth} and R = {R} give a non-finite "
+                f"stationary covariance")):
+            BathParameters(nth, R, 0.3, 0.1)
+
+    def test_large_finite_baths_accepted(self):
+        for bath in (BathParameters(0.0, 354.0, 0.3, 0.1), BathParameters(1e300, 0.5, 0.0, 0.1)):
+            assert np.isfinite(gamma_infinity(bath)).all()
 
 
 class TestGammaInfinity:
@@ -241,6 +255,14 @@ class TestSweep:
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
         sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
         assert len(count_eigvalsh) <= 2
+
+    def test_stack_not_rechecked(self, count_require_hermitian):
+        # the stack mixes two checked covariances: symmetric and finite by construction
+        grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
+        sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
+        first_passage_time(squeezed_vacuum_state(1.0), BathParameters(0.0, 2.2, 0.0, 0.1),
+                           0.01, 10.0, 1e-3)
+        assert not count_require_hermitian
 
 
 class TestFirstPassage:

@@ -30,6 +30,7 @@ from gsteer.steering import (
 )
 from gsteer.verify import faithfulness_trials, mixture_bound_trials, upward_closure_trials
 from oracles import (
+    bound_chain_scan,
     n3_bound_grid_cells,
     pure_overlap_2mode,
     schur_complement,
@@ -371,6 +372,42 @@ class TestClosedFormStandard:
                         raw = j_values(s, clamp=False)
                         assert abs(closed[0] - max(raw[0], 0.0)) < 1e-10
                         assert abs(closed[1] - max(raw[1], 0.0)) < 1e-10
+
+
+class TestBoundChain:
+    # verify's bound-chain check runs the pure family as one covariance stack
+    RS = np.arange(1.0, 10.0 + 1e-12, 0.01)
+
+    def test_stack_is_pure_family_state_entry_for_entry(self):
+        from gsteer.steering import _pure_family_covs
+
+        covs = _pure_family_covs(self.RS)
+        assert covs.shape == (901, 4, 4)
+        for r, cov in zip(self.RS, covs):
+            assert cov.tobytes() == pure_family_state(r).cov.tobytes()
+        assert (j_values_stack(covs, 1, 1)[1].tolist()
+                == [j2(pure_family_state(r)) for r in self.RS])
+
+    def test_matches_per_r_loop(self):
+        from gsteer.verify import _bound_chain
+
+        assert _bound_chain(self.RS) == bound_chain_scan(self.RS) == (True, "")
+
+    @pytest.mark.parametrize("z, first_failure", [
+        (lambda r: j_closed_schmidt(1, 1, [r])[1] + 1e-6 if r > 4.365
+         else n3_upper_bound_pure(r), "violated at r = 4.37"),
+        (lambda r: j_closed_schmidt(1, 1, [r])[1] - 5e-10 if r > 2.495
+         else n3_upper_bound_pure(r), "violated at r = 2.50"),
+        (lambda r: -1e-6 if r == 1.0 else n3_upper_bound_pure(r), "not equal at r = 1"),
+        (lambda r: 1e-6 if r == 1.0 else n3_upper_bound_pure(r), "violated at r = 1.00"),
+    ])
+    def test_same_first_failure_as_per_r_loop(self, monkeypatch, z, first_failure):
+        import gsteer.verify as verify
+
+        monkeypatch.setattr(verify, "n3_upper_bound_pure", z)
+        ok, detail = verify._bound_chain(self.RS)
+        assert (ok, detail) == bound_chain_scan(self.RS, z)
+        assert not ok and detail.startswith(first_failure)
 
 
 class TestFidelityBound:
