@@ -36,10 +36,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    hermitian_eigenvalues,
-    is_psd,
     symplectic_form,
-    trace_norm,
 )
 from .states import (
     BonaFideError,

@@ -58,6 +58,9 @@ class GaussianChannel:
         if self.modes_a < 0 or self.modes_b < 0 or self.modes_a + self.modes_b < 1:
             raise ValidationError(
                 f"invalid mode partition ({self.modes_a}, {self.modes_b})")
+        for name in ("K", "M", "dbar"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValidationError(f"{name} must be real")
         dim = self.dim
         k = require_finite(np.array(self.K, dtype=float), "K")
         m = np.array(self.M, dtype=float)
@@ -108,7 +111,7 @@ def identity_channel(modes_a: int, modes_b: int) -> GaussianChannel:
 
 def side_a_channel(K, M, dbar=None) -> GaussianChannel:
     """Channel acting on A modes only (empty B side)."""
-    k = np.atleast_2d(np.asarray(K, dtype=float))
+    k = np.atleast_2d(np.asarray(K))
     if dbar is None:
         dbar = np.zeros(k.shape[0])
     return GaussianChannel(k.shape[0] // 2, 0, k, M, dbar)
@@ -116,7 +119,7 @@ def side_a_channel(K, M, dbar=None) -> GaussianChannel:
 
 def side_b_channel(K, M, dbar=None) -> GaussianChannel:
     """Channel acting on B modes only (empty A side)."""
-    k = np.atleast_2d(np.asarray(K, dtype=float))
+    k = np.atleast_2d(np.asarray(K))
     if dbar is None:
         dbar = np.zeros(k.shape[0])
     return GaussianChannel(0, k.shape[0] // 2, k, M, dbar)
@@ -124,9 +127,12 @@ def side_b_channel(K, M, dbar=None) -> GaussianChannel:
 
 def certificate_matrix(k: np.ndarray, m, f_out: np.ndarray, f_in: np.ndarray) -> np.ndarray:
     """The symmetrized certificate M + F_out - K F_in K^T for Hermitian
-    offsets F_out and F_in; pass m = 0 for the M-free part."""
-    cert = m + f_out - k @ f_in @ k.T
-    return (cert + np.conj(cert).T) / 2.0
+    offsets F_out and F_in; pass m = 0 for the M-free part.  A K large enough
+    to overflow the product is rejected, not handed to the eigensolver."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = m + f_out - k @ f_in @ k.T
+        cert = (cert + np.conj(cert).T) / 2.0
+    return require_finite(cert, "channel certificate")
 
 
 def is_valid_gaussian(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:

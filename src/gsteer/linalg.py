@@ -1,4 +1,4 @@
-"""Dense eigenvalue, trace-norm, and PSD services for small Hermitian matrices.
+"""Symplectic forms, validation, the PSD tolerance rule and random matrices.
 
 All quantities are dimensionless (hbar = 1, so the vacuum covariance matrix is
 the identity) and quadratures are ordered (Q1, P1, Q2, P2, ...).  Matrices are
@@ -52,55 +52,30 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a square, finite, near-Hermitian matrix, or a stack ``(..., d, d)``
-    of them, and return the symmetrized (h + h^dagger)/2.
+    """Validate a square, finite, near-Hermitian matrix and return the
+    symmetrized (h + h^dagger)/2.
 
-    The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|) of
-    each matrix; inputs beyond it are rejected rather than repaired, naming
-    the worst entry (and, for a stack, its matrix).
+    The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|);
+    inputs beyond it are rejected rather than repaired, naming the worst entry.
     """
     arr = np.asarray(h)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[-1] == 0:
+    if arr.shape[0] == 0:
         raise ValidationError(f"{name} must have positive dimension")
     require_finite(arr, name)
-    adj = (np.conj(arr) if np.iscomplexobj(arr) else arr).swapaxes(-1, -2)
+    adj = np.conj(arr).T if np.iscomplexobj(arr) else arr.T
     defect = np.abs(arr - adj)
-    # every scale is >= 1, so a defect within HERMITICITY_TOL passes everywhere
-    if defect.max(initial=0.0) > HERMITICITY_TOL:
-        scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
-        bad = defect.max(axis=(-2, -1)) > HERMITICITY_TOL * scale
-        if bad.any():
-            k = int(np.argmax(bad.ravel()))
-            dim = arr.shape[-1]
-            worst = defect.reshape(-1, dim, dim)[k]
-            i, j = np.unravel_index(int(np.argmax(worst)), worst.shape)
-            label = name if arr.ndim == 2 else (
-                f"{name}{[int(x) for x in np.unravel_index(k, arr.shape[:-2])]}")
+    worst = defect.max()
+    # the scale is >= 1, so a defect within HERMITICITY_TOL passes at any scale
+    if worst > HERMITICITY_TOL:
+        scale = max(1.0, float(np.abs(arr).max()))
+        if worst > HERMITICITY_TOL * scale:
+            i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
             raise ValidationError(
-                f"{label} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
-                f"{worst[i, j]:.6e} exceeds {HERMITICITY_TOL:g} * {np.ravel(scale)[k]:.6e}")
+                f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
+                f"{worst:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
     return (arr + adj) / 2.0
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a (near-)Hermitian matrix, ascending and real; for a
-    stack ``(..., d, d)``, those of each matrix along the last axis."""
-    return np.linalg.eigvalsh(require_hermitian(h))
-
-
-def _eigenvalues_of_one(h: np.ndarray) -> np.ndarray:
-    """hermitian_eigenvalues for the functions that judge a single matrix."""
-    ev = hermitian_eigenvalues(h)
-    if ev.ndim != 1:
-        raise ValidationError(f"expected one matrix, got a stack of shape {np.shape(h)}")
-    return ev
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """Sum of absolute eigenvalues; equals trace(h) exactly when h is PSD."""
-    return float(np.abs(_eigenvalues_of_one(h)).sum())
 
 
 def psd_within_tol(lo, hi, tol: float):
@@ -141,11 +116,6 @@ class PsdReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def is_psd(h: np.ndarray, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Tolerant PSD test of a (near-)Hermitian matrix; see PsdReport.from_eigenvalues."""
-    return PsdReport.from_eigenvalues(_eigenvalues_of_one(h), tol)
 
 
 def random_orthogonal(dim: int, rng) -> np.ndarray:

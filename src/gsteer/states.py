@@ -50,6 +50,11 @@ from .linalg import (
 )
 
 
+def _check_mode_counts(modes_a: int, modes_b: int) -> None:
+    if modes_a < 1 or modes_b < 1:
+        raise ValidationError(f"mode counts must be positive, got ({modes_a}, {modes_b})")
+
+
 class BonaFideError(ValidationError):
     """Covariance matrix violates cov + i*Omega >= 0."""
 
@@ -75,10 +80,11 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
+        for name in ("cov", "mean"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValidationError(f"{name} must be real")
         cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
-        if self.modes_a < 1 or self.modes_b < 1:
-            raise ValidationError(
-                f"mode counts must be positive, got ({self.modes_a}, {self.modes_b})")
+        _check_mode_counts(self.modes_a, self.modes_b)
         dim = 2 * (self.modes_a + self.modes_b)
         mean = np.array(self.mean, dtype=float)
         if cov.shape != (dim, dim):
@@ -143,9 +149,8 @@ def ensure_bona_fide(state: GaussianState) -> GaussianState:
 def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
     """Validated constructor: the checks of :class:`GaussianState` plus the
     bona fide condition; the mean defaults to zero."""
-    cov = np.asarray(cov, dtype=float)
     if mean is None:
-        mean = np.zeros(cov.shape[:1])
+        mean = np.zeros(np.shape(cov)[:1])
     return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean))
 
 
@@ -203,9 +208,7 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     """
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     k = min(modes_a, modes_b)
-    if modes_a < 1 or modes_b < 1:
-        raise ValidationError(
-            f"mode counts must be positive, got ({modes_a}, {modes_b})")
+    _check_mode_counts(modes_a, modes_b)
     if gammas.shape != (k,):
         raise ValidationError(
             f"expected {k} mixing factors for a ({modes_a}+{modes_b})-mode state, "
@@ -267,6 +270,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     [-1, 1], then returns S diag(nu) S^T with zero mean.  Deterministic for a
     fixed integer seed; pass independent generators for parallel sampling.
     """
+    _check_mode_counts(modes_a, modes_b)
     if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
         raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
     rng = np.random.default_rng(rng)

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol,
-                     require_hermitian, steering_form)
+from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol, steering_form
 from .states import GaussianState, check_standard_form_params
 
 
@@ -59,28 +58,15 @@ def _diagnose(state: GaussianState, tol: float,
     return report, float(j1_val), float(j2_val)
 
 
-def j_values_stack(covs: np.ndarray, modes_a: int, modes_b: int,
-                   tol: float = DEFAULT_PSD_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped (j1, j2) arrays, j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(cov),
-    for a ``(k, d, d)`` stack of covariance matrices.
-
-    The stack gets the structural check of :class:`GaussianState` (finite,
-    symmetric) and one batched eigendecomposition, and row i equals
-    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)`` bit for bit.
-    """
-    covs = require_hermitian(np.asarray(covs, dtype=float), name="cov")
-    if modes_a < 1 or modes_b < 1:
-        raise ValidationError(f"mode counts must be positive, got ({modes_a}, {modes_b})")
-    dim = 2 * (modes_a + modes_b)
-    if covs.ndim != 3 or covs.shape[1:] != (dim, dim):
-        raise ValidationError(f"covs must have shape (k, {dim}, {dim}), got {covs.shape}")
-    return _j_values_of_stack(covs, modes_a, modes_b, tol)
-
-
 def _j_values_of_stack(covs: np.ndarray, modes_a: int, modes_b: int,
                        tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`j_values_stack` without its structural check, for a
-    ``(k, d, d)`` stack that is finite and exactly symmetric by construction."""
+    """Clamped (j1, j2) arrays, j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(cov),
+    for a ``(k, d, d)`` stack of covariance matrices that is finite and
+    exactly symmetric by construction; the stack is not checked.
+
+    One batched eigendecomposition, and row i equals
+    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)`` bit for bit.
+    """
     evs = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
     unsteerable = psd_within_tol(evs[:, 0], evs[:, -1], tol)
     j1_vals, j2_vals = _excess(evs, covs)
@@ -219,18 +205,14 @@ def n3_upper_bound_pure(r: float) -> float:
     return 1.0 - 4.0 / (r + 3.0)
 
 
-def n3_bound_grid(r: float, grid_density: int = 30,
-                  with_argmax: bool = False):
+def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     """Grid estimate of the fidelity-based steering bound for the r-family.
 
     Maximizes the overlap with standard-form states over a grid with a, b in
     [1, r + 4] and c, d in [-sqrt(ab - 1), sqrt(ab - 1)], keeping only cells
     that satisfy the standard-form constraints plus the unsteerability
     inequality (ab - c^2)(ab - d^2) >= a^2, and returns 1 - best overlap.
-    Estimates from nested (refined) grids never increase.  With
-    ``with_argmax`` the achieved maximizer (a, b, c, d) is returned as well,
-    for diagnosing where the optimum sits; ties go to the first cell in
-    (a, b, c, d) order.
+    Estimates from nested (refined) grids never increase.
 
     The overlap with the pure r-family state is 4 / sqrt(det(cov_r + cov)),
     whose determinant factors into two closed-form block halves.  Each pass
@@ -246,7 +228,6 @@ def n3_bound_grid(r: float, grid_density: int = 30,
     steps = np.arange(grid_density, dtype=float)
     b = axis[:, None, None]
     best = 0.0
-    argmax = None
     for a in axis:
         ab = a * axis
         cmax = np.sqrt(np.maximum(ab - 1.0, 0.0))
@@ -267,12 +248,5 @@ def n3_bound_grid(r: float, grid_density: int = 30,
             & (det > 0.0)
         )
         overlap = np.where(ok, 4.0 / np.sqrt(np.where(ok, det, 1.0)), -np.inf)
-        k = int(np.argmax(overlap))
-        if overlap.flat[k] > best:
-            best = float(overlap.flat[k])
-            i, j, m = np.unravel_index(k, overlap.shape)
-            argmax = (float(a), float(axis[i]), float(grid[i, j]), float(grid[i, m]))
-    bound = max(0.0, 1.0 - best)
-    if with_argmax:
-        return bound, argmax
-    return bound
+        best = max(best, float(overlap.max()))
+    return max(0.0, 1.0 - best)

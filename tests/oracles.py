@@ -30,6 +30,12 @@ def real_embed(h: np.ndarray) -> np.ndarray:
     return np.block([[a, -b], [b, a]])
 
 
+def trace_norm(h: np.ndarray) -> float:
+    """Sum of absolute eigenvalues of a (near-)Hermitian matrix; equals
+    trace(h) exactly when h is PSD."""
+    return float(np.abs(np.linalg.eigvalsh(require_hermitian(h))).sum())
+
+
 def jacobi_eigenvalues(mat: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
@@ -93,8 +99,9 @@ def standard_form_overlap_grid(r: float, a: float, b: float,
 
 
 def n3_bound_grid_cells(r: float, grid_density: int):
-    """``n3_bound_grid(r, grid_density, with_argmax=True)`` one (a, b) cell
-    at a time, keeping the first cell that strictly beats the best so far."""
+    """``n3_bound_grid(r, grid_density)`` and the maximizer (a, b, c, d) it
+    reaches, one (a, b) cell at a time, keeping the first cell that strictly
+    beats the best so far."""
     axis = np.linspace(1.0, r + 4.0, grid_density)
     best = 0.0
     argmax = None

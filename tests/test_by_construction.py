@@ -22,6 +22,7 @@ from gsteer.dynamics import BathParameters, evolve, stationary_state
 from gsteer.linalg import ValidationError
 from gsteer.states import (
     GaussianState,
+    make_state,
     random_state,
     schmidt_pure_state,
     squeezed_vacuum_state,
@@ -181,8 +182,27 @@ class TestCallerInputStillChecked:
             GaussianState(1, 1, cov, np.zeros(4))
 
     def test_complex_hermitian_cov(self):
-        # the float conversion warns and drops the imaginary part
+        # rejected before the float conversion could drop the imaginary part
         h = np.eye(4, dtype=complex)
         h[0, 1], h[1, 0] = 0.3j, -0.3j
-        with pytest.warns(Warning, match="discards the imaginary part"):
+        with pytest.raises(ValidationError, match="^cov must be real$"):
             GaussianState(1, 1, h, np.zeros(4))
+        with pytest.raises(ValidationError, match="^cov must be real$"):
+            make_state(1, 1, h)
+
+    def test_complex_mean(self):
+        with pytest.raises(ValidationError, match="^mean must be real$"):
+            GaussianState(1, 1, np.eye(4), np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("name", ["K", "M", "dbar"])
+    def test_complex_channel_arrays(self, name):
+        # a complex dtype is rejected even when every imaginary part is 0
+        arrays = {"K": np.eye(4), "M": np.zeros((4, 4)), "dbar": np.zeros(4)}
+        arrays[name] = arrays[name].astype(complex)
+        with pytest.raises(ValidationError, match=f"^{name} must be real$"):
+            GaussianChannel(1, 1, arrays["K"], arrays["M"], arrays["dbar"])
+
+    def test_complex_side_channel(self):
+        for build in (side_a_channel, side_b_channel):
+            with pytest.raises(ValidationError, match="^K must be real$"):
+                build(np.eye(2, dtype=complex), np.zeros((2, 2)))

@@ -168,6 +168,15 @@ class TestCertificates:
             out = apply(ch, random_state(1, 1, 5.0, rng), enforce=False)
             assert is_unsteerable(out).ok
 
+    @pytest.mark.parametrize("certificate", [
+        is_valid_gaussian, is_unsteerable_channel, is_steering_breaking])
+    def test_overflowing_certificate_rejected(self, certificate):
+        # checked before the eigensolver sees it, with no numpy warning
+        ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
+        with pytest.raises(ValidationError,
+                           match="^channel certificate contains non-finite entries$"):
+            certificate(ch)
+
     def test_classification_bundle(self, noncert_unsteerable):
         c = classify(noncert_unsteerable)
         assert c.valid_gaussian.ok and not c.unsteerable.ok

@@ -158,6 +158,18 @@ class TestChannel:
         witness = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
         assert np.array_equal(result.cov, apply(shear, witness).cov)
 
+    def test_overflowing_certificate_exits_2_without_warnings(self, tmp_path, capsys):
+        # K = 1e200 I overflows K F K^T; a numpy warning would fail the test
+        from gsteer.channels import GaussianChannel, channel_to_json
+
+        path = tmp_path / "huge.json"
+        path.write_text(channel_to_json(
+            GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))))
+        assert main(["channel", str(path), "--classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: channel certificate contains non-finite entries\n"
+        assert captured.out == ""
+
     def test_no_action_exits_2(self, noncert_channel_file):
         assert main(["channel", noncert_channel_file]) == 2
 

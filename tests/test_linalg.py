@@ -4,19 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsteer.linalg import (
+    DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    hermitian_eigenvalues,
-    is_psd,
     random_orthogonal,
     random_orthogonal_symplectic,
     random_symplectic,
     require_hermitian,
     steering_form,
     symplectic_form,
-    trace_norm,
 )
-from oracles import jacobi_eigenvalues, real_embed
+from oracles import jacobi_eigenvalues, real_embed, trace_norm
 
 SQRT13 = 3.605551275463989
 
@@ -36,6 +34,15 @@ def pure_family_steering_matrix(gamma):
     ], dtype=complex)
     cov[2:, 2:] += 1j * omega1()
     return cov
+
+
+def checked_eigenvalues(h):
+    """The eigenvalues of the checked and symmetrized ``h``."""
+    return np.linalg.eigvalsh(require_hermitian(h))
+
+
+def psd_report(h, tol=DEFAULT_PSD_TOL):
+    return PsdReport.from_eigenvalues(np.linalg.eigvalsh(h), tol)
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -78,24 +85,24 @@ class TestSymplecticForm:
 
 class TestHermitianEigenvalues:
     def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4))
+        assert np.allclose(checked_eigenvalues(np.eye(4)), np.ones(4))
 
     def test_i_omega(self):
-        ev = hermitian_eigenvalues(1j * omega1())
+        ev = checked_eigenvalues(1j * omega1())
         assert np.allclose(ev, [-1.0, 1.0])
 
     def test_pure_family_gamma2(self):
         # closed-form spectrum {(1+2g +- sqrt(4g^2-3))/2, (2g-1 +- sqrt(4g^2-3))/2}
         expected = np.sort([(5 + SQRT13) / 2, (5 - SQRT13) / 2,
                             (3 + SQRT13) / 2, (3 - SQRT13) / 2])
-        ev = hermitian_eigenvalues(pure_family_steering_matrix(2.0))
+        ev = checked_eigenvalues(pure_family_steering_matrix(2.0))
         assert np.abs(ev - expected).max() < 1e-12
 
     def test_sorted_ascending_and_sum_matches_trace(self):
         rng = np.random.default_rng(3)
         for dim in (2, 5, 9):
             h = random_hermitian(dim, rng, scale=4.0)
-            ev = hermitian_eigenvalues(h)
+            ev = checked_eigenvalues(h)
             assert np.all(np.diff(ev) >= 0)
             norm = max(1.0, float(np.abs(h).max()))
             assert abs(ev.sum() - np.trace(h).real) <= 1e-9 * dim * norm
@@ -104,12 +111,12 @@ class TestHermitianEigenvalues:
         h = np.eye(3)
         h[0, 2] = 1e-6
         with pytest.raises(ValidationError, match=r"h\[0,2\]"):
-            hermitian_eigenvalues(h)
+            checked_eigenvalues(h)
 
     def test_tiny_defect_symmetrized(self):
         h = np.eye(3)
         h[0, 2] = 1e-13
-        ev = hermitian_eigenvalues(h)
+        ev = checked_eigenvalues(h)
         assert np.allclose(ev, np.ones(3))
 
     def test_relative_tolerance_for_large_matrices(self):
@@ -117,54 +124,35 @@ class TestHermitianEigenvalues:
         rng = np.random.default_rng(4)
         k = rng.uniform(-1e3, 1e3, (4, 4))
         g = k @ np.diag([1.0, 1.0, 2.0, 2.0]) @ k.T
-        hermitian_eigenvalues(g)
+        checked_eigenvalues(g)
 
 
 class TestRequireHermitianStack:
-    def test_stack_equals_each_matrix(self):
-        rng = np.random.default_rng(5)
-        stack = np.array([random_hermitian(4, rng, scale=3.0) for _ in range(6)])
-        stack[2, 0, 1] += 1e-14
-        out = require_hermitian(stack)
-        assert out.shape == stack.shape
-        for k in range(len(stack)):
-            assert np.array_equal(out[k], require_hermitian(stack[k]))
-
+    # require_hermitian judges one matrix; a stack is not square
     def test_scale_is_per_matrix(self):
         # 1e-9 asymmetry passes on entries ~1e4 (relative 1e-13) and fails
-        # on the identity (relative 1e-9), whatever else is in the stack
+        # on the identity (relative 1e-9)
         big = np.diag([1e4, 1.0, 1.0])
         big[0, 2] = 1e-9
         small = np.eye(3)
         small[1, 2] = 1e-9
-        require_hermitian(np.array([big, big]))
-        with pytest.raises(ValidationError, match=r"h\[1\] is not symmetric: \|h\[1,2\]"):
-            require_hermitian(np.array([big, small]), name="h")
-
-    def test_deeper_stack_names_matrix(self):
-        stack = np.tile(np.eye(2), (2, 3, 1, 1))
-        stack[1, 2, 0, 1] = 1.0
-        with pytest.raises(ValidationError, match=r"m\[1, 2\] is not symmetric"):
-            require_hermitian(stack, name="m")
-
-    def test_single_matrix_functions_reject_stacks(self):
-        # a stack passes the structural check; these judge one matrix only
-        stack = np.array([np.eye(2), -np.eye(2)])
-        assert hermitian_eigenvalues(stack).shape == (2, 2)
-        with pytest.raises(ValidationError, match="one matrix"):
-            trace_norm(stack)
-        with pytest.raises(ValidationError, match="one matrix"):
-            is_psd(stack)
+        require_hermitian(big)
+        with pytest.raises(ValidationError, match=(
+                r"^h is not symmetric: \|h\[1,2\] - conj\(h\[2,1\]\)\| = "
+                r"1\.000000e-09 exceeds 1e-12 \* 1\.000000e\+00$")):
+            require_hermitian(small, name="h")
 
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(ValidationError, match="square"):
             require_hermitian(np.zeros((2, 3, 4)))
         with pytest.raises(ValidationError, match="square"):
             require_hermitian(np.zeros(4))
-        stack = np.array([np.eye(2), np.eye(2)])
-        stack[1, 1, 1] = np.inf
+        with pytest.raises(ValidationError, match=r"^m must be square, got shape \(2, 2, 2\)$"):
+            require_hermitian(np.array([np.eye(2), np.eye(2)]), name="m")
+        h = np.eye(2)
+        h[1, 1] = np.inf
         with pytest.raises(ValidationError, match="non-finite"):
-            require_hermitian(stack)
+            require_hermitian(h)
 
 
 class TestTraceNorm:
@@ -185,7 +173,7 @@ class TestTraceNorm:
             tn = trace_norm(h)
             tr = float(np.trace(h).real)
             assert tn >= abs(tr) - 1e-10
-            psd = is_psd(h, 1e-10).ok
+            psd = psd_report(h, 1e-10).ok
             assert (abs(tn - tr) <= 1e-10 * max(1.0, tn)) == psd
 
     def test_invariant_under_orthogonal_symplectic_conjugation(self):
@@ -198,38 +186,38 @@ class TestTraceNorm:
 
 class TestIsPsd:
     def test_identity_plus_i_omega(self):
-        rep = is_psd(np.eye(2) + 1j * omega1())
+        rep = psd_report(np.eye(2) + 1j * omega1())
         assert rep.ok and rep.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
         assert rep.max_eigenvalue == pytest.approx(2.0)
 
     def test_i_omega_not_psd(self):
-        rep = is_psd(1j * omega1())
+        rep = psd_report(1j * omega1())
         assert not rep.ok
         assert rep.min_eigenvalue == pytest.approx(-1.0)
 
     def test_report_truthiness(self):
-        assert is_psd(np.eye(2))
-        assert not is_psd(-np.eye(2))
+        assert psd_report(np.eye(2))
+        assert not psd_report(-np.eye(2))
 
     def test_negative_tol_rejected(self):
         with pytest.raises(ValidationError):
-            is_psd(np.eye(2), tol=-1.0)
+            psd_report(np.eye(2), tol=-1.0)
 
     def test_nan_tol_rejected(self):
         with pytest.raises(ValidationError):
-            is_psd(np.eye(2), tol=float("nan"))
+            psd_report(np.eye(2), tol=float("nan"))
 
     def test_margin_relative_to_largest_eigenvalue(self):
-        assert is_psd(np.diag([-1.0, 4.0])).margin == -0.25
-        assert is_psd(np.diag([-0.5, 0.25])).margin == -0.5
+        assert psd_report(np.diag([-1.0, 4.0])).margin == -0.25
+        assert psd_report(np.diag([-0.5, 0.25])).margin == -0.5
 
     @given(tol1=st.floats(0, 1e-6), tol2=st.floats(0, 1e-6))
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_tol(self, tol1, tol2):
         h = np.diag([1.0, -1e-8])
         lo, hi = sorted([tol1, tol2])
-        if is_psd(h, lo).ok:
-            assert is_psd(h, hi).ok
+        if psd_report(h, lo).ok:
+            assert psd_report(h, hi).ok
 
 
 class TestRealEmbed:
@@ -255,7 +243,7 @@ class TestRealEmbed:
         rng = np.random.default_rng(21)
         for dim in (2, 4, 7, 12):
             h = random_hermitian(dim, rng, scale=2.0)
-            direct = hermitian_eigenvalues(h)
+            direct = checked_eigenvalues(h)
             embedded = np.linalg.eigvalsh(real_embed(h))
             assert np.abs(embedded - np.repeat(direct, 2)).max() < 1e-10
 
@@ -273,7 +261,7 @@ class TestJacobi:
         rng = np.random.default_rng(33)
         for _ in range(20):
             h = random_hermitian(4, rng, scale=3.0)
-            direct = hermitian_eigenvalues(h)
+            direct = checked_eigenvalues(h)
             via_jacobi = jacobi_eigenvalues(real_embed(h))
             assert np.abs(via_jacobi - np.repeat(direct, 2)).max() < 1e-10
 

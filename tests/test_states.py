@@ -209,6 +209,15 @@ class TestRandomState:
         with pytest.raises(ValidationError):
             random_state(1, 1, 0.5, 0)
 
+    @pytest.mark.parametrize("modes", [(0, 1), (2, -1), (0, 0)])
+    def test_rejects_nonpositive_mode_counts_before_drawing(self, modes):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        message = rf"^mode counts must be positive, got \({modes[0]}, {modes[1]}\)$"
+        with pytest.raises(ValidationError, match=message):
+            random_state(*modes, 5.0, rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("vmax", [np.nan, np.inf])
     def test_rejects_nonfinite_max_eigenvalue(self, vmax):
         with pytest.raises(ValidationError, match="max_sympl_eigen must be >= 1"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsteer import fixtures
-from gsteer.linalg import ValidationError, hermitian_eigenvalues, random_orthogonal, random_orthogonal_symplectic
+from gsteer.linalg import DEFAULT_PSD_TOL, ValidationError, random_orthogonal, random_orthogonal_symplectic
 from gsteer.states import (
     make_state,
     mix_covariances,
@@ -15,13 +15,13 @@ from gsteer.states import (
 )
 from gsteer.steering import (
     SteeringReport,
+    _j_values_of_stack,
     is_unsteerable,
     j1,
     j2,
     j_closed_schmidt,
     j_closed_standard,
     j_values,
-    j_values_stack,
     n3_bound_grid,
     n3_upper_bound_pure,
     pure_family_state,
@@ -49,14 +49,14 @@ class TestSteeringMatrix:
         s = make_state(1, 1, np.eye(4))
         m = steering_matrix(s)
         assert np.array_equal(m[:2, :2], np.eye(2))
-        assert np.allclose(hermitian_eigenvalues(m), [0.0, 1.0, 1.0, 2.0])
+        assert np.allclose(np.linalg.eigvalsh(m), [0.0, 1.0, 1.0, 2.0])
 
     def test_pure_family_r1_spectrum(self):
-        ev = hermitian_eigenvalues(steering_matrix(pure_family_state(1.0)))
+        ev = np.linalg.eigvalsh(steering_matrix(pure_family_state(1.0)))
         assert np.allclose(ev, [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
     def test_pure_family_r2_negative_eigenvalue(self):
-        ev = hermitian_eigenvalues(steering_matrix(pure_family_state(2.0)))
+        ev = np.linalg.eigvalsh(steering_matrix(pure_family_state(2.0)))
         assert ev[0] == pytest.approx(MIN_EIG_R2, abs=1e-12)
 
     def test_offset_only_on_b_block(self):
@@ -144,7 +144,7 @@ class TestJValuesStack:
             states = [random_state(1, modes_b, 4.0, rng) for _ in range(30)]
             covs = np.array([st.cov for st in states])
             for tol in (1e-9, 1e-6, 0.0):
-                j1s, j2s = j_values_stack(covs, 1, modes_b, tol)
+                j1s, j2s = _j_values_of_stack(covs, 1, modes_b, tol)
                 assert [(a, b) for a, b in zip(j1s, j2s)] == [j_values(st, tol) for st in states]
                 assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
 
@@ -163,26 +163,10 @@ class TestJValuesStack:
             rows.append(make_state(1, 2, cov))
         covs = np.array([st.cov for st in rows])
         for tol in (1e-9, 1e-8, 0.0):
-            j1s, j2s = j_values_stack(covs, 1, 2, tol)
+            j1s, j2s = _j_values_of_stack(covs, 1, 2, tol)
             assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
         # at tol 0 rounding makes some rotated rows steerable
         assert np.count_nonzero(j2s[1:]) > 0
-
-    def test_shape_and_structure_checked(self):
-        covs = np.array([np.eye(4), np.eye(4)])
-        with pytest.raises(ValidationError, match="shape"):
-            j_values_stack(covs, 1, 2)
-        with pytest.raises(ValidationError, match="shape"):
-            j_values_stack(np.eye(4), 1, 1)
-        with pytest.raises(ValidationError, match="mode counts"):
-            j_values_stack(covs, 0, 2)
-        bad = covs.copy()
-        bad[1, 0, 3] = 0.5
-        with pytest.raises(ValidationError, match=r"cov\[1\] is not symmetric"):
-            j_values_stack(bad, 1, 1)
-        bad[1, 0, 3] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
-            j_values_stack(bad, 1, 1)
 
 
 def unsteerable_states(count, seed):
@@ -209,7 +193,7 @@ class TestNegativeSpectrumForm:
                     j1_val, j2_val = j_values(s, tol, clamp)
                     assert j1_val == j2_val / np.trace(s.cov)
             covs = np.array([s.cov for s in states])
-            j1s, j2s = j_values_stack(covs, 1, modes_b, tol)
+            j1s, j2s = _j_values_of_stack(covs, 1, modes_b, tol)
             assert np.array_equal(j1s, j2s / np.trace(covs, axis1=1, axis2=2))
             assert np.any(j2s > 0.0)
 
@@ -385,7 +369,7 @@ class TestBoundChain:
         assert covs.shape == (901, 4, 4)
         for r, cov in zip(self.RS, covs):
             assert cov.tobytes() == pure_family_state(r).cov.tobytes()
-        assert (j_values_stack(covs, 1, 1)[1].tolist()
+        assert (_j_values_of_stack(covs, 1, 1, DEFAULT_PSD_TOL)[1].tolist()
                 == [j2(pure_family_state(r)) for r in self.RS])
 
     def test_matches_per_r_loop(self):
@@ -466,14 +450,29 @@ class TestFidelityBound:
         assert vals[0] >= vals[1] >= vals[2]
 
     def test_grid_between_closed_bound_and_j2(self):
-        for r in (2.0, 3.0):
-            v = n3_bound_grid(r, grid_density=17)
-            assert n3_upper_bound_pure(r) - 1e-12 <= v <= j2(pure_family_state(r)) + 1e-6
+        for r in (2.0, 3.0, 5.0):
+            for density in (17, 20, 30):
+                v = n3_bound_grid(r, grid_density=density)
+                assert n3_upper_bound_pure(r) - 1e-12 <= v <= j2(pure_family_state(r)) + 1e-6
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0, 5.0, 10.0, 100.0])
+    def test_closed_bound_attained_by_unsteerable_witness(self, r):
+        # a = 2(r+1)/(r+3), b = (3r+1)/(r+3), c = -d = sqrt(ab - a) is a
+        # standard form on the steering boundary (ab - c^2)(ab - d^2) = a^2
+        # whose overlap with the r-family state gives the closed bound z(r)
+        a = 2.0 * (r + 1.0) / (r + 3.0)
+        b = (3.0 * r + 1.0) / (r + 3.0)
+        c = math.sqrt(a * b - a)
+        witness = standard_form_state(a, b, c, -c)
+        assert is_unsteerable(witness, 1e-9).ok
+        overlap = pure_overlap_2mode(pure_family_state(r), witness)
+        assert abs((1.0 - overlap) - n3_upper_bound_pure(r)) <= 1e-12
 
     def test_grid_argmax_reproduces_bound_through_state_overlap(self):
-        # independent route: rebuild the recorded maximizer as a state and
+        # independent route: rebuild the oracle's maximizer as a state and
         # recompute the overlap through the 4x4 determinant
-        bound, (a, b, c, d) = n3_bound_grid(2.0, grid_density=13, with_argmax=True)
+        bound = n3_bound_grid(2.0, grid_density=13)
+        a, b, c, d = n3_bound_grid_cells(2.0, 13)[1]
         sigma = standard_form_state(a, b, c, d)
         assert is_unsteerable(sigma, 1e-9).ok
         overlap = pure_overlap_2mode(pure_family_state(2.0), sigma)
@@ -481,13 +480,10 @@ class TestFidelityBound:
 
     @pytest.mark.parametrize("density", [2, 5, 13, 20, 30])
     def test_grid_matches_cell_by_cell_oracle(self, density):
-        # value and maximizer equal, not close: same cells, same arithmetic,
-        # same first-occurrence tie-break
+        # equal, not close: same cells, same arithmetic
         rs = [1.0, 2.0, 3.0, 5.0] + np.random.default_rng(density).uniform(1.0, 6.0, 3).tolist()
         for r in rs:
-            expected = n3_bound_grid_cells(r, density)
-            assert n3_bound_grid(r, density, with_argmax=True) == expected, r
-            assert n3_bound_grid(r, density) == expected[0], r
+            assert n3_bound_grid(r, density) == n3_bound_grid_cells(r, density)[0], r
 
     def test_inequality_matches_psd_criterion(self):
         # closed unsteerability inequality for standard forms vs the PSD test
