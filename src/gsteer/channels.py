@@ -29,7 +29,13 @@ from .linalg import (
     require_hermitian,
     steering_form,
 )
-from .states import GaussianState, ensure_bona_fide, mode_counts, random_state, validate_state
+from .states import (
+    GaussianState,
+    _integer_counts,
+    ensure_bona_fide,
+    random_state,
+    validate_state,
+)
 from .steering import is_unsteerable
 
 
@@ -55,9 +61,11 @@ class GaussianChannel:
     dbar: np.ndarray
 
     def __post_init__(self):
-        if self.modes_a < 0 or self.modes_b < 0 or self.modes_a + self.modes_b < 1:
-            raise ValidationError(
-                f"invalid mode partition ({self.modes_a}, {self.modes_b})")
+        modes_a, modes_b = _integer_counts(self.modes_a, self.modes_b)
+        if modes_a < 0 or modes_b < 0 or modes_a + modes_b < 1:
+            raise ValidationError(f"invalid mode partition ({modes_a}, {modes_b})")
+        object.__setattr__(self, "modes_a", modes_a)
+        object.__setattr__(self, "modes_b", modes_b)
         for name in ("K", "M", "dbar"):
             if np.iscomplexobj(getattr(self, name)):
                 raise ValidationError(f"{name} must be real")
@@ -360,11 +368,10 @@ def channel_from_json(text: str) -> GaussianChannel:
     missing = {"modes_a", "modes_b", "K", "M", "dbar"} - set(doc)
     if missing:
         raise ValidationError(f"channel document missing keys: {sorted(missing)}")
-    modes_a, modes_b = mode_counts(doc)
     try:
         k = np.array(doc["K"], dtype=float)
         m = np.array(doc["M"], dtype=float)
         dbar = np.array(doc["dbar"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"K/M/dbar must be numeric arrays: {exc}") from None
-    return GaussianChannel(modes_a, modes_b, k, m, dbar)
+    return GaussianChannel(doc["modes_a"], doc["modes_b"], k, m, dbar)

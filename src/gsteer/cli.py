@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .channels import (
+    PREDICATES,
     SamplingAbortError,
     apply,
     channel_from_json,
@@ -40,7 +41,7 @@ from .states import (
     validate_state,
 )
 from .steering import is_unsteerable, steering_report
-from .verify import run_suite
+from .verify import DEFAULT_SEED, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,7 +130,11 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--tmax must be finite and nonnegative, got {args.tmax}")
     bath = BathParameters(args.nth, args.R, args.phi, args.lam)
     start = squeezed_vacuum_state(args.r)
-    t_grid = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
+    try:
+        t_grid = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
+    except ValueError:  # numpy refuses a grid whose length it cannot size
+        raise ValidationError(
+            f"--tmax {args.tmax} and --dt {args.dt} give too many grid points") from None
     trajectory = sweep(start, bath, t_grid, tol=args.tol)
     _write_output(trajectory.to_csv(), args.output)
     return EXIT_OK
@@ -209,15 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel_file")
     p.add_argument("--n", type=int, default=10000, help="number of samples")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--predicate", choices=("bona-fide", "unsteerable-preserving"),
-                   default="bona-fide")
+    p.add_argument("--predicate", choices=PREDICATES, default="bona-fide")
     p.add_argument("--max-sympl-eigen", type=float, default=5.0,
                    help="upper edge of the sampled symplectic spectrum")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="replay the regression and property suites")
-    p.add_argument("--suite", choices=("paper", "properties", "all"), default="all")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--suite", choices=tuple(SUITES), default="all")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -2,8 +2,9 @@
 
 All quantities are dimensionless (hbar = 1, so the vacuum covariance matrix is
 the identity) and quadratures are ordered (Q1, P1, Q2, P2, ...).  Matrices are
-plain numpy arrays; every function here is pure, so values can be shared freely
-between threads.
+plain numpy arrays.  Every function here is pure except the random matrix
+generators, which advance the numpy Generator they are given; the cached
+forms are read-only, so values can be shared freely between threads.
 """
 
 from __future__ import annotations

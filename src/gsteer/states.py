@@ -35,6 +35,7 @@ faithful.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,23 @@ from .linalg import (
 )
 
 
-def _check_mode_counts(modes_a: int, modes_b: int) -> None:
+def _integer_counts(modes_a, modes_b) -> tuple[int, int]:
+    """``modes_a`` and ``modes_b`` as Python ints; they must be integers, and
+    bools, which Python counts as int, are rejected."""
+    if type(modes_a) is int and type(modes_b) is int:
+        return modes_a, modes_b
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in (modes_a, modes_b)):
+        raise ValidationError(
+            f"modes_a and modes_b must be integers, got {modes_a!r} and {modes_b!r}")
+    return int(modes_a), int(modes_b)
+
+
+def _check_mode_counts(modes_a, modes_b) -> tuple[int, int]:
+    modes_a, modes_b = _integer_counts(modes_a, modes_b)
     if modes_a < 1 or modes_b < 1:
         raise ValidationError(f"mode counts must be positive, got ({modes_a}, {modes_b})")
+    return modes_a, modes_b
 
 
 class BonaFideError(ValidationError):
@@ -80,12 +95,12 @@ class GaussianState:
     mean: np.ndarray
 
     def __post_init__(self):
+        modes_a, modes_b = _check_mode_counts(self.modes_a, self.modes_b)
         for name in ("cov", "mean"):
             if np.iscomplexobj(getattr(self, name)):
                 raise ValidationError(f"{name} must be real")
         cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
-        _check_mode_counts(self.modes_a, self.modes_b)
-        dim = 2 * (self.modes_a + self.modes_b)
+        dim = 2 * (modes_a + modes_b)
         mean = np.array(self.mean, dtype=float)
         if cov.shape != (dim, dim):
             raise ValidationError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
@@ -94,8 +109,9 @@ class GaussianState:
         require_finite(mean, "mean")
         cov.setflags(write=False)
         mean.setflags(write=False)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "mean", mean)
+        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
+                            ("cov", cov), ("mean", mean)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _by_construction(cls, modes_a: int, modes_b: int, cov: np.ndarray,
@@ -154,16 +170,6 @@ def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
     return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean))
 
 
-def mode_counts(doc: dict) -> tuple[int, int]:
-    """``modes_a`` and ``modes_b`` of a parsed document, which must be JSON
-    integers (``true``/``false`` are rejected, though Python counts bool as int)."""
-    counts = doc["modes_a"], doc["modes_b"]
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in counts):
-        raise ValidationError(
-            f"modes_a and modes_b must be integers, got {counts[0]!r} and {counts[1]!r}")
-    return counts
-
-
 def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
     """Verify the (1+1)-mode standard-form constraints, naming any failure.
 
@@ -198,6 +204,22 @@ def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState
     return make_state(1, 1, cov)
 
 
+def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:
+    """The checked mode counts and mixing factors of a phase-space Schmidt
+    form: min(modes_a, modes_b) factors, each finite and >= 1."""
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
+    k = min(modes_a, modes_b)
+    if gammas.shape != (k,):
+        raise ValidationError(
+            f"expected {k} mixing factors for a ({modes_a}+{modes_b})-mode state, "
+            f"got {gammas.shape}")
+    for idx, g in enumerate(gammas):
+        if not np.isfinite(g) or g < 1.0:
+            raise ValidationError(f"mixing factor gamma[{idx}] = {g} must be >= 1")
+    return modes_a, modes_b, gammas
+
+
 def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     """Pure-state covariance in phase-space Schmidt form (bona fide: pure, every
     symplectic eigenvalue is 1).
@@ -206,16 +228,8 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     off-diagonal block diag(sqrt(gamma_k^2 - 1), -sqrt(gamma_k^2 - 1)); the
     |modes_a - modes_b| unpaired modes on the larger side are vacuum.
     """
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
     k = min(modes_a, modes_b)
-    _check_mode_counts(modes_a, modes_b)
-    if gammas.shape != (k,):
-        raise ValidationError(
-            f"expected {k} mixing factors for a ({modes_a}+{modes_b})-mode state, "
-            f"got {gammas.shape}")
-    for idx, g in enumerate(gammas):
-        if not np.isfinite(g) or g < 1.0:
-            raise ValidationError(f"mixing factor gamma[{idx}] = {g} must be >= 1")
     with np.errstate(over="ignore"):
         couplings = np.sqrt(gammas**2 - 1.0)
     if not np.isfinite(couplings).all():
@@ -270,7 +284,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     [-1, 1], then returns S diag(nu) S^T with zero mean.  Deterministic for a
     fixed integer seed; pass independent generators for parallel sampling.
     """
-    _check_mode_counts(modes_a, modes_b)
+    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
         raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
     rng = np.random.default_rng(rng)
@@ -320,11 +334,10 @@ def state_from_json(text: str, require_bona_fide: bool = True) -> GaussianState:
     missing = {"modes_a", "modes_b", "cov", "mean"} - set(doc)
     if missing:
         raise ValidationError(f"state document missing keys: {sorted(missing)}")
-    modes_a, modes_b = mode_counts(doc)
     try:
         cov = np.array(doc["cov"], dtype=float)
         mean = np.array(doc["mean"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cov/mean must be numeric arrays: {exc}") from None
-    state = GaussianState(modes_a, modes_b, cov, mean)
+    state = GaussianState(doc["modes_a"], doc["modes_b"], cov, mean)
     return ensure_bona_fide(state) if require_bona_fide else state

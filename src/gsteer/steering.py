@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol, steering_form
-from .states import GaussianState, check_standard_form_params
+from .states import GaussianState, _schmidt_factors, check_standard_form_params
 
 
 def steering_matrix(state: GaussianState) -> np.ndarray:
@@ -134,12 +134,7 @@ def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
              / [sum_k 4g_k + 2|n - m|] - 1
         j2 = sum_k (1 - 2g_k + sqrt(4g_k^2 - 3)).
     """
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    if gammas.shape != (min(modes_a, modes_b),):
-        raise ValidationError(
-            f"expected {min(modes_a, modes_b)} mixing factors, got {gammas.shape}")
-    if np.any(gammas < 1.0):
-        raise ValidationError("all mixing factors must be >= 1")
+    modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
     root = np.sqrt(4.0 * gammas**2 - 3.0)
     pad = 2.0 * abs(modes_b - modes_a)
     num = float(np.sum(1.0 + 2.0 * gammas + root)) + pad
@@ -168,11 +163,15 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
     return j1_val, j2_val
 
 
+def _check_family_parameter(r: float) -> None:
+    if not np.isfinite(r) or r < 1.0:
+        raise ValidationError(f"family parameter must be >= 1, got {r}")
+
+
 def pure_family_state(r: float) -> GaussianState:
     """The r-parametrized (1+1)-mode pure family: Schmidt form with gamma = r
     (bona fide: pure, every symplectic eigenvalue is 1)."""
-    if not np.isfinite(r) or r < 1.0:
-        raise ValidationError(f"family parameter must be >= 1, got {r}")
+    _check_family_parameter(r)
     r = float(r)
     s = math.sqrt(r * r - 1.0)  # a Python float overflows to inf without a warning
     if not math.isfinite(s):
@@ -200,8 +199,7 @@ def _pure_family_covs(r: np.ndarray) -> np.ndarray:
 def n3_upper_bound_pure(r: float) -> float:
     """Closed-form upper bound 1 - 4/(r + 3) on the fidelity-based steering
     measure for the r-parametrized pure family; zero iff r = 1."""
-    if not np.isfinite(r) or r < 1.0:
-        raise ValidationError(f"family parameter must be >= 1, got {r}")
+    _check_family_parameter(r)
     return 1.0 - 4.0 / (r + 3.0)
 
 
@@ -219,8 +217,7 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     of the loop evaluates one value of a over all (b, c, d) cells, so memory
     grows as grid_density**3.
     """
-    if not np.isfinite(r) or r < 1.0:
-        raise ValidationError(f"family parameter must be >= 1, got {r}")
+    _check_family_parameter(r)
     if grid_density < 2:
         raise ValidationError(f"grid_density must be >= 2, got {grid_density}")
     axis = np.linspace(1.0, r + 4.0, grid_density)

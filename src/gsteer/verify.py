@@ -80,6 +80,17 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # randomized trial engines (shared with the test suite)
 
+def _count(n_trials: int, rng, violated) -> int:
+    """Run trials i = 0, ..., n_trials - 1 as ``violated(i, rng)`` on one
+    Generator and count those that report a violation."""
+    rng = np.random.default_rng(rng)
+    return sum(1 for i in range(n_trials) if violated(i, rng))
+
+
+def _partition(i: int) -> tuple[int, int]:
+    return (1, 1) if i % 2 == 0 else (1, 2)
+
+
 def _random_unsteerable(modes_a, modes_b, rng):
     while True:
         s = random_state(modes_a, modes_b, 5.0, rng)
@@ -87,89 +98,68 @@ def _random_unsteerable(modes_a, modes_b, rng):
             return s
 
 
-def _random_psd(dim, rng, scale=0.5):
-    w = rng.standard_normal((dim, dim)) * scale
+def _random_psd(dim, rng):
+    w = rng.standard_normal((dim, dim)) * 0.5
     return w @ w.T
 
 
 def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for _ in range(n_trials):
+    def violated(i, rng):
         s = random_state(modes_a, modes_b, FAITHFULNESS_VMAX, rng)
         j1_val, j2_val = j_values(s, FAITHFULNESS_TOL)
         verdict = bool(is_unsteerable(s, FAITHFULNESS_TOL).ok)
-        if not ((j1_val == 0.0) == (j2_val == 0.0) == verdict):
-            violations += 1
-    return violations
+        return not ((j1_val == 0.0) == (j2_val == 0.0) == verdict)
+    return _count(n_trials, rng, violated)
 
 
 def upward_closure_trials(n_trials: int, rng) -> int:
     """Adding a PSD matrix to an unsteerable covariance must stay unsteerable
     (the sum is bona fide, so it is built without a test)."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for _ in range(n_trials):
+    def violated(i, rng):
         s = _random_unsteerable(1, 1, rng)
         bigger = GaussianState(1, 1, s.cov + _random_psd(s.dim, rng), s.mean)
-        if not is_unsteerable(bigger, TRIAL_TOL).ok:
-            violations += 1
-    return violations
-
-
-def _random_side_a(modes: int, rng) -> GaussianChannel:
-    dim = 2 * modes
-    return side_a_channel(rng.uniform(-1.0, 1.0, (dim, dim)), _random_psd(dim, rng))
+        return not is_unsteerable(bigger, TRIAL_TOL).ok
+    return _count(n_trials, rng, violated)
 
 
 def local_channel_trials(n_trials: int, rng) -> int:
     """Tensor products of valid local channels: certified unsteerable and
     empirically unsteerability-preserving."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for _ in range(n_trials):
+    def violated(i, rng):
         ch = random_local_channel(1, 1, rng)
         if not is_unsteerable_channel(ch, TRIAL_TOL).ok:
-            violations += 1
-            continue
+            return True  # one violation, and no state is drawn
         s = _random_unsteerable(1, 1, rng)
-        out = apply(ch, s, enforce=False)
-        if not is_unsteerable(out, TRIAL_TOL).ok:
-            violations += 1
-    return violations
+        return not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok
+    return _count(n_trials, rng, violated)
 
 
 def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     """Random A-side x B-side channel satisfying both side conditions."""
     rng = np.random.default_rng(rng)
-    ch_a = _random_side_a(modes_a, rng)
-    dim_b = 2 * modes_b
+    dim_a, dim_b = 2 * modes_a, 2 * modes_b
+    ch_a = side_a_channel(rng.uniform(-1.0, 1.0, (dim_a, dim_a)), _random_psd(dim_a, rng))
     k_b = rng.uniform(-1.0, 1.0, (dim_b, dim_b))
     omega = steering_form(0, modes_b)
     part = certificate_matrix(k_b, 0.0, omega, omega)
     alpha = max(0.0, -float(np.linalg.eigvalsh(part)[0]))
     m_b = _random_psd(dim_b, rng) + (alpha + CHANNEL_SLACK) * np.eye(dim_b)
-    ch_b = side_b_channel(k_b, m_b)
-    return tensor_local(ch_a, ch_b)
+    return tensor_local(ch_a, side_b_channel(k_b, m_b))
 
 
 def certified_channel_trials(n_trials: int, rng) -> int:
     """Channels passing the unsteerable certificate keep unsteerable states
     unsteerable; partitions alternate between (1+1) and (1+2)."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for i in range(n_trials):
-        modes_a, modes_b = (1, 1) if i % 2 == 0 else (1, 2)
+    def violated(i, rng):
+        modes_a, modes_b = _partition(i)
         ch = random_unsteerable_channel(modes_a, modes_b, rng)
         if not (is_unsteerable_channel(ch, TRIAL_TOL).ok
                 and is_valid_gaussian(ch, TRIAL_TOL).ok):
-            violations += 1
-            continue
+            return True  # one violation, and no state is drawn
         s = _random_unsteerable(modes_a, modes_b, rng)
-        if not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok:
-            violations += 1
-    return violations
+        return not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok
+    return _count(n_trials, rng, violated)
 
 
 def local_symplectic_trials(n_trials: int, rng) -> int:
@@ -180,9 +170,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
     but not their size, so the tolerant verdict is only meaningful away from
     the boundary.
     """
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for _ in range(n_trials):
+    def violated(i, rng):
         while True:
             s = random_state(1, 1, 2.0, rng)
             rep = is_unsteerable(s, TRIAL_TOL)
@@ -193,16 +181,13 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
         k[2:, 2:] = random_symplectic(1, rng, scale=0.5)
         ch = GaussianChannel(1, 1, k, np.zeros((4, 4)), np.zeros(4))
         out = apply(ch, s, enforce=False)
-        if bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok):
-            violations += 1
-    return violations
+        return bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok)
+    return _count(n_trials, rng, violated)
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:
     """Raw j2 is convex and raw j1 subadditive-plus-one over covariance mixing."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for _ in range(n_trials):
+    def violated(i, rng):
         s1 = random_state(1, 1, 3.0, rng)
         s2 = random_state(1, 1, 3.0, rng)
         p1 = float(rng.random())
@@ -210,20 +195,16 @@ def mixture_bound_trials(n_trials: int, rng) -> int:
         j1_mix, j2_mix = j_values(mix, clamp=False)
         j1_a, j2_a = j_values(s1, clamp=False)
         j1_b, j2_b = j_values(s2, clamp=False)
-        if j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + TRIAL_SLACK:
-            violations += 1
-        elif j1_mix > j1_a + j1_b + 1.0 + TRIAL_SLACK:
-            violations += 1
-    return violations
+        return (j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + TRIAL_SLACK
+                or j1_mix > j1_a + j1_b + 1.0 + TRIAL_SLACK)
+    return _count(n_trials, rng, violated)
 
 
 def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
     """j1 and j2 never increase under K_A orthogonal, K_B orthogonal
     symplectic, with arbitrary PSD local noise."""
-    rng = np.random.default_rng(rng)
-    violations = 0
-    for i in range(n_trials):
-        modes_a, modes_b = (1, 1) if i % 2 == 0 else (1, 2)
+    def violated(i, rng):
+        modes_a, modes_b = _partition(i)
         s = random_state(modes_a, modes_b, 2.0, rng)
         da, db = 2 * modes_a, 2 * modes_b
         k = np.zeros((da + db, da + db))
@@ -236,9 +217,8 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
         out = apply(ch, s, enforce=False)
         j1_in, j2_in = j_values(s, clamp=False)
         j1_out, j2_out = j_values(out, clamp=False)
-        if j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK:
-            violations += 1
-    return violations
+        return j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK
+    return _count(n_trials, rng, violated)
 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
@@ -303,10 +283,9 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
     shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
     j2_in = j2(state)
     j2_out = j2(apply(shear, state))
-    results.append(CheckResult("shear-witness-j2-input", abs(j2_in - 0.0148) <= 5e-4,
-                               "0.0148", f"{j2_in:.6f}", "5e-4"))
-    results.append(CheckResult("shear-witness-j2-output", abs(j2_out - 0.0152) <= 5e-4,
-                               "0.0152", f"{j2_out:.6f}", "5e-4"))
+    for side, got, want in (("input", j2_in, "0.0148"), ("output", j2_out, "0.0152")):
+        results.append(CheckResult(f"shear-witness-j2-{side}", abs(got - float(want)) <= 5e-4,
+                                   want, f"{got:.6f}", "5e-4"))
     results.append(CheckResult("shear-witness-j2-increases", j2_out > j2_in,
                                "j2 output > j2 input", f"{j2_out:.6f} vs {j2_in:.6f}",
                                "strict"))
@@ -358,12 +337,11 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
                                detail or "holds on r in [1, 10] step 0.01", "1e-9"))
 
     # Monte-Carlo falsification checks for the two non-certified channels
-    rep1 = sample_verify(ch1, mc_samples, seed, "bona-fide")
-    results.append(_count_check("mc-bonafide-preserved", rep1.violations,
-                                mc_samples, "1e-8"))
-    rep2 = sample_verify(ch2, mc_samples, seed + 1, "unsteerable-preserving")
-    results.append(_count_check("mc-unsteerable-preserved", rep2.violations,
-                                mc_samples, "1e-8"))
+    for name, ch, offset, predicate in (
+            ("mc-bonafide-preserved", ch1, 0, "bona-fide"),
+            ("mc-unsteerable-preserved", ch2, 1, "unsteerable-preserving")):
+        report = sample_verify(ch, mc_samples, seed + offset, predicate)
+        results.append(_count_check(name, report.violations, mc_samples, "1e-8"))
 
     # decay curves: monotone nonincreasing j2, terminal < 1e-3, envelope holds
     start = squeezed_vacuum_state(1.0)
@@ -381,18 +359,15 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
             "1e-9"))
 
     # first-passage orderings: stronger bath squeezing / heat acts faster
-    passages_r = [first_passage_time(start, BathParameters(0.0, rr, 0.0, 0.1),
-                                     0.01, 10.0, 0.001) for rr in (2.0, 3.0, 5.0)]
-    results.append(CheckResult("decay-ordering-bath-squeezing",
-                               passages_r[0] > passages_r[1] > passages_r[2],
-                               "first passage decreasing in R",
-                               str(passages_r), "grid 1e-3"))
-    passages_n = [first_passage_time(start, BathParameters(nth, 0.5, 0.0, 0.1),
-                                     0.01, 10.0, 0.001) for nth in (10.0, 20.0, 30.0)]
-    results.append(CheckResult("decay-ordering-thermal-number",
-                               passages_n[0] > passages_n[1] > passages_n[2],
-                               "first passage decreasing in n_th",
-                               str(passages_n), "grid 1e-3"))
+    for name, label, baths in (
+            ("decay-ordering-bath-squeezing", "R",
+             [BathParameters(0.0, rr, 0.0, 0.1) for rr in (2.0, 3.0, 5.0)]),
+            ("decay-ordering-thermal-number", "n_th",
+             [BathParameters(nth, 0.5, 0.0, 0.1) for nth in (10.0, 20.0, 30.0)])):
+        passages = [first_passage_time(start, bath, 0.01, 10.0, 0.001) for bath in baths]
+        results.append(CheckResult(name, passages[0] > passages[1] > passages[2],
+                                   f"first passage decreasing in {label}",
+                                   str(passages), "grid 1e-3"))
 
     # fidelity-bound grid estimates against the closed bound ordering
     v1_grid = n3_bound_grid(1.0, grid_density)
@@ -400,10 +375,10 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
                                "<= 1e-3", f"{v1_grid:.6e}", "1e-3"))
     for r in (2.0, 3.0, 5.0):
         v = n3_bound_grid(r, grid_density)
-        ok = 0.0 <= v <= j2(pure_family_state(r)) + 1e-6
-        results.append(CheckResult(f"fidelity-grid-r{r:g}", ok,
+        j2_r = j2(pure_family_state(r))
+        results.append(CheckResult(f"fidelity-grid-r{r:g}", 0.0 <= v <= j2_r + 1e-6,
                                    f"0 <= value <= j2({r:g}) + 1e-6",
-                                   f"{v:.6f} (j2 = {j2(pure_family_state(r)):.6f}, "
+                                   f"{v:.6f} (j2 = {j2_r:.6f}, "
                                    f"z = {n3_upper_bound_pure(r):.6f})", "1e-6"))
     return results
 
@@ -432,11 +407,11 @@ def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return results
 
 
+SUITES = {"paper": (paper_suite,), "properties": (properties_suite,),
+          "all": (paper_suite, properties_suite)}
+
+
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    if suite == "paper":
-        return paper_suite(seed)
-    if suite == "properties":
-        return properties_suite(seed)
-    if suite == "all":
-        return paper_suite(seed) + properties_suite(seed)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return [result for part in SUITES[suite] for result in part(seed)]

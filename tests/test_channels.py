@@ -324,6 +324,17 @@ class TestJson:
         with pytest.raises(ValidationError, match="missing"):
             channel_from_json('{"modes_a": 1, "modes_b": 1}')
 
+    def test_numpy_integer_modes_round_trip(self):
+        ch = GaussianChannel(np.int64(1), np.int64(0), np.eye(2), np.zeros((2, 2)), np.zeros(2))
+        assert type(ch.modes_a) is int and type(ch.modes_b) is int
+        back = channel_from_json(channel_to_json(ch))
+        assert (back.modes_a, back.modes_b) == (1, 0)
+
+    @pytest.mark.parametrize("modes", [(True, 1), (1, False), (1.0, 1), (1, 1.0)])
+    def test_record_rejects_what_its_document_rejects(self, modes):
+        with pytest.raises(ValidationError, match="must be integers"):
+            GaussianChannel(*modes, np.eye(4), np.zeros((4, 4)), np.zeros(4))
+
     def test_fixture_descriptions_ignored(self):
         doc = json.loads(fixtures.fixture_text(fixtures.CHANNEL_SHEAR_LOCAL))
         assert "description" in doc

@@ -222,6 +222,14 @@ class TestSweep:
         assert main(["sweep", flag, value]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
 
+    # only grids numpy refuses to size: one it would try to allocate (say
+    # 1e10 points) could exhaust the machine's memory
+    @pytest.mark.parametrize("tmax, dt", [("1e300", "1e-300"), ("1e20", "1e-3")])
+    def test_unsizable_grid_exits_2(self, tmax, dt, capsys):
+        assert main(["sweep", "--tmax", tmax, "--dt", dt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tmax ") and "--dt " in err
+
     def test_invalid_bath_exits_2(self):
         assert main(["sweep", "--nth", "-1"]) == 2
 

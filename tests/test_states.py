@@ -326,6 +326,24 @@ class TestJson:
         with pytest.raises(ValidationError):
             state_from_json('{"modes_a": 1.5, "modes_b": 1, "cov": [[1]], "mean": [0]}')
 
+    def test_numpy_integer_modes_round_trip(self):
+        s = GaussianState(np.int64(1), np.int64(2), np.eye(6), np.zeros(6))
+        assert type(s.modes_a) is int and type(s.modes_b) is int
+        back = state_from_json(state_to_json(s))
+        assert (back.modes_a, back.modes_b) == (1, 2)
+
+    @pytest.mark.parametrize("modes", [(True, 1), (1, False), (1.0, 1), (1, 2.0)])
+    def test_record_rejects_what_its_document_rejects(self, modes):
+        with pytest.raises(ValidationError, match="must be integers"):
+            GaussianState(*modes, np.eye(4), np.zeros(4))
+
+    @pytest.mark.parametrize("build", [lambda: random_state(1.0, 1, 2.0, 0),
+                                       lambda: schmidt_pure_state(1.5, 1, [2.0])],
+                             ids=["random_state", "schmidt_pure_state"])
+    def test_constructors_reject_non_integer_modes(self, build):
+        with pytest.raises(ValidationError, match="must be integers"):
+            build()
+
     def test_unknown_keys_ignored(self):
         text = state_to_json(squeezed_vacuum_state(0.0))
         doc = json.loads(text)

@@ -324,6 +324,14 @@ class TestClosedFormSchmidt:
         with pytest.raises(ValidationError):
             j_closed_schmidt(1, 1, [0.5])
 
+    @pytest.mark.parametrize("modes, gammas", [((1, 1), [np.nan]), ((1, 1), [np.inf]),
+                                               ((0, 1), []), ((1, 0), [])])
+    def test_rejects_what_schmidt_pure_state_rejects(self, modes, gammas):
+        # the closed form used to return (nan, nan), warn, or (0.0, 0.0) here
+        for build in (j_closed_schmidt, schmidt_pure_state):
+            with pytest.raises(ValidationError):
+                build(*modes, gammas)
+
 
 class TestClosedFormStandard:
     def test_unsteerable_region(self):
@@ -405,6 +413,12 @@ class TestFidelityBound:
     def test_rejects_r_below_one(self):
         with pytest.raises(ValidationError):
             n3_upper_bound_pure(0.5)
+
+    @pytest.mark.parametrize("r", [0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", [pure_family_state, n3_upper_bound_pure, n3_bound_grid])
+    def test_one_family_parameter_rule(self, build, r):
+        with pytest.raises(ValidationError, match=r"^family parameter must be >= 1, got "):
+            build(r)
 
     def test_overlap_vacuum_with_itself(self):
         vac = make_state(1, 1, np.eye(4))

@@ -1,0 +1,63 @@
+"""The one trial loop behind the property engines of ``gsteer verify``."""
+
+import numpy as np
+import pytest
+
+from gsteer import verify
+from gsteer.linalg import PsdReport
+
+# (engine, leading arguments) -> the next rng.random() after 40 trials at
+# seeds 0, 1 and 2; every count is 0.  Recorded when each engine still ran
+# its own loop, so they pin draw order and the Generator's final state.
+NEXT_RANDOM = {
+    ("faithfulness_trials", (1, 1)):
+        (0.12442859823434937, 0.46082134286350085, 0.929980134834762),
+    ("faithfulness_trials", (1, 2)):
+        (0.7530611951948528, 0.6741544028160474, 0.2126790884037184),
+    ("upward_closure_trials", ()):
+        (0.9651307886119497, 0.22101077998114638, 0.2813022370340027),
+    ("local_channel_trials", ()):
+        (0.1578820957249074, 0.03359696275689261, 0.781161613358343),
+    ("certified_channel_trials", ()):
+        (0.29578761141444876, 0.027232468865797888, 0.5835339339588961),
+    ("local_symplectic_trials", ()):
+        (0.0407623273086144, 0.559448179377736, 0.3852910138447013),
+    ("mixture_bound_trials", ()):
+        (0.47073436747045316, 0.10351906938606403, 0.5082839224813163),
+    ("orthogonal_monotonicity_trials", ()):
+        (0.09466299609774897, 0.297466122530351, 0.704433572192638),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("engine, lead", list(NEXT_RANDOM), ids=str)
+def test_counts_and_draw_order_pinned(engine, lead, seed):
+    rng = np.random.default_rng(seed)
+    assert getattr(verify, engine)(*lead, 40, rng) == 0
+    assert rng.random() == NEXT_RANDOM[engine, lead][seed]
+
+
+class TestForcedViolations:
+    """Every engine returns 0 on real inputs, so these force each trial to
+    fail and check that every trial is counted once."""
+
+    @pytest.mark.parametrize("engine", [verify.mixture_bound_trials,
+                                        verify.orthogonal_monotonicity_trials])
+    def test_no_slack_counts_every_trial(self, engine, monkeypatch):
+        monkeypatch.setattr(verify, "TRIAL_SLACK", -np.inf)
+        assert engine(7, 3) == 7
+
+    @pytest.mark.parametrize("engine", [verify.local_channel_trials,
+                                        verify.certified_channel_trials])
+    def test_failed_certificate_counts_and_draws_no_state(self, engine, monkeypatch):
+        def no_state(*args):
+            raise AssertionError("a state was drawn for a failed channel")
+
+        failing = PsdReport(False, -1.0, 1.0, verify.TRIAL_TOL)
+        monkeypatch.setattr(verify, "is_unsteerable_channel", lambda ch, tol: failing)
+        monkeypatch.setattr(verify, "_random_unsteerable", no_state)
+        assert engine(6, 4) == 6
+
+    def test_count_is_a_python_int(self):
+        count = verify._count(5, 0, lambda i, rng: np.bool_(i % 2 == 0))
+        assert count == 3 and type(count) is int
