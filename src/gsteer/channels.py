@@ -12,6 +12,9 @@ unsteerable states; it is sufficient but not necessary, so the three verdicts
 are kept independent and each carries its own eigenvalue margin.  Monte-Carlo
 sampling (``sample_verify``) can falsify, but never certify, the semantic
 "maps every unsteerable state to an unsteerable state" property.
+
+``GaussianChannel`` shares the record layer of ``states.GaussianState`` and
+adds its own checks (finite K and dbar, M symmetric and PSD).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .linalg import (
 from .states import (
     GaussianState,
     _integer_counts,
-    ensure_bona_fide,
+    _Record,
     random_state,
     validate_state,
 )
@@ -40,6 +43,7 @@ from .steering import is_unsteerable
 
 
 CHANNEL_SLACK = 1e-6  # margin of random_unsteerable_channel's M over both certificates
+MAX_OVERSAMPLING = 100  # sample_verify's draws per requested sample before it aborts
 
 
 class SamplingAbortError(RuntimeError):
@@ -47,7 +51,7 @@ class SamplingAbortError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class GaussianChannel:
+class GaussianChannel(_Record):
     """Immutable channel record; M is symmetrized and required PSD.
 
     Composite channels built from checked channels skip the check through
@@ -60,16 +64,15 @@ class GaussianChannel:
     M: np.ndarray
     dbar: np.ndarray
 
+    _kind = "channel"
+    _arrays = ("K", "M", "dbar")
+
     def __post_init__(self):
         modes_a, modes_b = _integer_counts(self.modes_a, self.modes_b)
         if modes_a < 0 or modes_b < 0 or modes_a + modes_b < 1:
             raise ValidationError(f"invalid mode partition ({modes_a}, {modes_b})")
-        object.__setattr__(self, "modes_a", modes_a)
-        object.__setattr__(self, "modes_b", modes_b)
-        for name in ("K", "M", "dbar"):
-            if np.iscomplexobj(getattr(self, name)):
-                raise ValidationError(f"{name} must be real")
-        dim = self.dim
+        self._require_real()
+        dim = 2 * (modes_a + modes_b)
         k = require_finite(np.array(self.K, dtype=float), "K")
         m = np.array(self.M, dtype=float)
         dbar = require_finite(np.array(self.dbar, dtype=float), "dbar")
@@ -84,31 +87,7 @@ class GaussianChannel:
         if not rep.ok:
             raise ValidationError(
                 f"M must be PSD, min eigenvalue {rep.min_eigenvalue:.6e}")
-        for name, arr in (("K", k), ("M", m), ("dbar", dbar)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _by_construction(cls, modes_a: int, modes_b: int, k: np.ndarray,
-                         m: np.ndarray, dbar: np.ndarray) -> GaussianChannel:
-        """The record of fresh float arrays of the right shapes that are
-        finite, with M exactly symmetric and PSD by the caller's algebra:
-        they are taken over and frozen, not copied or checked."""
-        for arr in (k, m, dbar):
-            arr.setflags(write=False)
-        channel = object.__new__(cls)
-        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
-                            ("K", k), ("M", m), ("dbar", dbar)):
-            object.__setattr__(channel, name, value)
-        return channel
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes_a + self.modes_b
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_modes
+        self._settle(modes_a, modes_b, k, m, dbar)
 
 
 def identity_channel(modes_a: int, modes_b: int) -> GaussianChannel:
@@ -195,14 +174,12 @@ def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassi
     )
 
 
-def apply(ch: GaussianChannel, state: GaussianState,
-          enforce: bool | None = None) -> GaussianState:
+def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     """Apply the channel: cov' = K cov K^T + M, mean' = K mean + dbar.
 
-    When the channel passes the validity certificate the output is tested
-    for the bona fide condition, both at DEFAULT_PSD_TOL (a failure signals a
-    numerical bug); otherwise it is returned untested so experiments on
-    non-certified channels can inspect the result.  ``enforce`` overrides it.
+    The output is finite and symmetric but not tested for the bona fide
+    condition, so experiments on non-certified channels can inspect it;
+    :func:`~gsteer.states.ensure_bona_fide` tests it.
     """
     if (ch.modes_a, ch.modes_b) != (state.modes_a, state.modes_b):
         raise ValidationError(
@@ -212,10 +189,7 @@ def apply(ch: GaussianChannel, state: GaussianState,
     # symmetrization GaussianState applies, and is exactly symmetric
     cov = require_finite(ch.K @ state.cov @ ch.K.T + ch.M, "cov")
     mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
-    out = GaussianState._by_construction(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, mean)
-    if enforce is None:
-        enforce = bool(is_valid_gaussian(ch).ok)
-    return ensure_bona_fide(out) if enforce else out
+    return GaussianState._by_construction(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, mean)
 
 
 def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChannel:
@@ -302,14 +276,13 @@ PREDICATES = ("bona-fide", "unsteerable-preserving")
 def sample_verify(ch: GaussianChannel, n_samples: int, rng,
                   predicate: str = "bona-fide",
                   max_sympl_eigen: float = 5.0,
-                  tol: float = 1e-8,
-                  max_oversampling: int = 100) -> SampleReport:
+                  tol: float = 1e-8) -> SampleReport:
     """Push random states through the channel and count predicate violations.
 
     ``bona-fide`` checks that outputs of random valid states satisfy the bona
     fide condition; ``unsteerable-preserving`` restricts inputs to unsteerable
     states (by rejection) and checks outputs stay unsteerable.  Rejection
-    beyond ``max_oversampling`` times n_samples aborts with a diagnostic.
+    beyond MAX_OVERSAMPLING times n_samples aborts with a diagnostic.
     Margins are the relative minimum eigenvalues of the output certificates.
     """
     if predicate not in PREDICATES:
@@ -327,15 +300,15 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
     for _ in range(n_samples):
         while True:
             draws += 1
-            if draws > max_oversampling * n_samples:
+            if draws > MAX_OVERSAMPLING * n_samples:
                 raise SamplingAbortError(
-                    f"rejection sampling exceeded {max_oversampling}x oversampling "
+                    f"rejection sampling exceeded {MAX_OVERSAMPLING}x oversampling "
                     f"({draws} draws for {predicate!r}); the input distribution "
                     f"rarely satisfies the predicate's precondition")
             state = random_state(ch.modes_a, ch.modes_b, max_sympl_eigen, rng)
             if predicate == "bona-fide" or is_unsteerable(state, tol).ok:
                 break
-        out = apply(ch, state, enforce=False)
+        out = apply(ch, state)
         rep = validate_state(out, tol) if predicate == "bona-fide" \
             else is_unsteerable(out, tol)
         margin = rep.margin
@@ -351,27 +324,9 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
 
 def channel_to_json(ch: GaussianChannel) -> str:
     """Serialize to the channel document schema."""
-    return json.dumps({
-        "modes_a": ch.modes_a,
-        "modes_b": ch.modes_b,
-        "K": ch.K.tolist(),
-        "M": ch.M.tolist(),
-        "dbar": ch.dbar.tolist(),
-    }, indent=2)
+    return ch._to_json()
 
 
 def channel_from_json(text: str) -> GaussianChannel:
     """Parse a channel document; unknown keys are ignored."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValidationError("channel document must be a JSON object")
-    missing = {"modes_a", "modes_b", "K", "M", "dbar"} - set(doc)
-    if missing:
-        raise ValidationError(f"channel document missing keys: {sorted(missing)}")
-    try:
-        k = np.array(doc["K"], dtype=float)
-        m = np.array(doc["M"], dtype=float)
-        dbar = np.array(doc["dbar"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"K/M/dbar must be numeric arrays: {exc}") from None
-    return GaussianChannel(doc["modes_a"], doc["modes_b"], k, m, dbar)
+    return GaussianChannel._from_json(text)

@@ -113,7 +113,7 @@ def cmd_channel(args) -> int:
         ran_something = True
     if args.state_file is not None:
         state = state_from_json(_read_file(args.state_file), require_bona_fide=False)
-        out = apply(channel, state, enforce=False)
+        out = apply(channel, state)
         report = validate_state(out, args.tol)
         print(f"output_bona_fide: {str(report.ok).lower()}", file=sys.stderr)
         _write_output(state_to_json(out), args.output)

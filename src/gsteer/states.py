@@ -30,6 +30,10 @@ Two ways in, so that each covariance is checked once:
 Mean vectors are carried everywhere even though the steering quantities
 ignore them, because channels act on them and file round-trips must be
 faithful.
+
+``GaussianState`` and ``channels.GaussianChannel`` share one record layer,
+:class:`_Record` (frozen fields, the "must be real" rule, the by-construction
+entry, the JSON document); each ``__post_init__`` adds only its own checks.
 """
 
 from __future__ import annotations
@@ -78,54 +82,33 @@ class BonaFideError(ValidationError):
         self.min_eigenvalue = min_eigenvalue
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Immutable (modes_a + modes_b)-mode Gaussian state record.
+class _Record:
+    """Mode counts plus the frozen float arrays named by ``_arrays``, and
+    their ``_kind`` of JSON document."""
 
-    The one structural check of a covariance matrix: shape, finiteness and
-    symmetry within HERMITICITY_TOL; the cov stored is symmetrized.  It
-    does not test bona fide; :func:`make_state` does.  The arrays are frozen.
-    Constructors that build an exactly symmetric, finite covariance of the
-    right shape skip the check through :meth:`_by_construction`.
-    """
+    _kind: str
+    _arrays: tuple[str, ...]
 
-    modes_a: int
-    modes_b: int
-    cov: np.ndarray
-    mean: np.ndarray
-
-    def __post_init__(self):
-        modes_a, modes_b = _check_mode_counts(self.modes_a, self.modes_b)
-        for name in ("cov", "mean"):
+    def _require_real(self) -> None:
+        for name in self._arrays:
             if np.iscomplexobj(getattr(self, name)):
                 raise ValidationError(f"{name} must be real")
-        cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
-        dim = 2 * (modes_a + modes_b)
-        mean = np.array(self.mean, dtype=float)
-        if cov.shape != (dim, dim):
-            raise ValidationError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
-        if mean.shape != (dim,):
-            raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
-        require_finite(mean, "mean")
-        cov.setflags(write=False)
-        mean.setflags(write=False)
-        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
-                            ("cov", cov), ("mean", mean)):
-            object.__setattr__(self, name, value)
+
+    def _settle(self, modes_a: int, modes_b: int, *arrays: np.ndarray) -> None:
+        """Freeze ``arrays`` and store them, with the mode counts, as the fields."""
+        fields = vars(self)
+        fields["modes_a"], fields["modes_b"] = modes_a, modes_b
+        for name, arr in zip(self._arrays, arrays):
+            arr.setflags(write=False)
+            fields[name] = arr
 
     @classmethod
-    def _by_construction(cls, modes_a: int, modes_b: int, cov: np.ndarray,
-                         mean: np.ndarray) -> GaussianState:
-        """The record of fresh float arrays that are finite, of the right
-        shape, and (cov) exactly symmetric by the caller's algebra: they are
-        taken over and frozen, not copied or checked."""
-        cov.setflags(write=False)
-        mean.setflags(write=False)
-        state = object.__new__(cls)
-        for name, value in (("modes_a", modes_a), ("modes_b", modes_b),
-                            ("cov", cov), ("mean", mean)):
-            object.__setattr__(state, name, value)
-        return state
+    def _by_construction(cls, modes_a: int, modes_b: int, *arrays: np.ndarray):
+        """The record of fresh float arrays that pass its checks by the
+        caller's algebra: taken over and frozen, not copied or checked."""
+        record = object.__new__(cls)
+        record._settle(modes_a, modes_b, *arrays)
+        return record
 
     @property
     def n_modes(self) -> int:
@@ -134,6 +117,58 @@ class GaussianState:
     @property
     def dim(self) -> int:
         return 2 * self.n_modes
+
+    def _to_json(self) -> str:
+        doc = {"modes_a": self.modes_a, "modes_b": self.modes_b}
+        doc.update((name, getattr(self, name).tolist()) for name in self._arrays)
+        return json.dumps(doc, indent=2)
+
+    @classmethod
+    def _from_json(cls, text: str):
+        """The checked record of a document; unknown keys are ignored."""
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{cls._kind} document must be a JSON object")
+        missing = {"modes_a", "modes_b", *cls._arrays} - set(doc)
+        if missing:
+            raise ValidationError(f"{cls._kind} document missing keys: {sorted(missing)}")
+        try:
+            arrays = [np.array(doc[name], dtype=float) for name in cls._arrays]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{'/'.join(cls._arrays)} must be numeric arrays: {exc}") from None
+        return cls(doc["modes_a"], doc["modes_b"], *arrays)
+
+
+@dataclass(frozen=True)
+class GaussianState(_Record):
+    """Immutable (modes_a + modes_b)-mode Gaussian state record.
+
+    The one structural check of a covariance matrix: shape, finiteness and
+    symmetry within HERMITICITY_TOL; the cov stored is symmetrized.  It
+    does not test bona fide; :func:`make_state` does.
+    """
+
+    modes_a: int
+    modes_b: int
+    cov: np.ndarray
+    mean: np.ndarray
+
+    _kind = "state"
+    _arrays = ("cov", "mean")
+
+    def __post_init__(self):
+        modes_a, modes_b = _check_mode_counts(self.modes_a, self.modes_b)
+        self._require_real()
+        cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
+        dim = 2 * (modes_a + modes_b)
+        mean = np.array(self.mean, dtype=float)
+        if cov.shape != (dim, dim):
+            raise ValidationError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
+        if mean.shape != (dim,):
+            raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
+        require_finite(mean, "mean")
+        self._settle(modes_a, modes_b, cov, mean)
 
     def block_a(self) -> np.ndarray:
         return self.cov[: 2 * self.modes_a, : 2 * self.modes_a]
@@ -206,7 +241,8 @@ def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState
 
 def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:
     """The checked mode counts and mixing factors of a phase-space Schmidt
-    form: min(modes_a, modes_b) factors, each finite and >= 1."""
+    form: min(modes_a, modes_b) factors, each finite and >= 1, whose squares
+    are finite (a larger factor overflows the covariance)."""
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     k = min(modes_a, modes_b)
@@ -217,6 +253,10 @@ def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:
     for idx, g in enumerate(gammas):
         if not np.isfinite(g) or g < 1.0:
             raise ValidationError(f"mixing factor gamma[{idx}] = {g} must be >= 1")
+    with np.errstate(over="ignore"):
+        squares = gammas**2
+    if not np.isfinite(squares).all():
+        raise ValidationError("cov contains non-finite entries")
     return modes_a, modes_b, gammas
 
 
@@ -230,10 +270,7 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     """
     modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
     k = min(modes_a, modes_b)
-    with np.errstate(over="ignore"):
-        couplings = np.sqrt(gammas**2 - 1.0)
-    if not np.isfinite(couplings).all():
-        raise ValidationError("cov contains non-finite entries")
+    couplings = np.sqrt(gammas**2 - 1.0)
     a_diag = np.ones(modes_a)
     b_diag = np.ones(modes_b)
     a_diag[:k] = gammas
@@ -314,12 +351,7 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> Gaussian
 
 def state_to_json(state: GaussianState) -> str:
     """Serialize to the state document schema (floats round-trip exactly)."""
-    return json.dumps({
-        "modes_a": state.modes_a,
-        "modes_b": state.modes_b,
-        "cov": state.cov.tolist(),
-        "mean": state.mean.tolist(),
-    }, indent=2)
+    return state._to_json()
 
 
 def state_from_json(text: str, require_bona_fide: bool = True) -> GaussianState:
@@ -328,16 +360,5 @@ def state_from_json(text: str, require_bona_fide: bool = True) -> GaussianState:
     With require_bona_fide=False only structural validation runs, which lets
     callers report the bona fide margin instead of failing.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValidationError("state document must be a JSON object")
-    missing = {"modes_a", "modes_b", "cov", "mean"} - set(doc)
-    if missing:
-        raise ValidationError(f"state document missing keys: {sorted(missing)}")
-    try:
-        cov = np.array(doc["cov"], dtype=float)
-        mean = np.array(doc["mean"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"cov/mean must be numeric arrays: {exc}") from None
-    state = GaussianState(doc["modes_a"], doc["modes_b"], cov, mean)
+    state = GaussianState._from_json(text)
     return ensure_bona_fide(state) if require_bona_fide else state

@@ -130,18 +130,18 @@ def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
     (1 + 2g +- sqrt(4g^2 - 3))/2 and (2g - 1 +- sqrt(4g^2 - 3))/2 per factor,
     plus |modes_a - modes_b| pairs from the unpaired vacuum modes, giving
 
-        j1 = [sum_k (1 + 2g_k + sqrt(4g_k^2 - 3)) + 2|n - m|]
-             / [sum_k 4g_k + 2|n - m|] - 1
-        j2 = sum_k (1 - 2g_k + sqrt(4g_k^2 - 3)).
+        j2 = sum_k (1 - 2g_k + sqrt(4g_k^2 - 3)) = sum_k (1 - 3 / (2g_k + root_k))
+        j1 = j2 / Tr(cov) = j2 / (sum_k 4g_k + 2|n - m|)
+
+    with root_k = 2 sqrt(g_k^2 - 0.75), bit-equal to sqrt(4g_k^2 - 3).  The
+    second form of j2 has no cancellation, so it tends to 1 per factor as g_k
+    grows.  Factors whose squares overflow are rejected.
     """
     modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
-    root = np.sqrt(4.0 * gammas**2 - 3.0)
-    pad = 2.0 * abs(modes_b - modes_a)
-    num = float(np.sum(1.0 + 2.0 * gammas + root)) + pad
-    den = float(np.sum(4.0 * gammas)) + pad
-    j1_val = num / den - 1.0
-    j2_val = float(np.sum(1.0 - 2.0 * gammas + root))
-    return j1_val, j2_val
+    root = 2.0 * np.sqrt(gammas**2 - 0.75)
+    j2_val = float(np.sum(1.0 - 3.0 / (2.0 * gammas + root)))
+    trace = float(np.sum(4.0 * gammas)) + 2.0 * abs(modes_b - modes_a)
+    return j2_val / trace, j2_val
 
 
 def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, float]:

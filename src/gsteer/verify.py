@@ -38,7 +38,13 @@ from .linalg import (
     random_symplectic,
     steering_form,
 )
-from .states import GaussianState, mix_covariances, random_state, squeezed_vacuum_state
+from .states import (
+    GaussianState,
+    ensure_bona_fide,
+    mix_covariances,
+    random_state,
+    squeezed_vacuum_state,
+)
 from .steering import (
     _j_values_of_stack,
     _pure_family_covs,
@@ -61,6 +67,9 @@ MARGIN_FLOOR = 1e-4
 TRIAL_SLACK = 1e-9
 # grid times per batched eigendecomposition in first_passage_time
 PASSAGE_BLOCK = 128
+# sizes of paper_suite's Monte-Carlo checks and fidelity-bound grids
+MC_SAMPLES = 10000
+GRID_DENSITY = 30
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ def local_channel_trials(n_trials: int, rng) -> int:
         if not is_unsteerable_channel(ch, TRIAL_TOL).ok:
             return True  # one violation, and no state is drawn
         s = _random_unsteerable(1, 1, rng)
-        return not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok
+        return not is_unsteerable(apply(ch, s), TRIAL_TOL).ok
     return _count(n_trials, rng, violated)
 
 
@@ -158,7 +167,7 @@ def certified_channel_trials(n_trials: int, rng) -> int:
                 and is_valid_gaussian(ch, TRIAL_TOL).ok):
             return True  # one violation, and no state is drawn
         s = _random_unsteerable(modes_a, modes_b, rng)
-        return not is_unsteerable(apply(ch, s, enforce=False), TRIAL_TOL).ok
+        return not is_unsteerable(apply(ch, s), TRIAL_TOL).ok
     return _count(n_trials, rng, violated)
 
 
@@ -180,7 +189,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
         k[:2, :2] = random_symplectic(1, rng, scale=0.5)
         k[2:, 2:] = random_symplectic(1, rng, scale=0.5)
         ch = GaussianChannel(1, 1, k, np.zeros((4, 4)), np.zeros(4))
-        out = apply(ch, s, enforce=False)
+        out = apply(ch, s)
         return bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok)
     return _count(n_trials, rng, violated)
 
@@ -214,7 +223,7 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
         m[:da, :da] = _random_psd(da, rng)
         m[da:, da:] = _random_psd(db, rng)
         ch = GaussianChannel(modes_a, modes_b, k, m, np.zeros(da + db))
-        out = apply(ch, s, enforce=False)
+        out = apply(ch, s)
         j1_in, j2_in = j_values(s, clamp=False)
         j1_out, j2_out = j_values(out, clamp=False)
         return j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK
@@ -274,15 +283,14 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     return True, ""
 
 
-def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
-                grid_density: int = 30) -> list[CheckResult]:
+def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # shear witness regression: j2 grows from ~0.0148 to ~0.0152
     state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
     shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
     j2_in = j2(state)
-    j2_out = j2(apply(shear, state))
+    j2_out = j2(ensure_bona_fide(apply(shear, state)))
     for side, got, want in (("input", j2_in, "0.0148"), ("output", j2_out, "0.0152")):
         results.append(CheckResult(f"shear-witness-j2-{side}", abs(got - float(want)) <= 5e-4,
                                    want, f"{got:.6f}", "5e-4"))
@@ -340,8 +348,8 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
     for name, ch, offset, predicate in (
             ("mc-bonafide-preserved", ch1, 0, "bona-fide"),
             ("mc-unsteerable-preserved", ch2, 1, "unsteerable-preserving")):
-        report = sample_verify(ch, mc_samples, seed + offset, predicate)
-        results.append(_count_check(name, report.violations, mc_samples, "1e-8"))
+        report = sample_verify(ch, MC_SAMPLES, seed + offset, predicate)
+        results.append(_count_check(name, report.violations, MC_SAMPLES, "1e-8"))
 
     # decay curves: monotone nonincreasing j2, terminal < 1e-3, envelope holds
     start = squeezed_vacuum_state(1.0)
@@ -370,11 +378,11 @@ def paper_suite(seed: int = DEFAULT_SEED, mc_samples: int = 10000,
                                    str(passages), "grid 1e-3"))
 
     # fidelity-bound grid estimates against the closed bound ordering
-    v1_grid = n3_bound_grid(1.0, grid_density)
+    v1_grid = n3_bound_grid(1.0, GRID_DENSITY)
     results.append(CheckResult("fidelity-grid-r1", v1_grid <= 1e-3,
                                "<= 1e-3", f"{v1_grid:.6e}", "1e-3"))
     for r in (2.0, 3.0, 5.0):
-        v = n3_bound_grid(r, grid_density)
+        v = n3_bound_grid(r, GRID_DENSITY)
         j2_r = j2(pure_family_state(r))
         results.append(CheckResult(f"fidelity-grid-r{r:g}", 0.0 <= v <= j2_r + 1e-6,
                                    f"0 <= value <= j2({r:g}) + 1e-6",
@@ -400,7 +408,7 @@ def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                for i, (name, engine, lead, text) in enumerate(checks)]
     state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
     shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
-    grew = j2(apply(shear, state)) > j2(state)
+    grew = j2(ensure_bona_fide(apply(shear, state))) > j2(state)
     results.append(CheckResult("monotonicity-failure-witness", grew,
                                "j2 increases under the non-orthogonal shear",
                                "increased" if grew else "did not increase", "strict"))

@@ -1,6 +1,8 @@
 """The public API of ``gsteer`` is a deliberate list: a name is added to or
-removed from the package only together with this test."""
+removed from the package, and a parameter to or from an exported callable,
+only together with this test."""
 
+import inspect
 import types
 
 import gsteer
@@ -27,3 +29,71 @@ def test_export_list():
     names = {name for name, value in vars(gsteer).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC_NAMES
+
+
+# exported callable -> its parameter names; None for an exception class that
+# declares no constructor of its own
+SIGNATURES = {
+    "BathParameters": ("n_th", "R", "phi", "lam"),
+    "BonaFideError": ("message", "min_eigenvalue"),
+    "GaussianChannel": ("modes_a", "modes_b", "K", "M", "dbar"),
+    "GaussianState": ("modes_a", "modes_b", "cov", "mean"),
+    "PsdReport": ("ok", "min_eigenvalue", "max_eigenvalue", "tol"),
+    "SampleReport": ("predicate", "n_samples", "violations", "worst_margin",
+                     "mean_margin", "draws", "first_counterexample"),
+    "SamplingAbortError": None,
+    "SteeringReport": ("unsteerable", "j1", "j2", "min_eigenvalue", "tol_used"),
+    "Trajectory": ("times", "j2_values", "bound_values"),
+    "ValidationError": None,
+    "apply": ("ch", "state"),
+    "channel_from_json": ("text",),
+    "channel_to_json": ("ch",),
+    "classify": ("ch", "tol"),
+    "evolve": ("state0", "bath", "t"),
+    "gamma_infinity": ("bath",),
+    "identity_channel": ("modes_a", "modes_b"),
+    "is_steering_breaking": ("ch", "tol"),
+    "is_unsteerable": ("state", "tol"),
+    "is_unsteerable_channel": ("ch", "tol"),
+    "is_valid_gaussian": ("ch", "tol"),
+    "j1": ("state", "tol", "clamp"),
+    "j2": ("state", "tol", "clamp"),
+    "j_closed_schmidt": ("modes_a", "modes_b", "gammas"),
+    "j_closed_standard": ("a", "b", "c", "d"),
+    "j_values": ("state", "tol", "clamp"),
+    "make_state": ("modes_a", "modes_b", "cov", "mean"),
+    "mix_covariances": ("s1", "s2", "p1"),
+    "n3_bound_grid": ("r", "grid_density"),
+    "n3_upper_bound_pure": ("r",),
+    "pure_family_state": ("r",),
+    "random_state": ("modes_a", "modes_b", "max_sympl_eigen", "rng"),
+    "random_unsteerable_channel": ("modes_a", "modes_b", "rng"),
+    "sample_verify": ("ch", "n_samples", "rng", "predicate", "max_sympl_eigen", "tol"),
+    "schmidt_pure_state": ("modes_a", "modes_b", "gammas"),
+    "side_a_channel": ("K", "M", "dbar"),
+    "side_b_channel": ("K", "M", "dbar"),
+    "squeezed_vacuum_state": ("r",),
+    "standard_form_state": ("a", "b", "c", "d"),
+    "state_from_json": ("text", "require_bona_fide"),
+    "state_to_json": ("state",),
+    "stationary_state": ("bath",),
+    "steering_matrix": ("state",),
+    "steering_report": ("state", "tol"),
+    "sweep": ("state0", "bath", "t_grid", "tol"),
+    "symplectic_form": ("n_modes",),
+    "tensor_local": ("ch_a", "ch_b"),
+    "validate_state": ("state", "tol"),
+}
+
+
+def parameter_names(value):
+    try:
+        return tuple(inspect.signature(value).parameters)
+    except ValueError:  # a builtin constructor, inherited unchanged
+        return None
+
+
+def test_signatures():
+    exported = {name: parameter_names(getattr(gsteer, name))
+                for name in PUBLIC_NAMES if callable(getattr(gsteer, name))}
+    assert exported == SIGNATURES

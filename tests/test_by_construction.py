@@ -67,7 +67,7 @@ class TestRecordsEqualTheCheckedOnes:
         ch = fixtures.load_channel(name)
         rng = np.random.default_rng(17)
         for _ in range(500):
-            assert_as_checked(apply(ch, random_state(1, 1, 5.0, rng), enforce=False))
+            assert_as_checked(apply(ch, random_state(1, 1, 5.0, rng)))
 
     def test_relaxation(self):
         bath = BathParameters(0.7, 0.9, 1.3, 0.1)
@@ -87,7 +87,7 @@ class TestNoStructuralCheck:
             "random_state 1+1": lambda: random_state(1, 1, 5.0, 3),
             "random_state 1+2": lambda: random_state(1, 2, 5.0, 4),
             "random_state 2+2": lambda: random_state(2, 2, 5.0, 5),
-            "apply": lambda: [apply(ch, state, enforce=False) for ch in channels],
+            "apply": lambda: [apply(ch, state) for ch in channels],
             "stationary_state": lambda: stationary_state(bath),
         }
         for name, build in builders.items():
@@ -128,16 +128,15 @@ class TestOverflow:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_apply_output(self):
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
-        for enforce in (None, False, True):
-            with pytest.raises(ValidationError, match="cov contains non-finite entries"):
-                apply(ch, squeezed_vacuum_state(0.5), enforce=enforce)
+        with pytest.raises(ValidationError, match="cov contains non-finite entries"):
+            apply(ch, squeezed_vacuum_state(0.5))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_apply_mean(self):
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
         state = GaussianState(1, 1, np.zeros((4, 4)), np.full(4, 1e200))
         with pytest.raises(ValidationError, match="mean contains non-finite entries"):
-            apply(ch, state, enforce=False)
+            apply(ch, state)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_channel_cli_exits_2(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsteer import fixtures
+from gsteer import channels, fixtures
 from gsteer.channels import (
     GaussianChannel,
     SamplingAbortError,
@@ -115,7 +115,7 @@ class TestApply:
             apply(shear_channel, random_state(1, 2, 2.0, 0))
 
     def test_valid_channel_output_validated(self):
-        # certified channels re-validate their outputs
+        # a certified channel maps a bona fide state to a bona fide one
         ch = random_unsteerable_channel(1, 1, 5)
         out = apply(ch, random_state(1, 1, 3.0, 6))
         assert validate_state(out).ok
@@ -165,7 +165,7 @@ class TestCertificates:
         ch = GaussianChannel(1, 1, np.zeros((4, 4)), np.eye(4), np.zeros(4))
         rng = np.random.default_rng(23)
         for _ in range(100):
-            out = apply(ch, random_state(1, 1, 5.0, rng), enforce=False)
+            out = apply(ch, random_state(1, 1, 5.0, rng))
             assert is_unsteerable(out).ok
 
     @pytest.mark.parametrize("certificate", [
@@ -270,12 +270,13 @@ class TestSampleVerify:
         assert rep.violations == 0
         assert rep.draws >= 500
 
-    def test_rejection_abort(self):
+    def test_rejection_abort(self, monkeypatch):
         # pure random states are steerable almost surely, so the
         # unsteerable-input rejection loop can never fill its quota
+        monkeypatch.setattr(channels, "MAX_OVERSAMPLING", 20)
         with pytest.raises(SamplingAbortError, match="oversampling"):
             sample_verify(identity_channel(1, 1), 5, 3, "unsteerable-preserving",
-                          max_sympl_eigen=1.0, max_oversampling=20)
+                          max_sympl_eigen=1.0)
 
     def test_counterexample_reported(self):
         # noiseless attenuation scales every symplectic eigenvalue below 1

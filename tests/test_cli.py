@@ -326,10 +326,12 @@ class TestVerify:
             CheckResult("fine", True, "0", "0", "exact")])
         assert main(["verify", "--suite", "paper"]) == 0
 
-    def test_tolerance_band_witness_check(self):
-        from gsteer.verify import paper_suite
+    def test_tolerance_band_witness_check(self, monkeypatch):
+        from gsteer import verify
 
-        results = {r.name: r for r in paper_suite(mc_samples=1, grid_density=2)}
+        monkeypatch.setattr(verify, "MC_SAMPLES", 1)
+        monkeypatch.setattr(verify, "GRID_DENSITY", 2)
+        results = {r.name: r for r in verify.paper_suite()}
         assert results["tolerance-band-witness-faithful"].passed
 
     def test_unknown_suite_rejected_by_parser(self):
@@ -453,3 +455,53 @@ class TestRoundTrip:
         assert np.array_equal(first.cov, second.cov)
         assert np.array_equal(first.mean, second.mean)
         assert state_to_json(second) == serialized
+
+
+class TestDocumentErrors:
+    """Each malformed document exits 2 with one exact stderr line, for both
+    document kinds."""
+
+    # kind -> (command, array keys, a document with numeric arrays)
+    KINDS = {
+        "state": (["check"], ["cov", "mean"],
+                  {"modes_a": 1, "modes_b": 1, "cov": np.eye(4).tolist(),
+                   "mean": [0.0] * 4}),
+        "channel": (["channel", "--classify"], ["K", "M", "dbar"],
+                    {"modes_a": 1, "modes_b": 1, "K": np.eye(4).tolist(),
+                     "M": np.zeros((4, 4)).tolist(), "dbar": [0.0] * 4}),
+    }
+
+    def run(self, kind, doc, tmp_path, capsys):
+        command = self.KINDS[kind][0]
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        code = main([*command[:1], str(path), *command[1:]])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("kind", ["state", "channel"])
+    @pytest.mark.parametrize("doc", [[1, 2], "text", 3.5, None])
+    def test_not_an_object(self, kind, doc, tmp_path, capsys):
+        assert self.run(kind, doc, tmp_path, capsys) == (
+            2, f"error: {kind} document must be a JSON object\n")
+
+    @pytest.mark.parametrize("kind", ["state", "channel"])
+    def test_missing_keys(self, kind, tmp_path, capsys):
+        _, arrays, doc = self.KINDS[kind]
+        partial = {key: value for key, value in doc.items() if key not in arrays[1:]}
+        del partial["modes_b"]
+        missing = sorted(["modes_b", *arrays[1:]])
+        assert self.run(kind, partial, tmp_path, capsys) == (
+            2, f"error: {kind} document missing keys: {missing}\n")
+
+    @pytest.mark.parametrize("kind", ["state", "channel"])
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_non_numeric_array(self, kind, position, tmp_path, capsys):
+        _, arrays, doc = self.KINDS[kind]
+        doc = dict(doc, **{arrays[position]: [["x"]]})
+        code, err = self.run(kind, doc, tmp_path, capsys)
+        assert code == 2
+        # what follows the colon is numpy's own text
+        assert err.startswith(f"error: {'/'.join(arrays)} must be numeric arrays: ")
+        assert err.endswith("\n") and err.count("\n") == 1

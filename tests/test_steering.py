@@ -333,6 +333,21 @@ class TestClosedFormSchmidt:
                 build(*modes, gammas)
 
 
+    @pytest.mark.parametrize("gamma, j2_want", [(1e8, 1.0 - 7.5e-9), (1e150, 1.0)])
+    def test_large_factor_without_cancellation(self, gamma, j2_want):
+        # exact j2 = 1 - 3 / (4 gamma) to first order; 1 - 2g + sqrt(4g^2 - 3)
+        # gave 1.0 at 1e8 and 0.0 at 1e150
+        j1_val, j2_val = j_closed_schmidt(1, 1, [gamma])
+        assert j2_val == pytest.approx(j2_want, rel=1e-15)
+        assert j1_val == j2_val / (4.0 * gamma)
+
+    def test_overflowing_factor_rejected_without_warning(self):
+        # the old closed form returned (inf, inf) after an overflow warning
+        for build in (j_closed_schmidt, schmidt_pure_state):
+            with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+                build(1, 1, [1e155])
+
+
 class TestClosedFormStandard:
     def test_unsteerable_region(self):
         assert j_closed_standard(2.0, 2.0, 1.0, 1.0) == (0.0, 0.0)
