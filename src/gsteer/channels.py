@@ -192,6 +192,15 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     return GaussianState._by_construction(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, mean)
 
 
+def _direct_sum(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+    """The block-diagonal x_a (+) x_b of two real square matrices."""
+    da = len(x_a)
+    out = np.zeros((da + len(x_b),) * 2)
+    out[:da, :da] = x_a
+    out[da:, da:] = x_b
+    return out
+
+
 def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChannel:
     """Direct sum of an A-side channel and a B-side channel.
 
@@ -212,15 +221,16 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
             raise ValidationError(
                 f"side {name} fails its validity condition "
                 f"(min eigenvalue {rep.min_eigenvalue:.6e})")
-    da, db = ch_a.dim, ch_b.dim
-    k = np.zeros((da + db, da + db))
-    m = np.zeros((da + db, da + db))
-    k[:da, :da] = ch_a.K
-    k[da:, da:] = ch_b.K
-    m[:da, :da] = ch_a.M
-    m[da:, da:] = ch_b.M
-    return GaussianChannel._by_construction(ch_a.modes_a, ch_b.modes_b, k, m,
-                                            np.concatenate([ch_a.dbar, ch_b.dbar]))
+    return GaussianChannel._by_construction(
+        ch_a.modes_a, ch_b.modes_b, _direct_sum(ch_a.K, ch_b.K), _direct_sum(ch_a.M, ch_b.M),
+        np.concatenate([ch_a.dbar, ch_b.dbar]))
+
+
+def _certified_shift(k: np.ndarray, *offsets: np.ndarray) -> float:
+    """max(0, -lambda_min of F - K F K^T for each F of ``offsets``) + CHANNEL_SLACK:
+    M = shift * I passes each certificate M + F - K F K^T by CHANNEL_SLACK."""
+    return max(0.0, *(-float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, f, f))[0])
+                      for f in offsets)) + CHANNEL_SLACK
 
 
 def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
@@ -235,12 +245,8 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChann
     n = modes_a + modes_b
     dim = 2 * n
     k = rng.uniform(-1.0, 1.0, (dim, dim)) / dim
-    omega, f = steering_form(0, n), steering_form(modes_a, modes_b)
-    alpha = max(0.0,
-                -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, omega, omega))[0]),
-                -float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, f, f))[0]))
-    m = (alpha + CHANNEL_SLACK) * np.eye(dim)
-    return GaussianChannel(modes_a, modes_b, k, m, np.zeros(dim))
+    shift = _certified_shift(k, steering_form(0, n), steering_form(modes_a, modes_b))
+    return GaussianChannel(modes_a, modes_b, k, shift * np.eye(dim), np.zeros(dim))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ entry, the JSON document); each ``__post_init__`` adds only its own checks.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -210,9 +211,14 @@ def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
 
     Constraints: a >= 1, b >= 1, a(ab - c^2) - b >= 0, b(ab - d^2) - a >= 0,
     (ab - c^2)(ab - d^2) + 1 - a^2 - b^2 - 2cd >= 0.  A relative slack absorbs
-    rounding in parameter values supplied from closed-form expressions.
+    rounding in parameter values supplied from closed-form expressions; a
+    slack 1e-9 (ab)^2 that overflows is rejected.
     """
-    slack = 1e-9 * max(1.0, (a * b) ** 2)
+    ab = float(a) * float(b)  # Python floats overflow to inf without a warning
+    slack = 1e-9 * max(1.0, ab * ab)
+    if not math.isfinite(slack):
+        raise ValidationError(
+            f"standard-form parameters a = {a}, b = {b} overflow the slack 1e-9 (ab)^2")
     checks = [
         ("a >= 1", a - 1.0),
         ("b >= 1", b - 1.0),
@@ -286,21 +292,25 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
 
 
 def squeezed_vacuum_state(r: float) -> GaussianState:
-    """Two-mode squeezed vacuum with squeezing parameter r >= 0.
-
-    Identical to the Schmidt pure state at gamma = cosh(2r): pure, so bona fide.
-    """
+    """Two-mode squeezed vacuum with squeezing parameter r >= 0: the Schmidt
+    pure state (so bona fide) that ``steering.pure_family_state`` fills too,
+    here with g, s = cosh(2r), sinh(2r)."""
     if not np.isfinite(r) or r < 0:
         raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
     with np.errstate(over="ignore"):
-        ch, sh = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    if not np.isfinite(ch):  # then sh, which is below ch, overflows too
+        return _pure_pair_state(np.cosh(2.0 * r), np.sinh(2.0 * r))
+
+
+def _pure_pair_state(g: float, s: float) -> GaussianState:
+    """The (1+1)-mode pure Schmidt-form state with diagonal g and coupling
+    s = sqrt(g^2 - 1); a g or s that overflowed is rejected."""
+    if not (math.isfinite(g) and math.isfinite(s)):
         raise ValidationError("cov contains non-finite entries")
     cov = np.array([
-        [ch, 0.0, sh, 0.0],
-        [0.0, ch, 0.0, -sh],
-        [sh, 0.0, ch, 0.0],
-        [0.0, -sh, 0.0, ch],
+        [g, 0.0, s, 0.0],
+        [0.0, g, 0.0, -s],
+        [s, 0.0, g, 0.0],
+        [0.0, -s, 0.0, g],
     ])
     return GaussianState._by_construction(1, 1, cov, np.zeros(4))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol, steering_form
-from .states import GaussianState, _schmidt_factors, check_standard_form_params
+from .states import GaussianState, _pure_pair_state, _schmidt_factors, standard_form_state
 
 
 def steering_matrix(state: GaussianState) -> np.ndarray:
@@ -152,15 +152,16 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
         j1 = max(0, (1 + a + b + sqrt((a - b + 1)^2 + 4c^2)) / (2(a + b)) - 1)
         j2 = max(0, 1 + sqrt((a - b + 1)^2 + 4c^2) - (a + b))
 
-    and both vanish iff a(b - 1) - c^2 >= 0.
+    and both vanish iff a(b - 1) - c^2 >= 0.  The parameters get every check
+    of :func:`~gsteer.states.standard_form_state`, bona fide test included.
     """
     if abs(c - abs(d)) > 1e-12 * max(1.0, abs(c), abs(d)):
         raise ValidationError(f"requires c = |d|, got c = {c}, d = {d}")
-    check_standard_form_params(a, b, c, d)
+    standard_form_state(a, b, c, d)
     root = np.sqrt((a - b + 1.0) ** 2 + 4.0 * c * c)
     j1_val = max(0.0, (1.0 + a + b + root) / (2.0 * (a + b)) - 1.0)
     j2_val = max(0.0, 1.0 + root - (a + b))
-    return j1_val, j2_val
+    return float(j1_val), float(j2_val)
 
 
 def _check_family_parameter(r: float) -> None:
@@ -169,31 +170,12 @@ def _check_family_parameter(r: float) -> None:
 
 
 def pure_family_state(r: float) -> GaussianState:
-    """The r-parametrized (1+1)-mode pure family: Schmidt form with gamma = r
-    (bona fide: pure, every symplectic eigenvalue is 1)."""
+    """The r-parametrized (1+1)-mode pure family (so bona fide): the Schmidt
+    form that ``squeezed_vacuum_state`` fills too, here with g, s = r,
+    sqrt(r^2 - 1).  The bound chain of ``gsteer verify`` stacks it."""
     _check_family_parameter(r)
     r = float(r)
-    s = math.sqrt(r * r - 1.0)  # a Python float overflows to inf without a warning
-    if not math.isfinite(s):
-        raise ValidationError("cov contains non-finite entries")
-    cov = np.array([
-        [r, 0.0, s, 0.0],
-        [0.0, r, 0.0, -s],
-        [s, 0.0, r, 0.0],
-        [0.0, -s, 0.0, r],
-    ])
-    return GaussianState._by_construction(1, 1, cov, np.zeros(4))
-
-
-def _pure_family_covs(r: np.ndarray) -> np.ndarray:
-    """The ``(k, 4, 4)`` stack of :func:`pure_family_state` covariances, entry
-    for entry, for a 1-D array of r >= 1 whose squares are finite."""
-    s = np.sqrt(r * r - 1.0)
-    covs = np.zeros((r.size, 4, 4))
-    covs[:, [0, 1, 2, 3], [0, 1, 2, 3]] = r[:, None]
-    covs[:, 0, 2] = covs[:, 2, 0] = s
-    covs[:, 1, 3] = covs[:, 3, 1] = -s
-    return covs
+    return _pure_pair_state(r, math.sqrt(r * r - 1.0))  # r * r overflows to inf silently
 
 
 def n3_upper_bound_pure(r: float) -> float:

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import fixtures
 from .channels import (
-    CHANNEL_SLACK,
     GaussianChannel,
+    _certified_shift,
+    _direct_sum,
     apply,
-    certificate_matrix,
     is_unsteerable_channel,
     is_valid_gaussian,
     random_unsteerable_channel,
@@ -47,7 +47,6 @@ from .states import (
 )
 from .steering import (
     _j_values_of_stack,
-    _pure_family_covs,
     is_unsteerable,
     j2,
     j_values,
@@ -150,10 +149,8 @@ def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     dim_a, dim_b = 2 * modes_a, 2 * modes_b
     ch_a = side_a_channel(rng.uniform(-1.0, 1.0, (dim_a, dim_a)), _random_psd(dim_a, rng))
     k_b = rng.uniform(-1.0, 1.0, (dim_b, dim_b))
-    omega = steering_form(0, modes_b)
-    part = certificate_matrix(k_b, 0.0, omega, omega)
-    alpha = max(0.0, -float(np.linalg.eigvalsh(part)[0]))
-    m_b = _random_psd(dim_b, rng) + (alpha + CHANNEL_SLACK) * np.eye(dim_b)
+    shift = _certified_shift(k_b, steering_form(0, modes_b))
+    m_b = _random_psd(dim_b, rng) + shift * np.eye(dim_b)
     return tensor_local(ch_a, side_b_channel(k_b, m_b))
 
 
@@ -174,8 +171,8 @@ def certified_channel_trials(n_trials: int, rng) -> int:
 def local_symplectic_trials(n_trials: int, rng) -> int:
     """Local symplectic conjugation preserves the unsteerable verdict.
 
-    States whose steering-matrix margin sits within MARGIN_FLOOR of the
-    boundary (relative) are redrawn: congruence preserves eigenvalue signs
+    States whose steering-matrix margin (:attr:`PsdReport.margin`) is at most
+    MARGIN_FLOOR in size are redrawn: congruence preserves eigenvalue signs
     but not their size, so the tolerant verdict is only meaningful away from
     the boundary.
     """
@@ -183,11 +180,10 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
         while True:
             s = random_state(1, 1, 2.0, rng)
             rep = is_unsteerable(s, TRIAL_TOL)
-            if abs(rep.min_eigenvalue) > MARGIN_FLOOR * max(1.0, abs(rep.max_eigenvalue)):
+            if abs(rep.margin) > MARGIN_FLOOR:
                 break
-        k = np.zeros((4, 4))
-        k[:2, :2] = random_symplectic(1, rng, scale=0.5)
-        k[2:, 2:] = random_symplectic(1, rng, scale=0.5)
+        k = _direct_sum(random_symplectic(1, rng, scale=0.5),
+                        random_symplectic(1, rng, scale=0.5))
         ch = GaussianChannel(1, 1, k, np.zeros((4, 4)), np.zeros(4))
         out = apply(ch, s)
         return bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok)
@@ -216,12 +212,8 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
         modes_a, modes_b = _partition(i)
         s = random_state(modes_a, modes_b, 2.0, rng)
         da, db = 2 * modes_a, 2 * modes_b
-        k = np.zeros((da + db, da + db))
-        k[:da, :da] = random_orthogonal(da, rng)
-        k[da:, da:] = random_orthogonal_symplectic(modes_b, rng)
-        m = np.zeros_like(k)
-        m[:da, :da] = _random_psd(da, rng)
-        m[da:, da:] = _random_psd(db, rng)
+        k = _direct_sum(random_orthogonal(da, rng), random_orthogonal_symplectic(modes_b, rng))
+        m = _direct_sum(_random_psd(da, rng), _random_psd(db, rng))
         ch = GaussianChannel(modes_a, modes_b, k, m, np.zeros(da + db))
         out = apply(ch, s)
         j1_in, j2_in = j_values(s, clamp=False)
@@ -231,10 +223,10 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
-                       t_max: float, dt: float, tol: float = DEFAULT_PSD_TOL) -> float:
+                       t_max: float, dt: float) -> float:
     """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
-    with j2 below threshold, or inf if there is none; dt must be finite and
-    positive, t_max finite and nonnegative, threshold not NaN.
+    with j2 (at DEFAULT_PSD_TOL) below threshold, or inf if there is none; dt
+    must be finite and positive, t_max finite and nonnegative, threshold not NaN.
 
     The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
     eigendecomposition per block, so an early passage stops after its block.
@@ -254,7 +246,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         while t <= t_end and len(times) < PASSAGE_BLOCK:
             times.append(t)
             t += dt
-        below = np.flatnonzero(_j_values_of_stack(covs_at(times), 1, 1, tol)[1] < threshold)
+        j2_vals = _j_values_of_stack(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[1]
+        below = np.flatnonzero(j2_vals < threshold)
         if below.size:
             return times[below[0]]
     return np.inf
@@ -272,8 +265,9 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     """Whether z(r) <= j2(r) holds on the pure family at every r of ``rs``,
     strictly for r > 1 and with equality at r = 1; else the first failure in
     r order, described.  j2 comes from one batched eigendecomposition of the
-    family's covariance stack, which is symmetric and finite by construction."""
-    j2_vals = _j_values_of_stack(_pure_family_covs(rs), 1, 1, DEFAULT_PSD_TOL)[1]
+    :func:`pure_family_state` covariance stack, symmetric and finite by construction."""
+    covs = np.array([pure_family_state(r).cov for r in rs])
+    j2_vals = _j_values_of_stack(covs, 1, 1, DEFAULT_PSD_TOL)[1]
     for r, val in zip(rs, j2_vals.tolist()):
         z = n3_upper_bound_pure(r)
         if val - z < -1e-12 or (r > 1.0 + 1e-12 and val - z <= 1e-9):
@@ -283,14 +277,18 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     return True, ""
 
 
+def _shear_witness_j2() -> tuple[float, float]:
+    """j2 of the bundled shear witness state before and after the shear channel."""
+    state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
+    shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
+    return j2(state), j2(ensure_bona_fide(apply(shear, state)))
+
+
 def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # shear witness regression: j2 grows from ~0.0148 to ~0.0152
-    state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
-    shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
-    j2_in = j2(state)
-    j2_out = j2(ensure_bona_fide(apply(shear, state)))
+    j2_in, j2_out = _shear_witness_j2()
     for side, got, want in (("input", j2_in, "0.0148"), ("output", j2_out, "0.0152")):
         results.append(CheckResult(f"shear-witness-j2-{side}", abs(got - float(want)) <= 5e-4,
                                    want, f"{got:.6f}", "5e-4"))
@@ -406,9 +404,8 @@ def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
               ("orthogonal-monotonicity", orthogonal_monotonicity_trials, (), slack))
     results = [_count_check(name, engine(*lead, trials, seed + i), trials, text)
                for i, (name, engine, lead, text) in enumerate(checks)]
-    state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
-    shear = fixtures.load_channel(fixtures.CHANNEL_SHEAR_LOCAL)
-    grew = j2(ensure_bona_fide(apply(shear, state))) > j2(state)
+    j2_in, j2_out = _shear_witness_j2()
+    grew = j2_out > j2_in
     results.append(CheckResult("monotonicity-failure-witness", grew,
                                "j2 increases under the non-orthogonal shear",
                                "increased" if grew else "did not increase", "strict"))

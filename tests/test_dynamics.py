@@ -334,7 +334,8 @@ class TestPureStartAtTolZero:
         assert traj.j2_values[0] == j2(self.START, 0.0) > 0.0
 
     def test_first_passage_time(self):
-        assert first_passage_time(self.START, self.BATH, 10.0, 1.0, 0.1, 0.0) == 0.0
+        assert "tol" not in inspect.signature(first_passage_time).parameters
+        assert first_passage_time(self.START, self.BATH, 10.0, 1.0, 0.1) == 0.0
 
 
 class TestTrajectory:

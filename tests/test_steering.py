@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from gsteer import fixtures
-from gsteer.linalg import DEFAULT_PSD_TOL, ValidationError, random_orthogonal, random_orthogonal_symplectic
+from gsteer.linalg import ValidationError, random_orthogonal, random_orthogonal_symplectic
 from gsteer.states import (
+    BonaFideError,
     make_state,
     mix_covariances,
     random_state,
@@ -365,6 +366,26 @@ class TestClosedFormStandard:
         with pytest.raises(ValidationError, match=r"c = \|d\|"):
             j_closed_standard(2.0, 2.0, 1.0, 0.5)
 
+    def test_rejects_what_standard_form_state_rejects(self):
+        # within the constraints' slack 1e-9 (ab)^2, but cov + i*Omega has
+        # min eigenvalue -5.0e-4; the closed form returned (2.5e-4, 1.00025)
+        for build in (standard_form_state, j_closed_standard):
+            with pytest.raises(BonaFideError):
+                build(1e3, 1e3, 1e3, -1e3)
+
+    def test_slack_overflow_is_a_validation_error(self):
+        # (ab)^2 overflows: this raised a bare OverflowError
+        for build, params in ((standard_form_state, (1e100, 1e100, 0.0, 0.0)),
+                              (j_closed_standard, (1e100, 1e100, 1e100, -1e100))):
+            with pytest.raises(ValidationError, match=r"a = 1e\+100, b = 1e\+100"):
+                build(*params)
+
+    @pytest.mark.parametrize("params", [(2.0, 2.0, 1.0, 1.0), (3.0, 2.0, 2.0, -2.0)])
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_returns_python_floats(self, params, cast):
+        values = j_closed_standard(*map(cast, params))
+        assert [type(v) for v in values] == [float, float]
+
     def test_matches_assembled_states_on_grid(self):
         for a in np.linspace(1.0, 6.0, 6):
             for b in np.linspace(1.0, 6.0, 6):
@@ -382,18 +403,8 @@ class TestClosedFormStandard:
 
 
 class TestBoundChain:
-    # verify's bound-chain check runs the pure family as one covariance stack
+    # verify's bound-chain check stacks the pure_family_state covariances
     RS = np.arange(1.0, 10.0 + 1e-12, 0.01)
-
-    def test_stack_is_pure_family_state_entry_for_entry(self):
-        from gsteer.steering import _pure_family_covs
-
-        covs = _pure_family_covs(self.RS)
-        assert covs.shape == (901, 4, 4)
-        for r, cov in zip(self.RS, covs):
-            assert cov.tobytes() == pure_family_state(r).cov.tobytes()
-        assert (_j_values_of_stack(covs, 1, 1, DEFAULT_PSD_TOL)[1].tolist()
-                == [j2(pure_family_state(r)) for r in self.RS])
 
     def test_matches_per_r_loop(self):
         from gsteer.verify import _bound_chain
