@@ -185,11 +185,12 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
             f"state ({state.modes_a},{state.modes_b})")
-    # finite inputs can overflow, so both are tested; cov then gets the
-    # symmetrization GaussianState applies, and is exactly symmetric
-    cov = require_finite(ch.K @ state.cov @ ch.K.T + ch.M, "cov")
+    # finite inputs can overflow, so both outputs are tested, cov after the
+    # symmetrization GaussianState applies, which can overflow too
+    cov = ch.K @ state.cov @ ch.K.T + ch.M
+    cov = require_finite((cov + cov.T) / 2.0, "cov")
     mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
-    return GaussianState._by_construction(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, mean)
+    return GaussianState._by_construction(ch.modes_a, ch.modes_b, cov, mean)
 
 
 def _direct_sum(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:

@@ -53,30 +53,33 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a square, finite, near-Hermitian matrix and return the
-    symmetrized (h + h^dagger)/2.
+    """Validate a square, near-Hermitian matrix and return the symmetrized
+    (h + h^dagger)/2, which must be finite (a finite h can overflow it).
 
     The tolerance HERMITICITY_TOL is relative to max(1, largest |entry|);
     inputs beyond it are rejected rather than repaired, naming the worst entry.
+    A non-finite entry is reported as such, not as an asymmetry.
     """
     arr = np.asarray(h)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValidationError(f"{name} must have positive dimension")
-    require_finite(arr, name)
     adj = np.conj(arr).T if np.iscomplexobj(arr) else arr.T
-    defect = np.abs(arr - adj)
-    worst = defect.max()
-    # the scale is >= 1, so a defect within HERMITICITY_TOL passes at any scale
-    if worst > HERMITICITY_TOL:
-        scale = max(1.0, float(np.abs(arr).max()))
-        if worst > HERMITICITY_TOL * scale:
-            i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
-            raise ValidationError(
-                f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
-                f"{worst:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
-    return (arr + adj) / 2.0
+    # caller input only: inf - inf and overflow are expected and caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(arr - adj)
+        worst = defect.max()
+        # the scale is >= 1, so a defect within HERMITICITY_TOL passes at any
+        # scale; a non-finite entry makes worst NaN or the scale inf and passes
+        if worst > HERMITICITY_TOL:
+            scale = max(1.0, float(np.abs(arr).max()))
+            if worst > HERMITICITY_TOL * scale:
+                i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
+                raise ValidationError(
+                    f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
+                    f"{worst:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
+        return require_finite((arr + adj) / 2.0, name)
 
 
 def psd_within_tol(lo, hi, tol: float):

@@ -22,7 +22,7 @@ Two ways in, so that each covariance is checked once:
   scalars and reject a scalar that overflows; ``random_state`` symmetrizes
   S diag(nu) S^T, which overflows for a huge ``max_sympl_eigen``, so its
   covariance is tested for finiteness; ``channels.apply`` symmetrizes
-  K cov K^T + M after testing it and the mean for finiteness;
+  K cov K^T + M and tests the result and the mean for finiteness;
   ``dynamics.stationary_state`` and ``dynamics.evolve`` take a bath's
   stationary covariance (finite for every bath ``BathParameters`` accepts)
   and its convex combinations with a checked state's covariance.
@@ -214,7 +214,9 @@ def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
     rounding in parameter values supplied from closed-form expressions; a
     slack 1e-9 (ab)^2 that overflows is rejected.
     """
-    ab = float(a) * float(b)  # Python floats overflow to inf without a warning
+    # Python floats overflow to inf without a warning, numpy scalars with one
+    a, b, c, d = float(a), float(b), float(c), float(d)
+    ab = a * b
     slack = 1e-9 * max(1.0, ab * ab)
     if not math.isfinite(slack):
         raise ValidationError(
@@ -228,7 +230,7 @@ def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
          (a * b - c * c) * (a * b - d * d) + 1.0 - a * a - b * b - 2.0 * c * d),
     ]
     for name, value in checks:
-        if not np.isfinite(value) or value < -slack:
+        if not math.isfinite(value) or value < -slack:
             raise ValidationError(
                 f"standard-form constraint violated: {name} (value {value:.6e})")
 
@@ -271,23 +273,15 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
     symplectic eigenvalue is 1).
 
     Each mixing factor gamma_k >= 1 couples mode A_k to mode B_k through the
-    off-diagonal block diag(sqrt(gamma_k^2 - 1), -sqrt(gamma_k^2 - 1)); the
-    |modes_a - modes_b| unpaired modes on the larger side are vacuum.
+    off-diagonal block diag(sqrt(gamma_k^2 - 1), -sqrt(gamma_k^2 - 1)), the
+    (1+1) pattern of :func:`_pure_pair_state` placed on the pair's quadratures;
+    the |modes_a - modes_b| unpaired modes on the larger side are vacuum.
     """
     modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
-    k = min(modes_a, modes_b)
-    couplings = np.sqrt(gammas**2 - 1.0)
-    a_diag = np.ones(modes_a)
-    b_diag = np.ones(modes_b)
-    a_diag[:k] = gammas
-    b_diag[:k] = gammas
-    cov = np.zeros((2 * (modes_a + modes_b), 2 * (modes_a + modes_b)))
-    cov[: 2 * modes_a, : 2 * modes_a] = np.diag(np.repeat(a_diag, 2))
-    cov[2 * modes_a :, 2 * modes_a :] = np.diag(np.repeat(b_diag, 2))
-    for i, coupling in enumerate(couplings):
-        block = np.diag([coupling, -coupling])
-        cov[2 * i : 2 * i + 2, 2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2] = block
-        cov[2 * modes_a + 2 * i : 2 * modes_a + 2 * i + 2, 2 * i : 2 * i + 2] = block
+    cov = np.eye(2 * (modes_a + modes_b))
+    for i, g in enumerate(gammas):
+        pair = [2 * i, 2 * i + 1, 2 * (modes_a + i), 2 * (modes_a + i) + 1]
+        cov[np.ix_(pair, pair)] = _pure_pair_state(g, math.sqrt(g * g - 1.0)).cov
     return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(cov.shape[0]))
 
 

@@ -39,7 +39,6 @@ from .linalg import (
     steering_form,
 )
 from .states import (
-    GaussianState,
     ensure_bona_fide,
     mix_covariances,
     random_state,
@@ -99,13 +98,6 @@ def _partition(i: int) -> tuple[int, int]:
     return (1, 1) if i % 2 == 0 else (1, 2)
 
 
-def _random_unsteerable(modes_a, modes_b, rng):
-    while True:
-        s = random_state(modes_a, modes_b, 5.0, rng)
-        if is_unsteerable(s, TRIAL_TOL).ok:
-            return s
-
-
 def _random_psd(dim, rng):
     w = rng.standard_normal((dim, dim)) * 0.5
     return w @ w.T
@@ -121,26 +113,30 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     return _count(n_trials, rng, violated)
 
 
-def upward_closure_trials(n_trials: int, rng) -> int:
-    """Adding a PSD matrix to an unsteerable covariance must stay unsteerable
-    (the sum is bona fide, so it is built without a test)."""
+def _preservation_trials(n_trials: int, rng, draw_channel, *certificates) -> int:
+    """Count channels ``draw_channel(i, rng)`` that fail one of ``certificates``
+    (at TRIAL_TOL) or map a random unsteerable input of :func:`sample_verify`
+    to a steerable output."""
     def violated(i, rng):
-        s = _random_unsteerable(1, 1, rng)
-        bigger = GaussianState(1, 1, s.cov + _random_psd(s.dim, rng), s.mean)
-        return not is_unsteerable(bigger, TRIAL_TOL).ok
+        ch = draw_channel(i, rng)
+        if not all(cert(ch, TRIAL_TOL).ok for cert in certificates):
+            return True  # one violation, and no state is drawn
+        return sample_verify(ch, 1, rng, "unsteerable-preserving", tol=TRIAL_TOL).violations > 0
     return _count(n_trials, rng, violated)
+
+
+def upward_closure_trials(n_trials: int, rng) -> int:
+    """Adding a PSD matrix P to an unsteerable covariance must stay unsteerable:
+    the additive-noise channel K = I, M = P (PSD by construction)."""
+    return _preservation_trials(n_trials, rng, lambda i, rng: GaussianChannel._by_construction(
+        1, 1, np.eye(4), _random_psd(4, rng), np.zeros(4)))
 
 
 def local_channel_trials(n_trials: int, rng) -> int:
     """Tensor products of valid local channels: certified unsteerable and
     empirically unsteerability-preserving."""
-    def violated(i, rng):
-        ch = random_local_channel(1, 1, rng)
-        if not is_unsteerable_channel(ch, TRIAL_TOL).ok:
-            return True  # one violation, and no state is drawn
-        s = _random_unsteerable(1, 1, rng)
-        return not is_unsteerable(apply(ch, s), TRIAL_TOL).ok
-    return _count(n_trials, rng, violated)
+    return _preservation_trials(n_trials, rng, lambda i, rng: random_local_channel(1, 1, rng),
+                                is_unsteerable_channel)
 
 
 def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
@@ -157,15 +153,9 @@ def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
 def certified_channel_trials(n_trials: int, rng) -> int:
     """Channels passing the unsteerable certificate keep unsteerable states
     unsteerable; partitions alternate between (1+1) and (1+2)."""
-    def violated(i, rng):
-        modes_a, modes_b = _partition(i)
-        ch = random_unsteerable_channel(modes_a, modes_b, rng)
-        if not (is_unsteerable_channel(ch, TRIAL_TOL).ok
-                and is_valid_gaussian(ch, TRIAL_TOL).ok):
-            return True  # one violation, and no state is drawn
-        s = _random_unsteerable(modes_a, modes_b, rng)
-        return not is_unsteerable(apply(ch, s), TRIAL_TOL).ok
-    return _count(n_trials, rng, violated)
+    return _preservation_trials(
+        n_trials, rng, lambda i, rng: random_unsteerable_channel(*_partition(i), rng),
+        is_unsteerable_channel, is_valid_gaussian)
 
 
 def local_symplectic_trials(n_trials: int, rng) -> int:
@@ -174,7 +164,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
     States whose steering-matrix margin (:attr:`PsdReport.margin`) is at most
     MARGIN_FLOOR in size are redrawn: congruence preserves eigenvalue signs
     but not their size, so the tolerant verdict is only meaningful away from
-    the boundary.
+    the boundary.  The channel (M = 0) is built without a check.
     """
     def violated(i, rng):
         while True:
@@ -184,7 +174,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
                 break
         k = _direct_sum(random_symplectic(1, rng, scale=0.5),
                         random_symplectic(1, rng, scale=0.5))
-        ch = GaussianChannel(1, 1, k, np.zeros((4, 4)), np.zeros(4))
+        ch = GaussianChannel._by_construction(1, 1, k, np.zeros((4, 4)), np.zeros(4))
         out = apply(ch, s)
         return bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok)
     return _count(n_trials, rng, violated)
@@ -207,14 +197,15 @@ def mixture_bound_trials(n_trials: int, rng) -> int:
 
 def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
     """j1 and j2 never increase under K_A orthogonal, K_B orthogonal
-    symplectic, with arbitrary PSD local noise."""
+    symplectic, with arbitrary PSD local noise (a direct sum of Gram matrices,
+    so the channel is built without a check)."""
     def violated(i, rng):
         modes_a, modes_b = _partition(i)
         s = random_state(modes_a, modes_b, 2.0, rng)
         da, db = 2 * modes_a, 2 * modes_b
         k = _direct_sum(random_orthogonal(da, rng), random_orthogonal_symplectic(modes_b, rng))
         m = _direct_sum(_random_psd(da, rng), _random_psd(db, rng))
-        ch = GaussianChannel(modes_a, modes_b, k, m, np.zeros(da + db))
+        ch = GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(da + db))
         out = apply(ch, s)
         j1_in, j2_in = j_values(s, clamp=False)
         j1_out, j2_out = j_values(out, clamp=False)

@@ -4,6 +4,8 @@ to what the check would have stored, bit for bit, and pin what caller input
 still gets: the same verdicts and messages as before the skip existed.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,20 @@ class TestOverflow:
         assert main(["channel", str(ch_file), str(state_file)]) == 2
         assert "error: cov contains non-finite entries" in capsys.readouterr().err
 
+    def test_apply_symmetrization(self, tmp_path, capsys):
+        # K cov K^T is finite (9.025e307 on the diagonal), cov + cov^T is not
+        ch = GaussianChannel(1, 1, np.diag([9.5e153, 9.5e153, 1.0, 1.0]),
+                             np.zeros((4, 4)), np.zeros(4))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+                apply(ch, squeezed_vacuum_state(0.0))
+        ch_file, state_file = tmp_path / "ch.json", tmp_path / "state.json"
+        ch_file.write_text(channel_to_json(ch))
+        state_file.write_text(state_to_json(squeezed_vacuum_state(0.0)))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["channel", str(ch_file), str(state_file)]) == 2
+        assert capsys.readouterr().err == "error: cov contains non-finite entries\n"
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_random_state(self):
         with pytest.raises(ValidationError, match="cov contains non-finite entries"):
@@ -167,6 +183,31 @@ class TestCallerInputStillChecked:
         cov[2, 1] = value
         with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
             GaussianState(1, 1, cov, np.zeros(4))
+
+    def test_overflowing_symmetrization_of_cov(self, tmp_path, capsys):
+        # a finite cov whose (cov + cov^T)/2 overflows; pytest fails on a warning
+        cov = np.eye(4)
+        cov[0, 0] = 1.7e308
+        with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+            GaussianState(1, 1, cov, np.zeros(4))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"modes_a": 1, "modes_b": 1, "cov": cov.tolist(),
+                                    "mean": [0.0] * 4}))
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: cov contains non-finite entries\n")
+
+    def test_overflowing_symmetrization_of_m(self, tmp_path, capsys):
+        m = np.zeros((4, 4))
+        m[0, 0] = 1.7e308
+        with pytest.raises(ValidationError, match="^M contains non-finite entries$"):
+            GaussianChannel(1, 1, np.eye(4), m, np.zeros(4))
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps({"modes_a": 1, "modes_b": 1, "K": np.eye(4).tolist(),
+                                    "M": m.tolist(), "dbar": [0.0] * 4}))
+        assert main(["channel", str(path), "--classify"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: M contains non-finite entries\n")
 
     def test_non_finite_mean(self):
         with pytest.raises(ValidationError, match="^mean contains non-finite entries$"):

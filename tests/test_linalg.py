@@ -154,6 +154,17 @@ class TestRequireHermitianStack:
         with pytest.raises(ValidationError, match="non-finite"):
             require_hermitian(h)
 
+    @pytest.mark.parametrize("entries", [{(0, 0): 1.7e308}, {(0, 1): np.inf},
+                                         {(0, 1): np.inf, (1, 0): -np.inf},
+                                         {(0, 1): np.nan, (1, 0): 5.0}])
+    def test_non_finite_symmetrization_rejected_without_warning(self, entries):
+        # (h + h^T)/2 overflows for entries above ~9e307; pytest fails on a warning
+        h = np.eye(3)
+        for index, value in entries.items():
+            h[index] = value
+        with pytest.raises(ValidationError, match="^m contains non-finite entries$"):
+            require_hermitian(h, name="m")
+
 
 class TestTraceNorm:
     def test_identity(self):

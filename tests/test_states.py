@@ -20,6 +20,7 @@ from gsteer.states import (
     validate_state,
     williamson_inverse,
 )
+from gsteer.steering import pure_family_state
 
 COSH2 = 3.7621956910836314
 SINH2 = 3.6268604078470186
@@ -123,6 +124,14 @@ class TestStandardForm:
         with pytest.raises(ValidationError, match=fragment):
             standard_form_state(*params)
 
+    def test_numpy_scalar_overflow_rejected_without_warning(self):
+        # numpy scalars warned on c * c overflowing; pytest fails on a warning
+        params = (2.0, 2.0, 1e200, 1e200)
+        for cast in (float, np.float64):
+            with pytest.raises(ValidationError, match=r"^standard-form constraint violated: "
+                                                      r"a\(ab - c\^2\) - b >= 0 \(value -inf\)$"):
+                standard_form_state(*map(cast, params))
+
 
 class TestSchmidtForm:
     def test_gamma_one_is_vacuum(self):
@@ -133,6 +142,7 @@ class TestSchmidtForm:
         for r in (1.0, 1.5, 2.0, 5.0):
             s = schmidt_pure_state(1, 1, [r])
             assert np.allclose(s.cov, pure_family_cov(r), atol=1e-15)
+            assert s.cov.tobytes() == pure_family_state(r).cov.tobytes()
 
     def test_unbalanced_padding(self):
         s = schmidt_pure_state(1, 2, [2.0])

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from gsteer import verify
+from gsteer.channels import GaussianChannel, apply
 from gsteer.linalg import PsdReport
+from gsteer.states import GaussianState, random_state
 
 # (engine, leading arguments) -> the next rng.random() after 40 trials at
 # seeds 0, 1 and 2; every count is 0.  Recorded when each engine still ran
-# its own loop, so they pin draw order and the Generator's final state.
+# its own loop, so they pin draw order and the Generator's final state;
+# upward closure's were re-recorded when it became the additive-noise channel,
+# which draws its noise before its input state.
 NEXT_RANDOM = {
     ("faithfulness_trials", (1, 1)):
         (0.12442859823434937, 0.46082134286350085, 0.929980134834762),
     ("faithfulness_trials", (1, 2)):
         (0.7530611951948528, 0.6741544028160474, 0.2126790884037184),
     ("upward_closure_trials", ()):
-        (0.9651307886119497, 0.22101077998114638, 0.2813022370340027),
+        (0.1466882319095667, 0.708691782471572, 0.9772697912267297),
     ("local_channel_trials", ()):
         (0.1578820957249074, 0.03359696275689261, 0.781161613358343),
     ("certified_channel_trials", ()):
@@ -55,9 +59,28 @@ class TestForcedViolations:
 
         failing = PsdReport(False, -1.0, 1.0, verify.TRIAL_TOL)
         monkeypatch.setattr(verify, "is_unsteerable_channel", lambda ch, tol: failing)
-        monkeypatch.setattr(verify, "_random_unsteerable", no_state)
+        monkeypatch.setattr(verify, "sample_verify", no_state)
         assert engine(6, 4) == 6
 
     def test_count_is_a_python_int(self):
         count = verify._count(5, 0, lambda i, rng: np.bool_(i % 2 == 0))
         assert count == 3 and type(count) is int
+
+
+def test_noise_channel_adds_its_noise_exactly():
+    # upward closure tests cov + P through the channel K = I, M = P
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        noise = verify._random_psd(4, rng)
+        s = random_state(1, 1, 5.0, rng)
+        ch = GaussianChannel._by_construction(1, 1, np.eye(4), noise, np.zeros(4))
+        want = GaussianState(1, 1, s.cov + noise, s.mean)
+        assert apply(ch, s).cov.tobytes() == want.cov.tobytes()
+
+
+@pytest.mark.parametrize("engine", [verify.upward_closure_trials,
+                                    verify.local_symplectic_trials,
+                                    verify.orthogonal_monotonicity_trials])
+def test_channels_built_by_construction_are_not_rechecked(engine, count_require_hermitian):
+    assert engine(6, 0) == 0
+    assert count_require_hermitian == []
