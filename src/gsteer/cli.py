@@ -106,6 +106,8 @@ def cmd_quantify(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if args.output is not None and args.state_file is None:
+        raise ValidationError("--output needs a state file to apply the channel to")
     channel = channel_from_json(_read_file(args.channel_file))
     ran_something = False
     if args.classify:

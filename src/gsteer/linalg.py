@@ -10,6 +10,7 @@ forms are read-only, so values can be shared freely between threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,10 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def psd_within_tol(lo, hi, tol: float):
     """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
-    for floats or for arrays of (lambda_min, lambda_max) pairs."""
-    if not tol >= 0:
-        raise ValidationError(f"tol must be nonnegative, got {tol}")
+    for floats or for arrays of (lambda_min, lambda_max) pairs; ``tol`` must
+    be finite and nonnegative (an infinite tol would pass every matrix)."""
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
     return (lo >= -tol) | (lo >= -tol * abs(hi))
 
 

@@ -206,45 +206,15 @@ def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
     return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean))
 
 
-def check_standard_form_params(a: float, b: float, c: float, d: float) -> None:
-    """Verify the (1+1)-mode standard-form constraints, naming any failure.
-
-    Constraints: a >= 1, b >= 1, a(ab - c^2) - b >= 0, b(ab - d^2) - a >= 0,
-    (ab - c^2)(ab - d^2) + 1 - a^2 - b^2 - 2cd >= 0.  A relative slack absorbs
-    rounding in parameter values supplied from closed-form expressions; a
-    slack 1e-9 (ab)^2 that overflows is rejected.
-    """
-    # Python floats overflow to inf without a warning, numpy scalars with one
-    a, b, c, d = float(a), float(b), float(c), float(d)
-    ab = a * b
-    slack = 1e-9 * max(1.0, ab * ab)
-    if not math.isfinite(slack):
-        raise ValidationError(
-            f"standard-form parameters a = {a}, b = {b} overflow the slack 1e-9 (ab)^2")
-    checks = [
-        ("a >= 1", a - 1.0),
-        ("b >= 1", b - 1.0),
-        ("a(ab - c^2) - b >= 0", a * (a * b - c * c) - b),
-        ("b(ab - d^2) - a >= 0", b * (a * b - d * d) - a),
-        ("(ab - c^2)(ab - d^2) + 1 - a^2 - b^2 - 2cd >= 0",
-         (a * b - c * c) * (a * b - d * d) + 1.0 - a * a - b * b - 2.0 * c * d),
-    ]
-    for name, value in checks:
-        if not math.isfinite(value) or value < -slack:
-            raise ValidationError(
-                f"standard-form constraint violated: {name} (value {value:.6e})")
-
-
 def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState:
-    """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]]."""
-    check_standard_form_params(a, b, c, d)
-    cov = np.array([
+    """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]],
+    judged by :func:`make_state`'s checks and bona fide rule."""
+    return make_state(1, 1, [
         [a, 0.0, c, 0.0],
         [0.0, a, 0.0, d],
         [c, 0.0, b, 0.0],
         [0.0, d, 0.0, b],
     ])
-    return make_state(1, 1, cov)
 
 
 def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:

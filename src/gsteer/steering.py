@@ -39,38 +39,27 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
-def _excess(ev: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (j1, j2) of steering-matrix spectra ``ev`` (..., d) and covariances
-    ``cov`` (..., d, d).  j2 is positive if some lambda < 0, else +0.0: the
-    spectrum is never all zeros, and a positive lambda adds max(-lambda, 0) = +0.0."""
-    j2_val = 2.0 * np.maximum(-ev, 0.0).sum(-1)
-    return j2_val / cov.trace(axis1=-2, axis2=-1), j2_val
+def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
+                      clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one spectrum kernel: steering-matrix spectra and (j1, j2) of a
+    ``(d, d)`` covariance or a ``(..., d, d)`` stack, finite and exactly
+    symmetric (the caller's record or algebra guarantees it; not checked).
 
-
-def _diagnose(state: GaussianState, tol: float,
-              clamp: bool = True) -> tuple[PsdReport, float, float]:
-    """Verdict and (j1, j2) from one eigendecomposition of the steering matrix."""
-    ev = np.linalg.eigvalsh(steering_matrix(state))
-    report = PsdReport.from_eigenvalues(ev, tol)
-    if clamp and report.ok:
-        return report, 0.0, 0.0
-    j1_val, j2_val = _excess(ev, state.cov)
-    return report, float(j1_val), float(j2_val)
-
-
-def _j_values_of_stack(covs: np.ndarray, modes_a: int, modes_b: int,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped (j1, j2) arrays, j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(cov),
-    for a ``(k, d, d)`` stack of covariance matrices that is finite and
-    exactly symmetric by construction; the stack is not checked.
-
-    One batched eigendecomposition, and row i equals
-    ``j_values(GaussianState(modes_a, modes_b, covs[i], mean), tol)`` bit for bit.
+    One ``eigvalsh`` of ``covs + 0_A (+) i*Omega_B`` gives the ascending
+    spectra; raw j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0,
+    else +0.0) and j1 = j2 / Tr(cov).  The verdict of :func:`psd_within_tol`
+    is taken even with clamp=False, so a bad ``tol`` is always rejected; with
+    clamp=True j2, and so j1 (the trace of an unsteerable cov is positive),
+    is 0.0 where it holds.  A stack's row i equals the ``(d, d)`` call on
+    ``covs[i]`` bit for bit.
     """
-    evs = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
-    unsteerable = psd_within_tol(evs[:, 0], evs[:, -1], tol)
-    j1_vals, j2_vals = _excess(evs, covs)
-    return np.where(unsteerable, 0.0, j1_vals), np.where(unsteerable, 0.0, j2_vals)
+    ev = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
+    # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
+    unsteerable = psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
+    j2_vals = 2.0 * np.maximum(-ev, 0.0).sum(-1)
+    if clamp:
+        j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds
+    return ev, j2_vals / covs.trace(axis1=-2, axis2=-1), j2_vals
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
@@ -80,11 +69,11 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
 
     With clamp=True (the default) j1 and j2 are exactly 0 if and only if the
     unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
-    and positive otherwise, at every tol >= 0.  Pass clamp=False for the raw
-    values, which are >= 0 and positive exactly when lambda_min < 0.
+    and positive otherwise, at every finite tol >= 0.  Pass clamp=False for
+    the raw values, which are >= 0 and positive exactly when lambda_min < 0.
     """
-    _, j1_val, j2_val = _diagnose(state, tol, clamp)
-    return j1_val, j2_val
+    _, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)
+    return float(j1_val), float(j2_val)
 
 
 def j1(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
@@ -119,8 +108,9 @@ class SteeringReport:
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
     """Full steering diagnosis from a single eigendecomposition."""
-    report, j1_val, j2_val = _diagnose(state, tol)
-    return SteeringReport(report.ok, j1_val, j2_val, report.min_eigenvalue, tol)
+    ev, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol)
+    report = PsdReport.from_eigenvalues(ev, tol)
+    return SteeringReport(report.ok, float(j1_val), float(j2_val), report.min_eigenvalue, tol)
 
 
 def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
@@ -153,12 +143,17 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
         j2 = max(0, 1 + sqrt((a - b + 1)^2 + 4c^2) - (a + b))
 
     and both vanish iff a(b - 1) - c^2 >= 0.  The parameters get every check
-    of :func:`~gsteer.states.standard_form_state`, bona fide test included.
+    of :func:`~gsteer.states.standard_form_state`, bona fide test included;
+    parameters whose root overflows are rejected.
     """
     if abs(c - abs(d)) > 1e-12 * max(1.0, abs(c), abs(d)):
         raise ValidationError(f"requires c = |d|, got c = {c}, d = {d}")
     standard_form_state(a, b, c, d)
-    root = np.sqrt((a - b + 1.0) ** 2 + 4.0 * c * c)
+    with np.errstate(over="ignore"):
+        root = np.sqrt(np.float64(a - b + 1.0) ** 2 + 4.0 * c * c)
+    if not np.isfinite(root):
+        raise ValidationError(
+            f"sqrt((a - b + 1)^2 + 4c^2) overflows at a = {a}, b = {b}, c = {c}")
     j1_val = max(0.0, (1.0 + a + b + root) / (2.0 * (a + b)) - 1.0)
     j2_val = max(0.0, 1.0 + root - (a + b))
     return float(j1_val), float(j2_val)

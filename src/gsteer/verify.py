@@ -45,7 +45,7 @@ from .states import (
     squeezed_vacuum_state,
 )
 from .steering import (
-    _j_values_of_stack,
+    _steering_spectra,
     is_unsteerable,
     j2,
     j_values,
@@ -237,7 +237,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         while t <= t_end and len(times) < PASSAGE_BLOCK:
             times.append(t)
             t += dt
-        j2_vals = _j_values_of_stack(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[1]
+        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
         below = np.flatnonzero(j2_vals < threshold)
         if below.size:
             return times[below[0]]
@@ -258,7 +258,7 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     r order, described.  j2 comes from one batched eigendecomposition of the
     :func:`pure_family_state` covariance stack, symmetric and finite by construction."""
     covs = np.array([pure_family_state(r).cov for r in rs])
-    j2_vals = _j_values_of_stack(covs, 1, 1, DEFAULT_PSD_TOL)[1]
+    j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[2]
     for r, val in zip(rs, j2_vals.tolist()):
         z = n3_upper_bound_pure(r)
         if val - z < -1e-12 or (r > 1.0 + 1e-12 and val - z <= 1e-9):

@@ -7,6 +7,9 @@ can be compared value for value.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from gsteer.dynamics import evolve, stationary_state
@@ -184,6 +187,76 @@ def standard_form_unsteerable_inequality(a: float, b: float, c: float, d: float)
     (ab - c^2)(ab - d^2) >= a^2 (A-to-B direction)."""
     ab = a * b
     return (ab - c * c) * (ab - d * d) >= a * a
+
+
+STANDARD_FORM_INEQUALITIES = (
+    "a >= 1",
+    "b >= 1",
+    "a(ab - c^2) - b >= 0",
+    "b(ab - d^2) - a >= 0",
+    "(ab - c^2)(ab - d^2) + 1 - a^2 - b^2 - 2cd >= 0",
+)
+
+
+def standard_form_violations(a: float, b: float, c: float, d: float) -> list[str]:
+    """The names of the closed-form bona fide inequalities of the (1+1)-mode
+    standard form [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]] that fail, with
+    no slack: a route to cov + i*Omega >= 0 that needs no eigensolver."""
+    ab = a * b
+    values = (a - 1.0, b - 1.0, a * (ab - c * c) - b, b * (ab - d * d) - a,
+              (ab - c * c) * (ab - d * d) + 1.0 - a * a - b * b - 2.0 * c * d)
+    return [name for name, value in zip(STANDARD_FORM_INEQUALITIES, values) if not value >= 0.0]
+
+
+def exact_psd(h: np.ndarray) -> bool:
+    """Whether the Hermitian matrix h is PSD, decided exactly.
+
+    Every float is a dyadic rational, so the entries of h are exact.  LDL^T
+    with diagonal pivoting runs in ``fractions.Fraction`` on the real
+    embedding [[A, -B], [B, A]] of h = A + iB (PSD iff h is): the largest
+    remaining diagonal entry is the pivot; a negative pivot means not PSD,
+    and a zero pivot requires the whole remaining block to be zero.  No
+    eigensolver, no tolerance.
+    """
+    m = [[Fraction(x) for x in row] for row in real_embed(h).tolist()]
+    active = list(range(len(m)))
+    while active:
+        p = max(active, key=lambda i: m[i][i])
+        pivot = m[p][p]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            return all(m[i][j] == 0 for i in active for j in active)
+        active.remove(p)
+        row = m[p]
+        for i in active:
+            if row[i]:
+                factor = row[i] / pivot
+                target = m[i]
+                for j in active:
+                    target[j] -= factor * row[j]
+    return True
+
+
+def thermal_standard_form(r: float, n_th: float, lam: float, t: float) -> tuple[float, float]:
+    """(a, c) of the squeezed vacuum of parameter r relaxed for a time t in a
+    thermal bath (R = 0): cov(t) stays in standard form with a = b =
+    w cosh 2r + (1 - w)(2 n_th + 1) and c = -d = w sinh 2r, w = exp(-lam t)."""
+    w = math.exp(-lam * t)
+    return w * math.cosh(2.0 * r) + (1.0 - w) * (2.0 * n_th + 1.0), w * math.sinh(2.0 * r)
+
+
+def thermal_death_time(r: float, n_th: float, lam: float) -> float:
+    """The time t* > 0 at which steering of the relaxing squeezed vacuum of
+    :func:`thermal_standard_form` dies: the root w* in (0, 1) of
+    a(a - 1) = c^2, a quadratic in w, and t* = -ln(w*) / lam.  At n_th = 0,
+    w* = 1/2 for every r > 0."""
+    ch, sh, m = math.cosh(2.0 * r), math.sinh(2.0 * r), 2.0 * n_th + 1.0
+    x = ch - m
+    # a = m + w x and c = w sh: (x^2 - sh^2) w^2 + x (2m - 1) w + m (m - 1) = 0
+    roots = np.roots([x * x - sh * sh, x * (2.0 * m - 1.0), m * (m - 1.0)])
+    (w_star,) = [w.real for w in roots if w.imag == 0.0 and 0.0 < w.real < 1.0]
+    return -math.log(w_star) / lam
 
 
 def j2_initial_squeezed(r: float) -> float:

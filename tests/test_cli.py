@@ -170,6 +170,17 @@ class TestChannel:
         assert captured.err == "error: channel certificate contains non-finite entries\n"
         assert captured.out == ""
 
+    def test_output_without_state_exits_2(self, noncert_channel_file, tmp_path, capsys):
+        # a flag that cannot act is refused, not silently ignored
+        out_path = tmp_path / "out.json"
+        for extra in (["--classify"], []):
+            assert main(["channel", noncert_channel_file, *extra,
+                         "--output", str(out_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: --output needs a state file to apply the channel to\n"
+            assert captured.out == ""
+        assert not out_path.exists()
+
     def test_no_action_exits_2(self, noncert_channel_file):
         assert main(["channel", noncert_channel_file]) == 2
 

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import re
 
 import numpy as np
@@ -21,9 +22,15 @@ from gsteer.states import (
     squeezed_vacuum_state,
     validate_state,
 )
-from gsteer.steering import j2
+from gsteer.steering import j2, j_closed_standard
 from gsteer.verify import PASSAGE_BLOCK, first_passage_time
-from oracles import first_passage_scan, j2_initial_squeezed, sweep_points
+from oracles import (
+    first_passage_scan,
+    j2_initial_squeezed,
+    sweep_points,
+    thermal_death_time,
+    thermal_standard_form,
+)
 
 SINH1_SQ = 1.3810978455418155      # sinh(1)^2
 COSH1_SINH1 = 1.8134302039235093   # cosh(1) * sinh(1)
@@ -314,6 +321,32 @@ class TestFirstPassage:
         points = round(t / dt) + 1 if np.isfinite(t) else round(t_max / dt) + 1
         blocks = -(-points // PASSAGE_BLOCK)
         assert len(count_eigvalsh) <= blocks + 2
+
+
+class TestThermalDeathTime:
+    # a thermal bath (R = 0) keeps a squeezed-vacuum start in standard form,
+    # so j2(t) and the time t* where steering dies have closed forms
+    CASES = [(0.5, 0.0), (1.0, 0.0), (1.0, 0.2), (2.0, 0.5)]
+    LAM, DT = 0.1, 1e-3
+
+    @pytest.mark.parametrize("r, n_th", CASES)
+    def test_sweep_matches_closed_form(self, r, n_th):
+        t_grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
+        traj = sweep(squeezed_vacuum_state(r), BathParameters(n_th, 0.0, 0.0, self.LAM), t_grid)
+        for t, got in zip(t_grid, traj.j2_values):
+            a, c = thermal_standard_form(r, n_th, self.LAM, t)
+            assert abs(got - j_closed_standard(a, a, c, -c)[1]) <= 1e-12, t
+        assert traj.j2_values[0] > 0.0 and traj.j2_values[-1] == 0.0
+
+    @pytest.mark.parametrize("r, n_th", CASES)
+    def test_first_passage_lands_within_one_step_after_death(self, r, n_th):
+        t_star = thermal_death_time(r, n_th, self.LAM)
+        if n_th == 0.0:
+            assert t_star == pytest.approx(math.log(2.0) / self.LAM, rel=1e-14)
+        passage = first_passage_time(squeezed_vacuum_state(r),
+                                     BathParameters(n_th, 0.0, 0.0, self.LAM),
+                                     1e-300, 10.0, self.DT)
+        assert t_star <= passage <= t_star + self.DT
 
 
 class TestPureStartAtTolZero:

@@ -231,6 +231,52 @@ class TestIsPsd:
             assert psd_report(h, hi).ok
 
 
+class TestInfiniteTol:
+    # an infinite tol would pass every matrix: j2 of the squeezed vacuum
+    # (~0.798) would read 0.0 and every verdict would pass
+    MESSAGE = r"^tol must be finite and nonnegative, got inf$"
+
+    @staticmethod
+    def calls():
+        from gsteer import fixtures
+        from gsteer.channels import classify, sample_verify
+        from gsteer.dynamics import BathParameters, sweep
+        from gsteer.states import squeezed_vacuum_state, validate_state
+        from gsteer.steering import is_unsteerable, j_values, steering_report
+
+        state = squeezed_vacuum_state(1.0)
+        channel = fixtures.load_channel(fixtures.CHANNEL_NONCERT_UNSTEERABLE)
+        return {
+            "is_unsteerable": lambda tol: is_unsteerable(state, tol),
+            "j_values": lambda tol: j_values(state, tol),
+            "j_values_raw": lambda tol: j_values(state, tol, clamp=False),
+            "steering_report": lambda tol: steering_report(state, tol),
+            "validate_state": lambda tol: validate_state(state, tol),
+            "classify": lambda tol: classify(channel, tol),
+            "sample_verify_bona_fide": lambda tol: sample_verify(channel, 5, 0, tol=tol),
+            "sample_verify_unsteerable": lambda tol: sample_verify(
+                channel, 5, 0, "unsteerable-preserving", tol=tol),
+            "sweep": lambda tol: sweep(state, BathParameters(0.0, 0.0, 0.0, 0.1), [0.0, 1.0], tol),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "is_unsteerable", "j_values", "j_values_raw", "steering_report", "validate_state",
+        "classify", "sample_verify_bona_fide", "sample_verify_unsteerable", "sweep"])
+    def test_rejected(self, name):
+        call = self.calls()[name]
+        call(DEFAULT_PSD_TOL)  # a finite tol runs
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            call(np.inf)
+
+    def test_rule(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            psd_report(np.eye(2), tol=float("inf"))
+        for bad in (-np.inf, -1e-300, np.nan):
+            with pytest.raises(ValidationError, match="^tol must be finite and nonnegative"):
+                psd_report(np.eye(2), tol=bad)
+        assert psd_report(np.eye(2), tol=np.finfo(float).max).ok
+
+
 class TestRealEmbed:
     def test_i_omega_embedding(self):
         expected = np.array([

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gsteer.states import (
     williamson_inverse,
 )
 from gsteer.steering import pure_family_state
+from oracles import standard_form_violations
 
 COSH2 = 3.7621956910836314
 SINH2 = 3.6268604078470186
@@ -121,16 +123,51 @@ class TestStandardForm:
         ((2.0, 2.0, 1.7, 1.7), r"\(ab - c\^2\)\(ab - d\^2\)"),
     ])
     def test_violations_name_the_inequality(self, params, fragment):
-        with pytest.raises(ValidationError, match=fragment):
+        # the oracle names the inequality; the state raises what make_state
+        # raises on the assembled matrix
+        assert any(re.match(fragment, name) for name in standard_form_violations(*params))
+        a, b, c, d = params
+        cov = [[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]]
+        with pytest.raises(BonaFideError) as expected:
+            make_state(1, 1, cov)
+        with pytest.raises(BonaFideError, match=f"^{re.escape(str(expected.value))}$") as got:
             standard_form_state(*params)
+        assert got.value.min_eigenvalue == expected.value.min_eigenvalue
 
     def test_numpy_scalar_overflow_rejected_without_warning(self):
-        # numpy scalars warned on c * c overflowing; pytest fails on a warning
+        # c * c overflows in the closed-form inequalities; the eigen test of
+        # make_state rejects the state, with no numpy warning (pytest fails on one)
         params = (2.0, 2.0, 1e200, 1e200)
         for cast in (float, np.float64):
-            with pytest.raises(ValidationError, match=r"^standard-form constraint violated: "
-                                                      r"a\(ab - c\^2\) - b >= 0 \(value -inf\)$"):
+            with pytest.raises(BonaFideError, match=r"^covariance matrix is not bona fide: "):
                 standard_form_state(*map(cast, params))
+
+    def test_non_finite_parameters_rejected(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            for params in ((bad, 1.0, 0.0, 0.0), (2.0, 2.0, bad, 0.0)):
+                with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+                    standard_form_state(*params)
+
+    def test_accepts_exactly_when_the_inequalities_hold(self):
+        # the eigen test of make_state against the five closed-form
+        # inequalities, away from the tolerance band
+        rng = np.random.default_rng(41)
+        outcomes = set()
+        for _ in range(2000):
+            a, b = rng.uniform(0.5, 4.0, 2)
+            c, d = rng.uniform(-4.0, 4.0, 2)
+            cov = [[a, 0.0, c, 0.0], [0.0, a, 0.0, d], [c, 0.0, b, 0.0], [0.0, d, 0.0, b]]
+            if abs(validate_state(GaussianState(1, 1, cov, np.zeros(4))).margin) <= 1e-7:
+                continue
+            holds = not standard_form_violations(a, b, c, d)
+            try:
+                standard_form_state(a, b, c, d)
+                accepted = True
+            except BonaFideError:
+                accepted = False
+            assert accepted == holds, (a, b, c, d)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
 
 
 class TestSchmidtForm:

@@ -16,7 +16,7 @@ from gsteer.states import (
 )
 from gsteer.steering import (
     SteeringReport,
-    _j_values_of_stack,
+    _steering_spectra,
     is_unsteerable,
     j1,
     j2,
@@ -145,7 +145,7 @@ class TestJValuesStack:
             states = [random_state(1, modes_b, 4.0, rng) for _ in range(30)]
             covs = np.array([st.cov for st in states])
             for tol in (1e-9, 1e-6, 0.0):
-                j1s, j2s = _j_values_of_stack(covs, 1, modes_b, tol)
+                _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
                 assert [(a, b) for a, b in zip(j1s, j2s)] == [j_values(st, tol) for st in states]
                 assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
 
@@ -164,10 +164,23 @@ class TestJValuesStack:
             rows.append(make_state(1, 2, cov))
         covs = np.array([st.cov for st in rows])
         for tol in (1e-9, 1e-8, 0.0):
-            j1s, j2s = _j_values_of_stack(covs, 1, 2, tol)
+            _, j1s, j2s = _steering_spectra(covs, 1, 2, tol)
             assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
         # at tol 0 rounding makes some rotated rows steerable
         assert np.count_nonzero(j2s[1:]) > 0
+
+    def test_single_matrix_is_the_one_row_stack(self):
+        # a (d, d) call and a (1, d, d) call: spectra and both clamps bit for bit
+        rng = np.random.default_rng(19)
+        rows = [tolerance_band_witness()] + [random_state(1, 1, 4.0, rng) for _ in range(20)]
+        for st in rows:
+            for tol in (1e-9, 0.0):
+                for clamp in (True, False):
+                    single = _steering_spectra(st.cov, st.modes_a, st.modes_b, tol, clamp)
+                    stacked = _steering_spectra(st.cov[None], st.modes_a, st.modes_b, tol, clamp)
+                    assert [x.shape for x in single] == [(st.dim,), (), ()]
+                    for one, stack in zip(single, stacked):
+                        assert one.tobytes() == stack[0].tobytes()
 
 
 def unsteerable_states(count, seed):
@@ -194,7 +207,7 @@ class TestNegativeSpectrumForm:
                     j1_val, j2_val = j_values(s, tol, clamp)
                     assert j1_val == j2_val / np.trace(s.cov)
             covs = np.array([s.cov for s in states])
-            j1s, j2s = _j_values_of_stack(covs, 1, modes_b, tol)
+            _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
             assert np.array_equal(j1s, j2s / np.trace(covs, axis1=1, axis2=2))
             assert np.any(j2s > 0.0)
 
@@ -374,11 +387,17 @@ class TestClosedFormStandard:
                 build(1e3, 1e3, 1e3, -1e3)
 
     def test_slack_overflow_is_a_validation_error(self):
-        # (ab)^2 overflows: this raised a bare OverflowError
-        for build, params in ((standard_form_state, (1e100, 1e100, 0.0, 0.0)),
-                              (j_closed_standard, (1e100, 1e100, 1e100, -1e100))):
-            with pytest.raises(ValidationError, match=r"a = 1e\+100, b = 1e\+100"):
-                build(*params)
+        # a valid two-mode thermal state whose (ab)^2 overflows: the eigen
+        # test of make_state needs no slack and accepts it
+        assert np.array_equal(standard_form_state(1e100, 1e100, 0.0, 0.0).cov,
+                              1e100 * np.eye(4))
+        # the states pass the bona fide test, but 4c^2 or (a - b + 1)^2
+        # overflows the root; Python floats must not raise OverflowError
+        for params, a_text in (((1e154, 1e154, 1e154, -1e154), r"1e\+154"),
+                               ((1e200, 1.0, 0.0, 0.0), r"1e\+200")):
+            for cast in (float, np.float64):
+                with pytest.raises(ValidationError, match=f"overflows at a = {a_text}, "):
+                    j_closed_standard(*map(cast, params))
 
     @pytest.mark.parametrize("params", [(2.0, 2.0, 1.0, 1.0), (3.0, 2.0, 2.0, -2.0)])
     @pytest.mark.parametrize("cast", [float, np.float64])
