@@ -20,6 +20,7 @@ adds its own checks (finite K and dbar, M symmetric and PSD).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,22 +29,26 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    relative_margin,
     require_finite,
     require_hermitian,
+    require_tol,
     steering_form,
 )
 from .states import (
     GaussianState,
+    _check_max_sympl_eigen,
     _integer_counts,
+    _is_integer,
+    _random_covs,
     _Record,
-    random_state,
-    validate_state,
 )
-from .steering import is_unsteerable
+from .steering import _psd_spectra
 
 
 CHANNEL_SLACK = 1e-6  # margin of random_unsteerable_channel's M over both certificates
 MAX_OVERSAMPLING = 100  # sample_verify's draws per requested sample before it aborts
+SAMPLE_BLOCK = 1024  # sample_verify's samples per stack, which bounds its memory
 
 
 class SamplingAbortError(RuntimeError):
@@ -185,12 +190,18 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
             f"state ({state.modes_a},{state.modes_b})")
-    # finite inputs can overflow, so both outputs are tested, cov after the
-    # symmetrization GaussianState applies, which can overflow too
-    cov = ch.K @ state.cov @ ch.K.T + ch.M
-    cov = require_finite((cov + cov.T) / 2.0, "cov")
+    # finite inputs can overflow, so the mean is tested too
     mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
-    return GaussianState._by_construction(ch.modes_a, ch.modes_b, cov, mean)
+    return GaussianState._by_construction(ch.modes_a, ch.modes_b, _act(ch, state.cov), mean)
+
+
+def _act(ch: GaussianChannel, covs: np.ndarray) -> np.ndarray:
+    """K cov K^T + M for one ``(d, d)`` cov or a ``(..., d, d)`` stack, tested
+    for finiteness after the symmetrization GaussianState applies (finite
+    inputs can overflow either step); a stack's row i equals the ``(d, d)``
+    call on ``covs[i]`` bit for bit."""
+    cov = ch.K @ covs @ ch.K.T + ch.M
+    return require_finite((cov + cov.swapaxes(-1, -2)) / 2.0, "cov")
 
 
 def _direct_sum(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
@@ -288,44 +299,66 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
 
     ``bona-fide`` checks that outputs of random valid states satisfy the bona
     fide condition; ``unsteerable-preserving`` restricts inputs to unsteerable
-    states (by rejection) and checks outputs stay unsteerable.  Rejection
-    beyond MAX_OVERSAMPLING times n_samples aborts with a diagnostic.
-    Margins are the relative minimum eigenvalues of the output certificates.
+    states (by rejection, one draw at a time) and checks outputs stay
+    unsteerable.  Rejection beyond MAX_OVERSAMPLING times n_samples aborts
+    with a diagnostic.  Margins are the relative minimum eigenvalues of the
+    output certificates.
+
+    Every argument is checked before the first draw, so a refused call
+    leaves ``rng`` where it was.  Samples run in stacks of at most
+    SAMPLE_BLOCK: bona-fide inputs are drawn as one stack, and each stack's
+    outputs take one channel action and one ``eigvalsh``.  The report, and
+    the Generator's end state, equal those of a loop over single samples.
     """
     if predicate not in PREDICATES:
         raise ValidationError(f"unknown predicate {predicate!r}, choose from {PREDICATES}")
+    if not _is_integer(n_samples):
+        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
+    n_samples = int(n_samples)
     if n_samples < 1:
         raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     if ch.modes_a < 1 or ch.modes_b < 1:
         raise ValidationError("sampling requires a bipartite channel partition")
+    max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
+    require_tol(tol)
     rng = np.random.default_rng(rng)
-    draws = 0
-    violations = 0
-    worst = np.inf
-    margin_sum = 0.0
+    modes = (ch.modes_a, ch.modes_b)
+    # outputs are judged against i*Omega (bona fide) or 0_A (+) i*Omega_B
+    judged = (0, ch.n_modes) if predicate == "bona-fide" else modes
+    draws = violations = 0
+    worst, margin_sum = math.inf, 0.0
     first_counterexample = None
-    for _ in range(n_samples):
-        while True:
-            draws += 1
-            if draws > MAX_OVERSAMPLING * n_samples:
-                raise SamplingAbortError(
-                    f"rejection sampling exceeded {MAX_OVERSAMPLING}x oversampling "
-                    f"({draws} draws for {predicate!r}); the input distribution "
-                    f"rarely satisfies the predicate's precondition")
-            state = random_state(ch.modes_a, ch.modes_b, max_sympl_eigen, rng)
-            if predicate == "bona-fide" or is_unsteerable(state, tol).ok:
-                break
-        out = apply(ch, state)
-        rep = validate_state(out, tol) if predicate == "bona-fide" \
-            else is_unsteerable(out, tol)
-        margin = rep.margin
-        worst = min(worst, margin)
-        margin_sum += margin
-        if not rep.ok:
-            violations += 1
-            if first_counterexample is None:
-                first_counterexample = state
-    return SampleReport(predicate, n_samples, violations, float(worst),
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        k = min(SAMPLE_BLOCK, n_samples - start)
+        if predicate == "bona-fide":
+            covs = _random_covs((k,), *modes, max_sympl_eigen, rng)
+            draws += k
+        else:
+            covs = np.empty((k, ch.dim, ch.dim))
+            for i in range(k):
+                while True:
+                    draws += 1
+                    if draws > MAX_OVERSAMPLING * n_samples:
+                        raise SamplingAbortError(
+                            f"rejection sampling exceeded {MAX_OVERSAMPLING}x oversampling "
+                            f"({draws} draws for {predicate!r}); the input distribution "
+                            f"rarely satisfies the predicate's precondition")
+                    covs[i] = _random_covs((), *modes, max_sympl_eigen, rng)
+                    if _psd_spectra(covs[i], *modes, tol)[1]:
+                        break
+        ev, ok = _psd_spectra(_act(ch, covs), *judged, tol)
+        margins = relative_margin(ev[:, 0], ev[:, -1]).tolist()
+        worst = min(worst, *margins)
+        for margin in margins:  # left to right: np.sum and sum() reorder the terms
+            margin_sum += margin
+        n_ok = int(np.count_nonzero(ok))
+        violations += k - n_ok
+        if first_counterexample is None and n_ok < k:
+            # argmin of the verdicts is the first violation; its row is
+            # copied so the report does not keep the stack alive
+            first_counterexample = GaussianState._by_construction(
+                *modes, covs[ok.argmin()].copy(), np.zeros(ch.dim))
+    return SampleReport(predicate, n_samples, violations, worst,
                         margin_sum / n_samples, draws, first_counterexample)
 
 

@@ -83,13 +83,26 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
         return require_finite((arr + adj) / 2.0, name)
 
 
+def require_tol(tol: float) -> None:
+    """Reject a ``tol`` that is not finite and nonnegative (an infinite tol
+    would pass every matrix)."""
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def psd_within_tol(lo, hi, tol: float):
     """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
     for floats or for arrays of (lambda_min, lambda_max) pairs; ``tol`` must
-    be finite and nonnegative (an infinite tol would pass every matrix)."""
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+    pass :func:`require_tol`."""
+    require_tol(tol)
     return (lo >= -tol) | (lo >= -tol * abs(hi))
+
+
+def relative_margin(lo, hi):
+    """The rule's margin: lambda_min relative to max(1, |lambda_max|), for
+    floats or for arrays of (lambda_min, lambda_max) pairs; the test passes
+    when the margin is above -tol, up to rounding."""
+    return lo / np.maximum(1.0, abs(hi))
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,8 @@ class PsdReport:
 
     @property
     def margin(self) -> float:
-        """Minimum eigenvalue relative to max(1, |lambda_max|); the test
-        passes when the margin is above -tol, up to rounding."""
-        return self.min_eigenvalue / max(1.0, abs(self.max_eigenvalue))
+        """The :func:`relative_margin` of the spectrum's ends."""
+        return float(relative_margin(self.min_eigenvalue, self.max_eigenvalue))
 
     def __bool__(self) -> bool:
         return self.ok
@@ -156,6 +168,12 @@ def random_symplectic(n_modes: int, rng, scale: float = 1.0) -> np.ndarray:
     Always symplectic because Omega H lies in the symplectic Lie algebra.
     """
     rng = np.random.default_rng(rng)
-    h = rng.uniform(-scale, scale, (2 * n_modes, 2 * n_modes))
-    h = (h + h.T) / 2.0
+    return symplectic_exp(n_modes, rng.uniform(-scale, scale, (2 * n_modes, 2 * n_modes)))
+
+
+def symplectic_exp(n_modes: int, h: np.ndarray) -> np.ndarray:
+    """exp(Omega H) with H = (h + h^T)/2, for one ``(2n, 2n)`` h or a
+    ``(..., 2n, 2n)`` stack; ``scipy.linalg.expm`` runs per slice, so row i
+    of a stack equals the single call on ``h[i]`` bit for bit."""
+    h = (h + h.swapaxes(-1, -2)) / 2.0
     return scipy.linalg.expm(symplectic_form(n_modes) @ h)

@@ -19,9 +19,10 @@ Two ways in, so that each covariance is checked once:
   construction and keeps only the finiteness test its algebra cannot spare:
   ``schmidt_pure_state`` and ``squeezed_vacuum_state`` (and
   ``steering.pure_family_state``) fill the symmetric pure-state pattern from
-  scalars and reject a scalar that overflows; ``random_state`` symmetrizes
-  S diag(nu) S^T, which overflows for a huge ``max_sympl_eigen``, so its
-  covariance is tested for finiteness; ``channels.apply`` symmetrizes
+  scalars and reject a scalar that overflows; ``random_state`` (and the
+  stack of ``channels.sample_verify``) symmetrizes S diag(nu) S^T, which
+  overflows for a huge ``max_sympl_eigen``, so its covariance is tested for
+  finiteness; ``channels.apply`` symmetrizes
   K cov K^T + M and tests the result and the mean for finiteness;
   ``dynamics.stationary_state`` and ``dynamics.evolve`` take a bath's
   stationary covariance (finite for every bath ``BathParameters`` accepts)
@@ -49,20 +50,25 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    random_symplectic,
     require_finite,
     require_hermitian,
     steering_form,
+    symplectic_exp,
 )
 
 
+def _is_integer(n) -> bool:
+    """The one integer rule: an Integral that is not a bool, which Python
+    counts as int."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _integer_counts(modes_a, modes_b) -> tuple[int, int]:
-    """``modes_a`` and ``modes_b`` as Python ints; they must be integers, and
-    bools, which Python counts as int, are rejected."""
+    """``modes_a`` and ``modes_b`` as Python ints; they must pass
+    :func:`_is_integer`."""
     if type(modes_a) is int and type(modes_b) is int:
         return modes_a, modes_b
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-               for n in (modes_a, modes_b)):
+    if not (_is_integer(modes_a) and _is_integer(modes_b)):
         raise ValidationError(
             f"modes_a and modes_b must be integers, got {modes_a!r} and {modes_b!r}")
     return int(modes_a), int(modes_b)
@@ -280,10 +286,39 @@ def _pure_pair_state(g: float, s: float) -> GaussianState:
 
 
 def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
-    """Assemble S * diag(nu_1, nu_1, nu_2, nu_2, ...) * S^T."""
-    nu = np.asarray(sympl_eigenvalues, dtype=float)
-    cov = sympl @ np.diag(np.repeat(nu, 2)) @ sympl.T
-    return (cov + cov.T) / 2.0
+    """Assemble S * diag(nu_1, nu_1, nu_2, nu_2, ...) * S^T, symmetrized, for
+    one ``(n,)`` nu and ``(2n, 2n)`` S or for ``(..., n)`` and ``(..., 2n, 2n)``
+    stacks; the diagonal scales the columns of S."""
+    nu = np.repeat(np.asarray(sympl_eigenvalues, dtype=float), 2, axis=-1)
+    cov = (sympl * nu[..., None, :]) @ sympl.swapaxes(-1, -2)
+    return (cov + cov.swapaxes(-1, -2)) / 2.0
+
+
+def _check_max_sympl_eigen(max_sympl_eigen: float) -> float:
+    """``max_sympl_eigen`` as a float; it must be finite and >= 1."""
+    if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
+        raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
+    return float(max_sympl_eigen)
+
+
+def _random_covs(shape: tuple[int, ...], modes_a: int, modes_b: int,
+                 max_sympl_eigen: float, rng: np.random.Generator) -> np.ndarray:
+    """The one drawing path: a ``(*shape, d, d)`` array of the covariances
+    :func:`random_state` describes, from checked arguments and a Generator;
+    ``shape`` is ``()`` for one covariance or ``(k,)`` for a stack of k.
+
+    Sample i takes n + d^2 uniforms, nu then H in stream order, scaled as
+    ``Generator.uniform`` scales them, so the stack equals k rounds of
+    ``rng.uniform(1, max_sympl_eigen, n)`` and ``rng.uniform(-1, 1, (d, d))``
+    bit for bit, and the Generator ends where those rounds leave it.
+    """
+    n = modes_a + modes_b
+    d = 2 * n
+    u = rng.random((*shape, n + d * d))
+    nu = 1.0 + (max_sympl_eigen - 1.0) * u[..., :n]
+    sympl = symplectic_exp(n, (-1.0 + 2.0 * u[..., n:]).reshape(*shape, d, d))
+    # finite unless a huge max_sympl_eigen overflows the product
+    return require_finite(williamson_inverse(nu, sympl), "cov")
 
 
 def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> GaussianState:
@@ -296,15 +331,9 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     fixed integer seed; pass independent generators for parallel sampling.
     """
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
-    if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
-        raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
-    rng = np.random.default_rng(rng)
-    n = modes_a + modes_b
-    nu = rng.uniform(1.0, max_sympl_eigen, n)
-    sympl = random_symplectic(n, rng)
-    # finite unless a huge max_sympl_eigen overflows the product
-    cov = require_finite(williamson_inverse(nu, sympl), "cov")
-    return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(2 * n))
+    max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
+    cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, np.random.default_rng(rng))
+    return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(len(cov)))
 
 
 def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> GaussianState:

@@ -39,23 +39,31 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
+def _psd_spectra(covs: np.ndarray, modes_a: int, modes_b: int,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of ``covs + 0_A (+) i*Omega_B`` for a ``(d, d)``
+    covariance or a ``(..., d, d)`` stack, and the verdict of
+    :func:`psd_within_tol` on each; ``modes_a = 0`` gives the bona fide test.
+    One ``eigvalsh`` serves the whole stack, and a stack's row i equals the
+    ``(d, d)`` call on ``covs[i]`` bit for bit."""
+    ev = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
+    # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
+    return ev, psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
+
+
 def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
                       clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one spectrum kernel: steering-matrix spectra and (j1, j2) of a
     ``(d, d)`` covariance or a ``(..., d, d)`` stack, finite and exactly
     symmetric (the caller's record or algebra guarantees it; not checked).
 
-    One ``eigvalsh`` of ``covs + 0_A (+) i*Omega_B`` gives the ascending
-    spectra; raw j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0,
-    else +0.0) and j1 = j2 / Tr(cov).  The verdict of :func:`psd_within_tol`
-    is taken even with clamp=False, so a bad ``tol`` is always rejected; with
-    clamp=True j2, and so j1 (the trace of an unsteerable cov is positive),
-    is 0.0 where it holds.  A stack's row i equals the ``(d, d)`` call on
-    ``covs[i]`` bit for bit.
+    :func:`_psd_spectra` gives the ascending spectra and the verdicts; raw
+    j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0, else +0.0)
+    and j1 = j2 / Tr(cov).  The verdict is taken even with clamp=False, so
+    a bad ``tol`` is always rejected; with clamp=True j2, and so j1 (the
+    trace of an unsteerable cov is positive), is 0.0 where it holds.
     """
-    ev = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
-    # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
-    unsteerable = psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
+    ev, unsteerable = _psd_spectra(covs, modes_a, modes_b, tol)
     j2_vals = 2.0 * np.maximum(-ev, 0.0).sum(-1)
     if clamp:
         j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds

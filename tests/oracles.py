@@ -11,11 +11,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
+from gsteer import channels
+from gsteer.channels import GaussianChannel, SampleReport, SamplingAbortError
 from gsteer.dynamics import evolve, stationary_state
-from gsteer.linalg import ValidationError, require_hermitian, steering_form
-from gsteer.states import GaussianState
-from gsteer.steering import j2, n3_upper_bound_pure, pure_family_state
+from gsteer.linalg import ValidationError, require_hermitian, steering_form, symplectic_form
+from gsteer.states import GaussianState, validate_state
+from gsteer.steering import is_unsteerable, j2, n3_upper_bound_pure, pure_family_state
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
@@ -287,3 +290,56 @@ def schur_unsteerable_margin(state: GaussianState) -> float:
     schur = schur_complement(state)
     ev = np.linalg.eigvalsh(schur + steering_form(0, state.modes_b))
     return float(ev[0] / max(1.0, abs(ev[-1])))
+
+
+def random_cov(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> np.ndarray:
+    """One random covariance drawn by separate calls, as ``random_state`` drew
+    it before the stacked sampler: nu by ``rng.uniform``, then H by
+    ``rng.uniform``, S = expm(Omega H), and S diag(nu) S^T through an explicit
+    diagonal matrix."""
+    n = modes_a + modes_b
+    nu = rng.uniform(1.0, max_sympl_eigen, n)
+    h = rng.uniform(-1.0, 1.0, (2 * n, 2 * n))
+    sympl = scipy.linalg.expm(symplectic_form(n) @ ((h + h.T) / 2.0))
+    cov = sympl @ np.diag(np.repeat(nu, 2)) @ sympl.T
+    return (cov + cov.T) / 2.0
+
+
+def sample_verify_loop(ch: GaussianChannel, n_samples: int, rng,
+                       predicate: str = "bona-fide", max_sympl_eigen: float = 5.0,
+                       tol: float = 1e-8) -> SampleReport:
+    """``channels.sample_verify`` as a loop over single samples: draw (and,
+    for unsteerable-preserving, redraw until unsteerable), apply the channel
+    to one state, take one ``PsdReport`` and fold its margin in."""
+    rng = np.random.default_rng(rng)
+    dim = 2 * ch.n_modes
+    draws = violations = 0
+    worst = np.inf
+    margin_sum = 0.0
+    first_counterexample = None
+    for _ in range(n_samples):
+        while True:
+            draws += 1
+            if draws > channels.MAX_OVERSAMPLING * n_samples:
+                raise SamplingAbortError(
+                    f"rejection sampling exceeded {channels.MAX_OVERSAMPLING}x oversampling "
+                    f"({draws} draws for {predicate!r}); the input distribution "
+                    f"rarely satisfies the predicate's precondition")
+            state = GaussianState(ch.modes_a, ch.modes_b,
+                                  random_cov(ch.modes_a, ch.modes_b, max_sympl_eigen, rng),
+                                  np.zeros(dim))
+            if predicate == "bona-fide" or is_unsteerable(state, tol).ok:
+                break
+        cov = ch.K @ state.cov @ ch.K.T + ch.M
+        out = GaussianState(ch.modes_a, ch.modes_b, (cov + cov.T) / 2.0, np.zeros(dim))
+        rep = validate_state(out, tol) if predicate == "bona-fide" \
+            else is_unsteerable(out, tol)
+        margin = rep.margin
+        worst = min(worst, margin)
+        margin_sum += margin
+        if not rep.ok:
+            violations += 1
+            if first_counterexample is None:
+                first_counterexample = state
+    return SampleReport(predicate, n_samples, violations, float(worst),
+                        margin_sum / n_samples, draws, first_counterexample)
