@@ -29,6 +29,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    psd_spectra,
     relative_margin,
     require_finite,
     require_hermitian,
@@ -43,7 +44,6 @@ from .states import (
     _random_covs,
     _Record,
 )
-from .steering import _psd_spectra
 
 
 CHANNEL_SLACK = 1e-6  # margin of random_unsteerable_channel's M over both certificates
@@ -241,7 +241,7 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
 def _certified_shift(k: np.ndarray, *offsets: np.ndarray) -> float:
     """max(0, -lambda_min of F - K F K^T for each F of ``offsets``) + CHANNEL_SLACK:
     M = shift * I passes each certificate M + F - K F K^T by CHANNEL_SLACK."""
-    return max(0.0, *(-float(np.linalg.eigvalsh(certificate_matrix(k, 0.0, f, f))[0])
+    return max(0.0, *(-float(psd_spectra(certificate_matrix(k, 0.0, f, f), 0.0)[0][0])
                       for f in offsets)) + CHANNEL_SLACK
 
 
@@ -323,8 +323,9 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
     require_tol(tol)
     rng = np.random.default_rng(rng)
     modes = (ch.modes_a, ch.modes_b)
+    steering = steering_form(*modes)
     # outputs are judged against i*Omega (bona fide) or 0_A (+) i*Omega_B
-    judged = (0, ch.n_modes) if predicate == "bona-fide" else modes
+    judged = steering_form(0, ch.n_modes) if predicate == "bona-fide" else steering
     draws = violations = 0
     worst, margin_sum = math.inf, 0.0
     first_counterexample = None
@@ -344,9 +345,9 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
                             f"({draws} draws for {predicate!r}); the input distribution "
                             f"rarely satisfies the predicate's precondition")
                     covs[i] = _random_covs((), *modes, max_sympl_eigen, rng)
-                    if _psd_spectra(covs[i], *modes, tol)[1]:
+                    if psd_spectra(covs[i] + steering, tol)[1]:
                         break
-        ev, ok = _psd_spectra(_act(ch, covs), *judged, tol)
+        ev, ok = psd_spectra(_act(ch, covs) + judged, tol)
         margins = relative_margin(ev[:, 0], ev[:, -1]).tolist()
         worst = min(worst, *margins)
         for margin in margins:  # left to right: np.sum and sum() reorder the terms

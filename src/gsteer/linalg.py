@@ -1,4 +1,4 @@
-"""Symplectic forms, validation, the PSD tolerance rule and random matrices.
+"""Symplectic forms, validation, the PSD tolerance rule and kernel, and random matrices.
 
 All quantities are dimensionless (hbar = 1, so the vacuum covariance matrix is
 the identity) and quadratures are ordered (Q1, P1, Q2, P2, ...).  Matrices are
@@ -93,9 +93,20 @@ def require_tol(tol: float) -> None:
 def psd_within_tol(lo, hi, tol: float):
     """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
     for floats or for arrays of (lambda_min, lambda_max) pairs; ``tol`` must
-    pass :func:`require_tol`."""
+    pass :func:`require_tol`.  :func:`psd_spectra` is its one caller."""
     require_tol(tol)
     return (lo >= -tol) | (lo >= -tol * abs(hi))
+
+
+def psd_spectra(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one PSD kernel: ascending spectra of a ``(d, d)`` matrix or a
+    ``(..., d, d)`` stack that is Hermitian by construction (not re-checked),
+    and the verdict of :func:`psd_within_tol` on each.  One ``eigvalsh``
+    serves the whole stack, and a stack's row i equals the ``(d, d)`` call on
+    ``h[i]`` bit for bit."""
+    ev = np.linalg.eigvalsh(h)
+    # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
+    return ev, psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
 
 
 def relative_margin(lo, hi):
@@ -115,17 +126,12 @@ class PsdReport:
     tol: float
 
     @classmethod
-    def from_eigenvalues(cls, ev: np.ndarray, tol: float) -> PsdReport:
-        """The verdict of :func:`psd_within_tol` for an ascending eigenvalue
-        array ``ev``."""
-        lo, hi = float(ev[0]), float(ev[-1])
-        return cls(bool(psd_within_tol(lo, hi, tol)), lo, hi, tol)
-
-    @classmethod
     def of_hermitian(cls, h: np.ndarray, tol: float) -> PsdReport:
-        """The PSD test of a matrix that is Hermitian by construction, such as
-        a certificate built from validated data; ``h`` is not re-checked."""
-        return cls.from_eigenvalues(np.linalg.eigvalsh(h), tol)
+        """The :func:`psd_spectra` report of one ``(d, d)`` matrix that is
+        Hermitian by construction, such as a certificate built from validated
+        data; ``h`` is not re-checked."""
+        ev, ok = psd_spectra(h, tol)
+        return cls(bool(ok), float(ev[0]), float(ev[-1]), tol)
 
     @property
     def margin(self) -> float:

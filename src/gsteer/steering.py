@@ -24,8 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_within_tol, steering_form
-from .states import GaussianState, _pure_pair_state, _schmidt_factors, standard_form_state
+from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_spectra, steering_form
+from .states import (
+    GaussianState,
+    _is_integer,
+    _pure_pair_state,
+    _schmidt_factors,
+    standard_form_state,
+)
 
 
 def steering_matrix(state: GaussianState) -> np.ndarray:
@@ -39,35 +45,32 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
-def _psd_spectra(covs: np.ndarray, modes_a: int, modes_b: int,
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra of ``covs + 0_A (+) i*Omega_B`` for a ``(d, d)``
-    covariance or a ``(..., d, d)`` stack, and the verdict of
-    :func:`psd_within_tol` on each; ``modes_a = 0`` gives the bona fide test.
-    One ``eigvalsh`` serves the whole stack, and a stack's row i equals the
-    ``(d, d)`` call on ``covs[i]`` bit for bit."""
-    ev = np.linalg.eigvalsh(covs + steering_form(modes_a, modes_b))
-    # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
-    return ev, psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
-
-
 def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
-                      clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one spectrum kernel: steering-matrix spectra and (j1, j2) of a
-    ``(d, d)`` covariance or a ``(..., d, d)`` stack, finite and exactly
-    symmetric (the caller's record or algebra guarantees it; not checked).
+                      clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one steering-spectrum kernel: ascending spectra, verdicts and
+    (j1, j2) of the steering matrices of a ``(d, d)`` covariance or a
+    ``(..., d, d)`` stack, finite, exactly symmetric and of positive trace
+    (the caller's record, check or algebra guarantees it; not checked).
 
-    :func:`_psd_spectra` gives the ascending spectra and the verdicts; raw
+    The spectra and verdicts are :func:`~gsteer.linalg.psd_spectra`'s; raw
     j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0, else +0.0)
-    and j1 = j2 / Tr(cov).  The verdict is taken even with clamp=False, so
-    a bad ``tol`` is always rejected; with clamp=True j2, and so j1 (the
-    trace of an unsteerable cov is positive), is 0.0 where it holds.
+    and j1 = j2 / Tr(cov).  The verdict is taken even with clamp=False, so a
+    bad ``tol`` is always rejected; with clamp=True j2, and so j1, is 0.0
+    where it holds.
     """
-    ev, unsteerable = _psd_spectra(covs, modes_a, modes_b, tol)
+    ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
     j2_vals = 2.0 * np.maximum(-ev, 0.0).sum(-1)
     if clamp:
         j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds
-    return ev, j2_vals / covs.trace(axis1=-2, axis2=-1), j2_vals
+    return ev, unsteerable, j2_vals / covs.trace(axis1=-2, axis2=-1), j2_vals
+
+
+def _require_positive_trace(state: GaussianState) -> None:
+    """Reject a covariance whose trace, the denominator of j1, is not
+    positive (a bona fide covariance has Tr(cov) >= d)."""
+    trace = sum(state.cov.diagonal().tolist())  # a fifth of ndarray.trace's cost
+    if not trace > 0.0:
+        raise ValidationError(f"Tr(cov) must be positive, got {trace:.6e}")
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
@@ -79,8 +82,10 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
     unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
     and positive otherwise, at every finite tol >= 0.  Pass clamp=False for
     the raw values, which are >= 0 and positive exactly when lambda_min < 0.
+    A covariance with Tr(cov) <= 0 is rejected.
     """
-    _, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)
+    _require_positive_trace(state)
+    j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)[2:]
     return float(j1_val), float(j2_val)
 
 
@@ -115,10 +120,11 @@ class SteeringReport:
 
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
-    """Full steering diagnosis from a single eigendecomposition."""
-    ev, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol)
-    report = PsdReport.from_eigenvalues(ev, tol)
-    return SteeringReport(report.ok, float(j1_val), float(j2_val), report.min_eigenvalue, tol)
+    """Full steering diagnosis from a single eigendecomposition; a
+    covariance with Tr(cov) <= 0 is rejected."""
+    _require_positive_trace(state)
+    ev, ok, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol)
+    return SteeringReport(bool(ok), float(j1_val), float(j2_val), float(ev[0]), tol)
 
 
 def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
@@ -200,11 +206,16 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     The overlap with the pure r-family state is 4 / sqrt(det(cov_r + cov)),
     whose determinant factors into two closed-form block halves.  Each pass
     of the loop evaluates one value of a over all (b, c, d) cells, so memory
-    grows as grid_density**3.
+    grows as grid_density**3.  ``grid_density`` must be an integer >= 2 (a
+    bool or a float is rejected), and an r whose largest determinant,
+    about (2r + 4)^4, overflows (r above about 5.8e76) is rejected.
     """
     _check_family_parameter(r)
-    if grid_density < 2:
-        raise ValidationError(f"grid_density must be >= 2, got {grid_density}")
+    if not _is_integer(grid_density) or grid_density < 2:
+        raise ValidationError(f"grid_density must be an integer >= 2, got {grid_density!r}")
+    edge = 2.0 * float(r) + 4.0  # det of the largest cell, a = b = r + 4, is ~ edge^4
+    if not math.isfinite(edge * edge * edge * edge):
+        raise ValidationError(f"the grid's determinant overflows at r = {r}")
     axis = np.linspace(1.0, r + 4.0, grid_density)
     s = np.sqrt(r * r - 1.0)
     steps = np.arange(grid_density, dtype=float)

@@ -33,6 +33,7 @@ from .dynamics import BathParameters, relaxation_covariances, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
     ValidationError,
+    psd_spectra,
     random_orthogonal,
     random_orthogonal_symplectic,
     random_symplectic,
@@ -237,7 +238,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         while t <= t_end and len(times) < PASSAGE_BLOCK:
             times.append(t)
             t += dt
-        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
+        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[3]
         below = np.flatnonzero(j2_vals < threshold)
         if below.size:
             return times[below[0]]
@@ -258,7 +259,7 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     r order, described.  j2 comes from one batched eigendecomposition of the
     :func:`pure_family_state` covariance stack, symmetric and finite by construction."""
     covs = np.array([pure_family_state(r).cov for r in rs])
-    j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[2]
+    j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[3]
     for r, val in zip(rs, j2_vals.tolist()):
         z = n3_upper_bound_pure(r)
         if val - z < -1e-12 or (r > 1.0 + 1e-12 and val - z <= 1e-9):
@@ -318,12 +319,13 @@ def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     root13 = np.sqrt(13.0)
     expected = np.sort([(5.0 + root13) / 2, (5.0 - root13) / 2,
                         (3.0 + root13) / 2, (3.0 - root13) / 2])
-    got = np.linalg.eigvalsh(steering_matrix(pure_family_state(2.0)))
+    got, _ = psd_spectra(steering_matrix(pure_family_state(2.0)), DEFAULT_PSD_TOL)
     results.append(CheckResult("pure-family-eigenvalues",
                                bool(np.abs(got - expected).max() <= 1e-10),
                                np.array2string(expected, precision=6),
                                np.array2string(got, precision=6), "1e-10"))
-    tn = float(np.abs(np.linalg.eigvalsh(steering_matrix(pure_family_state(1.0)))).sum())
+    ev_r1, _ = psd_spectra(steering_matrix(pure_family_state(1.0)), DEFAULT_PSD_TOL)
+    tn = float(np.abs(ev_r1).sum())
     results.append(CheckResult("pure-family-trace-norm-unsteerable",
                                abs(tn - 4.0) <= 1e-12, "4", f"{tn:.15f}", "1e-12"))
 

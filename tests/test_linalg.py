@@ -7,6 +7,7 @@ from gsteer.linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    psd_spectra,
     random_orthogonal,
     random_orthogonal_symplectic,
     random_symplectic,
@@ -42,7 +43,7 @@ def checked_eigenvalues(h):
 
 
 def psd_report(h, tol=DEFAULT_PSD_TOL):
-    return PsdReport.from_eigenvalues(np.linalg.eigvalsh(h), tol)
+    return PsdReport.of_hermitian(h, tol)
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -231,6 +232,68 @@ class TestIsPsd:
             assert psd_report(h, hi).ok
 
 
+class TestPsdSpectra:
+    """The one PSD kernel ``psd_spectra``: a stack's rows equal the
+    single-matrix calls, and each single-matrix verdict is one eigensolve."""
+
+    @staticmethod
+    def stacks():
+        """Steering and bona fide offsets on random covariances, steerable
+        and unsteerable, and the three certificates of each fixture channel."""
+        from gsteer import fixtures
+        from gsteer.channels import certificate_matrix
+        from gsteer.states import random_state
+
+        rng = np.random.default_rng(31)
+        stacks = []
+        for modes_a, modes_b in ((1, 1), (1, 2)):
+            covs = np.array([random_state(modes_a, modes_b, 3.0, rng).cov for _ in range(25)])
+            stacks.append(covs + steering_form(modes_a, modes_b))
+            stacks.append(covs + steering_form(0, modes_a + modes_b))
+        certs = []
+        for name in (fixtures.CHANNEL_NONCERT_BONAFIDE, fixtures.CHANNEL_NONCERT_UNSTEERABLE,
+                     fixtures.CHANNEL_SHEAR_LOCAL):
+            ch = fixtures.load_channel(name)
+            f, omega = steering_form(ch.modes_a, ch.modes_b), steering_form(0, ch.n_modes)
+            certs += [certificate_matrix(ch.K, ch.M, f_out, f_in)
+                      for f_out, f_in in ((omega, omega), (f, f), (f, omega))]
+        stacks.append(np.array(certs))
+        return stacks
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_stack_rows_equal_single_calls(self, tol):
+        verdicts = []
+        for stack in self.stacks():
+            ev, ok = psd_spectra(stack, tol)
+            assert ev.shape == stack.shape[:-1] and ok.shape == stack.shape[:1]
+            for i, h in enumerate(stack):
+                ev_i, ok_i = psd_spectra(h, tol)
+                assert ev_i.tobytes() == ev[i].tobytes()
+                assert ok_i.shape == () and ok_i == ok[i]
+                assert PsdReport.of_hermitian(h, tol) == PsdReport(
+                    bool(ok[i]), float(ev[i, 0]), float(ev[i, -1]), tol)
+            verdicts += ok.tolist()
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("name, solves", [
+        ("is_unsteerable", 1), ("validate_state", 1), ("steering_report", 1), ("classify", 3)])
+    def test_eigensolves_per_verdict(self, count_eigvalsh, name, solves):
+        from gsteer import fixtures
+        from gsteer.channels import classify
+        from gsteer.states import validate_state
+        from gsteer.steering import is_unsteerable, steering_report
+
+        state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
+        channel = fixtures.load_channel(fixtures.CHANNEL_NONCERT_UNSTEERABLE)
+        call = {"is_unsteerable": lambda: is_unsteerable(state),
+                "validate_state": lambda: validate_state(state),
+                "steering_report": lambda: steering_report(state),
+                "classify": lambda: classify(channel)}[name]
+        count_eigvalsh.clear()
+        call()
+        assert len(count_eigvalsh) == solves
+
+
 class TestInfiniteTol:
     # an infinite tol would pass every matrix: j2 of the squeezed vacuum
     # (~0.798) would read 0.0 and every verdict would pass
@@ -239,7 +302,13 @@ class TestInfiniteTol:
     @staticmethod
     def calls():
         from gsteer import fixtures
-        from gsteer.channels import classify, sample_verify
+        from gsteer.channels import (
+            classify,
+            is_steering_breaking,
+            is_unsteerable_channel,
+            is_valid_gaussian,
+            sample_verify,
+        )
         from gsteer.dynamics import BathParameters, sweep
         from gsteer.states import squeezed_vacuum_state, validate_state
         from gsteer.steering import is_unsteerable, j_values, steering_report
@@ -253,6 +322,9 @@ class TestInfiniteTol:
             "steering_report": lambda tol: steering_report(state, tol),
             "validate_state": lambda tol: validate_state(state, tol),
             "classify": lambda tol: classify(channel, tol),
+            "is_valid_gaussian": lambda tol: is_valid_gaussian(channel, tol),
+            "is_unsteerable_channel": lambda tol: is_unsteerable_channel(channel, tol),
+            "is_steering_breaking": lambda tol: is_steering_breaking(channel, tol),
             "sample_verify_bona_fide": lambda tol: sample_verify(channel, 5, 0, tol=tol),
             "sample_verify_unsteerable": lambda tol: sample_verify(
                 channel, 5, 0, "unsteerable-preserving", tol=tol),
@@ -261,7 +333,8 @@ class TestInfiniteTol:
 
     @pytest.mark.parametrize("name", [
         "is_unsteerable", "j_values", "j_values_raw", "steering_report", "validate_state",
-        "classify", "sample_verify_bona_fide", "sample_verify_unsteerable", "sweep"])
+        "classify", "is_valid_gaussian", "is_unsteerable_channel", "is_steering_breaking",
+        "sample_verify_bona_fide", "sample_verify_unsteerable", "sweep"])
     def test_rejected(self, name):
         call = self.calls()[name]
         call(DEFAULT_PSD_TOL)  # a finite tol runs

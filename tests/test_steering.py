@@ -7,6 +7,7 @@ from gsteer import fixtures
 from gsteer.linalg import ValidationError, random_orthogonal, random_orthogonal_symplectic
 from gsteer.states import (
     BonaFideError,
+    GaussianState,
     make_state,
     mix_covariances,
     random_state,
@@ -119,6 +120,15 @@ class TestJValues:
         assert rep.min_eigenvalue == pytest.approx(MIN_EIG_R2, abs=1e-12)
         assert rep.tol_used == 1e-9
 
+    @pytest.mark.parametrize("cov", [-np.eye(4), np.zeros((4, 4))], ids=["negative", "zero"])
+    @pytest.mark.parametrize("quantify", [j_values, j1, j2, steering_report])
+    def test_rejects_nonpositive_trace(self, quantify, cov):
+        # j1 = j2 / Tr(cov) would be negative, or infinite with a numpy
+        # divide-by-zero warning; a bona fide covariance has Tr(cov) >= d
+        state = GaussianState(1, 1, cov, np.zeros(4))
+        with pytest.raises(ValidationError, match=r"^Tr\(cov\) must be positive, got "):
+            quantify(state)
+
     def test_report_json_round_trip(self):
         import json
 
@@ -145,7 +155,7 @@ class TestJValuesStack:
             states = [random_state(1, modes_b, 4.0, rng) for _ in range(30)]
             covs = np.array([st.cov for st in states])
             for tol in (1e-9, 1e-6, 0.0):
-                _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
+                _, _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
                 assert [(a, b) for a, b in zip(j1s, j2s)] == [j_values(st, tol) for st in states]
                 assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
 
@@ -164,13 +174,14 @@ class TestJValuesStack:
             rows.append(make_state(1, 2, cov))
         covs = np.array([st.cov for st in rows])
         for tol in (1e-9, 1e-8, 0.0):
-            _, j1s, j2s = _steering_spectra(covs, 1, 2, tol)
+            _, _, j1s, j2s = _steering_spectra(covs, 1, 2, tol)
             assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
         # at tol 0 rounding makes some rotated rows steerable
         assert np.count_nonzero(j2s[1:]) > 0
 
     def test_single_matrix_is_the_one_row_stack(self):
-        # a (d, d) call and a (1, d, d) call: spectra and both clamps bit for bit
+        # a (d, d) call and a (1, d, d) call: spectra, verdicts and both
+        # clamps bit for bit
         rng = np.random.default_rng(19)
         rows = [tolerance_band_witness()] + [random_state(1, 1, 4.0, rng) for _ in range(20)]
         for st in rows:
@@ -178,7 +189,7 @@ class TestJValuesStack:
                 for clamp in (True, False):
                     single = _steering_spectra(st.cov, st.modes_a, st.modes_b, tol, clamp)
                     stacked = _steering_spectra(st.cov[None], st.modes_a, st.modes_b, tol, clamp)
-                    assert [x.shape for x in single] == [(st.dim,), (), ()]
+                    assert [x.shape for x in single] == [(st.dim,), (), (), ()]
                     for one, stack in zip(single, stacked):
                         assert one.tobytes() == stack[0].tobytes()
 
@@ -207,7 +218,7 @@ class TestNegativeSpectrumForm:
                     j1_val, j2_val = j_values(s, tol, clamp)
                     assert j1_val == j2_val / np.trace(s.cov)
             covs = np.array([s.cov for s in states])
-            _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
+            _, _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
             assert np.array_equal(j1s, j2s / np.trace(covs, axis1=1, axis2=2))
             assert np.any(j2s > 0.0)
 
@@ -464,6 +475,20 @@ class TestFidelityBound:
     def test_one_family_parameter_rule(self, build, r):
         with pytest.raises(ValidationError, match=r"^family parameter must be >= 1, got "):
             build(r)
+
+    @pytest.mark.parametrize("density", [30.0, 2.5, True, 1, "30"])
+    def test_grid_density_must_be_an_integer(self, density):
+        with pytest.raises(ValidationError, match=r"^grid_density must be an integer >= 2, got "):
+            n3_bound_grid(2.0, density)
+        assert n3_bound_grid(2.0, np.int64(5)) == n3_bound_grid(2.0, 5)
+
+    def test_rejects_r_whose_grid_overflows(self):
+        # the largest cell's determinant is about (2r + 4)^4, finite up to
+        # r ~ 5.79e76; beyond it numpy would warn on the overflow and inf - inf
+        assert 0.0 <= n3_bound_grid(5e76, 3) <= 1.0
+        for r in (1e77, 1e200, np.finfo(float).max):
+            with pytest.raises(ValidationError, match=r"^the grid's determinant overflows at r = "):
+                n3_bound_grid(r, 3)
 
     def test_overlap_vacuum_with_itself(self):
         vac = make_state(1, 1, np.eye(4))
