@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,11 +164,7 @@ class ChannelClassification:
             return {"verdict": rep.ok, "min_eigenvalue": rep.min_eigenvalue,
                     "tol": rep.tol}
 
-        return json.dumps({
-            "valid_gaussian": entry(self.valid_gaussian),
-            "unsteerable": entry(self.unsteerable),
-            "steering_breaking": entry(self.steering_breaking),
-        }, indent=2)
+        return json.dumps({f.name: entry(getattr(self, f.name)) for f in fields(self)}, indent=2)
 
 
 def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassification:
@@ -278,14 +274,8 @@ class SampleReport:
     first_counterexample: GaussianState | None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "predicate": self.predicate,
-            "n_samples": self.n_samples,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "mean_margin": self.mean_margin,
-            "draws": self.draws,
-        }, indent=2)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                           if f.name != "first_counterexample"}, indent=2)
 
 
 PREDICATES = ("bona-fide", "unsteerable-preserving")

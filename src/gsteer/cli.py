@@ -70,7 +70,11 @@ def _resolve_tol(flag: str | None) -> float:
 
 def _read_file(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc.reason} "
+                                  f"at byte {exc.start}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:

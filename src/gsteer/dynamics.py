@@ -168,7 +168,7 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
     covs = relaxation_covariances(state0, bath)(np.append(t_grid, [0.0, np.inf]))
-    values = _steering_spectra(covs, 1, 1, tol)[3]
+    values = _steering_spectra(covs, 1, 1, tol)[2]
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
     return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)

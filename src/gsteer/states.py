@@ -133,7 +133,10 @@ class _Record:
     @classmethod
     def _from_json(cls, text: str):
         """The checked record of a document; unknown keys are ignored."""
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValidationError(f"{cls._kind} document is nested too deeply") from None
         if not isinstance(doc, dict):
             raise ValidationError(f"{cls._kind} document must be a JSON object")
         missing = {"modes_a", "modes_b", *cls._arrays} - set(doc)

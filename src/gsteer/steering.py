@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,31 +46,34 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
 
 
 def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
-                      clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The one steering-spectrum kernel: ascending spectra, verdicts and
-    (j1, j2) of the steering matrices of a ``(d, d)`` covariance or a
-    ``(..., d, d)`` stack, finite, exactly symmetric and of positive trace
-    (the caller's record, check or algebra guarantees it; not checked).
+                      clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one steering-spectrum kernel: ascending spectra, verdicts and j2
+    of the steering matrices of a ``(d, d)`` covariance or a ``(..., d, d)``
+    stack, finite and exactly symmetric (the caller's record, check or
+    algebra guarantees it; not checked).
 
     The spectra and verdicts are :func:`~gsteer.linalg.psd_spectra`'s; raw
-    j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0, else +0.0)
-    and j1 = j2 / Tr(cov).  The verdict is taken even with clamp=False, so a
-    bad ``tol`` is always rejected; with clamp=True j2, and so j1, is 0.0
-    where it holds.
+    j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0, else +0.0).
+    The verdict is taken even with clamp=False, so a bad ``tol`` is always
+    rejected; with clamp=True j2 is 0.0 where it holds.
     """
     ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
     j2_vals = 2.0 * np.maximum(-ev, 0.0).sum(-1)
     if clamp:
         j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds
-    return ev, unsteerable, j2_vals / covs.trace(axis1=-2, axis2=-1), j2_vals
+    return ev, unsteerable, j2_vals
 
 
-def _require_positive_trace(state: GaussianState) -> None:
-    """Reject a covariance whose trace, the denominator of j1, is not
-    positive (a bona fide covariance has Tr(cov) >= d)."""
-    trace = sum(state.cov.diagonal().tolist())  # a fifth of ndarray.trace's cost
+def _state_spectra(state: GaussianState, tol: float,
+                   clamp: bool = True) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The kernel on one state, with j1 = j2 / Tr(cov): (ev, ok, j1, j2).
+    A covariance whose trace, the denominator of j1, is not positive is
+    rejected (a bona fide covariance has Tr(cov) >= d)."""
+    trace = state.cov.trace()
     if not trace > 0.0:
         raise ValidationError(f"Tr(cov) must be positive, got {trace:.6e}")
+    ev, ok, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)
+    return ev, ok, j2_val / trace, j2_val
 
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
@@ -84,8 +87,7 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
     the raw values, which are >= 0 and positive exactly when lambda_min < 0.
     A covariance with Tr(cov) <= 0 is rejected.
     """
-    _require_positive_trace(state)
-    j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)[2:]
+    j1_val, j2_val = _state_spectra(state, tol, clamp)[2:]
     return float(j1_val), float(j2_val)
 
 
@@ -110,20 +112,13 @@ class SteeringReport:
     tol_used: float
 
     def to_json(self) -> str:
-        return json.dumps({
-            "unsteerable": self.unsteerable,
-            "j1": self.j1,
-            "j2": self.j2,
-            "min_eigenvalue": self.min_eigenvalue,
-            "tol_used": self.tol_used,
-        }, indent=2)
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
     """Full steering diagnosis from a single eigendecomposition; a
     covariance with Tr(cov) <= 0 is rejected."""
-    _require_positive_trace(state)
-    ev, ok, j1_val, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol)
+    ev, ok, j1_val, j2_val = _state_spectra(state, tol)
     return SteeringReport(bool(ok), float(j1_val), float(j2_val), float(ev[0]), tol)
 
 

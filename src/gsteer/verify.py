@@ -59,7 +59,6 @@ from .steering import (
 
 DEFAULT_SEED = 7
 # fixed knobs of the randomized trial engines: tolerances, spectrum edge, slack
-FAITHFULNESS_TOL = 1e-9
 FAITHFULNESS_VMAX = 2.0
 TRIAL_TOL = 1e-8
 MARGIN_FLOOR = 1e-4
@@ -108,8 +107,8 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree."""
     def violated(i, rng):
         s = random_state(modes_a, modes_b, FAITHFULNESS_VMAX, rng)
-        j1_val, j2_val = j_values(s, FAITHFULNESS_TOL)
-        verdict = bool(is_unsteerable(s, FAITHFULNESS_TOL).ok)
+        j1_val, j2_val = j_values(s)
+        verdict = bool(is_unsteerable(s).ok)
         return not ((j1_val == 0.0) == (j2_val == 0.0) == verdict)
     return _count(n_trials, rng, violated)
 
@@ -238,7 +237,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         while t <= t_end and len(times) < PASSAGE_BLOCK:
             times.append(t)
             t += dt
-        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[3]
+        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
         below = np.flatnonzero(j2_vals < threshold)
         if below.size:
             return times[below[0]]
@@ -259,7 +258,7 @@ def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
     r order, described.  j2 comes from one batched eigendecomposition of the
     :func:`pure_family_state` covariance stack, symmetric and finite by construction."""
     covs = np.array([pure_family_state(r).cov for r in rs])
-    j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[3]
+    j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[2]
     for r, val in zip(rs, j2_vals.tolist()):
         z = n3_upper_bound_pure(r)
         if val - z < -1e-12 or (r > 1.0 + 1e-12 and val - z <= 1e-9):
@@ -385,7 +384,7 @@ def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     trials = 1000  # per randomized check
     short = partial(np.format_float_scientific, trim="-", exp_digits=1)  # "1e-9"
-    clamp, tol = f"clamp {short(FAITHFULNESS_TOL)}", short(TRIAL_TOL)
+    clamp, tol = f"clamp {short(DEFAULT_PSD_TOL)}", short(TRIAL_TOL)
     slack = f"slack {short(TRIAL_SLACK)}"
     checks = (("faithfulness-1p1", faithfulness_trials, (1, 1), clamp),
               ("faithfulness-1p2", faithfulness_trials, (1, 2), clamp),

@@ -181,8 +181,13 @@ class TestCertificates:
         c = classify(noncert_unsteerable)
         assert c.valid_gaussian.ok and not c.unsteerable.ok
         doc = json.loads(c.to_json())
-        assert set(doc) == {"valid_gaussian", "unsteerable", "steering_breaking"}
-        assert set(doc["valid_gaussian"]) == {"verdict", "min_eigenvalue", "tol"}
+        # key order is part of the CLI's output bytes
+        assert list(doc) == ["valid_gaussian", "unsteerable", "steering_breaking"]
+        for name, entry in doc.items():
+            rep = getattr(c, name)
+            assert entry == {"verdict": rep.ok, "min_eigenvalue": rep.min_eigenvalue,
+                             "tol": rep.tol}
+            assert list(entry) == ["verdict", "min_eigenvalue", "tol"]
 
 
 class TestTensorLocal:
@@ -293,6 +298,11 @@ class TestSampleVerify:
     def test_report_json(self, noncert_bonafide):
         rep = sample_verify(noncert_bonafide, 20, 5, "bona-fide")
         doc = json.loads(rep.to_json())
+        # every field but the counterexample state, in field order (the
+        # CLI's output bytes)
+        assert list(doc) == ["predicate", "n_samples", "violations", "worst_margin",
+                             "mean_margin", "draws"]
+        assert doc == {key: getattr(rep, key) for key in doc}
         assert doc["violations"] == 0
         assert doc["n_samples"] == 20
 
@@ -324,6 +334,11 @@ class TestJson:
     def test_missing_key(self):
         with pytest.raises(ValidationError, match="missing"):
             channel_from_json('{"modes_a": 1, "modes_b": 1}')
+
+    def test_deeply_nested_document(self):
+        text = '{"modes_a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ValidationError, match="channel document is nested too deeply"):
+            channel_from_json(text)
 
     def test_numpy_integer_modes_round_trip(self):
         ch = GaussianChannel(np.int64(1), np.int64(0), np.eye(2), np.zeros((2, 2)), np.zeros(2))

@@ -516,3 +516,22 @@ class TestDocumentErrors:
         # what follows the colon is numpy's own text
         assert err.startswith(f"error: {'/'.join(arrays)} must be numeric arrays: ")
         assert err.endswith("\n") and err.count("\n") == 1
+
+    # far deeper than the interpreter's recursion limit, so that json.loads
+    # raises RecursionError
+    DEEP = b'{"modes_a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+    @pytest.mark.parametrize("command", [["check"], ["quantify"], ["channel", "--classify"],
+                                         ["sample", "--n", "5"]])
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe{}", "is not UTF-8 text: invalid start byte at byte 0"),
+        (DEEP, "document is nested too deeply"),
+    ], ids=["not-utf8", "deeply-nested"])
+    def test_undecodable_document(self, command, content, message, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert main([*command[:1], str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1

@@ -391,6 +391,11 @@ class TestJson:
         with pytest.raises(ValidationError, match="must be integers"):
             build()
 
+    def test_deeply_nested_document(self):
+        text = '{"modes_a": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ValidationError, match="state document is nested too deeply"):
+            state_from_json(text)
+
     def test_unknown_keys_ignored(self):
         text = state_to_json(squeezed_vacuum_state(0.0))
         doc = json.loads(text)

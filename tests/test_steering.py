@@ -132,8 +132,11 @@ class TestJValues:
     def test_report_json_round_trip(self):
         import json
 
-        doc = json.loads(steering_report(pure_family_state(1.5)).to_json())
-        assert set(doc) == {"unsteerable", "j1", "j2", "min_eigenvalue", "tol_used"}
+        rep = steering_report(pure_family_state(1.5))
+        doc = json.loads(rep.to_json())
+        # key order is part of the CLI's output bytes
+        assert list(doc) == ["unsteerable", "j1", "j2", "min_eigenvalue", "tol_used"]
+        assert doc == {key: getattr(rep, key) for key in doc}
 
 
 def tolerance_band_witness():
@@ -154,9 +157,10 @@ class TestJValuesStack:
         for modes_b in (1, 2):
             states = [random_state(1, modes_b, 4.0, rng) for _ in range(30)]
             covs = np.array([st.cov for st in states])
+            traces = np.trace(covs, axis1=1, axis2=2)
             for tol in (1e-9, 1e-6, 0.0):
-                _, _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
-                assert [(a, b) for a, b in zip(j1s, j2s)] == [j_values(st, tol) for st in states]
+                _, _, j2s = _steering_spectra(covs, 1, modes_b, tol)
+                assert list(zip(j2s / traces, j2s)) == [j_values(st, tol) for st in states]
                 assert np.any(j2s == 0.0) and np.any(j2s > 0.0)
 
     def test_rounding_guard_and_band_witness_rows(self):
@@ -173,15 +177,16 @@ class TestJValuesStack:
             cov[4:, 4:] = np.eye(2)
             rows.append(make_state(1, 2, cov))
         covs = np.array([st.cov for st in rows])
+        traces = np.trace(covs, axis1=1, axis2=2)
         for tol in (1e-9, 1e-8, 0.0):
-            _, _, j1s, j2s = _steering_spectra(covs, 1, 2, tol)
-            assert list(zip(j1s, j2s)) == [j_values(st, tol) for st in rows]
+            _, _, j2s = _steering_spectra(covs, 1, 2, tol)
+            assert list(zip(j2s / traces, j2s)) == [j_values(st, tol) for st in rows]
         # at tol 0 rounding makes some rotated rows steerable
         assert np.count_nonzero(j2s[1:]) > 0
 
     def test_single_matrix_is_the_one_row_stack(self):
-        # a (d, d) call and a (1, d, d) call: spectra, verdicts and both
-        # clamps bit for bit
+        # a (d, d) call and a (1, d, d) call: spectra, verdicts and j2 at
+        # both clamps bit for bit
         rng = np.random.default_rng(19)
         rows = [tolerance_band_witness()] + [random_state(1, 1, 4.0, rng) for _ in range(20)]
         for st in rows:
@@ -189,7 +194,7 @@ class TestJValuesStack:
                 for clamp in (True, False):
                     single = _steering_spectra(st.cov, st.modes_a, st.modes_b, tol, clamp)
                     stacked = _steering_spectra(st.cov[None], st.modes_a, st.modes_b, tol, clamp)
-                    assert [x.shape for x in single] == [(st.dim,), (), (), ()]
+                    assert [x.shape for x in single] == [(st.dim,), (), ()]
                     for one, stack in zip(single, stacked):
                         assert one.tobytes() == stack[0].tobytes()
 
@@ -210,17 +215,18 @@ class TestNegativeSpectrumForm:
 
     @pytest.mark.parametrize("tol", [1e-9, 0.0])
     def test_j1_is_j2_over_trace(self, tol):
+        # Tr(cov) is ndarray.trace, bit for bit: from d = 8 on numpy sums the
+        # diagonal pairwise, and a left-to-right sum differs from it in the
+        # last bit on many (2+2) and (3+3) states
         rng = np.random.default_rng(23)
-        for modes_b in (1, 2):
-            states = [random_state(1, modes_b, 4.0, rng) for _ in range(40)]
-            for s in states:
+        for modes_a, modes_b in ((1, 1), (1, 2), (2, 2), (3, 3)):
+            j2_seen = []
+            for s in [random_state(modes_a, modes_b, 4.0, rng) for _ in range(40)]:
                 for clamp in (True, False):
                     j1_val, j2_val = j_values(s, tol, clamp)
                     assert j1_val == j2_val / np.trace(s.cov)
-            covs = np.array([s.cov for s in states])
-            _, _, j1s, j2s = _steering_spectra(covs, 1, modes_b, tol)
-            assert np.array_equal(j1s, j2s / np.trace(covs, axis1=1, axis2=2))
-            assert np.any(j2s > 0.0)
+                    j2_seen.append(j2_val)
+            assert any(val > 0.0 for val in j2_seen)
 
     def test_raw_values_never_negative_or_negative_zero(self):
         for s in [make_state(1, 1, np.eye(4))] + unsteerable_states(100, 29):
