@@ -16,6 +16,7 @@ Numeric output has 17 significant digits, byte-identical for fixed seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -172,7 +173,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gsteer`` argument parser, built on the first call and shared by
+    every later one: parsing leaves no state on it, so each :func:`main`
+    call stays independent of the calls before it."""
     parser = argparse.ArgumentParser(
         prog="gsteer",
         description="Gaussian steering toolkit: criteria, quantifications, "

@@ -25,6 +25,8 @@ from .linalg import DEFAULT_PSD_TOL, ValidationError
 from .states import GaussianState, ensure_bona_fide
 from .steering import _steering_spectra
 
+SWEEP_BLOCK = 1024  # sweep's times per eigendecomposition, which bounds its memory
+
 
 @dataclass(frozen=True)
 class BathParameters:
@@ -153,10 +155,12 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
     """j2 along a strictly increasing time grid, with the decay envelope.
 
-    The covariances of all grid times, then of t = 0 and t = inf for the
-    envelope's ends, form one stack, which gets one batched
+    The grid times, then t = 0 and t = inf for the envelope's ends, are
+    evaluated in blocks of SWEEP_BLOCK times, so memory stays bounded however
+    long the grid.  Each block's covariance stack gets one batched
     eigendecomposition and, being symmetric and finite by construction (see
-    :func:`relaxation_covariances`), no structural check.
+    :func:`relaxation_covariances`), no structural check.  A grid of up to
+    SWEEP_BLOCK - 2 times is one block.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -167,8 +171,11 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
         raise ValidationError("t_grid must be strictly increasing")
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be nonnegative")
-    covs = relaxation_covariances(state0, bath)(np.append(t_grid, [0.0, np.inf]))
-    values = _steering_spectra(covs, 1, 1, tol)[2]
+    covs_at = relaxation_covariances(state0, bath)
+    times = np.append(t_grid, [0.0, np.inf])
+    values = np.concatenate([
+        _steering_spectra(covs_at(times[i:i + SWEEP_BLOCK]), 1, 1, tol)[2]
+        for i in range(0, times.size, SWEEP_BLOCK)])
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
     return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsteer
 from gsteer import fixtures
 from gsteer.channels import apply
-from gsteer.cli import main
+from gsteer.cli import build_parser, main
+from gsteer.linalg import DEFAULT_PSD_TOL
 from gsteer.states import make_state, squeezed_vacuum_state, state_from_json, state_to_json
 from gsteer.steering import pure_family_state
 
@@ -354,6 +359,56 @@ class TestVerify:
 
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("bogus")
+
+
+class TestParserReuse:
+    """main builds the parser once per process; no call may leave state on
+    it that a later call sees."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_classify_flag_not_carried_over(self, noncert_channel_file,
+                                            witness_state_file, capsys):
+        assert main(["channel", noncert_channel_file, "--classify"]) == 0
+        assert "valid_gaussian" in capsys.readouterr().out
+        assert main(["channel", noncert_channel_file, witness_state_file]) == 0
+        out = capsys.readouterr().out
+        assert "valid_gaussian" not in out
+        assert state_from_json(out).modes_a == 1
+
+    def test_tol_flag_not_carried_over(self, unphysical_file, capsys, monkeypatch):
+        monkeypatch.delenv("GSTEER_TOL", raising=False)
+        assert main(["check", "--tol", "1.0", unphysical_file]) == 0
+        assert "tolerance: 1\n" in capsys.readouterr().out
+        assert main(["check", unphysical_file]) == 3
+        assert f"tolerance: {DEFAULT_PSD_TOL:.17g}\n" in capsys.readouterr().out
+
+    def test_parse_error_then_valid_call_matches_fresh_process(
+            self, witness_state_file, capsys, monkeypatch):
+        monkeypatch.delenv("GSTEER_TOL", raising=False)
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", "nope"])
+        assert err.value.code == 2
+        capsys.readouterr()
+        assert main(["check", witness_state_file]) == 0
+        out = capsys.readouterr().out
+        src = str(Path(gsteer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "gsteer.cli", "check", witness_state_file],
+                               env={**os.environ, "PYTHONPATH": path},
+                               capture_output=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert out.encode() == fresh.stdout
+
+    def test_help_same_bytes_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["--help"])
+            assert err.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("usage: gsteer") and outs[1] == outs[0]
 
 
 class TestTolerance:

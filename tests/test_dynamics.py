@@ -2,10 +2,12 @@ import inspect
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gsteer import dynamics
 from gsteer.dynamics import (
     BathParameters,
     Trajectory,
@@ -262,6 +264,34 @@ class TestSweep:
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
         sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
         assert len(count_eigvalsh) <= 2
+
+    def test_blocks_match_one_stack(self, monkeypatch):
+        # stack row i equals the one-matrix eigensolve bit for bit, so a
+        # 601-point grid in blocks of 7 (87 blocks, the envelope's two ends
+        # split across the last two) reads as one stack
+        grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
+        args = (squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
+        whole = sweep(*args)
+        monkeypatch.setattr(dynamics, "SWEEP_BLOCK", 7)
+        blocked = sweep(*args)
+        for name in ("times", "j2_values", "bound_values"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+        assert blocked.to_csv() == whole.to_csv()
+
+    def test_long_grid_memory_bounded(self):
+        # the returned Trajectory holds 2.3 MiB; the whole grid as one stack
+        # would peak near 40 MiB.  A short sweep first fills the module
+        # caches (the steering offsets), which are not the sweep's memory.
+        grid = np.linspace(0.0, 60.0, 100_001)
+        args = (squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1))
+        sweep(*args, grid[:3])
+        tracemalloc.start()
+        try:
+            sweep(*args, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_stack_not_rechecked(self, count_require_hermitian):
         # the stack mixes two checked covariances: symmetric and finite by construction
