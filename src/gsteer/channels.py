@@ -55,7 +55,7 @@ class SamplingAbortError(RuntimeError):
     """Rejection sampling exceeded the allowed oversampling factor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel(_Record):
     """Immutable channel record; M is symmetrized and required PSD.
 

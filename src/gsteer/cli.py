@@ -79,13 +79,20 @@ def _read_file(path: str) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """``text`` to the file at ``path``, or to stdout ending in a newline."""
+    if path is None and not text.endswith("\n"):
+        text += "\n"
+    _write_lines([text], path)
+
+
+def _write_lines(lines, path: str | None) -> None:
+    """Each string of the iterable ``lines``, in turn, to the file at
+    ``path`` or to stdout, so the whole text is never held at once."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(lines)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _fmt(x: float) -> str:
@@ -139,11 +146,13 @@ def cmd_sweep(args) -> int:
     start = squeezed_vacuum_state(args.r)
     try:
         t_grid = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
-    except ValueError:  # numpy refuses a grid whose length it cannot size
+        trajectory = sweep(start, bath, t_grid, tol=args.tol)
+    except ValidationError:  # sweep's own input errors keep their message
+        raise
+    except (ValueError, MemoryError):  # a grid numpy cannot size, or cannot hold
         raise ValidationError(
             f"--tmax {args.tmax} and --dt {args.dt} give too many grid points") from None
-    trajectory = sweep(start, bath, t_grid, tol=args.tol)
-    _write_output(trajectory.to_csv(), args.output)
+    _write_lines(trajectory._csv_rows(), args.output)
     return EXIT_OK
 
 

@@ -22,10 +22,11 @@ from typing import Callable
 import numpy as np
 
 from .linalg import DEFAULT_PSD_TOL, ValidationError
-from .states import GaussianState, ensure_bona_fide
+from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
 SWEEP_BLOCK = 1024  # sweep's times per eigendecomposition, which bounds its memory
+PASSAGE_BLOCK = 128  # first_passage_time's grid times per eigendecomposition
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,9 @@ def relaxation_covariances(state0: GaussianState,
     ``state0`` is validated here, once; the stationary covariance is bona fide
     by construction.  Every covariance the map returns is a convex combination
     of these two finite, exactly symmetric, bona fide covariances (t = 0 and
-    t = inf give them exactly), so it is all three too and needs no check.
-    The times are not checked: the caller passes t >= 0.
+    t = inf give them exactly), so it is all three too: the stacks of
+    :func:`sweep` and :func:`first_passage_time` go to the eigensolver with
+    no structural check.  The times are not checked: the caller passes t >= 0.
     """
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
@@ -122,13 +124,17 @@ def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianSta
                                           np.exp(-bath.lam * t / 2.0) * state0.mean)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """j2 decay curve with its convexity envelope at the same time points."""
+    """j2 decay curve with its convexity envelope at the same time points;
+    equal, and hashed, by value as the records of ``states`` are."""
 
     times: np.ndarray
     j2_values: np.ndarray
     bound_values: np.ndarray
+
+    __eq__ = _Record.__eq__
+    __hash__ = _Record.__hash__
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -136,19 +142,24 @@ class Trajectory:
         bounds = np.array(self.bound_values, dtype=float)
         if not (times.shape == vals.shape == bounds.shape) or times.ndim != 1:
             raise ValidationError("trajectory arrays must share one 1-D shape")
-        if times.size and np.any(np.diff(times) <= 0):
+        if not np.all(np.isfinite(times)):
+            raise ValidationError("times must be finite")
+        if not np.all(np.diff(times) > 0):
             raise ValidationError("times must be strictly increasing")
         for name, arr in (("times", times), ("j2_values", vals),
                           ("bound_values", bounds)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def _csv_rows(self):
+        """The lines of :meth:`to_csv`, newline-terminated, one at a time."""
+        yield "t,j2,bound\n"
+        for t, v, b in zip(self.times, self.j2_values, self.bound_values):
+            yield f"{t:.17g},{v:.17g},{b:.17g}\n"
+
     def to_csv(self) -> str:
         """CSV with header t,j2,bound at 17 significant digits."""
-        lines = ["t,j2,bound"]
-        for t, v, b in zip(self.times, self.j2_values, self.bound_values):
-            lines.append(f"{t:.17g},{v:.17g},{b:.17g}")
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_rows())
 
 
 def sweep(state0: GaussianState, bath: BathParameters, t_grid,
@@ -156,10 +167,8 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     """j2 along a strictly increasing time grid, with the decay envelope.
 
     The grid times, then t = 0 and t = inf for the envelope's ends, are
-    evaluated in blocks of SWEEP_BLOCK times, so memory stays bounded however
-    long the grid.  Each block's covariance stack gets one batched
-    eigendecomposition and, being symmetric and finite by construction (see
-    :func:`relaxation_covariances`), no structural check.  A grid of up to
+    evaluated in blocks of SWEEP_BLOCK times, one batched eigendecomposition
+    each, so memory stays bounded however long the grid.  A grid of up to
     SWEEP_BLOCK - 2 times is one block.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -179,3 +188,33 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
     return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)
+
+
+def first_passage_time(state0, bath: BathParameters, threshold: float,
+                       t_max: float, dt: float) -> float:
+    """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
+    with j2 (at DEFAULT_PSD_TOL) below threshold, or inf if there is none; dt
+    must be finite and positive, t_max finite and nonnegative, threshold not NaN.
+
+    The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
+    eigendecomposition per block, so an early passage stops after its block.
+    """
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValidationError(f"dt must be finite and positive, got {dt}")
+    if not np.isfinite(t_max) or t_max < 0:
+        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
+    if np.isnan(threshold):
+        raise ValidationError("threshold must not be NaN")
+    covs_at = relaxation_covariances(state0, bath)
+    t, t_end = 0.0, t_max + dt / 2
+    steps = np.full(PASSAGE_BLOCK, dt)
+    while t <= t_end:
+        steps[0] = t
+        times = np.add.accumulate(steps)
+        times = times[times <= t_end]
+        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
+        below = np.flatnonzero(j2_vals < threshold)
+        if below.size:
+            return float(times[below[0]])
+        t = times[-1] + dt
+    return np.inf

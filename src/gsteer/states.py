@@ -34,11 +34,13 @@ faithful.
 
 ``GaussianState`` and ``channels.GaussianChannel`` share one record layer,
 :class:`_Record` (frozen fields, the "must be real" rule, the by-construction
-entry, the JSON document); each ``__post_init__`` adds only its own checks.
+entry, the JSON document, value equality and its hash); each ``__post_init__``
+adds only its own checks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -89,6 +91,11 @@ class BonaFideError(ValidationError):
         self.min_eigenvalue = min_eigenvalue
 
 
+def _field_values(record) -> tuple:
+    """The values of a dataclass instance's fields, in declaration order."""
+    return tuple(getattr(record, field.name) for field in dataclasses.fields(record))
+
+
 class _Record:
     """Mode counts plus the frozen float arrays named by ``_arrays``, and
     their ``_kind`` of JSON document."""
@@ -116,6 +123,18 @@ class _Record:
         record = object.__new__(cls)
         record._settle(modes_a, modes_b, *arrays)
         return record
+
+    def __eq__(self, other):
+        """Value equality: the same type, equal scalar fields and equal arrays."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(_field_values(self), _field_values(other)))
+
+    def __hash__(self):
+        """The scalar fields and array shapes: equal records hash equally."""
+        return hash((type(self), *(v.shape if isinstance(v, np.ndarray) else v
+                                   for v in _field_values(self))))
 
     @property
     def n_modes(self) -> int:
@@ -150,7 +169,7 @@ class _Record:
         return cls(doc["modes_a"], doc["modes_b"], *arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState(_Record):
     """Immutable (modes_a + modes_b)-mode Gaussian state record.
 

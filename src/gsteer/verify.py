@@ -29,10 +29,9 @@ from .channels import (
     side_b_channel,
     tensor_local,
 )
-from .dynamics import BathParameters, relaxation_covariances, sweep
+from .dynamics import BathParameters, first_passage_time, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
-    ValidationError,
     psd_spectra,
     random_orthogonal,
     random_orthogonal_symplectic,
@@ -63,8 +62,6 @@ FAITHFULNESS_VMAX = 2.0
 TRIAL_TOL = 1e-8
 MARGIN_FLOOR = 1e-4
 TRIAL_SLACK = 1e-9
-# grid times per batched eigendecomposition in first_passage_time
-PASSAGE_BLOCK = 128
 # sizes of paper_suite's Monte-Carlo checks and fidelity-bound grids
 MC_SAMPLES = 10000
 GRID_DENSITY = 30
@@ -211,37 +208,6 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
         j1_out, j2_out = j_values(out, clamp=False)
         return j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK
     return _count(n_trials, rng, violated)
-
-
-def first_passage_time(state0, bath: BathParameters, threshold: float,
-                       t_max: float, dt: float) -> float:
-    """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
-    with j2 (at DEFAULT_PSD_TOL) below threshold, or inf if there is none; dt
-    must be finite and positive, t_max finite and nonnegative, threshold not NaN.
-
-    The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
-    eigendecomposition per block, so an early passage stops after its block.
-    The blocks are symmetric and finite by construction (see
-    :func:`relaxation_covariances`) and get no structural check.
-    """
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValidationError(f"dt must be finite and positive, got {dt}")
-    if not np.isfinite(t_max) or t_max < 0:
-        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
-    if np.isnan(threshold):
-        raise ValidationError("threshold must not be NaN")
-    covs_at = relaxation_covariances(state0, bath)
-    t, t_end = 0.0, t_max + dt / 2
-    while t <= t_end:
-        times = []
-        while t <= t_end and len(times) < PASSAGE_BLOCK:
-            times.append(t)
-            t += dt
-        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
-        below = np.flatnonzero(j2_vals < threshold)
-        if below.size:
-            return times[below[0]]
-    return np.inf
 
 
 # ---------------------------------------------------------------------------

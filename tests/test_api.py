@@ -2,10 +2,14 @@
 removed from the package, and a parameter to or from an exported callable,
 only together with this test."""
 
+import ast
 import inspect
 import types
+from pathlib import Path
 
 import gsteer
+import gsteer.dynamics
+import gsteer.verify
 
 PUBLIC_NAMES = {
     "BathParameters", "BonaFideError", "DEFAULT_PSD_TOL", "GaussianChannel",
@@ -97,3 +101,36 @@ def test_signatures():
     exported = {name: parameter_names(getattr(gsteer, name))
                 for name in PUBLIC_NAMES if callable(getattr(gsteer, name))}
     assert exported == SIGNATURES
+
+
+def identifier_uses(name):
+    """(module, top-level definition) of every place in ``src/gsteer`` that
+    defines, imports, names or takes the attribute ``name``; the definition
+    is None at module level.  Strings and comments do not count."""
+    uses = set()
+    for path in Path(gsteer.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = getattr(top, "name", None)
+            for node in ast.walk(top):
+                named = (getattr(node, "id", None), getattr(node, "attr", None),
+                         node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                         else None)
+                if name in named:
+                    uses.add((path.stem, where))
+    return uses
+
+
+def test_one_eigensolver_call_site():
+    # every eigenvalue of the package goes through the one PSD kernel
+    assert identifier_uses("eigvalsh") == {("linalg", "psd_spectra")}
+
+
+def test_relaxation_stays_in_dynamics():
+    # both decay scans, sweep and first_passage_time, live beside the relaxation
+    assert {module for module, _ in identifier_uses("relaxation_covariances")} == {"dynamics"}
+    assert ("dynamics", "first_passage_time") in identifier_uses("relaxation_covariances")
+
+
+def test_verify_binds_the_dynamics_first_passage():
+    # paper_suite, and callers of gsteer.verify.first_passage_time, run the one scan
+    assert gsteer.verify.first_passage_time is gsteer.dynamics.first_passage_time

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import gsteer
 from gsteer import fixtures
 from gsteer.channels import apply
 from gsteer.cli import build_parser, main
+from gsteer.dynamics import BathParameters, sweep
 from gsteer.linalg import DEFAULT_PSD_TOL
 from gsteer.states import make_state, squeezed_vacuum_state, state_from_json, state_to_json
 from gsteer.steering import pure_family_state
@@ -246,6 +248,17 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: --tmax ") and "--dt " in err
 
+    def test_unallocatable_grid_exits_2(self, monkeypatch, capsys):
+        # a grid numpy can size but not hold: the sweep raises MemoryError
+        # before any row is written (simulated, so nothing large is allocated)
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("gsteer.cli.sweep", out_of_memory)
+        assert main(["sweep", "--tmax", "1", "--dt", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --tmax 1.0 and --dt 0.5 give too many grid points\n"
+
     def test_invalid_bath_exits_2(self):
         assert main(["sweep", "--nth", "-1"]) == 2
 
@@ -263,6 +276,34 @@ class TestSweep:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_stdout_and_file_hold_the_trajectory_csv(self, tmp_path, capsys):
+        args = ["sweep", "--r", "0.7", "--phi", "3", "--tmax", "3", "--dt", "0.1"]
+        expected = sweep(squeezed_vacuum_state(0.7), BathParameters(0.0, 1.0, 3.0, 0.1),
+                         np.arange(0.0, 3.05, 0.1)).to_csv()
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "traj.csv"
+        assert main([*args, "--output", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
+
+    def test_csv_streamed(self):
+        # the CSV (1.7 MiB at dt 2e-3) is written row by row, never held
+        # whole: the command needs little more memory than the sweep itself.
+        # A short run first fills the module caches.
+        grid = np.arange(0.0, 60.0 + 1e-3, 2e-3)
+        start, bath = squeezed_vacuum_state(1.0), BathParameters(0.0, 1.0, 0.0, 0.1)
+        assert main(["sweep", "--tmax", "1", "--output", os.devnull]) == 0
+        tracemalloc.start()
+        try:
+            sweep(start, bath, grid)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            assert main(["sweep", "--dt", "2e-3", "--output", os.devnull]) == 0
+            command_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert command_peak < sweep_peak + 2**20
 
 
 class TestSample:

@@ -9,9 +9,11 @@ import pytest
 
 from gsteer import dynamics
 from gsteer.dynamics import (
+    PASSAGE_BLOCK,
     BathParameters,
     Trajectory,
     evolve,
+    first_passage_time,
     gamma_infinity,
     stationary_state,
     sweep,
@@ -25,7 +27,6 @@ from gsteer.states import (
     validate_state,
 )
 from gsteer.steering import j2, j_closed_standard
-from gsteer.verify import PASSAGE_BLOCK, first_passage_time
 from oracles import (
     first_passage_scan,
     j2_initial_squeezed,
@@ -421,3 +422,23 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 1.0]), np.array([0.0]), np.array([0.0]))
         with pytest.raises(ValidationError):
             Trajectory(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            Trajectory(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan, 1.0], [np.nan], [0.0, 1.0, np.inf], [-np.inf, 0.0], [np.inf],
+    ])
+    def test_nonfinite_times_rejected(self, times):
+        # a NaN step compares false both ways, so no order test alone sees it
+        with pytest.raises(ValidationError, match="times must be finite"):
+            Trajectory(np.array(times), np.zeros(len(times)), np.zeros(len(times)))
+
+    def test_value_equality(self):
+        def traj(bound):
+            return Trajectory([0.0, 0.5], [0.25, 0.125], [0.5, bound])
+        a, same, other = traj(0.25), traj(0.25), traj(0.3)
+        assert a == a and a == same and hash(a) == hash(same)
+        assert a != other and not (a == other)
+        assert a != Trajectory([0.0], [0.25], [0.5]) and a != "t,j2,bound"
+        assert same in [other, a] and other not in [a]
+        assert {a, same, other} == {a, other} and {a: 1}[same] == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsteer.channels import GaussianChannel
 from gsteer.linalg import ValidationError, symplectic_form
 from gsteer.states import (
     BonaFideError,
@@ -420,3 +421,32 @@ class TestBlocks:
         assert s.block_c().shape == (2, 4)
         om = symplectic_form(s.n_modes)
         assert om.shape == (6, 6)
+
+
+def one_mode_channel(modes_a, modes_b, noise):
+    return GaussianChannel(modes_a, modes_b, np.eye(2), noise * np.eye(2), np.zeros(2))
+
+
+class TestRecordEquality:
+    # value equality for both records: the same type, equal mode counts and
+    # equal arrays; the hash reads the mode counts and array shapes only
+    @pytest.mark.parametrize("make, unequal", [
+        (lambda: squeezed_vacuum_state(1.0),
+         [squeezed_vacuum_state(0.5),
+          GaussianState(1, 1, squeezed_vacuum_state(1.0).cov, np.ones(4)),
+          GaussianState(1, 2, np.eye(6), np.zeros(6))]),
+        (lambda: make_state(2, 1, np.eye(6)),
+         [make_state(1, 2, np.eye(6)), make_state(2, 1, 2.0 * np.eye(6))]),
+        (lambda: one_mode_channel(1, 0, 0.5),
+         [one_mode_channel(0, 1, 0.5), one_mode_channel(1, 0, 0.25)]),
+    ], ids=["state-1+1", "state-2+1", "channel"])
+    def test_equal_by_value(self, make, unequal):
+        a, same = make(), make()
+        assert a is not same and a == same and hash(a) == hash(same)
+        assert a == a and not (a != same)
+        for b in unequal:
+            assert a != b and not (a == b)
+            assert b not in [a] and {a: 1}.get(b) is None
+        assert a != "record" and a != a.modes_a
+        assert same in [*unequal, a] and {a, same, *unequal} == {a, *unequal}
+        assert {a: 1}[same] == 1
