@@ -41,8 +41,8 @@ from .states import (
     _check_max_sympl_eigen,
     _integer_counts,
     _is_integer,
+    _ModeRecord,
     _random_covs,
-    _Record,
 )
 
 
@@ -56,7 +56,7 @@ class SamplingAbortError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianChannel(_Record):
+class GaussianChannel(_ModeRecord):
     """Immutable channel record; M is symmetrized and required PSD.
 
     Composite channels built from checked channels skip the check through

@@ -16,6 +16,7 @@ evaluated alongside every sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,17 +125,23 @@ def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianSta
                                           np.exp(-bath.lam * t / 2.0) * state0.mean)
 
 
+def _require_increasing(times: np.ndarray, name: str) -> None:
+    """The time rules of a sweep grid and a Trajectory, in this order."""
+    if not np.all(np.isfinite(times)):
+        raise ValidationError(f"{name} must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise ValidationError(f"{name} must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """j2 decay curve with its convexity envelope at the same time points;
-    equal, and hashed, by value as the records of ``states`` are."""
+class Trajectory(_Record):
+    """j2 decay curve with its convexity envelope at the same time points."""
 
     times: np.ndarray
     j2_values: np.ndarray
     bound_values: np.ndarray
 
-    __eq__ = _Record.__eq__
-    __hash__ = _Record.__hash__
+    _arrays = ("times", "j2_values", "bound_values")
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
@@ -142,14 +149,8 @@ class Trajectory:
         bounds = np.array(self.bound_values, dtype=float)
         if not (times.shape == vals.shape == bounds.shape) or times.ndim != 1:
             raise ValidationError("trajectory arrays must share one 1-D shape")
-        if not np.all(np.isfinite(times)):
-            raise ValidationError("times must be finite")
-        if not np.all(np.diff(times) > 0):
-            raise ValidationError("times must be strictly increasing")
-        for name, arr in (("times", times), ("j2_values", vals),
-                          ("bound_values", bounds)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _require_increasing(times, "times")
+        self._settle(times, vals, bounds)
 
     def _csv_rows(self):
         """The lines of :meth:`to_csv`, newline-terminated, one at a time."""
@@ -171,14 +172,11 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     each, so memory stays bounded however long the grid.  A grid of up to
     SWEEP_BLOCK - 2 times is one block.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.array(t_grid, dtype=float)  # a copy: the Trajectory freezes it
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValidationError("t_grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(t_grid)):
-        raise ValidationError("t_grid must be finite")
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValidationError("t_grid must be strictly increasing")
-    if np.any(t_grid < 0):
+    _require_increasing(t_grid, "t_grid")
+    if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
     covs_at = relaxation_covariances(state0, bath)
     times = np.append(t_grid, [0.0, np.inf])
@@ -187,7 +185,7 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
         for i in range(0, times.size, SWEEP_BLOCK)])
     j2_start, j2_inf = values[-2:]
     w = np.exp(-bath.lam * t_grid)
-    return Trajectory(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)
+    return Trajectory._by_construction(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)
 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
@@ -195,6 +193,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
     with j2 (at DEFAULT_PSD_TOL) below threshold, or inf if there is none; dt
     must be finite and positive, t_max finite and nonnegative, threshold not NaN.
+    A grid the scan could not finish is rejected: past t_max / dt = 2**52 a
+    step t + dt can round back to t, and no grid time may overflow to inf.
 
     The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
     eigendecomposition per block, so an early passage stops after its block.
@@ -203,6 +203,11 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_max) or t_max < 0:
         raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
+    t_max, dt = float(t_max), float(dt)
+    if t_max > dt * 2**52 or math.isinf(t_max + PASSAGE_BLOCK * dt):
+        raise ValidationError(
+            f"t_max = {t_max} and dt = {dt} give a grid the scan cannot finish: t_max / dt "
+            f"must be at most 2**52 and t_max + {PASSAGE_BLOCK} dt finite")
     if np.isnan(threshold):
         raise ValidationError("threshold must not be NaN")
     covs_at = relaxation_covariances(state0, bath)

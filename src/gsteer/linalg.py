@@ -90,23 +90,18 @@ def require_tol(tol: float) -> None:
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def psd_within_tol(lo, hi, tol: float):
-    """The one tolerance rule: PSD iff lambda_min >= -tol * max(1, |lambda_max|),
-    for floats or for arrays of (lambda_min, lambda_max) pairs; ``tol`` must
-    pass :func:`require_tol`.  :func:`psd_spectra` is its one caller."""
-    require_tol(tol)
-    return (lo >= -tol) | (lo >= -tol * abs(hi))
-
-
 def psd_spectra(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The one PSD kernel: ascending spectra of a ``(d, d)`` matrix or a
     ``(..., d, d)`` stack that is Hermitian by construction (not re-checked),
-    and the verdict of :func:`psd_within_tol` on each.  One ``eigvalsh``
-    serves the whole stack, and a stack's row i equals the ``(d, d)`` call on
-    ``h[i]`` bit for bit."""
+    and the verdict of the one tolerance rule on each: PSD iff
+    lambda_min >= -tol * max(1, |lambda_max|); ``tol`` must pass
+    :func:`require_tol`.  One ``eigvalsh`` serves the whole stack, and a
+    stack's row i equals the ``(d, d)`` call on ``h[i]`` bit for bit."""
     ev = np.linalg.eigvalsh(h)
+    require_tol(tol)
     # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
-    return ev, psd_within_tol(ev[..., 0][()], ev[..., -1][()], tol)
+    lo, hi = ev[..., 0][()], ev[..., -1][()]
+    return ev, (lo >= -tol) | (lo >= -tol * abs(hi))
 
 
 def relative_margin(lo, hi):

@@ -32,10 +32,9 @@ Mean vectors are carried everywhere even though the steering quantities
 ignore them, because channels act on them and file round-trips must be
 faithful.
 
-``GaussianState`` and ``channels.GaussianChannel`` share one record layer,
-:class:`_Record` (frozen fields, the "must be real" rule, the by-construction
-entry, the JSON document, value equality and its hash); each ``__post_init__``
-adds only its own checks.
+``GaussianState``, ``channels.GaussianChannel`` and ``dynamics.Trajectory``
+share one record layer, :class:`_Record`; the first two add the mode counts,
+the "must be real" rule and the JSON document of :class:`_ModeRecord`.
 """
 
 from __future__ import annotations
@@ -97,31 +96,24 @@ def _field_values(record) -> tuple:
 
 
 class _Record:
-    """Mode counts plus the frozen float arrays named by ``_arrays``, and
-    their ``_kind`` of JSON document."""
+    """Dataclass fields stored once, the float arrays named by ``_arrays``
+    frozen; equal, and hashed, by value."""
 
-    _kind: str
     _arrays: tuple[str, ...]
 
-    def _require_real(self) -> None:
-        for name in self._arrays:
-            if np.iscomplexobj(getattr(self, name)):
-                raise ValidationError(f"{name} must be real")
-
-    def _settle(self, modes_a: int, modes_b: int, *arrays: np.ndarray) -> None:
-        """Freeze ``arrays`` and store them, with the mode counts, as the fields."""
+    def _settle(self, *values) -> None:
+        """Store ``values`` as the fields, in order, and freeze the ``_arrays``."""
         fields = vars(self)
-        fields["modes_a"], fields["modes_b"] = modes_a, modes_b
-        for name, arr in zip(self._arrays, arrays):
-            arr.setflags(write=False)
-            fields[name] = arr
+        fields.update(zip(self.__dataclass_fields__, values))
+        for name in self._arrays:
+            fields[name].setflags(False)  # write=False; a keyword costs more
 
     @classmethod
-    def _by_construction(cls, modes_a: int, modes_b: int, *arrays: np.ndarray):
+    def _by_construction(cls, *values):
         """The record of fresh float arrays that pass its checks by the
         caller's algebra: taken over and frozen, not copied or checked."""
         record = object.__new__(cls)
-        record._settle(modes_a, modes_b, *arrays)
+        record._settle(*values)
         return record
 
     def __eq__(self, other):
@@ -135,6 +127,17 @@ class _Record:
         """The scalar fields and array shapes: equal records hash equally."""
         return hash((type(self), *(v.shape if isinstance(v, np.ndarray) else v
                                    for v in _field_values(self))))
+
+
+class _ModeRecord(_Record):
+    """Mode counts plus real float arrays, and their ``_kind`` of JSON document."""
+
+    _kind: str
+
+    def _require_real(self) -> None:
+        for name in self._arrays:
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValidationError(f"{name} must be real")
 
     @property
     def n_modes(self) -> int:
@@ -170,7 +173,7 @@ class _Record:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianState(_Record):
+class GaussianState(_ModeRecord):
     """Immutable (modes_a + modes_b)-mode Gaussian state record.
 
     The one structural check of a covariance matrix: shape, finiteness and

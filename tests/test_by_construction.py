@@ -20,7 +20,7 @@ from gsteer.channels import (
     tensor_local,
 )
 from gsteer.cli import main
-from gsteer.dynamics import BathParameters, evolve, stationary_state
+from gsteer.dynamics import BathParameters, Trajectory, evolve, stationary_state, sweep
 from gsteer.linalg import ValidationError
 from gsteer.states import (
     GaussianState,
@@ -76,6 +76,33 @@ class TestRecordsEqualTheCheckedOnes:
         assert_as_checked(stationary_state(bath))
         for t in (0.0, 0.3, 12.0):
             assert_as_checked(evolve(squeezed_vacuum_state(1.0), bath, t))
+
+    @pytest.mark.parametrize("grid", [
+        [0.0, 0.5, 7.25], np.linspace(0.0, 60.0, 601), np.arange(0.0, 30.0, 0.01),
+    ])
+    def test_sweep(self, grid, monkeypatch):
+        # sweep hands its own arrays to the Trajectory, unchecked; they equal
+        # the checked rebuild bit for bit and are read-only, while the
+        # caller's grid is copied, not frozen or shared
+        def checked(self):
+            raise AssertionError("sweep built a checked Trajectory")
+
+        bath = BathParameters(0.7, 0.9, 1.3, 0.1)
+        with monkeypatch.context() as patch:
+            patch.setattr(Trajectory, "__post_init__", checked)
+            traj = sweep(squeezed_vacuum_state(1.0), bath, grid)
+        rebuilt = Trajectory(traj.times, traj.j2_values, traj.bound_values)
+        assert traj == rebuilt
+        for name in ("times", "j2_values", "bound_values"):
+            got, want = getattr(traj, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        if isinstance(grid, np.ndarray):
+            assert grid.flags.writeable
+            assert not np.shares_memory(grid, traj.times)
+            grid[0] = -1.0
+            assert traj.times[0] == 0.0
 
 
 class TestNoStructuralCheck:

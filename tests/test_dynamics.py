@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -283,16 +284,24 @@ class TestSweep:
         # the returned Trajectory holds 2.3 MiB; the whole grid as one stack
         # would peak near 40 MiB.  A short sweep first fills the module
         # caches (the steering offsets), which are not the sweep's memory.
-        grid = np.linspace(0.0, 60.0, 100_001)
+        # At 600,001 points the peak stays within 2.25x the returned arrays
+        # (13.7 MiB): sweep hands them over and copies none of them.
         args = (squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1))
-        sweep(*args, grid[:3])
-        tracemalloc.start()
-        try:
-            sweep(*args, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20
+        sweep(*args, [0.0, 1.0, 2.0])
+
+        def traced(grid):
+            """The sweep's tracemalloc peak and the bytes of its arrays."""
+            tracemalloc.start()
+            try:
+                traj = sweep(*args, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, traj.times.nbytes + traj.j2_values.nbytes + traj.bound_values.nbytes
+
+        assert traced(np.linspace(0.0, 60.0, 100_001))[0] < 10 * 2**20
+        peak, held = traced(np.linspace(0.0, 60.0, 600_001))
+        assert peak <= 2.25 * held, (peak, held)
 
     def test_stack_not_rechecked(self, count_require_hermitian):
         # the stack mixes two checked covariances: symmetric and finite by construction
@@ -317,6 +326,31 @@ class TestFirstPassage:
         bath = BathParameters(0.0, 0.0, 0.0, 0.1)
         with pytest.raises(ValidationError, match="dt must be|t_max must be"):
             first_passage_time(squeezed_vacuum_state(1.0), bath, 10.0, t_max, dt)
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (1.0, 1e-300),           # 1e300 grid points
+        (1.0, 5e-324),           # t_max / dt overflows to inf
+        (2.0**52 + 1.0, 1.0),    # past 2**52 steps, t + dt can round back to t
+        (1.7e308, 1e308),        # the grid end overflows to inf
+    ])
+    def test_unfinishable_grid_rejected(self, t_max, dt):
+        # threshold -1 is never reached, so an accepted grid would be scanned
+        # to its end; the alarm turns a scan that never ends into a failure
+        def hung(signum, frame):
+            raise TimeoutError(f"first_passage_time scanned t_max = {t_max}, dt = {dt}")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValidationError, match=r"at most 2\*\*52"):
+                first_passage_time(squeezed_vacuum_state(1.0),
+                                   BathParameters(0, 0, 0, 0.1), -1.0, t_max, dt)
+            # the largest grid accepted, stopped at t = 0 by a threshold above j2
+            assert first_passage_time(squeezed_vacuum_state(1.0),
+                                      BathParameters(0, 0, 0, 0.1), 10.0, 2.0**52, 1.0) == 0.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, so the scan would return inf
