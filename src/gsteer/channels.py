@@ -13,8 +13,8 @@ are kept independent and each carries its own eigenvalue margin.  Monte-Carlo
 sampling (``sample_verify``) can falsify, but never certify, the semantic
 "maps every unsteerable state to an unsteerable state" property.
 
-``GaussianChannel`` shares the record layer of ``states.GaussianState`` and
-adds its own checks (finite K and dbar, M symmetric and PSD).
+``GaussianChannel`` shares the structural check of ``states.GaussianState``
+and adds only its own partition rule and M's PSD test.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .linalg import (
     psd_spectra,
     relative_margin,
     require_finite,
-    require_hermitian,
     require_tol,
     steering_form,
 )
@@ -59,8 +58,8 @@ class SamplingAbortError(RuntimeError):
 class GaussianChannel(_ModeRecord):
     """Immutable channel record; M is symmetrized and required PSD.
 
-    Composite channels built from checked channels skip the check through
-    :meth:`_by_construction`.
+    Composite channels built from checked channels, and certified random
+    channels, skip the check through :meth:`_by_construction`.
     """
 
     modes_a: int
@@ -70,32 +69,26 @@ class GaussianChannel(_ModeRecord):
     dbar: np.ndarray
 
     _kind = "channel"
-    _arrays = ("K", "M", "dbar")
+    _arrays = {"K": 2, "M": 2, "dbar": 1}
+    _symmetrized = "M"
 
-    def __post_init__(self):
-        modes_a, modes_b = _integer_counts(self.modes_a, self.modes_b)
+    @staticmethod
+    def _partition(modes_a, modes_b) -> tuple[int, int]:  # each side >= 0, one mode at least
+        modes_a, modes_b = _integer_counts(modes_a, modes_b)
         if modes_a < 0 or modes_b < 0 or modes_a + modes_b < 1:
             raise ValidationError(f"invalid mode partition ({modes_a}, {modes_b})")
-        self._require_real()
-        dim = 2 * (modes_a + modes_b)
-        k = require_finite(np.array(self.K, dtype=float), "K")
-        m = np.array(self.M, dtype=float)
-        dbar = require_finite(np.array(self.dbar, dtype=float), "dbar")
-        if k.shape != (dim, dim):
-            raise ValidationError(f"K must have shape ({dim}, {dim}), got {k.shape}")
-        if m.shape != (dim, dim):
-            raise ValidationError(f"M must have shape ({dim}, {dim}), got {m.shape}")
-        if dbar.shape != (dim,):
-            raise ValidationError(f"dbar must have length {dim}, got {dbar.shape}")
-        m = require_hermitian(m, name="M")
-        rep = PsdReport.of_hermitian(m, DEFAULT_PSD_TOL)
+        return modes_a, modes_b
+
+    def __post_init__(self):
+        super().__post_init__()
+        rep = PsdReport.of_hermitian(self.M, DEFAULT_PSD_TOL)
         if not rep.ok:
             raise ValidationError(
                 f"M must be PSD, min eigenvalue {rep.min_eigenvalue:.6e}")
-        self._settle(modes_a, modes_b, k, m, dbar)
 
 
 def identity_channel(modes_a: int, modes_b: int) -> GaussianChannel:
+    modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     dim = 2 * (modes_a + modes_b)
     return GaussianChannel(modes_a, modes_b, np.eye(dim), np.zeros((dim, dim)),
                            np.zeros(dim))
@@ -249,12 +242,14 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChann
     eigenvalue of the two M-free certificate parts, so both certificates are
     PSD by construction.
     """
+    modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     rng = np.random.default_rng(rng)
     n = modes_a + modes_b
     dim = 2 * n
     k = rng.uniform(-1.0, 1.0, (dim, dim)) / dim
     shift = _certified_shift(k, steering_form(0, n), steering_form(modes_a, modes_b))
-    return GaussianChannel(modes_a, modes_b, k, shift * np.eye(dim), np.zeros(dim))
+    return GaussianChannel._by_construction(modes_a, modes_b, k, shift * np.eye(dim),
+                                            np.zeros(dim))
 
 
 @dataclass(frozen=True)

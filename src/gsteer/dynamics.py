@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, ValidationError
+from .linalg import DEFAULT_PSD_TOL, ValidationError, require_real
 from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
@@ -144,9 +144,7 @@ class Trajectory(_Record):
     _arrays = ("times", "j2_values", "bound_values")
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        vals = np.array(self.j2_values, dtype=float)
-        bounds = np.array(self.bound_values, dtype=float)
+        times, vals, bounds = (require_real(getattr(self, name), name) for name in self._arrays)
         if not (times.shape == vals.shape == bounds.shape) or times.ndim != 1:
             raise ValidationError("trajectory arrays must share one 1-D shape")
         _require_increasing(times, "times")
@@ -167,25 +165,28 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
     """j2 along a strictly increasing time grid, with the decay envelope.
 
-    The grid times, then t = 0 and t = inf for the envelope's ends, are
-    evaluated in blocks of SWEEP_BLOCK times, one batched eigendecomposition
-    each, so memory stays bounded however long the grid.  A grid of up to
-    SWEEP_BLOCK - 2 times is one block.
+    The grid times are evaluated in blocks of SWEEP_BLOCK times, one batched
+    eigendecomposition each, so memory stays bounded however long the grid;
+    t = 0 and t = inf, the envelope's ends, are the tail of the last block.
+    A grid of up to SWEEP_BLOCK times is one block.
     """
-    t_grid = np.array(t_grid, dtype=float)  # a copy: the Trajectory freezes it
+    t_grid = require_real(t_grid, "t_grid")  # a copy: the Trajectory freezes it
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValidationError("t_grid must be a nonempty 1-D array")
     _require_increasing(t_grid, "t_grid")
     if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
     covs_at = relaxation_covariances(state0, bath)
-    times = np.append(t_grid, [0.0, np.inf])
-    values = np.concatenate([
-        _steering_spectra(covs_at(times[i:i + SWEEP_BLOCK]), 1, 1, tol)[2]
-        for i in range(0, times.size, SWEEP_BLOCK)])
-    j2_start, j2_inf = values[-2:]
+    n = t_grid.size
+    values = np.empty(n + 2)
+    for start in range(0, n, SWEEP_BLOCK):
+        times = t_grid[start:start + SWEEP_BLOCK]
+        if start + SWEEP_BLOCK >= n:
+            times = np.append(times, [0.0, np.inf])
+        values[start:start + times.size] = _steering_spectra(covs_at(times), 1, 1, tol)[2]
+    j2_start, j2_inf = values[n:]
     w = np.exp(-bath.lam * t_grid)
-    return Trajectory._by_construction(t_grid, values[:-2], w * j2_start + (1.0 - w) * j2_inf)
+    return Trajectory._by_construction(t_grid, values[:n], w * j2_start + (1.0 - w) * j2_inf)
 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,

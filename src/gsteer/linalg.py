@@ -53,6 +53,18 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def require_real(value, name: str) -> np.ndarray:
+    """The one reader of a caller's array: ``value`` as a fresh float array;
+    complex (before numpy drops the imaginary parts) and non-numeric rejected."""
+    try:
+        arr = np.asarray(value)
+        if not np.iscomplexobj(arr):
+            return np.array(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    raise ValidationError(f"{name} must be real")
+
+
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a square, near-Hermitian matrix and return the symmetrized
     (h + h^dagger)/2, which must be finite (a finite h can overflow it).

@@ -9,10 +9,10 @@ DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``.
 
 Two ways in, so that each covariance is checked once:
 
-- Caller input takes the structural check of :class:`GaussianState` (shape,
-  finiteness, symmetry): ``GaussianState(...)`` itself, and ``make_state``,
-  ``standard_form_state``, ``mix_covariances`` and ``state_from_json``, which
-  add the bona fide test.
+- Caller input takes the structural check of :class:`_ModeRecord` (real,
+  shape, finiteness, symmetry): ``GaussianState(...)`` itself, and
+  ``make_state``, ``standard_form_state``, ``mix_covariances`` and
+  ``state_from_json``, which add the bona fide test.
 - Constructors whose covariance is exactly symmetric with the right shape by
   their own algebra build the record directly (``GaussianState._by_construction``),
   with no structural check and no eigensolve.  Each is bona fide by
@@ -34,7 +34,8 @@ faithful.
 
 ``GaussianState``, ``channels.GaussianChannel`` and ``dynamics.Trajectory``
 share one record layer, :class:`_Record`; the first two add the mode counts,
-the "must be real" rule and the JSON document of :class:`_ModeRecord`.
+the one structural check and the JSON document of :class:`_ModeRecord`, each
+keeping only its partition rule.  Every caller array is read by ``require_real``.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .linalg import (
     ValidationError,
     require_finite,
     require_hermitian,
+    require_real,
     steering_form,
     symplectic_exp,
 )
@@ -130,14 +132,25 @@ class _Record:
 
 
 class _ModeRecord(_Record):
-    """Mode counts plus real float arrays, and their ``_kind`` of JSON document."""
+    """Mode counts plus real, finite float arrays of shape (dim,) * rank (the
+    ``_symmetrized`` one stored symmetrized), and their ``_kind`` of JSON document."""
 
     _kind: str
+    _arrays: dict[str, int]  # array field -> rank, in field order
+    _symmetrized: str
+    _partition: staticmethod  # the mode counts (modes_a, modes_b) -> checked ints
 
-    def _require_real(self) -> None:
-        for name in self._arrays:
-            if np.iscomplexobj(getattr(self, name)):
-                raise ValidationError(f"{name} must be real")
+    def __post_init__(self):
+        modes_a, modes_b = self._partition(self.modes_a, self.modes_b)
+        dim = 2 * (modes_a + modes_b)
+        arrays = []
+        for name, rank in self._arrays.items():
+            arr = require_real(getattr(self, name), name)
+            if arr.shape != (dim,) * rank:
+                raise ValidationError(f"{name} must have shape {(dim,) * rank}, got {arr.shape}")
+            arrays.append(require_hermitian(arr, name) if name == self._symmetrized
+                          else require_finite(arr, name))
+        self._settle(modes_a, modes_b, *arrays)
 
     @property
     def n_modes(self) -> int:
@@ -164,21 +177,16 @@ class _ModeRecord(_Record):
         missing = {"modes_a", "modes_b", *cls._arrays} - set(doc)
         if missing:
             raise ValidationError(f"{cls._kind} document missing keys: {sorted(missing)}")
-        try:
-            arrays = [np.array(doc[name], dtype=float) for name in cls._arrays]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"{'/'.join(cls._arrays)} must be numeric arrays: {exc}") from None
-        return cls(doc["modes_a"], doc["modes_b"], *arrays)
+        return cls(doc["modes_a"], doc["modes_b"], *(doc[name] for name in cls._arrays))
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianState(_ModeRecord):
     """Immutable (modes_a + modes_b)-mode Gaussian state record.
 
-    The one structural check of a covariance matrix: shape, finiteness and
-    symmetry within HERMITICITY_TOL; the cov stored is symmetrized.  It
-    does not test bona fide; :func:`make_state` does.
+    Both sides have at least one mode, and the cov stored is symmetrized
+    (the structural check of :class:`_ModeRecord`).  It does not test bona
+    fide; :func:`make_state` does.
     """
 
     modes_a: int
@@ -187,20 +195,9 @@ class GaussianState(_ModeRecord):
     mean: np.ndarray
 
     _kind = "state"
-    _arrays = ("cov", "mean")
-
-    def __post_init__(self):
-        modes_a, modes_b = _check_mode_counts(self.modes_a, self.modes_b)
-        self._require_real()
-        cov = require_hermitian(np.asarray(self.cov, dtype=float), name="cov")
-        dim = 2 * (modes_a + modes_b)
-        mean = np.array(self.mean, dtype=float)
-        if cov.shape != (dim, dim):
-            raise ValidationError(f"cov must have shape ({dim}, {dim}), got {cov.shape}")
-        if mean.shape != (dim,):
-            raise ValidationError(f"mean must have length {dim}, got shape {mean.shape}")
-        require_finite(mean, "mean")
-        self._settle(modes_a, modes_b, cov, mean)
+    _arrays = {"cov": 2, "mean": 1}
+    _symmetrized = "cov"
+    _partition = staticmethod(_check_mode_counts)
 
     def block_a(self) -> np.ndarray:
         return self.cov[: 2 * self.modes_a, : 2 * self.modes_a]
@@ -252,7 +249,7 @@ def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:
     """The checked mode counts and mixing factors of a phase-space Schmidt
     form: min(modes_a, modes_b) factors, each finite and >= 1, whose squares
     are finite (a larger factor overflows the covariance)."""
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    gammas = np.atleast_1d(require_real(gammas, "gammas"))
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     k = min(modes_a, modes_b)
     if gammas.shape != (k,):

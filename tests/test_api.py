@@ -125,6 +125,13 @@ def test_one_eigensolver_call_site():
     assert identifier_uses("eigvalsh") == {("linalg", "psd_spectra")}
 
 
+def test_one_reader_of_caller_arrays():
+    # every caller array is read by require_real; require_hermitian takes
+    # the adjoint of a complex matrix
+    assert identifier_uses("iscomplexobj") == {("linalg", "require_real"),
+                                               ("linalg", "require_hermitian")}
+
+
 def test_relaxation_stays_in_dynamics():
     # both decay scans, sweep and first_passage_time, live beside the relaxation
     assert {module for module, _ in identifier_uses("relaxation_covariances")} == {"dynamics"}

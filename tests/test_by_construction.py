@@ -14,6 +14,7 @@ from gsteer.channels import (
     GaussianChannel,
     apply,
     channel_to_json,
+    random_unsteerable_channel,
     sample_verify,
     side_a_channel,
     side_b_channel,
@@ -30,7 +31,7 @@ from gsteer.states import (
     squeezed_vacuum_state,
     state_to_json,
 )
-from gsteer.steering import pure_family_state
+from gsteer.steering import j_closed_schmidt, pure_family_state
 
 NONCERT = (fixtures.CHANNEL_NONCERT_BONAFIDE, fixtures.CHANNEL_NONCERT_UNSTEERABLE)
 
@@ -105,6 +106,19 @@ class TestRecordsEqualTheCheckedOnes:
             assert traj.times[0] == 0.0
 
 
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 2), (2, 0), (2, 3)])
+    def test_random_unsteerable_channel(self, modes):
+        # M = shift * I is symmetric and PSD by its own algebra
+        for seed in range(50):
+            ch = random_unsteerable_channel(*modes, seed)
+            rebuilt = GaussianChannel(*modes, ch.K, ch.M, ch.dbar)
+            assert ch == rebuilt
+            for name in ("K", "M", "dbar"):
+                got, want = getattr(ch, name), getattr(rebuilt, name)
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+
 class TestNoStructuralCheck:
     def test_constructors(self, count_require_hermitian):
         channels = [fixtures.load_channel(name) for name in NONCERT]
@@ -129,6 +143,11 @@ class TestNoStructuralCheck:
         for ch, predicate in zip(channels, ("bona-fide", "unsteerable-preserving")):
             assert sample_verify(ch, 200, 5, predicate).violations == 0
         assert not count_require_hermitian
+
+    def test_random_unsteerable_channel(self, count_eigvalsh, count_require_hermitian):
+        random_unsteerable_channel(1, 2, 7)
+        assert not count_require_hermitian
+        assert len(count_eigvalsh) == 2  # the shift's two M-free certificates
 
     def test_tensor_local(self, count_eigvalsh, count_require_hermitian):
         side_a = side_a_channel([[1.0, 1.0], [0.0, 1.0]], 0.5 * np.eye(2))
@@ -273,3 +292,55 @@ class TestCallerInputStillChecked:
         for build in (side_a_channel, side_b_channel):
             with pytest.raises(ValidationError, match="^K must be real$"):
                 build(np.eye(2, dtype=complex), np.zeros((2, 2)))
+
+
+# callable -> (a call on one caller array, the array's name, a value it accepts)
+READERS = {
+    "GaussianState": (lambda v: GaussianState(1, 1, v, np.zeros(4)), "cov", np.eye(4)),
+    "GaussianChannel": (lambda v: GaussianChannel(1, 1, np.eye(4), np.zeros((4, 4)), v),
+                        "dbar", np.zeros(4)),
+    "Trajectory": (lambda v: Trajectory(v, [0.0, 0.0], [0.0, 0.0]), "times", [0.0, 1.0]),
+    "sweep": (lambda v: sweep(squeezed_vacuum_state(0.5), BathParameters(0.0, 0.0, 0.0, 0.1), v),
+              "t_grid", [0.0, 1.0]),
+    "schmidt_pure_state": (lambda v: schmidt_pure_state(1, 1, v), "gammas", [2.0]),
+    "j_closed_schmidt": (lambda v: j_closed_schmidt(1, 1, v), "gammas", [2.0]),
+}
+
+
+class TestOneReader:
+    """Every caller array is read by ``linalg.require_real``: a complex one is
+    rejected before numpy could drop its imaginary parts, and one numpy cannot
+    read as numbers is a ValidationError, not numpy's TypeError or ValueError."""
+
+    @pytest.mark.parametrize("target", READERS)
+    def test_complex_rejected(self, target):
+        build, name, value = READERS[target]
+        build(value)
+        with pytest.raises(ValidationError, match=f"^{name} must be real$"):
+            build(np.asarray(value) + 2j)
+
+    @pytest.mark.parametrize("target", READERS)
+    @pytest.mark.parametrize("bad", [[["x"]], [[1.0, 2.0], [3.0]], {"a": 1}])
+    def test_non_numeric_rejected(self, target, bad):
+        build, name, _ = READERS[target]
+        with pytest.raises(ValidationError, match=f"^{name} must be a numeric array: "):
+            build(bad)
+
+
+class TestShapeMessages:
+    # one form for every array of both records: "<name> must have shape ..."
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GaussianState(1, 1, np.eye(3), np.zeros(4)),
+         r"^cov must have shape \(4, 4\), got \(3, 3\)$"),
+        (lambda: GaussianState(1, 1, np.eye(4), np.zeros(3)),
+         r"^mean must have shape \(4,\), got \(3,\)$"),
+        (lambda: GaussianChannel(1, 1, np.eye(6), np.zeros((4, 4)), np.zeros(4)),
+         r"^K must have shape \(4, 4\), got \(6, 6\)$"),
+        (lambda: GaussianChannel(1, 1, np.eye(4), np.zeros(4), np.zeros(4)),
+         r"^M must have shape \(4, 4\), got \(4,\)$"),
+        (lambda: GaussianChannel(1, 1, np.eye(4), np.zeros((4, 4)), np.zeros(3)),
+         r"^dbar must have shape \(4,\), got \(3,\)$"),
+    ], ids=["cov", "mean", "K", "M", "dbar"])
+    def test_shape(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()

@@ -114,6 +114,19 @@ class TestApply:
         with pytest.raises(ValidationError, match="partition"):
             apply(shear_channel, random_state(1, 2, 2.0, 0))
 
+    # the partition rule runs before any array is built
+    @pytest.mark.parametrize("build", [
+        lambda: random_unsteerable_channel(0, 0, 1),
+        lambda: random_unsteerable_channel(1.5, 1, 1),
+        lambda: random_unsteerable_channel(-1, 2, 1),
+        lambda: identity_channel(1.5, 1),
+        lambda: identity_channel(0, 0),
+    ], ids=["random (0, 0)", "random (1.5, 1)", "random (-1, 2)", "identity (1.5, 1)",
+            "identity (0, 0)"])
+    def test_partition_checked_first(self, build):
+        with pytest.raises(ValidationError, match="partition|integers"):
+            build()
+
     def test_valid_channel_output_validated(self):
         # a certified channel maps a bona fide state to a bona fide one
         ch = random_unsteerable_channel(1, 1, 5)

@@ -610,7 +610,7 @@ class TestDocumentErrors:
         code, err = self.run(kind, doc, tmp_path, capsys)
         assert code == 2
         # what follows the colon is numpy's own text
-        assert err.startswith(f"error: {'/'.join(arrays)} must be numeric arrays: ")
+        assert err.startswith(f"error: {arrays[position]} must be a numeric array: ")
         assert err.endswith("\n") and err.count("\n") == 1
 
     # far deeper than the interpreter's recursion limit, so that json.loads
