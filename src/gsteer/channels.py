@@ -32,6 +32,7 @@ from .linalg import (
     psd_spectra,
     relative_margin,
     require_finite,
+    require_real,
     require_tol,
     steering_form,
 )
@@ -88,15 +89,17 @@ class GaussianChannel(_ModeRecord):
 
 
 def identity_channel(modes_a: int, modes_b: int) -> GaussianChannel:
+    """K = I, M = 0, dbar = 0 on a checked partition: exact, so built
+    without the record's check."""
     modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     dim = 2 * (modes_a + modes_b)
-    return GaussianChannel(modes_a, modes_b, np.eye(dim), np.zeros((dim, dim)),
-                           np.zeros(dim))
+    return GaussianChannel._by_construction(modes_a, modes_b, np.eye(dim),
+                                            np.zeros((dim, dim)), np.zeros(dim))
 
 
 def side_a_channel(K, M, dbar=None) -> GaussianChannel:
     """Channel acting on A modes only (empty B side)."""
-    k = np.atleast_2d(np.asarray(K))
+    k = np.atleast_2d(require_real(K, "K"))
     if dbar is None:
         dbar = np.zeros(k.shape[0])
     return GaussianChannel(k.shape[0] // 2, 0, k, M, dbar)
@@ -104,7 +107,7 @@ def side_a_channel(K, M, dbar=None) -> GaussianChannel:
 
 def side_b_channel(K, M, dbar=None) -> GaussianChannel:
     """Channel acting on B modes only (empty A side)."""
-    k = np.atleast_2d(np.asarray(K))
+    k = np.atleast_2d(require_real(K, "K"))
     if dbar is None:
         dbar = np.zeros(k.shape[0])
     return GaussianChannel(0, k.shape[0] // 2, k, M, dbar)
@@ -181,24 +184,26 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
             f"state ({state.modes_a},{state.modes_b})")
     # finite inputs can overflow, so the mean is tested too
     mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
-    return GaussianState._by_construction(ch.modes_a, ch.modes_b, _act(ch, state.cov), mean)
+    return GaussianState._by_construction(ch.modes_a, ch.modes_b,
+                                          _act(ch.K, ch.M, state.cov), mean)
 
 
-def _act(ch: GaussianChannel, covs: np.ndarray) -> np.ndarray:
-    """K cov K^T + M for one ``(d, d)`` cov or a ``(..., d, d)`` stack, tested
-    for finiteness after the symmetrization GaussianState applies (finite
-    inputs can overflow either step); a stack's row i equals the ``(d, d)``
-    call on ``covs[i]`` bit for bit."""
-    cov = ch.K @ covs @ ch.K.T + ch.M
+def _act(k: np.ndarray, m: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """K cov K^T + M for one ``(d, d)`` cov or a ``(..., d, d)`` stack, with
+    one K and M or stacks of them, tested for finiteness after the
+    symmetrization GaussianState applies (finite inputs can overflow either
+    step); a stack's row i equals the ``(d, d)`` call on row i bit for bit."""
+    cov = k @ covs @ k.swapaxes(-1, -2) + m
     return require_finite((cov + cov.swapaxes(-1, -2)) / 2.0, "cov")
 
 
 def _direct_sum(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
-    """The block-diagonal x_a (+) x_b of two real square matrices."""
-    da = len(x_a)
-    out = np.zeros((da + len(x_b),) * 2)
-    out[:da, :da] = x_a
-    out[da:, da:] = x_b
+    """The block-diagonal x_a (+) x_b of two real square matrices, or of two
+    ``(..., da, da)`` and ``(..., db, db)`` stacks row by row."""
+    da = x_a.shape[-1]
+    out = np.zeros((*x_a.shape[:-2], da + x_b.shape[-1], da + x_b.shape[-1]))
+    out[..., :da, :da] = x_a
+    out[..., da:, da:] = x_b
     return out
 
 
@@ -332,7 +337,7 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
                     covs[i] = _random_covs((), *modes, max_sympl_eigen, rng)
                     if psd_spectra(covs[i] + steering, tol)[1]:
                         break
-        ev, ok = psd_spectra(_act(ch, covs) + judged, tol)
+        ev, ok = psd_spectra(_act(ch.K, ch.M, covs) + judged, tol)
         margins = relative_margin(ev[:, 0], ev[:, -1]).tolist()
         worst = min(worst, *margins)
         for margin in margins:  # left to right: np.sum and sum() reorder the terms

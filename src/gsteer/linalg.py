@@ -152,8 +152,15 @@ class PsdReport:
 def random_orthogonal(dim: int, rng) -> np.ndarray:
     """Random orthogonal matrix via QR of a Gaussian matrix."""
     rng = np.random.default_rng(rng)
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
+    return _orthogonal_from_normals(rng.standard_normal((dim, dim)))
+
+
+def _orthogonal_from_normals(g: np.ndarray) -> np.ndarray:
+    """The orthogonal factor of :func:`random_orthogonal` for one ``(dim, dim)``
+    standard normal draw or a ``(..., dim, dim)`` stack, one stacked QR; row
+    i of a stack equals the single call on ``g[i]`` bit for bit."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
@@ -163,15 +170,24 @@ def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
     becomes the 2x2 block [[Re u, Im u], [-Im u, Re u]].
     """
     rng = np.random.default_rng(rng)
-    z = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal((n_modes, n_modes))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    u = q * (d / np.abs(d))
-    s = np.zeros((2 * n_modes, 2 * n_modes))
-    s[0::2, 0::2] = u.real
-    s[0::2, 1::2] = u.imag
-    s[1::2, 0::2] = -u.imag
-    s[1::2, 1::2] = u.real
+    re = rng.standard_normal((n_modes, n_modes))
+    return _orthogonal_symplectic_from_normals(re, rng.standard_normal((n_modes, n_modes)))
+
+
+def _orthogonal_symplectic_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The matrix of :func:`random_orthogonal_symplectic` from the real and
+    imaginary standard normal draws, one ``(n, n)`` pair or ``(..., n, n)``
+    stacks, one stacked QR; row i of a stack equals the single call on
+    ``re[i]`` and ``im[i]`` bit for bit."""
+    q, r = np.linalg.qr(re + 1j * im)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[..., None, :]
+    n_modes = u.shape[-1]
+    s = np.zeros((*u.shape[:-2], 2 * n_modes, 2 * n_modes))
+    s[..., 0::2, 0::2] = u.real
+    s[..., 0::2, 1::2] = u.imag
+    s[..., 1::2, 0::2] = -u.imag
+    s[..., 1::2, 1::2] = u.real
     return s
 
 

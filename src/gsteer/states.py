@@ -52,6 +52,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    psd_spectra,
     require_finite,
     require_hermitian,
     require_real,
@@ -220,17 +221,32 @@ def ensure_bona_fide(state: GaussianState) -> GaussianState:
     BonaFideError carrying the minimum eigenvalue of cov + i*Omega."""
     report = validate_state(state)
     if not report.ok:
-        raise BonaFideError(
-            f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
-            f"is {report.min_eigenvalue:.6e} (tol {report.tol:g})", report.min_eigenvalue)
+        raise _bona_fide_error(report.min_eigenvalue)
     return state
+
+
+def _ensure_bona_fide_stack(covs: np.ndarray, n_modes: int) -> None:
+    """:func:`ensure_bona_fide` on a ``(k, d, d)`` stack of covariances,
+    finite and exactly symmetric (not checked), in one eigensolve: the
+    BonaFideError of its first failing row, if any."""
+    ev, ok = psd_spectra(covs + steering_form(0, n_modes), DEFAULT_PSD_TOL)
+    if not ok.all():
+        raise _bona_fide_error(float(ev[ok.argmin(), 0]))
+
+
+def _bona_fide_error(min_eigenvalue: float) -> BonaFideError:
+    """The error of a covariance failing the bona fide test at DEFAULT_PSD_TOL."""
+    return BonaFideError(
+        f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
+        f"is {min_eigenvalue:.6e} (tol {DEFAULT_PSD_TOL:g})", min_eigenvalue)
 
 
 def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
     """Validated constructor: the checks of :class:`GaussianState` plus the
     bona fide condition; the mean defaults to zero."""
     if mean is None:
-        mean = np.zeros(np.shape(cov)[:1])
+        cov = require_real(cov, "cov")  # sizes the mean; GaussianState reads it again
+        mean = np.zeros(cov.shape[:1])
     return ensure_bona_fide(GaussianState(modes_a, modes_b, cov, mean))
 
 
@@ -329,16 +345,24 @@ def _random_covs(shape: tuple[int, ...], modes_a: int, modes_b: int,
     :func:`random_state` describes, from checked arguments and a Generator;
     ``shape`` is ``()`` for one covariance or ``(k,)`` for a stack of k.
 
-    Sample i takes n + d^2 uniforms, nu then H in stream order, scaled as
-    ``Generator.uniform`` scales them, so the stack equals k rounds of
-    ``rng.uniform(1, max_sympl_eigen, n)`` and ``rng.uniform(-1, 1, (d, d))``
-    bit for bit, and the Generator ends where those rounds leave it.
+    Sample i takes n + d^2 uniforms, nu then H in stream order, so the stack
+    equals k rounds of ``rng.uniform(1, max_sympl_eigen, n)`` and
+    ``rng.uniform(-1, 1, (d, d))`` bit for bit, and the Generator ends where
+    those rounds leave it.
     """
     n = modes_a + modes_b
-    d = 2 * n
-    u = rng.random((*shape, n + d * d))
-    nu = 1.0 + (max_sympl_eigen - 1.0) * u[..., :n]
-    sympl = symplectic_exp(n, (-1.0 + 2.0 * u[..., n:]).reshape(*shape, d, d))
+    return _covs_from_uniforms(rng.random((*shape, n + 4 * n * n)), n, max_sympl_eigen)
+
+
+def _covs_from_uniforms(u: np.ndarray, n_modes: int, max_sympl_eigen: float) -> np.ndarray:
+    """The covariances of :func:`_random_covs` from a ``(..., n + d^2)`` block
+    of ``rng.random()`` draws, one per row, each scaled as ``Generator.uniform``
+    scales it (``low + (high - low) * u``): nu from the first n, H from the
+    other d^2.  Engines that slice one block of draws into several uses
+    build their covariances here."""
+    d = 2 * n_modes
+    nu = 1.0 + (max_sympl_eigen - 1.0) * u[..., :n_modes]
+    sympl = symplectic_exp(n_modes, (-1.0 + 2.0 * u[..., n_modes:]).reshape(*u.shape[:-1], d, d))
     # finite unless a huge max_sympl_eigen overflows the product
     return require_finite(williamson_inverse(nu, sympl), "cov")
 

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import fixtures
 from .channels import (
+    SAMPLE_BLOCK,
     GaussianChannel,
+    _act,
     _certified_shift,
     _direct_sum,
     apply,
@@ -32,16 +34,19 @@ from .channels import (
 from .dynamics import BathParameters, first_passage_time, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
+    _orthogonal_from_normals,
+    _orthogonal_symplectic_from_normals,
     psd_spectra,
-    random_orthogonal,
-    random_orthogonal_symplectic,
-    random_symplectic,
+    relative_margin,
     steering_form,
+    symplectic_exp,
 )
 from .states import (
+    _check_mode_counts,
+    _covs_from_uniforms,
+    _ensure_bona_fide_stack,
+    _random_covs,
     ensure_bona_fide,
-    mix_covariances,
-    random_state,
     squeezed_vacuum_state,
 )
 from .steering import (
@@ -91,23 +96,61 @@ def _count(n_trials: int, rng, violated) -> int:
     return sum(1 for i in range(n_trials) if violated(i, rng))
 
 
+def _in_stacks(n_trials: int, settle):
+    """A ``violated(i, rng)`` for :func:`_count` that reads the verdicts from
+    stacks: ``settle(trials, rng)`` takes the range of the next at most
+    SAMPLE_BLOCK trials, draws for them in trial order and returns a bool
+    array of the verdicts of its first j (j <= len(trials), possibly 0), with
+    the Generator left where the loop over trials would leave it after the
+    j-th.  So the count, and the Generator's end state, equal those of a loop
+    running one trial at a time."""
+    pending = []
+
+    def violated(i, rng):
+        while not pending:
+            trials = range(i, min(i + SAMPLE_BLOCK, n_trials))
+            pending.extend(reversed(settle(trials, rng).tolist()))
+        return pending.pop()
+    return violated
+
+
 def _partition(i: int) -> tuple[int, int]:
     return (1, 1) if i % 2 == 0 else (1, 2)
 
 
 def _random_psd(dim, rng):
-    w = rng.standard_normal((dim, dim)) * 0.5
-    return w @ w.T
+    return _gram(rng.standard_normal((dim, dim)))
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """The PSD matrix w w^T, w = g / 2, of :func:`_random_psd` for one
+    ``(dim, dim)`` standard normal draw or a ``(..., dim, dim)`` stack."""
+    w = g * 0.5
+    return w @ w.swapaxes(-1, -2)
+
+
+def _raw_j_values(covs: np.ndarray, modes_a: int, modes_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (j1, j2) of :func:`j_values` with clamp=False on a ``(..., d, d)``
+    stack of covariances, bona fide by construction (so their traces, the
+    denominators of j1, are positive): one eigensolve."""
+    j2_vals = _steering_spectra(covs, modes_a, modes_b, DEFAULT_PSD_TOL, clamp=False)[2]
+    return j2_vals / np.trace(covs, axis1=-2, axis2=-1), j2_vals
 
 
 def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
-    """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree."""
-    def violated(i, rng):
-        s = random_state(modes_a, modes_b, FAITHFULNESS_VMAX, rng)
-        j1_val, j2_val = j_values(s)
-        verdict = bool(is_unsteerable(s).ok)
-        return not ((j1_val == 0.0) == (j2_val == 0.0) == verdict)
-    return _count(n_trials, rng, violated)
+    """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree.
+
+    Each stack of states is one draw and one eigensolve, whose verdicts and
+    clamped j2 are those of :func:`is_unsteerable` and :func:`j_values`."""
+    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
+
+    def settle(trials, rng):
+        covs = _random_covs((len(trials),), modes_a, modes_b, FAITHFULNESS_VMAX, rng)
+        _, verdict, j2_vals = _steering_spectra(covs, modes_a, modes_b, DEFAULT_PSD_TOL)
+        j1_zero = j2_vals / np.trace(covs, axis1=-2, axis2=-1) == 0.0
+        j2_zero = j2_vals == 0.0
+        return ~((j1_zero == j2_zero) & (j2_zero == verdict))
+    return _count(n_trials, rng, _in_stacks(n_trials, settle))
 
 
 def _preservation_trials(n_trials: int, rng, draw_channel, *certificates) -> int:
@@ -158,56 +201,114 @@ def certified_channel_trials(n_trials: int, rng) -> int:
 def local_symplectic_trials(n_trials: int, rng) -> int:
     """Local symplectic conjugation preserves the unsteerable verdict.
 
-    States whose steering-matrix margin (:attr:`PsdReport.margin`) is at most
-    MARGIN_FLOOR in size are redrawn: congruence preserves eigenvalue signs
-    but not their size, so the tolerant verdict is only meaningful away from
-    the boundary.  The channel (M = 0) is built without a check.
+    States whose steering-matrix margin (:func:`relative_margin`, the margin
+    of :class:`PsdReport`) is at most MARGIN_FLOOR in size are redrawn:
+    congruence preserves eigenvalue signs but not their size, so the tolerant
+    verdict is only meaningful away from the boundary.  The channel (M = 0)
+    is built without a check.
+
+    A trial draws 26 uniforms when its first state is kept: 18 for the state,
+    then 4 for each side's ``random_symplectic(1, rng, scale=0.5)``.  A stack
+    draws one such row per trial, keeps the trials before its first redraw,
+    and puts the Generator back to just after the redrawn state's 18 draws,
+    where the next stack begins.  The next stack draws again the rows after
+    the redraw, so it holds at most 2j + 1 rows after a stack that kept j
+    trials and redrew, and twice as many as the last after one that did not:
+    the rows drawn in vain stay about as many as the trials kept.
     """
-    def violated(i, rng):
-        while True:
-            s = random_state(1, 1, 2.0, rng)
-            rep = is_unsteerable(s, TRIAL_TOL)
-            if abs(rep.margin) > MARGIN_FLOOR:
-                break
-        k = _direct_sum(random_symplectic(1, rng, scale=0.5),
-                        random_symplectic(1, rng, scale=0.5))
-        ch = GaussianChannel._by_construction(1, 1, k, np.zeros((4, 4)), np.zeros(4))
-        out = apply(ch, s)
-        return bool(is_unsteerable(out, TRIAL_TOL).ok) != bool(rep.ok)
-    return _count(n_trials, rng, violated)
+    rows = SAMPLE_BLOCK  # of the next stack
+
+    def settle(trials, rng):
+        nonlocal rows
+        saved = rng.bit_generator.state
+        u = rng.random((min(len(trials), rows), 26))
+        covs = _covs_from_uniforms(u[:, :18], 2, 2.0)
+        ev, ok = psd_spectra(covs + steering_form(1, 1), TRIAL_TOL)
+        kept = abs(relative_margin(ev[:, 0], ev[:, -1])) > MARGIN_FLOOR  # NaN is redrawn
+        redrawn = np.flatnonzero(~kept)
+        rows = 2 * len(u)
+        if redrawn.size:
+            j = int(redrawn[0])
+            rng.bit_generator.state = saved
+            rng.random(26 * j + 18)
+            u, covs, ok = u[:j], covs[:j], ok[:j]
+            rows = 2 * j + 1
+            if not j:
+                return ok
+        # Generator.uniform(-0.5, 0.5) is -0.5 + 1.0 * u
+        sympl = symplectic_exp(1, (-0.5 + 1.0 * u[:, 18:]).reshape(-1, 2, 2, 2))
+        k = _direct_sum(sympl[:, 0], sympl[:, 1])
+        out = _act(k, np.zeros((4, 4)), covs)
+        return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok
+    return _count(n_trials, rng, _in_stacks(n_trials, settle))
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:
-    """Raw j2 is convex and raw j1 subadditive-plus-one over covariance mixing."""
-    def violated(i, rng):
-        s1 = random_state(1, 1, 3.0, rng)
-        s2 = random_state(1, 1, 3.0, rng)
-        p1 = float(rng.random())
-        mix = mix_covariances(s1, s2, p1)
-        j1_mix, j2_mix = j_values(mix, clamp=False)
-        j1_a, j2_a = j_values(s1, clamp=False)
-        j1_b, j2_b = j_values(s2, clamp=False)
-        return (j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + TRIAL_SLACK
-                or j1_mix > j1_a + j1_b + 1.0 + TRIAL_SLACK)
-    return _count(n_trials, rng, violated)
+    """Raw j2 is convex and raw j1 subadditive-plus-one over covariance mixing.
+
+    A trial draws 37 uniforms: two (1+1) states of :func:`random_state` with
+    ``max_sympl_eigen`` 3 (18 each), then the weight p1.  The mixes of a
+    stack take the bona fide test of :func:`mix_covariances` as one
+    eigensolve, and the raw j values of the mixes and both inputs one more.
+    """
+    def settle(trials, rng):
+        k = len(trials)
+        u = rng.random((k, 37))
+        covs = _covs_from_uniforms(u[:, :36].reshape(k, 2, 18), 2, 3.0)
+        p1 = u[:, 36, None, None]
+        # exactly symmetric, so mix_covariances' symmetrization leaves it unchanged
+        mix = p1 * covs[:, 0] + (1.0 - p1) * covs[:, 1]
+        _ensure_bona_fide_stack(mix, 2)
+        j1_vals, j2_vals = _raw_j_values(np.stack([mix, covs[:, 0], covs[:, 1]]), 1, 1)
+        p1 = p1[:, 0, 0]
+        # | of the two comparisons is the loop's or: NaN compares False in both
+        return ((j2_vals[0] > p1 * j2_vals[1] + (1.0 - p1) * j2_vals[2] + TRIAL_SLACK)
+                | (j1_vals[0] > j1_vals[1] + j1_vals[2] + 1.0 + TRIAL_SLACK))
+    return _count(n_trials, rng, _in_stacks(n_trials, settle))
 
 
 def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
     """j1 and j2 never increase under K_A orthogonal, K_B orthogonal
     symplectic, with arbitrary PSD local noise (a direct sum of Gram matrices,
-    so the channel is built without a check)."""
-    def violated(i, rng):
-        modes_a, modes_b = _partition(i)
-        s = random_state(modes_a, modes_b, 2.0, rng)
-        da, db = 2 * modes_a, 2 * modes_b
-        k = _direct_sum(random_orthogonal(da, rng), random_orthogonal_symplectic(modes_b, rng))
-        m = _direct_sum(_random_psd(da, rng), _random_psd(db, rng))
-        ch = GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(da + db))
-        out = apply(ch, s)
-        j1_in, j2_in = j_values(s, clamp=False)
-        j1_out, j2_out = j_values(out, clamp=False)
-        return j1_out > j1_in + TRIAL_SLACK or j2_out > j2_in + TRIAL_SLACK
-    return _count(n_trials, rng, violated)
+    so the channel is built without a check).
+
+    A trial of partition (a + b) draws a state (``n + d^2`` uniforms), then
+    standard normals in the order of :func:`random_orthogonal` (2a x 2a),
+    :func:`random_orthogonal_symplectic` (b x b real, then imaginary) and
+    the two Gram matrices (2a x 2a, 2b x 2b).  A stack draws its trials in
+    trial order, then runs each partition's trials as one group.
+    """
+    def settle(trials, rng):
+        groups = {}
+        for pos, i in enumerate(trials):
+            modes_a, modes_b = _partition(i)
+            n = modes_a + modes_b
+            rows, uniforms, normals = groups.setdefault((modes_a, modes_b), ([], [], []))
+            rows.append(pos)
+            uniforms.append(rng.random(n + 4 * n * n))
+            normals.append(rng.standard_normal(8 * modes_a**2 + 6 * modes_b**2))
+        violated = np.empty(len(trials), dtype=bool)
+        for modes, (rows, uniforms, normals) in groups.items():
+            violated[rows] = _orthogonal_violations(*modes, np.array(uniforms), np.array(normals))
+        return violated
+    return _count(n_trials, rng, _in_stacks(n_trials, settle))
+
+
+def _orthogonal_violations(modes_a: int, modes_b: int, u: np.ndarray,
+                           g: np.ndarray) -> np.ndarray:
+    """The verdicts of :func:`orthogonal_monotonicity_trials` on a group of
+    trials of one partition, from one row of uniforms ``u`` and of normals
+    ``g`` per trial: one QR per factor, one channel action, one eigensolve."""
+    k, da, db = len(u), 2 * modes_a, 2 * modes_b
+    orth, re, im, g_a, g_b = np.split(
+        g, np.cumsum([da * da, modes_b**2, modes_b**2, da * da]), axis=1)
+    re, im = re.reshape(k, modes_b, modes_b), im.reshape(k, modes_b, modes_b)
+    covs = _covs_from_uniforms(u, modes_a + modes_b, 2.0)
+    k_mat = _direct_sum(_orthogonal_from_normals(orth.reshape(k, da, da)),
+                        _orthogonal_symplectic_from_normals(re, im))
+    m_mat = _direct_sum(_gram(g_a.reshape(k, da, da)), _gram(g_b.reshape(k, db, db)))
+    j1_vals, j2_vals = _raw_j_values(np.stack([covs, _act(k_mat, m_mat, covs)]), modes_a, modes_b)
+    return (j1_vals[1] > j1_vals[0] + TRIAL_SLACK) | (j2_vals[1] > j2_vals[0] + TRIAL_SLACK)
 
 
 # ---------------------------------------------------------------------------

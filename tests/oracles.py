@@ -13,12 +13,20 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from gsteer import channels
-from gsteer.channels import GaussianChannel, SampleReport, SamplingAbortError
+from gsteer import channels, verify
+from gsteer.channels import GaussianChannel, SampleReport, SamplingAbortError, _direct_sum, apply
 from gsteer.dynamics import evolve, stationary_state
-from gsteer.linalg import ValidationError, require_hermitian, steering_form, symplectic_form
-from gsteer.states import GaussianState, validate_state
-from gsteer.steering import is_unsteerable, j2, n3_upper_bound_pure, pure_family_state
+from gsteer.linalg import (
+    ValidationError,
+    random_orthogonal,
+    random_orthogonal_symplectic,
+    random_symplectic,
+    require_hermitian,
+    steering_form,
+    symplectic_form,
+)
+from gsteer.states import GaussianState, mix_covariances, random_state, validate_state
+from gsteer.steering import is_unsteerable, j2, j_values, n3_upper_bound_pure, pure_family_state
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
@@ -343,3 +351,66 @@ def sample_verify_loop(ch: GaussianChannel, n_samples: int, rng,
                 first_counterexample = state
     return SampleReport(predicate, n_samples, violations, float(worst),
                         margin_sum / n_samples, draws, first_counterexample)
+
+
+# The four single-draw property engines of ``gsteer.verify`` as loops over
+# single trials, each trial a ``random_state`` call and single-matrix checks,
+# counted by ``verify._count``; the knobs are read from ``verify`` at call
+# time, so a test that patches them patches both.
+
+def faithfulness_trials_loop(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
+    """``verify.faithfulness_trials`` one state at a time."""
+    def violated(i, rng):
+        s = random_state(modes_a, modes_b, verify.FAITHFULNESS_VMAX, rng)
+        j1_val, j2_val = j_values(s)
+        verdict = bool(is_unsteerable(s).ok)
+        return not ((j1_val == 0.0) == (j2_val == 0.0) == verdict)
+    return verify._count(n_trials, rng, violated)
+
+
+def local_symplectic_trials_loop(n_trials: int, rng) -> int:
+    """``verify.local_symplectic_trials`` one trial, and one redraw, at a time."""
+    def violated(i, rng):
+        while True:
+            s = random_state(1, 1, 2.0, rng)
+            rep = is_unsteerable(s, verify.TRIAL_TOL)
+            if abs(rep.margin) > verify.MARGIN_FLOOR:
+                break
+        k = _direct_sum(random_symplectic(1, rng, scale=0.5),
+                        random_symplectic(1, rng, scale=0.5))
+        ch = GaussianChannel._by_construction(1, 1, k, np.zeros((4, 4)), np.zeros(4))
+        out = apply(ch, s)
+        return bool(is_unsteerable(out, verify.TRIAL_TOL).ok) != bool(rep.ok)
+    return verify._count(n_trials, rng, violated)
+
+
+def mixture_bound_trials_loop(n_trials: int, rng) -> int:
+    """``verify.mixture_bound_trials`` one mix at a time."""
+    def violated(i, rng):
+        s1 = random_state(1, 1, 3.0, rng)
+        s2 = random_state(1, 1, 3.0, rng)
+        p1 = float(rng.random())
+        mix = mix_covariances(s1, s2, p1)
+        j1_mix, j2_mix = j_values(mix, clamp=False)
+        j1_a, j2_a = j_values(s1, clamp=False)
+        j1_b, j2_b = j_values(s2, clamp=False)
+        return (j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + verify.TRIAL_SLACK
+                or j1_mix > j1_a + j1_b + 1.0 + verify.TRIAL_SLACK)
+    return verify._count(n_trials, rng, violated)
+
+
+def orthogonal_monotonicity_trials_loop(n_trials: int, rng) -> int:
+    """``verify.orthogonal_monotonicity_trials`` one channel at a time."""
+    def violated(i, rng):
+        modes_a, modes_b = verify._partition(i)
+        s = random_state(modes_a, modes_b, 2.0, rng)
+        da, db = 2 * modes_a, 2 * modes_b
+        k = _direct_sum(random_orthogonal(da, rng), random_orthogonal_symplectic(modes_b, rng))
+        m = _direct_sum(verify._random_psd(da, rng), verify._random_psd(db, rng))
+        ch = GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(da + db))
+        out = apply(ch, s)
+        j1_in, j2_in = j_values(s, clamp=False)
+        j1_out, j2_out = j_values(out, clamp=False)
+        return (j1_out > j1_in + verify.TRIAL_SLACK
+                or j2_out > j2_in + verify.TRIAL_SLACK)
+    return verify._count(n_trials, rng, violated)

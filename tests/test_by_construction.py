@@ -13,6 +13,7 @@ from gsteer import fixtures
 from gsteer.channels import (
     GaussianChannel,
     apply,
+    identity_channel,
     channel_to_json,
     random_unsteerable_channel,
     sample_verify,
@@ -148,6 +149,14 @@ class TestNoStructuralCheck:
         random_unsteerable_channel(1, 2, 7)
         assert not count_require_hermitian
         assert len(count_eigvalsh) == 2  # the shift's two M-free certificates
+
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 2), (2, 0), (2, 3)])
+    def test_identity_channel(self, modes, count_eigvalsh, count_require_hermitian):
+        ch = identity_channel(*modes)
+        assert not count_eigvalsh and not count_require_hermitian
+        dim = 2 * sum(modes)
+        assert ch == GaussianChannel(*modes, np.eye(dim), np.zeros((dim, dim)), np.zeros(dim))
+        assert not any(getattr(ch, name).flags.writeable for name in ("K", "M", "dbar"))
 
     def test_tensor_local(self, count_eigvalsh, count_require_hermitian):
         side_a = side_a_channel([[1.0, 1.0], [0.0, 1.0]], 0.5 * np.eye(2))
@@ -304,6 +313,10 @@ READERS = {
               "t_grid", [0.0, 1.0]),
     "schmidt_pure_state": (lambda v: schmidt_pure_state(1, 1, v), "gammas", [2.0]),
     "j_closed_schmidt": (lambda v: j_closed_schmidt(1, 1, v), "gammas", [2.0]),
+    # these read the array once more, to size the mean, dbar or partition
+    "make_state": (lambda v: make_state(1, 1, v), "cov", np.eye(4)),
+    "side_a_channel": (lambda v: side_a_channel(v, np.eye(2)), "K", np.eye(2)),
+    "side_b_channel": (lambda v: side_b_channel(v, np.eye(2)), "K", np.eye(2)),
 }
 
 

@@ -1,0 +1,151 @@
+"""The four single-draw property engines of ``gsteer verify`` run on stacks;
+each must count, and leave its Generator, exactly as the loop over single
+trials it replaced (``oracles.*_trials_loop``)."""
+
+import numpy as np
+import pytest
+
+from gsteer import channels, verify
+
+from oracles import (
+    faithfulness_trials_loop,
+    local_symplectic_trials_loop,
+    mixture_bound_trials_loop,
+    orthogonal_monotonicity_trials_loop,
+)
+
+# (engine, its loop oracle, leading arguments)
+ENGINES = {
+    "faithfulness-1p1": (verify.faithfulness_trials, faithfulness_trials_loop, (1, 1)),
+    "faithfulness-1p2": (verify.faithfulness_trials, faithfulness_trials_loop, (1, 2)),
+    "local-symplectic": (verify.local_symplectic_trials, local_symplectic_trials_loop, ()),
+    "mixture": (verify.mixture_bound_trials, mixture_bound_trials_loop, ()),
+    "orthogonal": (verify.orthogonal_monotonicity_trials,
+                   orthogonal_monotonicity_trials_loop, ()),
+}
+SEEDS = range(5)
+SMALL_BLOCK = 16  # stands in for SAMPLE_BLOCK, so that stacks end inside short runs
+
+
+def matches_loop(name, n, seed):
+    """The engine's count on a fresh Generator, after checking that count and
+    the Generator's end state against the loop's."""
+    engine, loop, lead = ENGINES[name]
+    rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    count = engine(*lead, n, rng)
+    assert count == loop(*lead, n, rng_loop)
+    assert type(count) is int
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
+    return count
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, SMALL_BLOCK + 3])
+@pytest.mark.parametrize("name", ENGINES)
+def test_equals_loop(name, n, seed, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", SMALL_BLOCK)
+    assert matches_loop(name, n, seed) == 0
+
+
+@pytest.mark.parametrize("name", ENGINES)
+def test_equals_loop_across_full_stacks(name):
+    # two stacks of the real size, and at the default MARGIN_FLOOR a few
+    # redraws inside them
+    assert matches_loop(name, channels.SAMPLE_BLOCK + 3, 0) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", ENGINES)
+def test_spectra_equal_the_loops(name, seed, monkeypatch):
+    # every matrix either side judges goes through numpy's eigvalsh (the one
+    # call site); the spectra, row by row, must be the same floats, which
+    # pins the states, channels and outputs, not only the counts.  The local
+    # symplectic stack also judges the rows it draws again after a redraw.
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(h):
+        ev = eigvalsh(h)
+        seen.extend(map(tuple, ev.reshape(-1, ev.shape[-1]).tolist()))
+        return ev
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.05)  # redraws in local symplectic
+    engine, loop, lead = ENGINES[name]
+    engine(*lead, 40, seed)
+    stacked = set(seen)
+    seen.clear()
+    loop(*lead, 40, seed)
+    if name == "local-symplectic":
+        assert set(seen) <= stacked
+    else:
+        assert set(seen) == stacked
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 7, 40])
+@pytest.mark.parametrize("name", ["mixture", "orthogonal"])
+def test_no_slack_counts_every_trial_as_the_loop(name, n, seed, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", SMALL_BLOCK)
+    monkeypatch.setattr(verify, "TRIAL_SLACK", -np.inf)
+    assert matches_loop(name, n, seed) == n
+
+
+class TestRedraws:
+    """A larger MARGIN_FLOOR makes local-symplectic redraws common (about 92%
+    of states at 0.05, 99.9% at 0.2), inside stacks and at their first row."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_floor_005(self, n, seed, monkeypatch):
+        monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.05)
+        matches_loop("local-symplectic", n, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_floor_02(self, seed, monkeypatch):
+        monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.2)
+        matches_loop("local-symplectic", 2, seed)
+
+    def test_a_stack_is_cut_by_a_redraw(self, monkeypatch):
+        # rows drawn per stack, and trials kept from it: some stack keeps
+        # trials and then redraws, so the redraw falls inside the stack
+        drawn, kept = [], []
+        build, in_stacks = verify._covs_from_uniforms, verify._in_stacks
+
+        def recorded(n_trials, settle):
+            def settled(trials, rng):
+                verdicts = settle(trials, rng)
+                kept.append(len(verdicts))
+                return verdicts
+            return in_stacks(n_trials, settled)
+
+        monkeypatch.setattr(verify, "_covs_from_uniforms",
+                            lambda u, *args: drawn.append(len(u)) or build(u, *args))
+        monkeypatch.setattr(verify, "_in_stacks", recorded)
+        monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.05)
+        matches_loop("local-symplectic", 40, 0)
+        assert len(drawn) == len(kept)
+        assert any(0 < j < rows for rows, j in zip(drawn, kept))
+
+
+@pytest.mark.parametrize("name, calls", [("faithfulness-1p1", 1), ("faithfulness-1p2", 1),
+                                         ("mixture", 2), ("orthogonal", 2)])
+def test_eigensolves_per_stack(name, calls, count_eigvalsh):
+    # the mixture's bona fide test and raw j values; one group per partition
+    engine, _, lead = ENGINES[name]
+    assert engine(*lead, 300, 0) == 0
+    assert len(count_eigvalsh) == calls
+    count_eigvalsh.clear()
+    assert engine(*lead, channels.SAMPLE_BLOCK + 3, 0) == 0
+    assert len(count_eigvalsh) == 2 * calls
+
+
+def test_local_symplectic_eigensolves(count_eigvalsh, monkeypatch):
+    # at most two per stack (input and output verdicts, the second skipped
+    # when the stack keeps no trial); a redraw starts a new stack
+    stacks = []
+    build = verify._covs_from_uniforms
+    monkeypatch.setattr(verify, "_covs_from_uniforms",
+                        lambda u, *args: stacks.append(len(u)) or build(u, *args))
+    assert verify.local_symplectic_trials(300, 0) == 0
+    assert len(count_eigvalsh) <= 2 * len(stacks) < 12
