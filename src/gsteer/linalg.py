@@ -1,10 +1,11 @@
-"""Symplectic forms, validation, the PSD tolerance rule and kernel, and random matrices.
+"""Symplectic forms, validation, the PSD tolerance rule and kernel, and the
+kernels that turn random draws into orthogonal and symplectic matrices.
 
 All quantities are dimensionless (hbar = 1, so the vacuum covariance matrix is
 the identity) and quadratures are ordered (Q1, P1, Q2, P2, ...).  Matrices are
-plain numpy arrays.  Every function here is pure except the random matrix
-generators, which advance the numpy Generator they are given; the cached
-forms are read-only, so values can be shared freely between threads.
+plain numpy arrays.  Every function here is pure (callers draw the random
+numbers), and the cached forms are read-only, so values can be shared freely
+between threads.
 """
 
 from __future__ import annotations
@@ -149,36 +150,22 @@ class PsdReport:
         return self.ok
 
 
-def random_orthogonal(dim: int, rng) -> np.ndarray:
-    """Random orthogonal matrix via QR of a Gaussian matrix."""
-    rng = np.random.default_rng(rng)
-    return _orthogonal_from_normals(rng.standard_normal((dim, dim)))
-
-
 def _orthogonal_from_normals(g: np.ndarray) -> np.ndarray:
-    """The orthogonal factor of :func:`random_orthogonal` for one ``(dim, dim)``
-    standard normal draw or a ``(..., dim, dim)`` stack, one stacked QR; row
-    i of a stack equals the single call on ``g[i]`` bit for bit."""
+    """The Haar-random orthogonal factor of the QR of one ``(dim, dim)``
+    standard normal draw, or of a ``(..., dim, dim)`` stack in one stacked
+    QR (column signs fixed by the diagonal of R); row i of a stack equals
+    the single call on ``g[i]`` bit for bit."""
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
-    """Random element of O(2n) intersected with Sp(2n, R).
-
-    Built as the real representation of a random n x n unitary: entry u_jk
-    becomes the 2x2 block [[Re u, Im u], [-Im u, Re u]].
-    """
-    rng = np.random.default_rng(rng)
-    re = rng.standard_normal((n_modes, n_modes))
-    return _orthogonal_symplectic_from_normals(re, rng.standard_normal((n_modes, n_modes)))
-
-
 def _orthogonal_symplectic_from_normals(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The matrix of :func:`random_orthogonal_symplectic` from the real and
+    """A random element of O(2n) intersected with Sp(2n, R) from the real and
     imaginary standard normal draws, one ``(n, n)`` pair or ``(..., n, n)``
-    stacks, one stacked QR; row i of a stack equals the single call on
-    ``re[i]`` and ``im[i]`` bit for bit."""
+    stacks, one stacked QR: the real representation of the random n x n
+    unitary u, entry u_jk becoming the 2x2 block [[Re u, Im u], [-Im u, Re u]].
+    Row i of a stack equals the single call on ``re[i]`` and ``im[i]`` bit
+    for bit."""
     q, r = np.linalg.qr(re + 1j * im)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[..., None, :]
@@ -191,17 +178,9 @@ def _orthogonal_symplectic_from_normals(re: np.ndarray, im: np.ndarray) -> np.nd
     return s
 
 
-def random_symplectic(n_modes: int, rng, scale: float = 1.0) -> np.ndarray:
-    """exp(Omega H) for random symmetric H with entries uniform in [-scale, scale].
-
-    Always symplectic because Omega H lies in the symplectic Lie algebra.
-    """
-    rng = np.random.default_rng(rng)
-    return symplectic_exp(n_modes, rng.uniform(-scale, scale, (2 * n_modes, 2 * n_modes)))
-
-
 def symplectic_exp(n_modes: int, h: np.ndarray) -> np.ndarray:
-    """exp(Omega H) with H = (h + h^T)/2, for one ``(2n, 2n)`` h or a
+    """exp(Omega H) with H = (h + h^T)/2, symplectic because Omega H lies in
+    the symplectic Lie algebra, for one ``(2n, 2n)`` h or a
     ``(..., 2n, 2n)`` stack; ``scipy.linalg.expm`` runs per slice, so row i
     of a stack equals the single call on ``h[i]`` bit for bit."""
     h = (h + h.swapaxes(-1, -2)) / 2.0

@@ -27,13 +27,11 @@ from .channels import (
     is_valid_gaussian,
     random_unsteerable_channel,
     sample_verify,
-    side_a_channel,
-    side_b_channel,
-    tensor_local,
 )
 from .dynamics import BathParameters, first_passage_time, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
+    ValidationError,
     _orthogonal_from_normals,
     _orthogonal_symplectic_from_normals,
     psd_spectra,
@@ -45,6 +43,7 @@ from .states import (
     _check_mode_counts,
     _covs_from_uniforms,
     _ensure_bona_fide_stack,
+    _is_integer,
     _random_covs,
     ensure_bona_fide,
     squeezed_vacuum_state,
@@ -89,29 +88,25 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # randomized trial engines (shared with the test suite)
 
-def _count(n_trials: int, rng, violated) -> int:
-    """Run trials i = 0, ..., n_trials - 1 as ``violated(i, rng)`` on one
-    Generator and count those that report a violation."""
+def _count(n_trials: int, rng, settle) -> int:
+    """Count the violations among trials 0, ..., n_trials - 1 on one Generator.
+
+    ``settle(trials, rng)`` takes the range of the next at most SAMPLE_BLOCK
+    trials, draws for them in trial order and returns the verdicts (True for
+    a violation) of its first j (j <= len(trials), possibly 0), with the
+    Generator left where a loop over single trials would leave it after the
+    j-th; the next range starts after them.  So the count, and the
+    Generator's end state, equal those of that loop.  ``n_trials`` must be a
+    nonnegative integer, checked before any draw."""
+    if not (_is_integer(n_trials) and n_trials >= 0):
+        raise ValidationError(f"n_trials must be a nonnegative integer, got {n_trials!r}")
     rng = np.random.default_rng(rng)
-    return sum(1 for i in range(n_trials) if violated(i, rng))
-
-
-def _in_stacks(n_trials: int, settle):
-    """A ``violated(i, rng)`` for :func:`_count` that reads the verdicts from
-    stacks: ``settle(trials, rng)`` takes the range of the next at most
-    SAMPLE_BLOCK trials, draws for them in trial order and returns a bool
-    array of the verdicts of its first j (j <= len(trials), possibly 0), with
-    the Generator left where the loop over trials would leave it after the
-    j-th.  So the count, and the Generator's end state, equal those of a loop
-    running one trial at a time."""
-    pending = []
-
-    def violated(i, rng):
-        while not pending:
-            trials = range(i, min(i + SAMPLE_BLOCK, n_trials))
-            pending.extend(reversed(settle(trials, rng).tolist()))
-        return pending.pop()
-    return violated
+    done = count = 0
+    while done < n_trials:
+        verdicts = settle(range(done, min(done + SAMPLE_BLOCK, n_trials)), rng)
+        done += len(verdicts)
+        count += int(np.count_nonzero(verdicts))
+    return count
 
 
 def _partition(i: int) -> tuple[int, int]:
@@ -150,19 +145,20 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
         j1_zero = j2_vals / np.trace(covs, axis1=-2, axis2=-1) == 0.0
         j2_zero = j2_vals == 0.0
         return ~((j1_zero == j2_zero) & (j2_zero == verdict))
-    return _count(n_trials, rng, _in_stacks(n_trials, settle))
+    return _count(n_trials, rng, settle)
 
 
 def _preservation_trials(n_trials: int, rng, draw_channel, *certificates) -> int:
     """Count channels ``draw_channel(i, rng)`` that fail one of ``certificates``
     (at TRIAL_TOL) or map a random unsteerable input of :func:`sample_verify`
-    to a steerable output."""
-    def violated(i, rng):
-        ch = draw_channel(i, rng)
-        if not all(cert(ch, TRIAL_TOL).ok for cert in certificates):
-            return True  # one violation, and no state is drawn
-        return sample_verify(ch, 1, rng, "unsteerable-preserving", tol=TRIAL_TOL).violations > 0
-    return _count(n_trials, rng, violated)
+    to a steerable output; its settle judges the first trial of each range."""
+    def settle(trials, rng):
+        ch = draw_channel(trials[0], rng)
+        # a failed certificate is one violation, and no state is drawn
+        return [not all(cert(ch, TRIAL_TOL).ok for cert in certificates)
+                or sample_verify(ch, 1, rng, "unsteerable-preserving",
+                                 tol=TRIAL_TOL).violations > 0]
+    return _count(n_trials, rng, settle)
 
 
 def upward_closure_trials(n_trials: int, rng) -> int:
@@ -180,14 +176,20 @@ def local_channel_trials(n_trials: int, rng) -> int:
 
 
 def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
-    """Random A-side x B-side channel satisfying both side conditions."""
+    """Random A-side x B-side channel satisfying both side conditions by
+    construction, so built without a check: M_A is a Gram matrix, and M_B a
+    Gram matrix plus the shift that certifies K_B.  It equals
+    ``tensor_local(side_a_channel(K_A, M_A), side_b_channel(K_B, M_B))``."""
+    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     rng = np.random.default_rng(rng)
     dim_a, dim_b = 2 * modes_a, 2 * modes_b
-    ch_a = side_a_channel(rng.uniform(-1.0, 1.0, (dim_a, dim_a)), _random_psd(dim_a, rng))
+    k_a = rng.uniform(-1.0, 1.0, (dim_a, dim_a))
+    m_a = _random_psd(dim_a, rng)
     k_b = rng.uniform(-1.0, 1.0, (dim_b, dim_b))
     shift = _certified_shift(k_b, steering_form(0, modes_b))
     m_b = _random_psd(dim_b, rng) + shift * np.eye(dim_b)
-    return tensor_local(ch_a, side_b_channel(k_b, m_b))
+    return GaussianChannel._by_construction(modes_a, modes_b, _direct_sum(k_a, k_b),
+                                            _direct_sum(m_a, m_b), np.zeros(dim_a + dim_b))
 
 
 def certified_channel_trials(n_trials: int, rng) -> int:
@@ -208,7 +210,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
     is built without a check.
 
     A trial draws 26 uniforms when its first state is kept: 18 for the state,
-    then 4 for each side's ``random_symplectic(1, rng, scale=0.5)``.  A stack
+    then 4 for each side's exp(Omega H), H uniform in [-0.5, 0.5].  A stack
     draws one such row per trial, keeps the trials before its first redraw,
     and puts the Generator back to just after the redrawn state's 18 draws,
     where the next stack begins.  The next stack draws again the rows after
@@ -240,7 +242,7 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
         k = _direct_sum(sympl[:, 0], sympl[:, 1])
         out = _act(k, np.zeros((4, 4)), covs)
         return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok
-    return _count(n_trials, rng, _in_stacks(n_trials, settle))
+    return _count(n_trials, rng, settle)
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:
@@ -264,7 +266,7 @@ def mixture_bound_trials(n_trials: int, rng) -> int:
         # | of the two comparisons is the loop's or: NaN compares False in both
         return ((j2_vals[0] > p1 * j2_vals[1] + (1.0 - p1) * j2_vals[2] + TRIAL_SLACK)
                 | (j1_vals[0] > j1_vals[1] + j1_vals[2] + 1.0 + TRIAL_SLACK))
-    return _count(n_trials, rng, _in_stacks(n_trials, settle))
+    return _count(n_trials, rng, settle)
 
 
 def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
@@ -273,10 +275,10 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
     so the channel is built without a check).
 
     A trial of partition (a + b) draws a state (``n + d^2`` uniforms), then
-    standard normals in the order of :func:`random_orthogonal` (2a x 2a),
-    :func:`random_orthogonal_symplectic` (b x b real, then imaginary) and
-    the two Gram matrices (2a x 2a, 2b x 2b).  A stack draws its trials in
-    trial order, then runs each partition's trials as one group.
+    standard normals for K_A's QR (2a x 2a), for the b x b unitary behind K_B
+    (real, then imaginary part) and for the two Gram matrices (2a x 2a,
+    2b x 2b).  A stack draws its trials in trial order, then runs each
+    partition's trials as one group.
     """
     def settle(trials, rng):
         groups = {}
@@ -291,7 +293,7 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
         for modes, (rows, uniforms, normals) in groups.items():
             violated[rows] = _orthogonal_violations(*modes, np.array(uniforms), np.array(normals))
         return violated
-    return _count(n_trials, rng, _in_stacks(n_trials, settle))
+    return _count(n_trials, rng, settle)
 
 
 def _orthogonal_violations(modes_a: int, modes_b: int, u: np.ndarray,

@@ -18,11 +18,11 @@ from gsteer.channels import GaussianChannel, SampleReport, SamplingAbortError, _
 from gsteer.dynamics import evolve, stationary_state
 from gsteer.linalg import (
     ValidationError,
-    random_orthogonal,
-    random_orthogonal_symplectic,
-    random_symplectic,
+    _orthogonal_from_normals,
+    _orthogonal_symplectic_from_normals,
     require_hermitian,
     steering_form,
+    symplectic_exp,
     symplectic_form,
 )
 from gsteer.states import GaussianState, mix_covariances, random_state, validate_state
@@ -30,6 +30,26 @@ from gsteer.steering import is_unsteerable, j2, j_values, n3_upper_bound_pure, p
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
 PURITY_TOL = 1e-8
+
+
+def random_orthogonal(dim: int, rng) -> np.ndarray:
+    """Random orthogonal matrix via QR of one ``(dim, dim)`` Gaussian draw."""
+    rng = np.random.default_rng(rng)
+    return _orthogonal_from_normals(rng.standard_normal((dim, dim)))
+
+
+def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
+    """Random element of O(2n) intersected with Sp(2n, R) from two ``(n, n)``
+    Gaussian draws, the real part first."""
+    rng = np.random.default_rng(rng)
+    re = rng.standard_normal((n_modes, n_modes))
+    return _orthogonal_symplectic_from_normals(re, rng.standard_normal((n_modes, n_modes)))
+
+
+def random_symplectic(n_modes: int, rng, scale: float = 1.0) -> np.ndarray:
+    """exp(Omega H) for random symmetric H with entries uniform in [-scale, scale]."""
+    rng = np.random.default_rng(rng)
+    return symplectic_exp(n_modes, rng.uniform(-scale, scale, (2 * n_modes, 2 * n_modes)))
 
 
 def real_embed(h: np.ndarray) -> np.ndarray:
@@ -355,8 +375,15 @@ def sample_verify_loop(ch: GaussianChannel, n_samples: int, rng,
 
 # The four single-draw property engines of ``gsteer.verify`` as loops over
 # single trials, each trial a ``random_state`` call and single-matrix checks,
-# counted by ``verify._count``; the knobs are read from ``verify`` at call
+# counted by ``_count_loop``; the knobs are read from ``verify`` at call
 # time, so a test that patches them patches both.
+
+def _count_loop(n_trials: int, rng, violated) -> int:
+    """Run trials i = 0, ..., n_trials - 1 as ``violated(i, rng)`` on one
+    Generator and count those that report a violation."""
+    rng = np.random.default_rng(rng)
+    return sum(1 for i in range(n_trials) if violated(i, rng))
+
 
 def faithfulness_trials_loop(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     """``verify.faithfulness_trials`` one state at a time."""
@@ -365,7 +392,7 @@ def faithfulness_trials_loop(modes_a: int, modes_b: int, n_trials: int, rng) -> 
         j1_val, j2_val = j_values(s)
         verdict = bool(is_unsteerable(s).ok)
         return not ((j1_val == 0.0) == (j2_val == 0.0) == verdict)
-    return verify._count(n_trials, rng, violated)
+    return _count_loop(n_trials, rng, violated)
 
 
 def local_symplectic_trials_loop(n_trials: int, rng) -> int:
@@ -381,7 +408,7 @@ def local_symplectic_trials_loop(n_trials: int, rng) -> int:
         ch = GaussianChannel._by_construction(1, 1, k, np.zeros((4, 4)), np.zeros(4))
         out = apply(ch, s)
         return bool(is_unsteerable(out, verify.TRIAL_TOL).ok) != bool(rep.ok)
-    return verify._count(n_trials, rng, violated)
+    return _count_loop(n_trials, rng, violated)
 
 
 def mixture_bound_trials_loop(n_trials: int, rng) -> int:
@@ -396,7 +423,7 @@ def mixture_bound_trials_loop(n_trials: int, rng) -> int:
         j1_b, j2_b = j_values(s2, clamp=False)
         return (j2_mix > p1 * j2_a + (1.0 - p1) * j2_b + verify.TRIAL_SLACK
                 or j1_mix > j1_a + j1_b + 1.0 + verify.TRIAL_SLACK)
-    return verify._count(n_trials, rng, violated)
+    return _count_loop(n_trials, rng, violated)
 
 
 def orthogonal_monotonicity_trials_loop(n_trials: int, rng) -> int:
@@ -413,4 +440,4 @@ def orthogonal_monotonicity_trials_loop(n_trials: int, rng) -> int:
         j1_out, j2_out = j_values(out, clamp=False)
         return (j1_out > j1_in + verify.TRIAL_SLACK
                 or j2_out > j2_in + verify.TRIAL_SLACK)
-    return verify._count(n_trials, rng, violated)
+    return _count_loop(n_trials, rng, violated)

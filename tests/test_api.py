@@ -7,6 +7,8 @@ import inspect
 import types
 from pathlib import Path
 
+import pytest
+
 import gsteer
 import gsteer.dynamics
 import gsteer.verify
@@ -141,3 +143,29 @@ def test_relaxation_stays_in_dynamics():
 def test_verify_binds_the_dynamics_first_passage():
     # paper_suite, and callers of gsteer.verify.first_passage_time, run the one scan
     assert gsteer.verify.first_passage_time is gsteer.dynamics.first_passage_time
+
+
+def test_every_trial_engine_counts_through_count():
+    # one trial protocol: each *_trials engine of verify reaches _count,
+    # directly or through the module's own helpers
+    path = Path(gsteer.verify.__file__)
+    names = {top.name: {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(top, ast.FunctionDef)}
+    engines = [name for name in names if name.endswith("_trials") and not name.startswith("_")]
+    assert len(engines) == 7
+    for engine in engines:
+        reached, todo = set(), [engine]
+        while todo:
+            name = todo.pop()
+            if name in names and name not in reached:
+                reached.add(name)
+                todo.extend(names[name])
+        assert "_count" in reached, engine
+
+
+@pytest.mark.parametrize("name", ["_in_stacks", "random_orthogonal",
+                                  "random_orthogonal_symplectic", "random_symplectic"])
+def test_test_oracles_stay_out_of_the_package(name):
+    # the per-trial loop and the single-draw generators live in tests/oracles.py
+    assert identifier_uses(name) == set()

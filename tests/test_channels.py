@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsteer import channels, fixtures
+from gsteer import channels, fixtures, verify
 from gsteer.channels import (
     GaussianChannel,
     SamplingAbortError,
@@ -21,7 +21,7 @@ from gsteer.channels import (
     side_b_channel,
     tensor_local,
 )
-from gsteer.linalg import ValidationError, random_symplectic
+from gsteer.linalg import ValidationError, steering_form
 from gsteer.states import make_state, random_state, validate_state
 from gsteer.steering import is_unsteerable, j2, pure_family_state
 from gsteer.verify import (
@@ -31,6 +31,8 @@ from gsteer.verify import (
     orthogonal_monotonicity_trials,
     random_local_channel,
 )
+
+from oracles import random_symplectic
 
 # reference output covariance for the shear channel on the witness state
 SHEAR_OUTPUT = np.array([
@@ -246,6 +248,29 @@ class TestTensorLocal:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), name
                 assert not got.flags.writeable, name
+
+    @pytest.mark.parametrize("modes_b", [1, 2])
+    def test_random_local_channel_equals_checked_composition(self, modes_b):
+        # the same draws, in the same order, through the checked constructors
+        rng, rng_checked = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(50):
+            ch = random_local_channel(1, modes_b, rng)
+            db = 2 * modes_b
+            k_a = rng_checked.uniform(-1.0, 1.0, (2, 2))
+            m_a = verify._random_psd(2, rng_checked)
+            k_b = rng_checked.uniform(-1.0, 1.0, (db, db))
+            shift = channels._certified_shift(k_b, steering_form(0, modes_b))
+            m_b = verify._random_psd(db, rng_checked) + shift * np.eye(db)
+            checked = tensor_local(side_a_channel(k_a, m_a), side_b_channel(k_b, m_b))
+            assert ch == checked
+            for name in ("K", "M", "dbar"):
+                assert getattr(ch, name).tobytes() == getattr(checked, name).tobytes(), name
+        assert rng.bit_generator.state == rng_checked.bit_generator.state
+
+    @pytest.mark.parametrize("modes", [(0, 1), (1, 0), (True, 1), (1, 1.0)])
+    def test_random_local_channel_rejects_bad_mode_counts(self, modes):
+        with pytest.raises(ValidationError):
+            random_local_channel(*modes, 0)
 
     def test_dbar_concatenated(self):
         a = side_a_channel(np.eye(2), np.zeros((2, 2)), dbar=[1.0, 2.0])

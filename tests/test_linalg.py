@@ -8,14 +8,18 @@ from gsteer.linalg import (
     PsdReport,
     ValidationError,
     psd_spectra,
-    random_orthogonal,
-    random_orthogonal_symplectic,
-    random_symplectic,
     require_hermitian,
     steering_form,
     symplectic_form,
 )
-from oracles import jacobi_eigenvalues, real_embed, trace_norm
+from oracles import (
+    jacobi_eigenvalues,
+    random_orthogonal,
+    random_orthogonal_symplectic,
+    random_symplectic,
+    real_embed,
+    trace_norm,
+)
 
 SQRT13 = 3.605551275463989
 

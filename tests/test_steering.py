@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsteer import fixtures
-from gsteer.linalg import ValidationError, random_orthogonal, random_orthogonal_symplectic
+from gsteer.linalg import ValidationError
 from gsteer.states import (
     BonaFideError,
     GaussianState,
@@ -35,6 +35,8 @@ from oracles import (
     bound_chain_scan,
     n3_bound_grid_cells,
     pure_overlap_2mode,
+    random_orthogonal,
+    random_orthogonal_symplectic,
     schur_complement,
     schur_unsteerable_margin,
     standard_form_unsteerable_inequality,

@@ -110,18 +110,18 @@ class TestRedraws:
         # rows drawn per stack, and trials kept from it: some stack keeps
         # trials and then redraws, so the redraw falls inside the stack
         drawn, kept = [], []
-        build, in_stacks = verify._covs_from_uniforms, verify._in_stacks
+        build, count = verify._covs_from_uniforms, verify._count
 
-        def recorded(n_trials, settle):
+        def recorded(n_trials, rng, settle):
             def settled(trials, rng):
                 verdicts = settle(trials, rng)
                 kept.append(len(verdicts))
                 return verdicts
-            return in_stacks(n_trials, settled)
+            return count(n_trials, rng, settled)
 
         monkeypatch.setattr(verify, "_covs_from_uniforms",
                             lambda u, *args: drawn.append(len(u)) or build(u, *args))
-        monkeypatch.setattr(verify, "_in_stacks", recorded)
+        monkeypatch.setattr(verify, "_count", recorded)
         monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.05)
         matches_loop("local-symplectic", 40, 0)
         assert len(drawn) == len(kept)

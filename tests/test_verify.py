@@ -5,7 +5,7 @@ import pytest
 
 from gsteer import verify
 from gsteer.channels import GaussianChannel, apply
-from gsteer.linalg import PsdReport
+from gsteer.linalg import PsdReport, ValidationError
 from gsteer.states import GaussianState, random_state
 
 # (engine, leading arguments) -> the next rng.random() after 40 trials at
@@ -63,8 +63,57 @@ class TestForcedViolations:
         assert engine(6, 4) == 6
 
     def test_count_is_a_python_int(self):
-        count = verify._count(5, 0, lambda i, rng: np.bool_(i % 2 == 0))
+        count = verify._count(5, 0, lambda trials, rng: np.array([i % 2 == 0 for i in trials]))
         assert count == 3 and type(count) is int
+
+
+class TestCount:
+    """``_count`` asks ``settle`` for the next range of trials and counts the
+    verdicts it returns, however few."""
+
+    def test_short_stacks_count_each_trial_once(self, monkeypatch):
+        # each stack settles at most 2 of its trials, and every third none;
+        # a settled trial draws one uniform, as a loop over trials would
+        monkeypatch.setattr(verify, "SAMPLE_BLOCK", 5)
+        ranges = []
+
+        def settle(trials, rng):
+            ranges.append(trials)
+            kept = [] if len(ranges) % 3 == 0 else trials[:2]
+            return [rng.random() < 0.5 for _ in kept]
+
+        rng, rng_loop = np.random.default_rng(3), np.random.default_rng(3)
+        count = verify._count(11, rng, settle)
+        want = sum(rng_loop.random() < 0.5 for _ in range(11))
+        assert count == want
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+        assert [r.start for r in ranges] == [0, 2, 4, 4, 6, 8, 8, 10]
+        assert all(len(r) == min(5, 11 - r.start) for r in ranges)
+
+
+# engine -> leading arguments, one entry for each of the seven engines
+ENGINES = {engine: lead for engine, lead in NEXT_RANDOM}
+
+
+@pytest.mark.parametrize("n_trials", [True, -3, 2.5, "3", None, np.float64(2.0)])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bad_trial_counts_rejected_before_any_draw(engine, n_trials):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="^n_trials must be a nonnegative integer"):
+        getattr(verify, engine)(*ENGINES[engine], n_trials, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_zero_and_numpy_trial_counts_accepted(engine):
+    run, lead = getattr(verify, engine), ENGINES[engine]
+    rng, rng_int = np.random.default_rng(0), np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert run(*lead, 0, rng) == 0
+    assert rng.bit_generator.state == before
+    assert run(*lead, np.int64(3), rng) == run(*lead, 3, rng_int) == 0
+    assert rng.bit_generator.state == rng_int.bit_generator.state
 
 
 def test_noise_channel_adds_its_noise_exactly():
@@ -79,6 +128,7 @@ def test_noise_channel_adds_its_noise_exactly():
 
 
 @pytest.mark.parametrize("engine", [verify.upward_closure_trials,
+                                    verify.local_channel_trials,
                                     verify.local_symplectic_trials,
                                     verify.orthogonal_monotonicity_trials])
 def test_channels_built_by_construction_are_not_rechecked(engine, count_require_hermitian):
