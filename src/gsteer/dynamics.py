@@ -199,6 +199,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
 
     The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
     eigendecomposition per block, so an early passage stops after its block.
+    Clamped j2 is never negative, so once the arguments and ``state0`` pass
+    their checks a threshold <= 0 gives inf with no scan.
     """
     if not np.isfinite(dt) or dt <= 0:
         raise ValidationError(f"dt must be finite and positive, got {dt}")
@@ -212,6 +214,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     if np.isnan(threshold):
         raise ValidationError("threshold must not be NaN")
     covs_at = relaxation_covariances(state0, bath)
+    if threshold <= 0:
+        return np.inf
     t, t_end = 0.0, t_max + dt / 2
     steps = np.full(PASSAGE_BLOCK, dt)
     while t <= t_end:

@@ -58,7 +58,7 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
     rejected; with clamp=True j2 is 0.0 where it holds.
     """
     ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
-    j2_vals = 2.0 * np.maximum(-ev, 0.0).sum(-1)
+    j2_vals = 2.0 * np.add.reduce(np.maximum(-ev, 0.0), -1)  # ndarray.sum without its wrapper
     if clamp:
         j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds
     return ev, unsteerable, j2_vals
@@ -66,13 +66,15 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
 
 def _state_spectra(state: GaussianState, tol: float,
                    clamp: bool = True) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The kernel on one state, with j1 = j2 / Tr(cov): (ev, ok, j1, j2).
-    A covariance whose trace, the denominator of j1, is not positive is
-    rejected (a bona fide covariance has Tr(cov) >= d)."""
-    trace = state.cov.trace()
+    """The kernel on one state, with j1 = j2 / Tr(cov): (ev, ok, j1, j2),
+    j1 and j2 as floats.  A covariance whose trace, the denominator of j1,
+    is not positive is rejected (a bona fide covariance has Tr(cov) >= d)."""
+    cov = state.cov
+    trace = float(np.add.reduce(cov.diagonal()))  # the sum ndarray.trace takes, called directly
     if not trace > 0.0:
         raise ValidationError(f"Tr(cov) must be positive, got {trace:.6e}")
-    ev, ok, j2_val = _steering_spectra(state.cov, state.modes_a, state.modes_b, tol, clamp)
+    ev, ok, j2_val = _steering_spectra(cov, state.modes_a, state.modes_b, tol, clamp)
+    j2_val = float(j2_val)
     return ev, ok, j2_val / trace, j2_val
 
 
@@ -87,8 +89,7 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
     the raw values, which are >= 0 and positive exactly when lambda_min < 0.
     A covariance with Tr(cov) <= 0 is rejected.
     """
-    j1_val, j2_val = _state_spectra(state, tol, clamp)[2:]
-    return float(j1_val), float(j2_val)
+    return _state_spectra(state, tol, clamp)[2:]
 
 
 def j1(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
@@ -119,7 +120,7 @@ def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> Steer
     """Full steering diagnosis from a single eigendecomposition; a
     covariance with Tr(cov) <= 0 is rejected."""
     ev, ok, j1_val, j2_val = _state_spectra(state, tol)
-    return SteeringReport(bool(ok), float(j1_val), float(j2_val), float(ev[0]), tol)
+    return SteeringReport(bool(ok), j1_val, j2_val, float(ev[0]), tol)
 
 
 def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
@@ -169,7 +170,7 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
 
 
 def _check_family_parameter(r: float) -> None:
-    if not np.isfinite(r) or r < 1.0:
+    if not 1.0 <= r < math.inf:  # NaN fails the comparison
         raise ValidationError(f"family parameter must be >= 1, got {r}")
 
 
@@ -199,11 +200,20 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     Estimates from nested (refined) grids never increase.
 
     The overlap with the pure r-family state is 4 / sqrt(det(cov_r + cov)),
-    whose determinant factors into two closed-form block halves.  Each pass
-    of the loop evaluates one value of a over all (b, c, d) cells, so memory
-    grows as grid_density**3.  ``grid_density`` must be an integer >= 2 (a
-    bool or a float is rejected), and an r whose largest determinant,
-    about (2r + 4)^4, overflows (r above about 5.8e76) is rejected.
+    whose determinant factors into the block halves X(a, b, c) Y(a, b, d),
+    X = (r + a)(r + b) - (s + c)^2 and Y = (r + a)(r + b) - (-s + d)^2 with
+    s = sqrt(r^2 - 1).  What depends on (a, b) or (a, b, c) alone is built
+    once as an n^2 or n^3 array: ab, the c grid (which the d axis reuses),
+    ab - c^2, 2c, X and Y, each half set to 0 where its one-sided constraint,
+    a(ab - c^2) >= b or b(ab - d^2) >= a, fails, so that det > 0 fails too.
+    Each value of a then does only its n^3 (b, c, d) cells: the product
+    (ab - c^2)(ab - d^2), the two constraints coupling c and d, and det.
+    Correctly rounded sqrt and division are monotone, so the largest
+    admissible overlap is 4 / sqrt(smallest admissible det) bit for bit, and
+    only that minimum is kept.  Memory grows as n^3, n = ``grid_density``,
+    which must be an integer >= 2 (a bool or a float is rejected); an r
+    whose largest determinant, about (2r + 4)^4, overflows (r above about
+    5.8e76) is rejected.
     """
     _check_family_parameter(r)
     if not _is_integer(grid_density) or grid_density < 2:
@@ -214,27 +224,36 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     axis = np.linspace(1.0, r + 4.0, grid_density)
     s = np.sqrt(r * r - 1.0)
     steps = np.arange(grid_density, dtype=float)
-    b = axis[:, None, None]
-    best = 0.0
-    for a in axis:
-        ab = a * axis
-        cmax = np.sqrt(np.maximum(ab - 1.0, 0.0))
-        # np.linspace(-cmax, cmax, grid_density) for every b, term by term;
-        # at a = b = 1 (cmax = 0) every cell is the single cell c = d = 0
-        grid = steps * ((cmax - -cmax) / (grid_density - 1))[:, None] - cmax[:, None]
-        grid[:, -1] = cmax
-        cc, dd = grid[:, :, None], grid[:, None, :]          # (b, c, 1), (b, 1, d)
-        ab_c, ab_d = ab[:, None, None] - cc**2, ab[:, None, None] - dd**2
-        prod = ab_c * ab_d
-        rr = (r + a) * (r + b)
-        det = (rr - (s + cc) ** 2) * (rr - (-s + dd) ** 2)
-        ok = (
-            (a * ab_c - b >= 0.0)
-            & (b * ab_d - a >= 0.0)
-            & (prod + 1.0 - a * a - b * b - 2.0 * cc * dd >= 0.0)
-            & (prod >= a * a)
-            & (det > 0.0)
-        )
-        overlap = np.where(ok, 4.0 / np.sqrt(np.where(ok, det, 1.0)), -np.inf)
-        best = max(best, float(overlap.max()))
-    return max(0.0, 1.0 - best)
+    # (a, b) and (a, b, c) arrays; the d axis reuses the c grid
+    ab = axis[:, None] * axis
+    cmax = np.sqrt(np.maximum(ab - 1.0, 0.0))
+    # np.linspace(-cmax, cmax, grid_density) for every (a, b), term by term;
+    # at a = b = 1 (cmax = 0) every cell is the single cell c = d = 0
+    grid = steps * ((cmax - -cmax) / (grid_density - 1))[..., None] - cmax[..., None]
+    grid[..., -1] = cmax
+    ab_c = ab[..., None] - grid**2
+    a3, b3 = axis[:, None, None], axis[:, None]
+    rr = ((r + axis)[:, None] * (r + axis))[..., None]
+    # a det half is 0 where its one-sided constraint fails, so det > 0 fails too
+    x_half = np.where(a3 * ab_c - b3 >= 0.0, rr - (s + grid) ** 2, 0.0)
+    y_half = np.where(b3 * ab_c - a3 >= 0.0, rr - (-s + grid) ** 2, 0.0)
+    two_c = 2.0 * grid
+    bb = (axis * axis)[:, None, None]
+    cell = (grid_density,) * 3
+    prod, two_cd, coupled, det = (np.empty(cell) for _ in range(4))
+    ok, cond = np.empty(cell, dtype=bool), np.empty(cell, dtype=bool)
+    least = math.inf
+    for i, a in enumerate(axis):
+        # each (b, c, d) cell array is the product of a (b, c) and a (b, d)
+        # array; einsum forms these outer products faster than broadcasting
+        np.einsum("bc,bd->bcd", ab_c[i], ab_c[i], out=prod)
+        np.add(prod, 1.0, out=coupled)  # prod + 1 - a^2 - b^2 - 2cd, in that order
+        coupled -= a * a
+        coupled -= bb
+        coupled -= np.einsum("bc,bd->bcd", two_c[i], grid[i], out=two_cd)
+        np.greater_equal(coupled, 0.0, out=ok)
+        ok &= np.greater_equal(prod, a * a, out=cond)
+        np.einsum("bc,bd->bcd", x_half[i], y_half[i], out=det)
+        ok &= np.greater(det, 0.0, out=cond)
+        least = min(least, float(np.minimum.reduce(det, None, where=ok, initial=math.inf)))
+    return max(0.0, 1.0 - 4.0 / math.sqrt(least))

@@ -353,6 +353,30 @@ class TestFirstPassage:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_threshold_at_or_below_zero_is_never_crossed(self, monkeypatch):
+        # clamped j2 >= 0, so no scan: 1e12 grid points here would take days
+        calls, steering_spectra = [], dynamics._steering_spectra
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return steering_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_steering_spectra", counted)
+        start, bath = squeezed_vacuum_state(1.0), BathParameters(0, 0, 0, 0.1)
+        # short grids first, so that a scan fails here rather than hangs below
+        assert first_passage_time(start, bath, 0.0, 1.0, 0.1) == np.inf
+        assert first_passage_time(start, bath, -np.inf, 1.0, 0.1) == np.inf
+        assert not calls
+        assert first_passage_time(start, bath, -1.0, 1e9, 1e-3) == np.inf
+        assert not calls
+        # the argument checks and state0's bona fide test still come first
+        with pytest.raises(ValidationError, match="dt must be"):
+            first_passage_time(start, bath, -1.0, 1.0, 0.0)
+        cov = np.diag([1.0, 1.0, 0.5, 0.5])  # not bona fide: det of B's block < 1
+        with pytest.raises(BonaFideError):
+            first_passage_time(GaussianState(1, 1, cov, np.zeros(4)), bath, -1.0, 1.0, 0.1)
+        assert not calls
+
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, so the scan would return inf
         with pytest.raises(ValidationError, match="threshold"):

@@ -188,17 +188,35 @@ class TestJValuesStack:
 
     def test_single_matrix_is_the_one_row_stack(self):
         # a (d, d) call and a (1, d, d) call: spectra, verdicts and j2 at
-        # both clamps bit for bit
+        # both clamps bit for bit; and the public single-state values, j1 over
+        # ndarray.trace, are the rows of one stacked call, bit for bit
         rng = np.random.default_rng(19)
-        rows = [tolerance_band_witness()] + [random_state(1, 1, 4.0, rng) for _ in range(20)]
-        for st in rows:
+        for modes_a, modes_b in ((1, 1), (1, 2), (2, 2), (3, 3)):
+            dim = 2 * (modes_a + modes_b)
+            rows = [random_state(modes_a, modes_b, 4.0, rng) for _ in range(30)]
+            rows.append(make_state(modes_a, modes_b, 3.0 * np.eye(dim)))  # thermal: unsteerable
+            if (modes_a, modes_b) == (1, 2):
+                rows.append(tolerance_band_witness())
+            covs = np.array([st.cov for st in rows])
+            verdicts = set()
             for tol in (1e-9, 0.0):
                 for clamp in (True, False):
-                    single = _steering_spectra(st.cov, st.modes_a, st.modes_b, tol, clamp)
-                    stacked = _steering_spectra(st.cov[None], st.modes_a, st.modes_b, tol, clamp)
-                    assert [x.shape for x in single] == [(st.dim,), (), ()]
-                    for one, stack in zip(single, stacked):
-                        assert one.tobytes() == stack[0].tobytes()
+                    ev, ok, j2s = _steering_spectra(covs, modes_a, modes_b, tol, clamp)
+                    verdicts.update(ok.tolist())
+                    for i, st in enumerate(rows):
+                        single = _steering_spectra(st.cov, modes_a, modes_b, tol, clamp)
+                        stacked = _steering_spectra(st.cov[None], modes_a, modes_b, tol, clamp)
+                        assert [x.shape for x in single] == [(dim,), (), ()]
+                        for one, stack, row in zip(single, stacked, (ev, ok, j2s)):
+                            assert one.tobytes() == stack[0].tobytes() == row[i].tobytes()
+                        j1_val, j2_val = j_values(st, tol, clamp)
+                        assert type(j1_val) is type(j2_val) is float
+                        assert (j1_val, j2_val) == (j2s[i] / st.cov.trace(), j2s[i])
+                        assert j2_val.hex() == float(j2s[i]).hex()  # +0.0, not -0.0
+                        if clamp:
+                            assert steering_report(st, tol) == SteeringReport(
+                                bool(ok[i]), j1_val, j2_val, float(ev[i, 0]), tol)
+            assert verdicts == {True, False}, (modes_a, modes_b)
 
 
 def unsteerable_states(count, seed):
@@ -570,10 +588,14 @@ class TestFidelityBound:
         overlap = pure_overlap_2mode(pure_family_state(2.0), sigma)
         assert bound == pytest.approx(1.0 - overlap, abs=1e-12)
 
-    @pytest.mark.parametrize("density", [2, 5, 13, 20, 30])
+    @pytest.mark.parametrize("density", [2, 3, 4, 5, 13, 20, 30])
     def test_grid_matches_cell_by_cell_oracle(self, density):
-        # equal, not close: same cells, same arithmetic
+        # equal, not close: same cells, same arithmetic.  Edges: density 2
+        # (corners only); r = 1 at an even density, whose c grid has no
+        # c = 0 line except at a = b = 1; r = 1e3; and at density 3, r = 5e76
+        # just below the overflow gate
         rs = [1.0, 2.0, 3.0, 5.0] + np.random.default_rng(density).uniform(1.0, 6.0, 3).tolist()
+        rs += [1e3] + [5e76] * (density == 3)
         for r in rs:
             assert n3_bound_grid(r, density) == n3_bound_grid_cells(r, density)[0], r
 
