@@ -204,10 +204,19 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     X = (r + a)(r + b) - (s + c)^2 and Y = (r + a)(r + b) - (-s + d)^2 with
     s = sqrt(r^2 - 1).  What depends on (a, b) or (a, b, c) alone is built
     once as an n^2 or n^3 array: ab, the c grid (which the d axis reuses),
-    ab - c^2, 2c, X and Y, each half set to 0 where its one-sided constraint,
+    ab - c^2, X and Y, each half set to 0 where its one-sided constraint,
     a(ab - c^2) >= b or b(ab - d^2) >= a, fails, so that det > 0 fails too.
-    Each value of a then does only its n^3 (b, c, d) cells: the product
-    (ab - c^2)(ab - d^2), the two constraints coupling c and d, and det.
+    The cells are then searched line by line, a line being the n cells d of
+    one (a, b, c).  Each line's det = X Y is bounded below by |X| times the
+    least nonzero |Y| of its (a, b) row (inf where X = 0 or the row has no
+    nonzero Y: such a line holds only det = 0).  Lines are visited in
+    increasing order of that bound, the n cheapest first and then at most
+    n^2 at a time, and the search stops once no line left has a bound below
+    the least admissible det found.  A visited line forms the product
+    (ab - c^2)(ab - d^2), the two constraints coupling c and d, and det with
+    the same expressions as a full scan.  Rounding is monotone, so
+    |fl(X Y)| >= fl(|X| min|Y|): a skipped line holds no smaller admissible
+    det, and the least det is exactly that of the full n^4-cell scan.
     Correctly rounded sqrt and division are monotone, so the largest
     admissible overlap is 4 / sqrt(smallest admissible det) bit for bit, and
     only that minimum is kept.  Memory grows as n^3, n = ``grid_density``,
@@ -237,23 +246,29 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     # a det half is 0 where its one-sided constraint fails, so det > 0 fails too
     x_half = np.where(a3 * ab_c - b3 >= 0.0, rr - (s + grid) ** 2, 0.0)
     y_half = np.where(b3 * ab_c - a3 >= 0.0, rr - (-s + grid) ** 2, 0.0)
-    two_c = 2.0 * grid
-    bb = (axis * axis)[:, None, None]
-    cell = (grid_density,) * 3
-    prod, two_cd, coupled, det = (np.empty(cell) for _ in range(4))
-    ok, cond = np.empty(cell, dtype=bool), np.empty(cell, dtype=bool)
+    # the bound of line (a, b, c): |X| times the least nonzero |Y| of row
+    # (a, b); inf where X = 0 or no Y is nonzero, as the line holds only det = 0
+    y_min = np.where(y_half != 0.0, np.abs(y_half), math.inf).min(axis=-1)
+    bound = (np.where(x_half != 0.0, np.abs(x_half), math.inf) * y_min[..., None]).ravel()
+    n = grid_density
+    # rows (a, b) of the d axis; line k lies in row k // n at c = k % n
+    ab_c, grid, x_half, y_half = (v.reshape(n * n, n) for v in (ab_c, grid, x_half, y_half))
+    sq = axis * axis
     least = math.inf
-    for i, a in enumerate(axis):
-        # each (b, c, d) cell array is the product of a (b, c) and a (b, d)
-        # array; einsum forms these outer products faster than broadcasting
-        np.einsum("bc,bd->bcd", ab_c[i], ab_c[i], out=prod)
-        np.add(prod, 1.0, out=coupled)  # prod + 1 - a^2 - b^2 - 2cd, in that order
-        coupled -= a * a
-        coupled -= bb
-        coupled -= np.einsum("bc,bd->bcd", two_c[i], grid[i], out=two_cd)
-        np.greater_equal(coupled, 0.0, out=ok)
-        ok &= np.greater_equal(prod, a * a, out=cond)
-        np.einsum("bc,bd->bcd", x_half[i], y_half[i], out=det)
-        ok &= np.greater(det, 0.0, out=cond)
-        least = min(least, float(np.minimum.reduce(det, None, where=ok, initial=math.inf)))
+    lines = np.argpartition(bound, n - 1)[:n]  # a first chunk: the n cheapest lines
+    while lines.size:
+        row, c = np.divmod(lines, n)
+        a_sq, b_sq = sq[row // n, None], sq[row % n, None]
+        prod = ab_c[row, c, None] * ab_c[row]
+        coupled = prod + 1.0  # prod + 1 - a^2 - b^2 - 2cd, in that order
+        coupled -= a_sq
+        coupled -= b_sq
+        coupled -= (2.0 * grid[row, c, None]) * grid[row]
+        det = x_half[row, c, None] * y_half[row]
+        ok = (coupled >= 0.0) & (prod >= a_sq) & (det > 0.0)
+        least = float(np.minimum.reduce(det, None, where=ok, initial=least))
+        bound[lines] = math.inf  # visited
+        lines = np.flatnonzero(bound < least)
+        if lines.size > n * n:  # the next chunk: the n^2 cheapest lines left
+            lines = lines[np.argpartition(bound[lines], n * n - 1)[:n * n]]
     return max(0.0, 1.0 - 4.0 / math.sqrt(least))

@@ -106,13 +106,10 @@ def jacobi_eigenvalues(mat: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
     return np.sort(np.diag(a))
 
 
-def standard_form_overlap_grid(r: float, a: float, b: float,
-                               c: np.ndarray, d: np.ndarray):
-    """Best overlap of the r-family state with unsteerable standard forms on a
-    (c, d) grid at fixed (a, b); closed-form block determinants.
-
-    Returns (overlap, c, d) for the best cell, or None if no cell qualifies.
-    """
+def _standard_form_cells(r: float, a: float, b: float, c: np.ndarray, d: np.ndarray):
+    """(cc, dd, det, ok) on the (c, d) grid at fixed (a, b): the closed-form
+    block determinant det(cov_r + cov) of each standard form and whether the
+    cell is an admissible (unsteerable, det > 0) standard form."""
     ab = a * b
     cc, dd = np.meshgrid(c, d, indexing="ij")
     s = np.sqrt(r * r - 1.0)
@@ -125,11 +122,49 @@ def standard_form_overlap_grid(r: float, a: float, b: float,
         & ((ab - cc**2) * (ab - dd**2) >= a * a)
         & (det > 0.0)
     )
+    return cc, dd, det, ok
+
+
+def standard_form_overlap_grid(r: float, a: float, b: float,
+                               c: np.ndarray, d: np.ndarray):
+    """Best overlap of the r-family state with unsteerable standard forms on a
+    (c, d) grid at fixed (a, b); closed-form block determinants.
+
+    Returns (overlap, c, d) for the best cell, or None if no cell qualifies.
+    """
+    cc, dd, det, ok = _standard_form_cells(r, a, b, c, d)
     if not ok.any():
         return None
     overlap = np.where(ok, 4.0 / np.sqrt(np.where(ok, det, 1.0)), -np.inf)
     i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
     return float(overlap[i, j]), float(cc[i, j]), float(dd[i, j])
+
+
+def n3_grid_lines(r: float, grid_density: int):
+    """Per line (a, b, c) of the ``n3_bound_grid`` grid, in (a, b, c) order:
+    the line's search bound and its least admissible det (inf if none).
+
+    The bound is |X| times the least nonzero |Y| over the (a, b) row, with
+    X = (r + a)(r + b) - (s + c)^2 set to 0 where a(ab - c^2) >= b fails and
+    Y = (r + a)(r + b) - (-s + d)^2 set to 0 where b(ab - d^2) >= a fails;
+    it is inf where X = 0 or no Y is nonzero.  Both arrays have n^3 entries.
+    """
+    axis = np.linspace(1.0, r + 4.0, grid_density)
+    s = np.sqrt(r * r - 1.0)
+    bounds, leasts = [], []
+    for a in axis:
+        for b in axis:
+            ab = a * b
+            cmax = np.sqrt(max(ab - 1.0, 0.0))
+            grid = np.linspace(-cmax, cmax, grid_density)
+            rr = (r + a) * (r + b)
+            x = np.where(a * (ab - grid**2) - b >= 0.0, rr - (s + grid) ** 2, 0.0)
+            y = np.abs(np.where(b * (ab - grid**2) - a >= 0.0, rr - (-s + grid) ** 2, 0.0))
+            y_min = y[y != 0.0].min(initial=math.inf)
+            bounds.append(np.where(x != 0.0, np.abs(x), math.inf) * y_min)
+            _, _, det, ok = _standard_form_cells(r, a, b, grid, grid)
+            leasts.append(np.where(ok, det, math.inf).min(axis=1))
+    return np.concatenate(bounds), np.concatenate(leasts)
 
 
 def n3_bound_grid_cells(r: float, grid_density: int):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gsteer.verify import faithfulness_trials, mixture_bound_trials, upward_clos
 from oracles import (
     bound_chain_scan,
     n3_bound_grid_cells,
+    n3_grid_lines,
     pure_overlap_2mode,
     random_orthogonal,
     random_orthogonal_symplectic,
@@ -588,14 +590,16 @@ class TestFidelityBound:
         overlap = pure_overlap_2mode(pure_family_state(2.0), sigma)
         assert bound == pytest.approx(1.0 - overlap, abs=1e-12)
 
-    @pytest.mark.parametrize("density", [2, 3, 4, 5, 13, 20, 30])
+    @pytest.mark.parametrize("density", [2, 3, 4, 5, 13, 20, 30, 40, 50])
     def test_grid_matches_cell_by_cell_oracle(self, density):
         # equal, not close: same cells, same arithmetic.  Edges: density 2
         # (corners only); r = 1 at an even density, whose c grid has no
-        # c = 0 line except at a = b = 1; r = 1e3; and at density 3, r = 5e76
-        # just below the overflow gate
+        # c = 0 line except at a = b = 1, and whose first chunk holds the
+        # least det; r = 1e3; at density 3, r = 5e76 just below the overflow
+        # gate; at density 50, r = 50, whose 32 cheapest lines hold no
+        # admissible cell (TestGridSearch covers that and the other cases)
         rs = [1.0, 2.0, 3.0, 5.0] + np.random.default_rng(density).uniform(1.0, 6.0, 3).tolist()
-        rs += [1e3] + [5e76] * (density == 3)
+        rs += [1e3] + [5e76] * (density == 3) + [50.0] * (density == 50)
         for r in rs:
             assert n3_bound_grid(r, density) == n3_bound_grid_cells(r, density)[0], r
 
@@ -617,6 +621,59 @@ class TestFidelityBound:
             if abs(margin) < 1e-6:
                 continue
             assert standard_form_unsteerable_inequality(a, b, c, d) == rep.ok
+
+
+class TestGridSearch:
+    """The line search of n3_bound_grid: the n cheapest lines (a, b, c) by
+    the bound |X| min|Y| first, then at most n^2 at a time, until no line
+    left has a bound below the least admissible det found."""
+
+    @pytest.mark.parametrize("r, density", [(1.0, 20), (2.0, 20), (3.0, 30), (5e76, 3)])
+    def test_no_line_holds_an_admissible_det_below_its_bound(self, r, density):
+        # what makes skipping a line exact (the stress cases check it too)
+        bound, least = n3_grid_lines(r, density)
+        assert np.all(least >= bound)
+
+    @pytest.mark.parametrize("r, density, case", [
+        (50.0, 50, "32 cheapest empty"),
+        (1.8, 52, "first chunk empty"),
+        (1e3, 50, "first chunk decides"),
+        (5.0, 50, "three chunks or more"),
+    ])
+    def test_stress_cases_match_the_oracle(self, r, density, case):
+        # each case's premise holds however ties in the bound are broken
+        bound, least = n3_grid_lines(r, density)
+        assert np.all(least >= bound)
+        ranked = np.sort(bound)
+        if case == "32 cheapest empty":
+            assert np.all(least[bound <= ranked[31]] == math.inf)
+        elif case == "first chunk empty":
+            assert np.all(least[bound <= ranked[density - 1]] == math.inf)
+        elif case == "first chunk decides":
+            # the least det lies on a line that is surely in the first chunk,
+            # and more lines than that chunk has bounds below it
+            assert least[bound < ranked[density]].min() == least.min()
+            assert np.count_nonzero(bound < least.min()) > density
+        else:
+            assert np.count_nonzero(bound < least.min()) > density + density**2
+        assert n3_bound_grid(r, density) == n3_bound_grid_cells(r, density)[0]
+        assert n3_bound_grid(r, density) == max(0.0, 1.0 - 4.0 / math.sqrt(least.min()))
+
+    @pytest.mark.parametrize("r, n", [(2.0, 50), (50.0, 50), (1.8, 52)])
+    def test_memory_stays_order_n_cubed(self, r, n):
+        # traced peak of one call, in n^3 doubles: 9.3 at (2, 50), where a
+        # chunk holds n^2 lines, and 6.8 at (50, 50), against 9.4 at both
+        # for the scan of one a value at a time that the search replaced.
+        # At (1.8, 52) the first chunk holds no admissible cell, so every
+        # line with a finite bound is left: unchunked they would take about
+        # 60.  A single n^4 array of cells would take n
+        tracemalloc.start()
+        try:
+            n3_bound_grid(r, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n**3 * 8
 
 
 class TestRandomizedProperties:
