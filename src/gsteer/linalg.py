@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,19 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
         return require_finite((arr + adj) / 2.0, name)
 
 
+def _is_real(x) -> bool:
+    """The one real-scalar rule: a ``numbers.Real`` that is not a bool, which
+    Python counts as int (numpy's bool is no ``numbers.Real``); floats,
+    numpy's among them, are settled by the first, cheap test."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
 def require_tol(tol: float) -> None:
-    """Reject a ``tol`` that is not finite and nonnegative (an infinite tol
-    would pass every matrix)."""
+    """Reject a ``tol`` that is not a finite, nonnegative real number: a bool
+    (``True`` would read as tol = 1), a string, ``None`` or a complex, and an
+    infinite tol, which would pass every matrix."""
+    if not _is_real(tol):
+        raise ValidationError(f"tol must be a real number, got {tol!r}")
     if not 0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
 

@@ -24,7 +24,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, PsdReport, ValidationError, psd_spectra, steering_form
+from .linalg import (
+    DEFAULT_PSD_TOL,
+    PsdReport,
+    ValidationError,
+    _is_real,
+    psd_spectra,
+    steering_form,
+)
 from .states import (
     GaussianState,
     _is_integer,
@@ -45,6 +52,12 @@ def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
+def _raw_j2(ev: np.ndarray):
+    """Raw j2 = 2 * sum max(-lambda, 0) over the last axis of spectra
+    (positive if some lambda < 0, else +0.0)."""
+    return 2.0 * np.add.reduce(np.maximum(-ev, 0.0), -1)  # ndarray.sum without its wrapper
+
+
 def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
                       clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one steering-spectrum kernel: ascending spectra, verdicts and j2
@@ -53,12 +66,11 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
     algebra guarantees it; not checked).
 
     The spectra and verdicts are :func:`~gsteer.linalg.psd_spectra`'s; raw
-    j2 = 2 * sum max(-lambda, 0) (positive if some lambda < 0, else +0.0).
-    The verdict is taken even with clamp=False, so a bad ``tol`` is always
-    rejected; with clamp=True j2 is 0.0 where it holds.
+    j2 is :func:`_raw_j2`'s.  The verdict is taken even with clamp=False, so
+    a bad ``tol`` is always rejected; with clamp=True j2 is 0.0 where it holds.
     """
     ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
-    j2_vals = 2.0 * np.add.reduce(np.maximum(-ev, 0.0), -1)  # ndarray.sum without its wrapper
+    j2_vals = _raw_j2(ev)
     if clamp:
         j2_vals = j2_vals * ~unsteerable  # +0.0 where the verdict holds
     return ev, unsteerable, j2_vals
@@ -67,14 +79,29 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
 def _state_spectra(state: GaussianState, tol: float,
                    clamp: bool = True) -> tuple[np.ndarray, np.ndarray, float, float]:
     """The kernel on one state, with j1 = j2 / Tr(cov): (ev, ok, j1, j2),
-    j1 and j2 as floats.  A covariance whose trace, the denominator of j1,
-    is not positive is rejected (a bona fide covariance has Tr(cov) >= d)."""
+    j1 and j2 as floats, bit for bit the row of the one-state stack.  A
+    covariance whose trace, the denominator of j1, is not positive is
+    rejected (a bona fide covariance has Tr(cov) >= d).
+
+    j2 is 0.0 where the clamped verdict holds.  Otherwise, with at most two
+    negative eigenvalues it is summed from the spectrum as floats: at most
+    two terms max(-lambda, 0) are nonzero, and every summation order gives
+    fl(t1 + t2), as addition commutes and t + 0 = t.  With three or more it
+    is the stack's own :func:`_raw_j2`, whose order a plain sum need not
+    follow to the last bit.
+    """
     cov = state.cov
     trace = float(np.add.reduce(cov.diagonal()))  # the sum ndarray.trace takes, called directly
     if not trace > 0.0:
         raise ValidationError(f"Tr(cov) must be positive, got {trace:.6e}")
-    ev, ok, j2_val = _steering_spectra(cov, state.modes_a, state.modes_b, tol, clamp)
-    j2_val = float(j2_val)
+    ev, ok = psd_spectra(cov + steering_form(state.modes_a, state.modes_b), tol)
+    if clamp and ok:
+        return ev, ok, 0.0, 0.0
+    vals = ev.tolist()  # ascending, d >= 4
+    if vals[2] < 0.0:
+        j2_val = float(_raw_j2(ev))
+    else:  # max(0.0, x) is +0.0, never -0.0, for x = -0.0
+        j2_val = 2.0 * (max(0.0, -vals[0]) + max(0.0, -vals[1]))
     return ev, ok, j2_val / trace, j2_val
 
 
@@ -87,7 +114,9 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
     unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
     and positive otherwise, at every finite tol >= 0.  Pass clamp=False for
     the raw values, which are >= 0 and positive exactly when lambda_min < 0.
-    A covariance with Tr(cov) <= 0 is rejected.
+    Both equal the row of the stacked kernel bit for bit: j2 is a sum of at
+    most two nonzero terms, the same float in any order, or the stack's own
+    reduction.  A covariance with Tr(cov) <= 0 is rejected.
     """
     return _state_spectra(state, tol, clamp)[2:]
 
@@ -170,7 +199,7 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
 
 
 def _check_family_parameter(r: float) -> None:
-    if not 1.0 <= r < math.inf:  # NaN fails the comparison
+    if not (_is_real(r) and 1.0 <= r < math.inf):  # a bool is rejected; NaN fails the comparison
         raise ValidationError(f"family parameter must be >= 1, got {r}")
 
 

@@ -280,18 +280,21 @@ class TestPsdSpectra:
         assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("name, solves", [
-        ("is_unsteerable", 1), ("validate_state", 1), ("steering_report", 1), ("classify", 3)])
+        ("is_unsteerable", 1), ("validate_state", 1), ("steering_report", 1), ("classify", 3),
+        ("j_values", 1), ("j2", 1)])
     def test_eigensolves_per_verdict(self, count_eigvalsh, name, solves):
         from gsteer import fixtures
         from gsteer.channels import classify
         from gsteer.states import validate_state
-        from gsteer.steering import is_unsteerable, steering_report
+        from gsteer.steering import is_unsteerable, j2, j_values, steering_report
 
         state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
         channel = fixtures.load_channel(fixtures.CHANNEL_NONCERT_UNSTEERABLE)
         call = {"is_unsteerable": lambda: is_unsteerable(state),
                 "validate_state": lambda: validate_state(state),
                 "steering_report": lambda: steering_report(state),
+                "j_values": lambda: j_values(state),
+                "j2": lambda: j2(state),
                 "classify": lambda: classify(channel)}[name]
         count_eigvalsh.clear()
         call()
@@ -352,6 +355,11 @@ class TestInfiniteTol:
             with pytest.raises(ValidationError, match="^tol must be finite and nonnegative"):
                 psd_report(np.eye(2), tol=bad)
         assert psd_report(np.eye(2), tol=np.finfo(float).max).ok
+        # a bool is no tol (True would read as tol = 1), nor is a non-real
+        for bad in (True, False, np.True_, "x", None, 1j):
+            with pytest.raises(ValidationError, match="^tol must be a real number, got "):
+                psd_report(np.eye(2), tol=bad)
+        assert psd_report(np.eye(2), tol=0).ok and psd_report(np.eye(2), tol=np.float64(1e-9)).ok
 
 
 class TestRealEmbed:

@@ -191,20 +191,29 @@ class TestJValuesStack:
     def test_single_matrix_is_the_one_row_stack(self):
         # a (d, d) call and a (1, d, d) call: spectra, verdicts and j2 at
         # both clamps bit for bit; and the public single-state values, j1 over
-        # ndarray.trace, are the rows of one stacked call, bit for bit
+        # ndarray.trace, are the rows of one stacked call, bit for bit.  The
+        # rows have 0, 1, 2 and 3 or more negative steering eigenvalues, so
+        # both ways the single-state j2 is summed meet the stack's rows; the
+        # scaled-down covariances (not bona fide, built directly) supply the
+        # rows with 3 to 5
         rng = np.random.default_rng(19)
-        for modes_a, modes_b in ((1, 1), (1, 2), (2, 2), (3, 3)):
+        negatives = set()
+        for modes_a, modes_b in ((1, 1), (1, 2), (2, 2), (3, 3), (1, 5)):
             dim = 2 * (modes_a + modes_b)
             rows = [random_state(modes_a, modes_b, 4.0, rng) for _ in range(30)]
             rows.append(make_state(modes_a, modes_b, 3.0 * np.eye(dim)))  # thermal: unsteerable
             if (modes_a, modes_b) == (1, 2):
                 rows.append(tolerance_band_witness())
+            if modes_b >= 3:
+                rows += [GaussianState(modes_a, modes_b, scale * st.cov, st.mean)
+                         for scale in (0.05, 0.2, 0.5) for st in rows[:10]]
             covs = np.array([st.cov for st in rows])
             verdicts = set()
             for tol in (1e-9, 0.0):
                 for clamp in (True, False):
                     ev, ok, j2s = _steering_spectra(covs, modes_a, modes_b, tol, clamp)
                     verdicts.update(ok.tolist())
+                    negatives.update(np.minimum(np.count_nonzero(ev < 0.0, axis=-1), 3).tolist())
                     for i, st in enumerate(rows):
                         single = _steering_spectra(st.cov, modes_a, modes_b, tol, clamp)
                         stacked = _steering_spectra(st.cov[None], modes_a, modes_b, tol, clamp)
@@ -219,6 +228,7 @@ class TestJValuesStack:
                             assert steering_report(st, tol) == SteeringReport(
                                 bool(ok[i]), j1_val, j2_val, float(ev[i, 0]), tol)
             assert verdicts == {True, False}, (modes_a, modes_b)
+        assert negatives == {0, 1, 2, 3}
 
 
 def unsteerable_states(count, seed):
@@ -498,7 +508,7 @@ class TestFidelityBound:
         with pytest.raises(ValidationError):
             n3_upper_bound_pure(0.5)
 
-    @pytest.mark.parametrize("r", [0.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("r", [0.5, np.nan, np.inf, -np.inf, True, np.True_])
     @pytest.mark.parametrize("build", [pure_family_state, n3_upper_bound_pure, n3_bound_grid])
     def test_one_family_parameter_rule(self, build, r):
         with pytest.raises(ValidationError, match=r"^family parameter must be >= 1, got "):
