@@ -19,6 +19,7 @@ and adds only its own partition rule and M's PSD test.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -115,11 +116,13 @@ def side_b_channel(K, M, dbar=None) -> GaussianChannel:
 
 def certificate_matrix(k: np.ndarray, m, f_out: np.ndarray, f_in: np.ndarray) -> np.ndarray:
     """The symmetrized certificate M + F_out - K F_in K^T for Hermitian
-    offsets F_out and F_in; pass m = 0 for the M-free part.  A K large enough
-    to overflow the product is rejected, not handed to the eigensolver."""
+    offsets F_out and F_in; pass m = 0 for the M-free part.  Each argument is
+    one ``(d, d)`` matrix or a ``(..., d, d)`` stack, broadcast together; a
+    stack's row i equals the ``(d, d)`` call on row i bit for bit.  A K large
+    enough to overflow the product is rejected, not handed to the eigensolver."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cert = m + f_out - k @ f_in @ k.T
-        cert = (cert + np.conj(cert).T) / 2.0
+        cert = m + f_out - k @ f_in @ k.swapaxes(-1, -2)
+        cert = (cert + np.conj(cert).swapaxes(-1, -2)) / 2.0
     return require_finite(cert, "channel certificate")
 
 
@@ -232,11 +235,36 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
         np.concatenate([ch_a.dbar, ch_b.dbar]))
 
 
-def _certified_shift(k: np.ndarray, *offsets: np.ndarray) -> float:
-    """max(0, -lambda_min of F - K F K^T for each F of ``offsets``) + CHANNEL_SLACK:
-    M = shift * I passes each certificate M + F - K F K^T by CHANNEL_SLACK."""
-    return max(0.0, *(-float(psd_spectra(certificate_matrix(k, 0.0, f, f), 0.0)[0][0])
-                      for f in offsets)) + CHANNEL_SLACK
+@functools.lru_cache(maxsize=None)
+def _channel_offsets(modes_a: int, modes_b: int) -> np.ndarray:
+    """The offsets i*Omega and 0_A (+) i*Omega_B of the validity and the
+    unsteerable certificates as one ``(2, d, d)`` stack, built once per
+    partition and shared read-only."""
+    f = np.stack([steering_form(0, modes_a + modes_b), steering_form(modes_a, modes_b)])
+    f.setflags(write=False)
+    return f
+
+
+def _certified_shift(k: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """max(0, -lambda_min of F - K F K^T for each F of the ``(c, d, d)``
+    stack ``offsets``) + CHANNEL_SLACK: M = shift * I passes each
+    certificate M + F - K F K^T by CHANNEL_SLACK.  For one ``(d, d)`` K a
+    numpy scalar, for a ``(..., d, d)`` stack one shift per row, equal to
+    the single call's bit for bit; the certificates of every row and offset
+    take one eigensolve."""
+    lo = psd_spectra(certificate_matrix(k[..., None, :, :], 0.0, offsets, offsets), 0.0)[0]
+    return np.maximum(0.0, -lo[..., 0].min(axis=-1)) + CHANNEL_SLACK
+
+
+def _unsteerable_channel_arrays(modes_a: int, modes_b: int, u: np.ndarray):
+    """K and M of :func:`random_unsteerable_channel` from its ``(d, d)``
+    block of ``rng.random()`` draws, or from a ``(..., d, d)`` stack of
+    them row by row: K = (-1 + 2u) / d is ``Generator.uniform(-1, 1)``
+    scaled, and M = shift * I."""
+    dim = u.shape[-1]
+    k = (-1.0 + 2.0 * u) / dim
+    shift = _certified_shift(k, _channel_offsets(modes_a, modes_b))
+    return k, shift[..., None, None] * np.eye(dim)
 
 
 def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
@@ -248,13 +276,10 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChann
     PSD by construction.
     """
     modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
-    rng = np.random.default_rng(rng)
-    n = modes_a + modes_b
-    dim = 2 * n
-    k = rng.uniform(-1.0, 1.0, (dim, dim)) / dim
-    shift = _certified_shift(k, steering_form(0, n), steering_form(modes_a, modes_b))
-    return GaussianChannel._by_construction(modes_a, modes_b, k, shift * np.eye(dim),
-                                            np.zeros(dim))
+    dim = 2 * (modes_a + modes_b)
+    k, m = _unsteerable_channel_arrays(modes_a, modes_b,
+                                       np.random.default_rng(rng).random((dim, dim)))
+    return GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(dim))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, ValidationError, require_real
+from .linalg import DEFAULT_PSD_TOL, ValidationError, _is_real, require_real
 from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
@@ -42,6 +42,10 @@ class BathParameters:
     lam: float
 
     def __post_init__(self):
+        for name in ("n_th", "R", "phi", "lam"):
+            value = getattr(self, name)
+            if not _is_real(value):  # a bool is no parameter
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.n_th) or self.n_th < 0:
             raise ValidationError(f"n_th must be >= 0, got {self.n_th}")
         for name in ("R", "phi"):

@@ -52,6 +52,7 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    _is_real,
     psd_spectra,
     require_finite,
     require_hermitian,
@@ -252,7 +253,11 @@ def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
 
 def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState:
     """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]],
-    judged by :func:`make_state`'s checks and bona fide rule."""
+    judged by :func:`make_state`'s checks and bona fide rule; a bool or
+    non-real parameter is rejected first."""
+    for name, value in zip("abcd", (a, b, c, d)):
+        if not _is_real(value):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
     return make_state(1, 1, [
         [a, 0.0, c, 0.0],
         [0.0, a, 0.0, d],
@@ -303,7 +308,7 @@ def squeezed_vacuum_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0: the Schmidt
     pure state (so bona fide) that ``steering.pure_family_state`` fills too,
     here with g, s = cosh(2r), sinh(2r)."""
-    if not np.isfinite(r) or r < 0:
+    if not (_is_real(r) and 0.0 <= r < math.inf):  # a bool is rejected; NaN fails the comparison
         raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
     with np.errstate(over="ignore"):
         return _pure_pair_state(np.cosh(2.0 * r), np.sinh(2.0 * r))
@@ -333,8 +338,9 @@ def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
 
 
 def _check_max_sympl_eigen(max_sympl_eigen: float) -> float:
-    """``max_sympl_eigen`` as a float; it must be finite and >= 1."""
-    if not np.isfinite(max_sympl_eigen) or max_sympl_eigen < 1.0:
+    """``max_sympl_eigen`` as a float; it must be a real number (not a bool),
+    finite and >= 1."""
+    if not (_is_real(max_sympl_eigen) and 1.0 <= max_sympl_eigen < math.inf):
         raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
     return float(max_sympl_eigen)
 

@@ -21,11 +21,13 @@ from .channels import (
     GaussianChannel,
     _act,
     _certified_shift,
+    _channel_offsets,
     _direct_sum,
+    _unsteerable_channel_arrays,
     apply,
+    certificate_matrix,
     is_unsteerable_channel,
     is_valid_gaussian,
-    random_unsteerable_channel,
     sample_verify,
 )
 from .dynamics import BathParameters, first_passage_time, sweep
@@ -63,6 +65,8 @@ from .steering import (
 DEFAULT_SEED = 7
 # fixed knobs of the randomized trial engines: tolerances, spectrum edge, slack
 FAITHFULNESS_VMAX = 2.0
+PRESERVATION_VMAX = 5.0  # max_sympl_eigen of the inputs, sample_verify's default
+PRESERVATION_ROWS = 16  # first speculative stack: about twice the trials it keeps
 TRIAL_TOL = 1e-8
 MARGIN_FLOOR = 1e-4
 TRIAL_SLACK = 1e-9
@@ -113,13 +117,9 @@ def _partition(i: int) -> tuple[int, int]:
     return (1, 1) if i % 2 == 0 else (1, 2)
 
 
-def _random_psd(dim, rng):
-    return _gram(rng.standard_normal((dim, dim)))
-
-
 def _gram(g: np.ndarray) -> np.ndarray:
-    """The PSD matrix w w^T, w = g / 2, of :func:`_random_psd` for one
-    ``(dim, dim)`` standard normal draw or a ``(..., dim, dim)`` stack."""
+    """The random PSD matrix w w^T, w = g / 2, of the engines' channels for
+    one ``(dim, dim)`` standard normal draw or a ``(..., dim, dim)`` stack."""
     w = g * 0.5
     return w @ w.swapaxes(-1, -2)
 
@@ -148,31 +148,153 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     return _count(n_trials, rng, settle)
 
 
-def _preservation_trials(n_trials: int, rng, draw_channel, *certificates) -> int:
-    """Count channels ``draw_channel(i, rng)`` that fail one of ``certificates``
-    (at TRIAL_TOL) or map a random unsteerable input of :func:`sample_verify`
-    to a steerable output; its settle judges the first trial of each range."""
+def _speculative(stack, rows: int):
+    """The settle, for :func:`_count`, of an engine that draws trials ahead
+    of their verdicts: the one protocol of its speculative stacks.
+
+    ``stack(trials, rng)`` draws for each of ``trials`` in trial order, as
+    the loop over single trials draws when every trial keeps its first
+    draws, and judges them as stacks.  It returns ``(verdicts, finish)``:
+    the verdicts of the trials before the first one whose draws the loop
+    would not keep (all of them if there is none), with the Generator put
+    back, from a state saved before those draws, where the loop stands in
+    that cut trial.  ``finish(rng)`` finishes the cut trial on the loop's
+    single path and returns its verdict; with ``finish`` None the cut trial
+    begins the next range.
+
+    The first stack holds at most ``rows`` trials.  After a stack that
+    settled j trials (a finished cut trial among them), the next holds at
+    most 2j + 1 if it was cut, else 2j: the rows drawn in vain stay about as
+    many as the trials settled.
+    """
+
     def settle(trials, rng):
-        ch = draw_channel(trials[0], rng)
-        # a failed certificate is one violation, and no state is drawn
-        return [not all(cert(ch, TRIAL_TOL).ok for cert in certificates)
-                or sample_verify(ch, 1, rng, "unsteerable-preserving",
-                                 tol=TRIAL_TOL).violations > 0]
-    return _count(n_trials, rng, settle)
+        nonlocal rows
+        drawn = trials[:rows]
+        verdicts, finish = stack(drawn, rng)
+        cut = len(verdicts) < len(drawn)
+        if finish is not None:
+            verdicts = [*verdicts, finish(rng)]
+        rows = 2 * len(verdicts) + cut
+        return verdicts
+    return settle
+
+
+def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=None) -> int:
+    """Count the trials i whose channel fails a certificate M + F - K F K^T
+    >= 0, F each of the ``(c, d, d)`` stack ``offsets(modes_a, modes_b)``
+    (none if ``offsets`` is None), at TRIAL_TOL (one violation, and no input
+    is drawn), or maps the unsteerable input of ``sample_verify(ch, 1, rng,
+    "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL)`` to a steerable
+    output.
+
+    Trial i of partition ``partition(i)`` draws its channel,
+    ``draw(modes_a, modes_b, rng)``, then its inputs; ``build(modes_a,
+    modes_b, *draws)`` gives K and M, row by row on stacks of the draws.  A
+    stack takes each trial's channel and one candidate input (the Generator
+    state saved between them) and judges, per partition, the shift
+    certificates that ``build`` may need in one eigensolve, and the
+    certificates, candidates and outputs in one more.  A trial whose
+    certificate fails or whose candidate is redrawn cuts the stack (see
+    :func:`_speculative`): the Generator goes back to just after its
+    channel, and a passing channel finishes on :func:`sample_verify`.
+    """
+    def stack(trials, rng):
+        groups, after_channel = {}, []
+        for pos, i in enumerate(trials):
+            modes = partition(i)
+            draws = draw(*modes, rng)
+            after_channel.append(rng.bit_generator.state)
+            n = sum(modes)
+            group = groups.setdefault(modes, ([], [], []))
+            group[0].append(pos)
+            group[1].append(draws)
+            group[2].append(rng.random(n + 4 * n * n))
+        violated = np.empty(len(trials), dtype=bool)
+        clean = np.empty(len(trials), dtype=bool)  # certified, and the candidate kept
+        built = {}
+        for modes, (pos, draws, u) in groups.items():
+            k, m = build(*modes, *map(np.array, zip(*draws)))
+            covs = _covs_from_uniforms(np.array(u), sum(modes), PRESERVATION_VMAX)
+            steering = steering_form(*modes)
+            # per trial: its certificates, its candidate and its output
+            f = () if offsets is None else offsets(*modes)
+            h = np.empty((len(pos), len(f) + 2, *covs.shape[1:]), dtype=complex)
+            if len(f):
+                h[:, :-2] = certificate_matrix(k[:, None], m[:, None], f, f)
+            np.add(covs, steering, out=h[:, -2])
+            np.add(_act(k, m, covs), steering, out=h[:, -1])
+            ok = psd_spectra(h, TRIAL_TOL)[1]
+            clean[pos] = ok[:, :-1].all(axis=1)
+            violated[pos] = ~ok[:, -1]
+            built[modes] = k, m, ok, pos
+        cut = np.flatnonzero(~clean)
+        if not cut.size:
+            return violated, None
+        c = int(cut[0])
+        rng.bit_generator.state = after_channel[c]
+        modes = partition(trials[c])
+        k, m, ok, pos = built[modes]
+        row = pos.index(c)
+        if not ok[row, :-2].all():
+            return violated[:c], lambda rng: True
+        ch = GaussianChannel._by_construction(*modes, k[row].copy(), m[row].copy(),
+                                              np.zeros(k.shape[-1]))
+        return violated[:c], lambda rng: sample_verify(
+            ch, 1, rng, "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL).violations > 0
+    return _count(n_trials, rng, _speculative(stack, PRESERVATION_ROWS))
+
+
+def _one_partition(i: int) -> tuple[int, int]:
+    return (1, 1)
+
+
+def _unsteerable_offset(modes_a: int, modes_b: int) -> np.ndarray:
+    """The unsteerable certificate's offset 0_A (+) i*Omega_B as a
+    ``(1, d, d)`` stack."""
+    return steering_form(modes_a, modes_b)[None]
+
+
+def _noise_channel_arrays(modes_a: int, modes_b: int, g: np.ndarray):
+    """K = I and M = the Gram matrix of :func:`_gram` of upward closure's
+    additive-noise channel from one ``(d, d)`` standard normal draw or a
+    ``(..., d, d)`` stack of them (K broadcast to M's shape)."""
+    m = _gram(g)
+    return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
 
 
 def upward_closure_trials(n_trials: int, rng) -> int:
     """Adding a PSD matrix P to an unsteerable covariance must stay unsteerable:
     the additive-noise channel K = I, M = P (PSD by construction)."""
-    return _preservation_trials(n_trials, rng, lambda i, rng: GaussianChannel._by_construction(
-        1, 1, np.eye(4), _random_psd(4, rng), np.zeros(4)))
+    return _preservation_trials(
+        n_trials, rng, _one_partition,
+        lambda modes_a, modes_b, rng: (rng.standard_normal((4, 4)),), _noise_channel_arrays)
 
 
 def local_channel_trials(n_trials: int, rng) -> int:
     """Tensor products of valid local channels: certified unsteerable and
     empirically unsteerability-preserving."""
-    return _preservation_trials(n_trials, rng, lambda i, rng: random_local_channel(1, 1, rng),
-                                is_unsteerable_channel)
+    return _preservation_trials(n_trials, rng, _one_partition, _local_channel_draws,
+                                _local_channel_arrays, _unsteerable_offset)
+
+
+def _local_channel_draws(modes_a: int, modes_b: int, rng) -> tuple[np.ndarray, ...]:
+    """The draws of :func:`random_local_channel` in stream order: K_A's
+    ``rng.random()`` block, M_A's normals, then K_B's and M_B's."""
+    dim_a, dim_b = 2 * modes_a, 2 * modes_b
+    return (rng.random((dim_a, dim_a)), rng.standard_normal((dim_a, dim_a)),
+            rng.random((dim_b, dim_b)), rng.standard_normal((dim_b, dim_b)))
+
+
+def _local_channel_arrays(modes_a: int, modes_b: int, u_a, g_a, u_b, g_b):
+    """K and M of :func:`random_local_channel` from its draws, one set or
+    stacks of them row by row: K_A and K_B are ``Generator.uniform(-1, 1)``
+    scaled, M_A a Gram matrix, M_B a Gram matrix plus the shift that
+    certifies K_B."""
+    k_b = -1.0 + 2.0 * u_b
+    shift = _certified_shift(k_b, _unsteerable_offset(0, modes_b))
+    m_b = _gram(g_b) + shift[..., None, None] * np.eye(2 * modes_b)
+    return _direct_sum(-1.0 + 2.0 * u_a, k_b), _direct_sum(_gram(g_a), m_b)
 
 
 def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
@@ -181,23 +303,18 @@ def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
     Gram matrix plus the shift that certifies K_B.  It equals
     ``tensor_local(side_a_channel(K_A, M_A), side_b_channel(K_B, M_B))``."""
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
-    rng = np.random.default_rng(rng)
-    dim_a, dim_b = 2 * modes_a, 2 * modes_b
-    k_a = rng.uniform(-1.0, 1.0, (dim_a, dim_a))
-    m_a = _random_psd(dim_a, rng)
-    k_b = rng.uniform(-1.0, 1.0, (dim_b, dim_b))
-    shift = _certified_shift(k_b, steering_form(0, modes_b))
-    m_b = _random_psd(dim_b, rng) + shift * np.eye(dim_b)
-    return GaussianChannel._by_construction(modes_a, modes_b, _direct_sum(k_a, k_b),
-                                            _direct_sum(m_a, m_b), np.zeros(dim_a + dim_b))
+    draws = _local_channel_draws(modes_a, modes_b, np.random.default_rng(rng))
+    k, m = _local_channel_arrays(modes_a, modes_b, *draws)
+    return GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(len(k)))
 
 
 def certified_channel_trials(n_trials: int, rng) -> int:
     """Channels passing the unsteerable certificate keep unsteerable states
     unsteerable; partitions alternate between (1+1) and (1+2)."""
     return _preservation_trials(
-        n_trials, rng, lambda i, rng: random_unsteerable_channel(*_partition(i), rng),
-        is_unsteerable_channel, is_valid_gaussian)
+        n_trials, rng, _partition,
+        lambda modes_a, modes_b, rng: (rng.random((2 * (modes_a + modes_b),) * 2),),
+        _unsteerable_channel_arrays, _channel_offsets)
 
 
 def local_symplectic_trials(n_trials: int, rng) -> int:
@@ -211,38 +328,30 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
 
     A trial draws 26 uniforms when its first state is kept: 18 for the state,
     then 4 for each side's exp(Omega H), H uniform in [-0.5, 0.5].  A stack
-    draws one such row per trial, keeps the trials before its first redraw,
-    and puts the Generator back to just after the redrawn state's 18 draws,
-    where the next stack begins.  The next stack draws again the rows after
-    the redraw, so it holds at most 2j + 1 rows after a stack that kept j
-    trials and redrew, and twice as many as the last after one that did not:
-    the rows drawn in vain stay about as many as the trials kept.
+    draws one such row per trial (:func:`_speculative`); a redraw cuts it,
+    and the Generator goes back to just after the redrawn state's 18 draws,
+    where the next stack begins.
     """
-    rows = SAMPLE_BLOCK  # of the next stack
-
-    def settle(trials, rng):
-        nonlocal rows
+    def stack(trials, rng):
         saved = rng.bit_generator.state
-        u = rng.random((min(len(trials), rows), 26))
+        u = rng.random((len(trials), 26))
         covs = _covs_from_uniforms(u[:, :18], 2, 2.0)
         ev, ok = psd_spectra(covs + steering_form(1, 1), TRIAL_TOL)
         kept = abs(relative_margin(ev[:, 0], ev[:, -1])) > MARGIN_FLOOR  # NaN is redrawn
         redrawn = np.flatnonzero(~kept)
-        rows = 2 * len(u)
         if redrawn.size:
             j = int(redrawn[0])
             rng.bit_generator.state = saved
             rng.random(26 * j + 18)
             u, covs, ok = u[:j], covs[:j], ok[:j]
-            rows = 2 * j + 1
             if not j:
-                return ok
+                return ok, None
         # Generator.uniform(-0.5, 0.5) is -0.5 + 1.0 * u
         sympl = symplectic_exp(1, (-0.5 + 1.0 * u[:, 18:]).reshape(-1, 2, 2, 2))
         k = _direct_sum(sympl[:, 0], sympl[:, 1])
         out = _act(k, np.zeros((4, 4)), covs)
-        return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok
-    return _count(n_trials, rng, settle)
+        return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok, None
+    return _count(n_trials, rng, _speculative(stack, SAMPLE_BLOCK))
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:

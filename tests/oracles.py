@@ -14,7 +14,17 @@ import numpy as np
 import scipy.linalg
 
 from gsteer import channels, verify
-from gsteer.channels import GaussianChannel, SampleReport, SamplingAbortError, _direct_sum, apply
+from gsteer.channels import (
+    GaussianChannel,
+    SampleReport,
+    SamplingAbortError,
+    _direct_sum,
+    apply,
+    is_unsteerable_channel,
+    is_valid_gaussian,
+    random_unsteerable_channel,
+    sample_verify,
+)
 from gsteer.dynamics import evolve, stationary_state
 from gsteer.linalg import (
     ValidationError,
@@ -44,6 +54,12 @@ def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     re = rng.standard_normal((n_modes, n_modes))
     return _orthogonal_symplectic_from_normals(re, rng.standard_normal((n_modes, n_modes)))
+
+
+def random_psd(dim: int, rng) -> np.ndarray:
+    """The random PSD matrix of the ``verify`` engines' channels from one
+    ``(dim, dim)`` standard normal draw."""
+    return verify._gram(rng.standard_normal((dim, dim)))
 
 
 def random_symplectic(n_modes: int, rng, scale: float = 1.0) -> np.ndarray:
@@ -408,10 +424,11 @@ def sample_verify_loop(ch: GaussianChannel, n_samples: int, rng,
                         margin_sum / n_samples, draws, first_counterexample)
 
 
-# The four single-draw property engines of ``gsteer.verify`` as loops over
-# single trials, each trial a ``random_state`` call and single-matrix checks,
-# counted by ``_count_loop``; the knobs are read from ``verify`` at call
-# time, so a test that patches them patches both.
+# The seven property engines of ``gsteer.verify`` as loops over single
+# trials, each trial single draws and single-matrix checks (a preservation
+# trial: one channel, its certificates and one ``sample_verify`` input),
+# counted by ``_count_loop``; the knobs are read from ``verify`` and
+# ``channels`` at call time, so a test that patches them patches both.
 
 def _count_loop(n_trials: int, rng, violated) -> int:
     """Run trials i = 0, ..., n_trials - 1 as ``violated(i, rng)`` on one
@@ -468,7 +485,7 @@ def orthogonal_monotonicity_trials_loop(n_trials: int, rng) -> int:
         s = random_state(modes_a, modes_b, 2.0, rng)
         da, db = 2 * modes_a, 2 * modes_b
         k = _direct_sum(random_orthogonal(da, rng), random_orthogonal_symplectic(modes_b, rng))
-        m = _direct_sum(verify._random_psd(da, rng), verify._random_psd(db, rng))
+        m = _direct_sum(random_psd(da, rng), random_psd(db, rng))
         ch = GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(da + db))
         out = apply(ch, s)
         j1_in, j2_in = j_values(s, clamp=False)
@@ -476,3 +493,36 @@ def orthogonal_monotonicity_trials_loop(n_trials: int, rng) -> int:
         return (j1_out > j1_in + verify.TRIAL_SLACK
                 or j2_out > j2_in + verify.TRIAL_SLACK)
     return _count_loop(n_trials, rng, violated)
+
+
+def _preservation_trials_loop(n_trials: int, rng, draw_channel, *certificates) -> int:
+    """A preservation engine of ``verify`` one trial at a time: the channel
+    ``draw_channel(i, rng)``, each of ``certificates`` at TRIAL_TOL (a failed
+    one is a violation, and no input is drawn), then one unsteerable input
+    of ``sample_verify``."""
+    def violated(i, rng):
+        ch = draw_channel(i, rng)
+        return (not all(cert(ch, verify.TRIAL_TOL).ok for cert in certificates)
+                or sample_verify(ch, 1, rng, "unsteerable-preserving", verify.PRESERVATION_VMAX,
+                                 verify.TRIAL_TOL).violations > 0)
+    return _count_loop(n_trials, rng, violated)
+
+
+def upward_closure_trials_loop(n_trials: int, rng) -> int:
+    """``verify.upward_closure_trials`` one additive-noise channel at a time."""
+    return _preservation_trials_loop(n_trials, rng, lambda i, rng: GaussianChannel._by_construction(
+        1, 1, np.eye(4), random_psd(4, rng), np.zeros(4)))
+
+
+def local_channel_trials_loop(n_trials: int, rng) -> int:
+    """``verify.local_channel_trials`` one local channel at a time."""
+    return _preservation_trials_loop(
+        n_trials, rng, lambda i, rng: verify.random_local_channel(1, 1, rng),
+        is_unsteerable_channel)
+
+
+def certified_channel_trials_loop(n_trials: int, rng) -> int:
+    """``verify.certified_channel_trials`` one certified channel at a time."""
+    return _preservation_trials_loop(
+        n_trials, rng, lambda i, rng: random_unsteerable_channel(*verify._partition(i), rng),
+        is_unsteerable_channel, is_valid_gaussian)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gsteer import channels, fixtures, verify
+from gsteer import channels, fixtures
 from gsteer.channels import (
     GaussianChannel,
     SamplingAbortError,
@@ -32,7 +32,7 @@ from gsteer.verify import (
     random_local_channel,
 )
 
-from oracles import random_symplectic
+from oracles import random_psd, random_symplectic
 
 # reference output covariance for the shear channel on the witness state
 SHEAR_OUTPUT = np.array([
@@ -257,10 +257,10 @@ class TestTensorLocal:
             ch = random_local_channel(1, modes_b, rng)
             db = 2 * modes_b
             k_a = rng_checked.uniform(-1.0, 1.0, (2, 2))
-            m_a = verify._random_psd(2, rng_checked)
+            m_a = random_psd(2, rng_checked)
             k_b = rng_checked.uniform(-1.0, 1.0, (db, db))
-            shift = channels._certified_shift(k_b, steering_form(0, modes_b))
-            m_b = verify._random_psd(db, rng_checked) + shift * np.eye(db)
+            shift = channels._certified_shift(k_b, steering_form(0, modes_b)[None])
+            m_b = random_psd(db, rng_checked) + shift * np.eye(db)
             checked = tensor_local(side_a_channel(k_a, m_a), side_b_channel(k_b, m_b))
             assert ch == checked
             for name in ("K", "M", "dbar"):

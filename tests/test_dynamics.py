@@ -72,6 +72,16 @@ class TestBathParameters:
         with pytest.raises(ValidationError):
             BathParameters(0.0, np.inf, 0.0, 0.1)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.1", 0.1j, None])
+    def test_bool_and_non_real_parameters_rejected(self, position, bad):
+        # True would be stored as n_th = True and read as 1
+        params = [0.5, 0.2, 0.3, 0.1]
+        params[position] = bad
+        name = ("n_th", "R", "phi", "lam")[position]
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+            BathParameters(*params)
+
     @pytest.mark.parametrize("nth, R", [(0.0, 800.0), (0.0, 360.0), (1e308, 1.0),
                                         (1e300, 200.0)])
     def test_overflowing_stationary_covariance_rejected(self, nth, R):

@@ -150,6 +150,8 @@ class TestRefusedCalls:
         ((CHANNEL, 5), {"tol": np.inf}, "tol must be finite"),
         ((CHANNEL, 5), {"tol": np.nan}, "tol must be finite"),
         ((CHANNEL, 5), {"tol": -1.0}, "tol must be finite"),
+        ((CHANNEL, 5), {"max_sympl_eigen": True}, "^max_sympl_eigen must be >= 1, got True$"),
+        ((CHANNEL, 5), {"max_sympl_eigen": "5"}, "^max_sympl_eigen must be >= 1, got 5$"),
     ])
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_generator_untouched(self, args, kwargs, match, predicate):

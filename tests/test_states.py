@@ -149,6 +149,16 @@ class TestStandardForm:
                 with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
                     standard_form_state(*params)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [True, np.True_, "2", 2j, None])
+    def test_bool_and_non_real_parameters_rejected(self, position, bad):
+        # True would read as 1.0; each parameter is named
+        params = [2.0, 2.0, 1.0, -1.0]
+        params[position] = bad
+        name = "abcd"[position]
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+            standard_form_state(*params)
+
     def test_accepts_exactly_when_the_inequalities_hold(self):
         # the eigen test of make_state against the five closed-form
         # inequalities, away from the tolerance band
@@ -232,6 +242,12 @@ class TestSqueezedVacuum:
         with pytest.raises(ValidationError):
             squeezed_vacuum_state(-0.1)
 
+    @pytest.mark.parametrize("r", [True, False, np.True_, "1", 1j, None, np.nan, np.inf])
+    def test_bool_and_non_real_rejected(self, r):
+        # True would build the r = 1 state
+        with pytest.raises(ValidationError, match="^squeezing parameter must be >= 0, got "):
+            squeezed_vacuum_state(r)
+
     @given(r=st.floats(0.0, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_always_bona_fide(self, r):
@@ -270,6 +286,15 @@ class TestRandomState:
     def test_rejects_nonfinite_max_eigenvalue(self, vmax):
         with pytest.raises(ValidationError, match="max_sympl_eigen must be >= 1"):
             random_state(1, 1, vmax, 0)
+
+    @pytest.mark.parametrize("vmax", [True, np.True_, "2", 2j, None])
+    def test_rejects_bool_and_non_real_max_eigenvalue_before_drawing(self, vmax):
+        # True would run with max_sympl_eigen = 1
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="^max_sympl_eigen must be >= 1, got "):
+            random_state(1, 1, vmax, rng)
+        assert rng.bit_generator.state == before
 
     def test_all_samples_bona_fide(self):
         # the sampler is valid by construction and runs no test; check each draw

@@ -1,6 +1,9 @@
-"""The four single-draw property engines of ``gsteer verify`` run on stacks;
-each must count, and leave its Generator, exactly as the loop over single
-trials it replaced (``oracles.*_trials_loop``)."""
+"""The seven property engines of ``gsteer verify`` run on stacks; each must
+count, and leave its Generator, exactly as the loop over single trials it
+replaced (``oracles.*_trials_loop``).  Four of them speculate
+(``verify._speculative``): local symplectic, upward closure, local channels
+and certified channels draw a stack ahead and keep the trials before its
+first cut."""
 
 import numpy as np
 import pytest
@@ -8,10 +11,13 @@ import pytest
 from gsteer import channels, verify
 
 from oracles import (
+    certified_channel_trials_loop,
     faithfulness_trials_loop,
+    local_channel_trials_loop,
     local_symplectic_trials_loop,
     mixture_bound_trials_loop,
     orthogonal_monotonicity_trials_loop,
+    upward_closure_trials_loop,
 )
 
 # (engine, its loop oracle, leading arguments)
@@ -22,7 +28,12 @@ ENGINES = {
     "mixture": (verify.mixture_bound_trials, mixture_bound_trials_loop, ()),
     "orthogonal": (verify.orthogonal_monotonicity_trials,
                    orthogonal_monotonicity_trials_loop, ()),
+    "upward-closure": (verify.upward_closure_trials, upward_closure_trials_loop, ()),
+    "local-channels": (verify.local_channel_trials, local_channel_trials_loop, ()),
+    "certified-channels": (verify.certified_channel_trials, certified_channel_trials_loop, ()),
 }
+PRESERVATION = ("upward-closure", "local-channels", "certified-channels")
+SPECULATIVE = ("local-symplectic", *PRESERVATION)
 SEEDS = range(5)
 SMALL_BLOCK = 16  # stands in for SAMPLE_BLOCK, so that stacks end inside short runs
 
@@ -49,9 +60,16 @@ def test_equals_loop(name, n, seed, monkeypatch):
 
 @pytest.mark.parametrize("name", ENGINES)
 def test_equals_loop_across_full_stacks(name):
-    # two stacks of the real size, and at the default MARGIN_FLOOR a few
+    # two ranges of the real size, and at the default MARGIN_FLOOR a few
     # redraws inside them
     assert matches_loop(name, channels.SAMPLE_BLOCK + 3, 0) == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS[1:])
+@pytest.mark.parametrize("name", PRESERVATION)
+def test_preservation_equals_loop_across_full_stacks(name, seed):
+    # at the default knobs, about a hundred cuts per run
+    assert matches_loop(name, channels.SAMPLE_BLOCK + 3, seed) == 0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -59,8 +77,8 @@ def test_equals_loop_across_full_stacks(name):
 def test_spectra_equal_the_loops(name, seed, monkeypatch):
     # every matrix either side judges goes through numpy's eigvalsh (the one
     # call site); the spectra, row by row, must be the same floats, which
-    # pins the states, channels and outputs, not only the counts.  The local
-    # symplectic stack also judges the rows it draws again after a redraw.
+    # pins the states, channels and outputs, not only the counts.  A
+    # speculative stack also judges the rows it drew past its cut.
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -76,7 +94,7 @@ def test_spectra_equal_the_loops(name, seed, monkeypatch):
     stacked = set(seen)
     seen.clear()
     loop(*lead, 40, seed)
-    if name == "local-symplectic":
+    if name in SPECULATIVE:
         assert set(seen) <= stacked
     else:
         assert set(seen) == stacked
@@ -128,11 +146,49 @@ class TestRedraws:
         assert any(0 < j < rows for rows, j in zip(drawn, kept))
 
 
+def record_stacks(monkeypatch):
+    """(rows drawn, trials kept before the cut) of every speculative stack
+    the engines run from now on."""
+    stacks = []
+    speculative = verify._speculative
+
+    def recorded(stack, rows):
+        def recording(trials, rng):
+            verdicts, finish = stack(trials, rng)
+            stacks.append((len(trials), len(verdicts)))
+            return verdicts, finish
+        return speculative(recording, rows)
+
+    monkeypatch.setattr(verify, "_speculative", recorded)
+    return stacks
+
+
 @pytest.mark.parametrize("name, calls", [("faithfulness-1p1", 1), ("faithfulness-1p2", 1),
-                                         ("mixture", 2), ("orthogonal", 2)])
-def test_eigensolves_per_stack(name, calls, count_eigvalsh):
-    # the mixture's bona fide test and raw j values; one group per partition
+                                         ("mixture", 2), ("orthogonal", 2),
+                                         ("upward-closure", 1), ("local-channels", 2),
+                                         ("certified-channels", 4)])
+def test_eigensolves_per_stack(name, calls, count_eigvalsh, monkeypatch):
+    # the mixture's bona fide test and raw j values; one group per partition.
+    # A preservation stack takes, per partition, the shift certificates its
+    # channels need and then its certificates, candidates and outputs; it
+    # keeps a prefix, so at 300 trials its calls are a bound per stack, plus
+    # those of sample_verify on each cut trial
     engine, _, lead = ENGINES[name]
+    if name in PRESERVATION:
+        stacks, single = record_stacks(monkeypatch), []
+        sample_verify = verify.sample_verify
+
+        def counted(*args):
+            before = len(count_eigvalsh)
+            report = sample_verify(*args)
+            single.append(len(count_eigvalsh) - before)
+            return report
+
+        monkeypatch.setattr(verify, "sample_verify", counted)
+        assert engine(*lead, 300, 0) == 0
+        assert len(count_eigvalsh) - sum(single) <= calls * len(stacks)
+        assert len(single) == sum(kept < rows for rows, kept in stacks)
+        return
     assert engine(*lead, 300, 0) == 0
     assert len(count_eigvalsh) == calls
     count_eigvalsh.clear()
@@ -149,3 +205,44 @@ def test_local_symplectic_eigensolves(count_eigvalsh, monkeypatch):
                         lambda u, *args: stacks.append(len(u)) or build(u, *args))
     assert verify.local_symplectic_trials(300, 0) == 0
     assert len(count_eigvalsh) <= 2 * len(stacks) < 12
+
+
+class TestCuts:
+    """Cuts of the preservation stacks.  A negative CHANNEL_SLACK fails every
+    certificate (one violation, and no input drawn); a PRESERVATION_VMAX of
+    1.5 draws purer candidates, so about 58% of the first (1+1) candidates
+    and 90% of the (1+2) ones are redrawn, at the first row of stacks and
+    inside them."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("name", ["local-channels", "certified-channels"])
+    def test_failed_certificates(self, name, n, seed, monkeypatch):
+        monkeypatch.setattr(channels, "CHANNEL_SLACK", -1e3)
+        assert matches_loop(name, n, seed) == n
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    @pytest.mark.parametrize("name", PRESERVATION)
+    def test_redrawn_candidates(self, name, n, seed, monkeypatch):
+        monkeypatch.setattr(verify, "PRESERVATION_VMAX", 1.5)
+        assert matches_loop(name, n, seed) == 0
+
+    @pytest.mark.parametrize("name", PRESERVATION)
+    def test_cuts_at_the_first_row_and_inside_a_stack(self, name, monkeypatch):
+        stacks = record_stacks(monkeypatch)
+        monkeypatch.setattr(verify, "PRESERVATION_VMAX", 1.5)
+        matches_loop(name, 40, 0)
+        assert any(kept == 0 for _, kept in stacks)
+        assert any(0 < kept < rows for rows, kept in stacks)
+
+    @pytest.mark.parametrize("name", PRESERVATION)
+    def test_stacks_stay_few_at_1000_trials(self, name, monkeypatch):
+        # each stack holds at most 2j + 1 rows after one that settled j
+        # trials, so the rows drawn in vain stay about as many as the trials,
+        # and a cut costs a few stacks at most
+        stacks = record_stacks(monkeypatch)
+        assert ENGINES[name][0](1000, 0) == 0
+        cuts = sum(kept < rows for rows, kept in stacks)
+        assert sum(rows for rows, _ in stacks) <= verify.PRESERVATION_ROWS + 2 * 1000 + len(stacks)
+        assert len(stacks) <= 3 * (cuts + 1)

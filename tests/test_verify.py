@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from gsteer import verify
+from gsteer import channels, verify
 from gsteer.channels import GaussianChannel, apply
-from gsteer.linalg import PsdReport, ValidationError
+from gsteer.linalg import ValidationError
 from gsteer.states import GaussianState, random_state
+
+from oracles import random_psd
 
 # (engine, leading arguments) -> the next rng.random() after 40 trials at
 # seeds 0, 1 and 2; every count is 0.  Recorded when each engine still ran
@@ -54,13 +56,21 @@ class TestForcedViolations:
     @pytest.mark.parametrize("engine", [verify.local_channel_trials,
                                         verify.certified_channel_trials])
     def test_failed_certificate_counts_and_draws_no_state(self, engine, monkeypatch):
+        # a negative slack fails every certificate: each trial is cut at
+        # its channel, and the Generator ends as after six channels alone
         def no_state(*args):
             raise AssertionError("a state was drawn for a failed channel")
 
-        failing = PsdReport(False, -1.0, 1.0, verify.TRIAL_TOL)
-        monkeypatch.setattr(verify, "is_unsteerable_channel", lambda ch, tol: failing)
+        monkeypatch.setattr(channels, "CHANNEL_SLACK", -1e3)
         monkeypatch.setattr(verify, "sample_verify", no_state)
-        assert engine(6, 4) == 6
+        rng, rng_channels = np.random.default_rng(4), np.random.default_rng(4)
+        assert engine(6, rng) == 6
+        for i in range(6):
+            if engine is verify.local_channel_trials:
+                verify.random_local_channel(1, 1, rng_channels)
+            else:
+                channels.random_unsteerable_channel(*verify._partition(i), rng_channels)
+        assert rng.bit_generator.state == rng_channels.bit_generator.state
 
     def test_count_is_a_python_int(self):
         count = verify._count(5, 0, lambda trials, rng: np.array([i % 2 == 0 for i in trials]))
@@ -120,7 +130,7 @@ def test_noise_channel_adds_its_noise_exactly():
     # upward closure tests cov + P through the channel K = I, M = P
     rng = np.random.default_rng(0)
     for _ in range(2000):
-        noise = verify._random_psd(4, rng)
+        noise = random_psd(4, rng)
         s = random_state(1, 1, 5.0, rng)
         ch = GaussianChannel._by_construction(1, 1, np.eye(4), noise, np.zeros(4))
         want = GaussianState(1, 1, s.cov + noise, s.mean)
