@@ -121,7 +121,10 @@ def relaxation_covariances(state0: GaussianState,
 
 def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianState:
     """State at time t >= 0 under the closed-form relaxation (bona fide by
-    convexity, see :func:`relaxation_covariances`)."""
+    convexity, see :func:`relaxation_covariances`); t must be a real number,
+    not a bool."""
+    if not _is_real(t):
+        raise ValidationError(f"t must be a real number, got {t!r}")
     covs_at = relaxation_covariances(state0, bath)
     if not np.isfinite(t) or t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
@@ -204,8 +207,12 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
     eigendecomposition per block, so an early passage stops after its block.
     Clamped j2 is never negative, so once the arguments and ``state0`` pass
-    their checks a threshold <= 0 gives inf with no scan.
+    their checks a threshold <= 0 gives inf with no scan.  Each of dt, t_max
+    and threshold must be a real number, not a bool, first.
     """
+    for name, value in (("dt", dt), ("t_max", t_max), ("threshold", threshold)):
+        if not _is_real(value):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
     if not np.isfinite(dt) or dt <= 0:
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_max) or t_max < 0:

@@ -10,7 +10,7 @@ DEFAULT_PSD_TOL (1e-9), whatever the analysis ``tol``.
 Two ways in, so that each covariance is checked once:
 
 - Caller input takes the structural check of :class:`_ModeRecord` (real,
-  shape, finiteness, symmetry): ``GaussianState(...)`` itself, and
+  shape, no bools, finiteness, symmetry): ``GaussianState(...)`` itself, and
   ``make_state``, ``standard_form_state``, ``mix_covariances`` and
   ``state_from_json``, which add the bona fide test.
 - Constructors whose covariance is exactly symmetric with the right shape by
@@ -41,6 +41,7 @@ keeping only its partition rule.  Every caller array is read by ``require_real``
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -133,9 +134,21 @@ class _Record:
                                    for v in _field_values(self))))
 
 
+def _holds_bool(value, rank: int) -> bool:
+    """Whether an array-like nested ``rank`` deep holds a bool, which numpy
+    would read as 0 or 1: a bool array, or True or False among the numbers
+    of a list (which numpy casts to float with them)."""
+    if isinstance(value, np.ndarray) and value.dtype != object:
+        return value.dtype == bool
+    for _ in range(rank - 1):
+        value = itertools.chain.from_iterable(value)
+    return not {bool, np.bool_}.isdisjoint(map(type, value))
+
+
 class _ModeRecord(_Record):
     """Mode counts plus real, finite float arrays of shape (dim,) * rank (the
-    ``_symmetrized`` one stored symmetrized), and their ``_kind`` of JSON document."""
+    ``_symmetrized`` one stored symmetrized), and their ``_kind`` of JSON
+    document; an array that holds a bool is rejected, after its shape test."""
 
     _kind: str
     _arrays: dict[str, int]  # array field -> rank, in field order
@@ -147,9 +160,12 @@ class _ModeRecord(_Record):
         dim = 2 * (modes_a + modes_b)
         arrays = []
         for name, rank in self._arrays.items():
-            arr = require_real(getattr(self, name), name)
+            value = getattr(self, name)
+            arr = require_real(value, name)
             if arr.shape != (dim,) * rank:
                 raise ValidationError(f"{name} must have shape {(dim,) * rank}, got {arr.shape}")
+            if _holds_bool(value, rank):
+                raise ValidationError(f"{name} must hold numbers, not booleans")
             arrays.append(require_hermitian(arr, name) if name == self._symmetrized
                           else require_finite(arr, name))
         self._settle(modes_a, modes_b, *arrays)
@@ -392,8 +408,11 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> Gaussian
     """State with the convex combination p1*cov1 + (1-p1)*cov2 of covariances.
 
     Bona fide when both inputs are (the PSD cone is convex); tested, because
-    a GaussianState need not be.  Means mix with the same weights.
+    a GaussianState need not be.  Means mix with the same weights; p1 must
+    be a real number, not a bool.
     """
+    if not _is_real(p1):
+        raise ValidationError(f"p1 must be a real number, got {p1!r}")
     if (s1.modes_a, s1.modes_b) != (s2.modes_a, s2.modes_b):
         raise ValidationError(
             f"partition mismatch: ({s1.modes_a},{s1.modes_b}) vs ({s2.modes_a},{s2.modes_b})")

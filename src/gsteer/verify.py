@@ -66,7 +66,7 @@ DEFAULT_SEED = 7
 # fixed knobs of the randomized trial engines: tolerances, spectrum edge, slack
 FAITHFULNESS_VMAX = 2.0
 PRESERVATION_VMAX = 5.0  # max_sympl_eigen of the inputs, sample_verify's default
-PRESERVATION_ROWS = 16  # first speculative stack: about twice the trials it keeps
+PRESERVATION_ROWS = 16  # first preservation stack: about twice the trials it keeps
 TRIAL_TOL = 1e-8
 MARGIN_FLOOR = 1e-4
 TRIAL_SLACK = 1e-9
@@ -92,24 +92,27 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # randomized trial engines (shared with the test suite)
 
-def _count(n_trials: int, rng, settle) -> int:
+def _count(n_trials: int, rng, settle, rows: int = SAMPLE_BLOCK) -> int:
     """Count the violations among trials 0, ..., n_trials - 1 on one Generator.
 
-    ``settle(trials, rng)`` takes the range of the next at most SAMPLE_BLOCK
-    trials, draws for them in trial order and returns the verdicts (True for
-    a violation) of its first j (j <= len(trials), possibly 0), with the
-    Generator left where a loop over single trials would leave it after the
-    j-th; the next range starts after them.  So the count, and the
-    Generator's end state, equal those of that loop.  ``n_trials`` must be a
-    nonnegative integer, checked before any draw."""
+    ``settle(trials, rng)`` takes the range of the next at most
+    min(rows, SAMPLE_BLOCK) trials, draws for them in trial order and returns
+    the verdicts (True for a violation) of its first j (j <= len(trials),
+    possibly 0), with the Generator left where a loop over single trials
+    would leave it after the j-th; the next range starts after them and holds
+    at most 2j + 1 trials.  So the count, and the Generator's end state,
+    equal those of that loop, and a settle that draws a whole range but keeps
+    only its first j trials draws about as many rows in vain as it settles.
+    ``n_trials`` must be a nonnegative integer, checked before any draw."""
     if not (_is_integer(n_trials) and n_trials >= 0):
         raise ValidationError(f"n_trials must be a nonnegative integer, got {n_trials!r}")
     rng = np.random.default_rng(rng)
     done = count = 0
     while done < n_trials:
-        verdicts = settle(range(done, min(done + SAMPLE_BLOCK, n_trials)), rng)
+        verdicts = settle(range(done, min(done + rows, done + SAMPLE_BLOCK, n_trials)), rng)
         done += len(verdicts)
         count += int(np.count_nonzero(verdicts))
+        rows = 2 * len(verdicts) + 1
     return count
 
 
@@ -148,38 +151,6 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     return _count(n_trials, rng, settle)
 
 
-def _speculative(stack, rows: int):
-    """The settle, for :func:`_count`, of an engine that draws trials ahead
-    of their verdicts: the one protocol of its speculative stacks.
-
-    ``stack(trials, rng)`` draws for each of ``trials`` in trial order, as
-    the loop over single trials draws when every trial keeps its first
-    draws, and judges them as stacks.  It returns ``(verdicts, finish)``:
-    the verdicts of the trials before the first one whose draws the loop
-    would not keep (all of them if there is none), with the Generator put
-    back, from a state saved before those draws, where the loop stands in
-    that cut trial.  ``finish(rng)`` finishes the cut trial on the loop's
-    single path and returns its verdict; with ``finish`` None the cut trial
-    begins the next range.
-
-    The first stack holds at most ``rows`` trials.  After a stack that
-    settled j trials (a finished cut trial among them), the next holds at
-    most 2j + 1 if it was cut, else 2j: the rows drawn in vain stay about as
-    many as the trials settled.
-    """
-
-    def settle(trials, rng):
-        nonlocal rows
-        drawn = trials[:rows]
-        verdicts, finish = stack(drawn, rng)
-        cut = len(verdicts) < len(drawn)
-        if finish is not None:
-            verdicts = [*verdicts, finish(rng)]
-        rows = 2 * len(verdicts) + cut
-        return verdicts
-    return settle
-
-
 def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=None) -> int:
     """Count the trials i whose channel fails a certificate M + F - K F K^T
     >= 0, F each of the ``(c, d, d)`` stack ``offsets(modes_a, modes_b)``
@@ -191,13 +162,15 @@ def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=Non
     Trial i of partition ``partition(i)`` draws its channel,
     ``draw(modes_a, modes_b, rng)``, then its inputs; ``build(modes_a,
     modes_b, *draws)`` gives K and M, row by row on stacks of the draws.  A
-    stack takes each trial's channel and one candidate input (the Generator
-    state saved between them) and judges, per partition, the shift
-    certificates that ``build`` may need in one eigensolve, and the
-    certificates, candidates and outputs in one more.  A trial whose
-    certificate fails or whose candidate is redrawn cuts the stack (see
-    :func:`_speculative`): the Generator goes back to just after its
-    channel, and a passing channel finishes on :func:`sample_verify`.
+    stack, the settle of :func:`_count` (PRESERVATION_ROWS at first), takes
+    each trial's channel and one candidate input (the Generator state saved
+    between them) and judges, per partition, the shift certificates that
+    ``build`` may need in one eigensolve, and the certificates, candidates
+    and outputs in one more.  The first trial whose certificate fails or
+    whose candidate is redrawn cuts the stack: the Generator goes back to
+    just after its channel, and the stack finishes that trial itself, a
+    violation if the certificate failed, else on :func:`sample_verify`, and
+    settles the trials up to it.
     """
     def stack(trials, rng):
         groups, after_channel = {}, []
@@ -230,19 +203,19 @@ def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=Non
             built[modes] = k, m, ok, pos
         cut = np.flatnonzero(~clean)
         if not cut.size:
-            return violated, None
+            return violated
         c = int(cut[0])
         rng.bit_generator.state = after_channel[c]
         modes = partition(trials[c])
         k, m, ok, pos = built[modes]
         row = pos.index(c)
         if not ok[row, :-2].all():
-            return violated[:c], lambda rng: True
+            return [*violated[:c], True]
         ch = GaussianChannel._by_construction(*modes, k[row].copy(), m[row].copy(),
                                               np.zeros(k.shape[-1]))
-        return violated[:c], lambda rng: sample_verify(
-            ch, 1, rng, "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL).violations > 0
-    return _count(n_trials, rng, _speculative(stack, PRESERVATION_ROWS))
+        return [*violated[:c], sample_verify(
+            ch, 1, rng, "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL).violations > 0]
+    return _count(n_trials, rng, stack, PRESERVATION_ROWS)
 
 
 def _one_partition(i: int) -> tuple[int, int]:
@@ -279,7 +252,7 @@ def local_channel_trials(n_trials: int, rng) -> int:
 
 
 def _local_channel_draws(modes_a: int, modes_b: int, rng) -> tuple[np.ndarray, ...]:
-    """The draws of :func:`random_local_channel` in stream order: K_A's
+    """The draws of one local channel, A side x B side, in stream order: K_A's
     ``rng.random()`` block, M_A's normals, then K_B's and M_B's."""
     dim_a, dim_b = 2 * modes_a, 2 * modes_b
     return (rng.random((dim_a, dim_a)), rng.standard_normal((dim_a, dim_a)),
@@ -287,25 +260,16 @@ def _local_channel_draws(modes_a: int, modes_b: int, rng) -> tuple[np.ndarray, .
 
 
 def _local_channel_arrays(modes_a: int, modes_b: int, u_a, g_a, u_b, g_b):
-    """K and M of :func:`random_local_channel` from its draws, one set or
-    stacks of them row by row: K_A and K_B are ``Generator.uniform(-1, 1)``
+    """K and M of a local channel from :func:`_local_channel_draws`, one set
+    or stacks of them row by row: K_A and K_B are ``Generator.uniform(-1, 1)``
     scaled, M_A a Gram matrix, M_B a Gram matrix plus the shift that
-    certifies K_B."""
+    certifies K_B, so both side conditions hold by construction and the
+    channel equals ``tensor_local(side_a_channel(K_A, M_A),
+    side_b_channel(K_B, M_B))``."""
     k_b = -1.0 + 2.0 * u_b
     shift = _certified_shift(k_b, _unsteerable_offset(0, modes_b))
     m_b = _gram(g_b) + shift[..., None, None] * np.eye(2 * modes_b)
     return _direct_sum(-1.0 + 2.0 * u_a, k_b), _direct_sum(_gram(g_a), m_b)
-
-
-def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
-    """Random A-side x B-side channel satisfying both side conditions by
-    construction, so built without a check: M_A is a Gram matrix, and M_B a
-    Gram matrix plus the shift that certifies K_B.  It equals
-    ``tensor_local(side_a_channel(K_A, M_A), side_b_channel(K_B, M_B))``."""
-    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
-    draws = _local_channel_draws(modes_a, modes_b, np.random.default_rng(rng))
-    k, m = _local_channel_arrays(modes_a, modes_b, *draws)
-    return GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(len(k)))
 
 
 def certified_channel_trials(n_trials: int, rng) -> int:
@@ -327,10 +291,10 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
     is built without a check.
 
     A trial draws 26 uniforms when its first state is kept: 18 for the state,
-    then 4 for each side's exp(Omega H), H uniform in [-0.5, 0.5].  A stack
-    draws one such row per trial (:func:`_speculative`); a redraw cuts it,
-    and the Generator goes back to just after the redrawn state's 18 draws,
-    where the next stack begins.
+    then 4 for each side's exp(Omega H), H uniform in [-0.5, 0.5].  A stack,
+    the settle of :func:`_count`, draws one such row per trial; the first
+    redraw cuts it, and the Generator goes back to just after the redrawn
+    state's 18 draws, where the next stack begins.
     """
     def stack(trials, rng):
         saved = rng.bit_generator.state
@@ -345,13 +309,13 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
             rng.random(26 * j + 18)
             u, covs, ok = u[:j], covs[:j], ok[:j]
             if not j:
-                return ok, None
+                return ok
         # Generator.uniform(-0.5, 0.5) is -0.5 + 1.0 * u
         sympl = symplectic_exp(1, (-0.5 + 1.0 * u[:, 18:]).reshape(-1, 2, 2, 2))
         k = _direct_sum(sympl[:, 0], sympl[:, 1])
         out = _act(k, np.zeros((4, 4)), covs)
-        return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok, None
-    return _count(n_trials, rng, _speculative(stack, SAMPLE_BLOCK))
+        return psd_spectra(out + steering_form(1, 1), TRIAL_TOL)[1] != ok
+    return _count(n_trials, rng, stack)
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:

@@ -35,7 +35,13 @@ from gsteer.linalg import (
     symplectic_exp,
     symplectic_form,
 )
-from gsteer.states import GaussianState, mix_covariances, random_state, validate_state
+from gsteer.states import (
+    GaussianState,
+    _check_mode_counts,
+    mix_covariances,
+    random_state,
+    validate_state,
+)
 from gsteer.steering import is_unsteerable, j2, j_values, n3_upper_bound_pure, pure_family_state
 
 # tolerance for "all symplectic eigenvalues equal 1" purity tests
@@ -54,6 +60,17 @@ def random_orthogonal_symplectic(n_modes: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     re = rng.standard_normal((n_modes, n_modes))
     return _orthogonal_symplectic_from_normals(re, rng.standard_normal((n_modes, n_modes)))
+
+
+def random_local_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
+    """The random A-side x B-side channel of ``verify.local_channel_trials``
+    from one trial's draws, built from the engine's own draw and array
+    helpers without a check: M_A is a Gram matrix, and M_B a Gram matrix plus
+    the shift that certifies K_B."""
+    modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
+    draws = verify._local_channel_draws(modes_a, modes_b, np.random.default_rng(rng))
+    k, m = verify._local_channel_arrays(modes_a, modes_b, *draws)
+    return GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(len(k)))
 
 
 def random_psd(dim: int, rng) -> np.ndarray:
@@ -517,7 +534,7 @@ def upward_closure_trials_loop(n_trials: int, rng) -> int:
 def local_channel_trials_loop(n_trials: int, rng) -> int:
     """``verify.local_channel_trials`` one local channel at a time."""
     return _preservation_trials_loop(
-        n_trials, rng, lambda i, rng: verify.random_local_channel(1, 1, rng),
+        n_trials, rng, lambda i, rng: random_local_channel(1, 1, rng),
         is_unsteerable_channel)
 
 

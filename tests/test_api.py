@@ -164,7 +164,7 @@ def test_every_trial_engine_counts_through_count():
         assert "_count" in reached, engine
 
 
-@pytest.mark.parametrize("name", ["_in_stacks", "random_orthogonal",
+@pytest.mark.parametrize("name", ["_in_stacks", "random_local_channel", "random_orthogonal",
                                   "random_orthogonal_symplectic", "random_symplectic"])
 def test_test_oracles_stay_out_of_the_package(name):
     # the per-trial loop and the single-draw generators live in tests/oracles.py

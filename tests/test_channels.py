@@ -28,11 +28,11 @@ from gsteer.verify import (
     certified_channel_trials,
     local_channel_trials,
     local_symplectic_trials,
+    faithfulness_trials,
     orthogonal_monotonicity_trials,
-    random_local_channel,
 )
 
-from oracles import random_psd, random_symplectic
+from oracles import random_local_channel, random_psd, random_symplectic
 
 # reference output covariance for the shear channel on the witness state
 SHEAR_OUTPUT = np.array([
@@ -269,8 +269,12 @@ class TestTensorLocal:
 
     @pytest.mark.parametrize("modes", [(0, 1), (1, 0), (True, 1), (1, 1.0)])
     def test_random_local_channel_rejects_bad_mode_counts(self, modes):
+        # the builder is a test oracle; faithfulness_trials is the verify
+        # engine that takes mode counts, and applies the same rule
         with pytest.raises(ValidationError):
             random_local_channel(*modes, 0)
+        with pytest.raises(ValidationError):
+            faithfulness_trials(*modes, 0, 0)
 
     def test_dbar_concatenated(self):
         a = side_a_channel(np.eye(2), np.zeros((2, 2)), dbar=[1.0, 2.0])
@@ -388,6 +392,14 @@ class TestJson:
     def test_record_rejects_what_its_document_rejects(self, modes):
         with pytest.raises(ValidationError, match="must be integers"):
             GaussianChannel(*modes, np.eye(4), np.zeros((4, 4)), np.zeros(4))
+
+    @pytest.mark.parametrize("name", ["K", "M", "dbar"])
+    def test_boolean_entries_rejected(self, name):
+        # numpy reads True as 1.0, and casts a list mixing it with numbers to float
+        arrays = {"K": np.eye(4), "M": np.eye(4), "dbar": np.ones(4)}
+        for value in (arrays[name] != 0, [*arrays[name][:3].tolist(), arrays[name][3] != 0]):
+            with pytest.raises(ValidationError, match=f"^{name} must hold numbers, not booleans$"):
+                GaussianChannel(1, 1, **dict(arrays, **{name: value}))
 
     def test_fixture_descriptions_ignored(self):
         doc = json.loads(fixtures.fixture_text(fixtures.CHANNEL_SHEAR_LOCAL))

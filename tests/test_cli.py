@@ -613,6 +613,22 @@ class TestDocumentErrors:
         assert err.startswith(f"error: {arrays[position]} must be a numeric array: ")
         assert err.endswith("\n") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("state", "mean", [False, False, False, True]),
+        ("state", "mean", [0.0, 0.0, 0.0, True]),
+        ("state", "cov", np.eye(4, dtype=bool).tolist()),
+        ("state", "cov", [*np.eye(4)[:3].tolist(), [0.0, 0.0, 0.0, True]]),
+        ("channel", "K", np.eye(4, dtype=bool).tolist()),
+        ("channel", "K", [*np.eye(4)[:3].tolist(), [0.0, 0.0, 0.0, True]]),
+        ("channel", "M", np.zeros((4, 4), dtype=bool).tolist()),
+        ("channel", "dbar", [0.0, False, 0.0, 0.0]),
+    ])
+    def test_boolean_array(self, kind, key, value, tmp_path, capsys):
+        # numpy would read true as 1.0, in a list of booleans or cast with numbers
+        doc = dict(self.KINDS[kind][2], **{key: value})
+        assert self.run(kind, doc, tmp_path, capsys) == (
+            2, f"error: {key} must hold numbers, not booleans\n")
+
     # far deeper than the interpreter's recursion limit, so that json.loads
     # raises RecursionError
     DEEP = b'{"modes_a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"

@@ -164,6 +164,17 @@ class TestEvolve:
         out = evolve(s0, bath, 3.0)
         assert np.allclose(out.mean, np.exp(-0.75) * s0.mean, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None])
+    def test_bool_and_non_real_time_rejected(self, bad):
+        # True would read as t = 1
+        with pytest.raises(ValidationError, match="^t must be a real number, got "):
+            evolve(squeezed_vacuum_state(1.0), BathParameters(0.0, 1.0, 0.0, 0.1), bad)
+
+    def test_numpy_time_accepted(self):
+        s0, bath = squeezed_vacuum_state(1.0), BathParameters(0.0, 1.0, 0.0, 0.1)
+        assert evolve(s0, bath, np.float64(2.5)) == evolve(s0, bath, 2.5)
+        assert evolve(s0, bath, np.int64(2)) == evolve(s0, bath, 2.0)
+
     def test_evolved_states_stay_bona_fide(self):
         s0 = squeezed_vacuum_state(1.5)
         bath = BathParameters(0.0, 2.0, 7.0, 0.1)
@@ -386,6 +397,25 @@ class TestFirstPassage:
         with pytest.raises(BonaFideError):
             first_passage_time(GaussianState(1, 1, cov, np.zeros(4)), bath, -1.0, 1.0, 0.1)
         assert not calls
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None])
+    def test_bool_and_non_real_arguments_rejected(self, position, bad):
+        # a dt of True read as 1 and gave a passage on the grid 0, 1, 2, ...
+        args = [0.01, 10.0, 0.1]
+        args[position] = bad
+        name = ("threshold", "t_max", "dt")[position]
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+            first_passage_time(squeezed_vacuum_state(1.0), BathParameters(0.0, 2.0, 0.0, 0.1),
+                               *args)
+
+    def test_numpy_arguments_keep_the_passage(self):
+        state, bath = squeezed_vacuum_state(1.0), BathParameters(0.0, 2.0, 0.0, 0.1)
+        want = first_passage_time(state, bath, 0.01, 10.0, 1e-3)
+        assert want == first_passage_scan(state, bath, 0.01, 10.0, 1e-3, 1e-9)
+        assert first_passage_time(state, bath, np.float64(0.01), np.float64(10.0),
+                                  np.float64(1e-3)) == want
+        assert first_passage_time(state, bath, 0.01, np.int64(10), 1e-3) == want
 
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, so the scan would return inf

@@ -361,6 +361,18 @@ class TestMixCovariances:
         with pytest.raises(ValidationError):
             mix_covariances(s, s, 1.5)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "1", 1j, None])
+    def test_bool_and_non_real_weight_rejected(self, bad):
+        # True would read as p1 = 1 and return the first state
+        s = squeezed_vacuum_state(0.5)
+        with pytest.raises(ValidationError, match="^p1 must be a real number, got "):
+            mix_covariances(s, s, bad)
+
+    def test_numpy_weight_accepted(self):
+        s1, s2 = squeezed_vacuum_state(0.0), squeezed_vacuum_state(1.0)
+        assert mix_covariances(s1, s2, np.float64(0.25)) == mix_covariances(s1, s2, 0.25)
+        assert mix_covariances(s1, s2, np.int64(1)) == mix_covariances(s1, s2, 1.0)
+
     def test_thousand_random_pairs_stay_bona_fide(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -409,6 +421,24 @@ class TestJson:
     def test_record_rejects_what_its_document_rejects(self, modes):
         with pytest.raises(ValidationError, match="must be integers"):
             GaussianState(*modes, np.eye(4), np.zeros(4))
+
+    @pytest.mark.parametrize("mean", [[False, False, False, True], [0.0, True, 0.0, 0.0],
+                                      np.array([0, 0, 0, 1], dtype=bool),
+                                      [np.True_, 0.0, 0.0, 0.0]])
+    def test_boolean_entries_rejected(self, mean):
+        # numpy reads True as 1.0, and casts a list mixing it with numbers to float
+        with pytest.raises(ValidationError, match="^mean must hold numbers, not booleans$"):
+            GaussianState(1, 1, np.eye(4), mean)
+        with pytest.raises(ValidationError, match="^cov must hold numbers, not booleans$"):
+            GaussianState(1, 1, np.eye(4) != 0, np.zeros(4))
+
+    def test_shape_is_tested_before_booleans(self):
+        with pytest.raises(ValidationError, match="^mean must have shape"):
+            GaussianState(1, 1, np.eye(4), [[True]] * 4)
+
+    def test_integer_entries_accepted(self):
+        s = GaussianState(1, 1, np.eye(4, dtype=int).tolist(), [0, 0, 0, 1])
+        assert s == GaussianState(1, 1, np.eye(4), [0.0, 0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("build", [lambda: random_state(1.0, 1, 2.0, 0),
                                        lambda: schmidt_pure_state(1.5, 1, [2.0])],

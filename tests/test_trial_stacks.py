@@ -1,9 +1,11 @@
-"""The seven property engines of ``gsteer verify`` run on stacks; each must
-count, and leave its Generator, exactly as the loop over single trials it
-replaced (``oracles.*_trials_loop``).  Four of them speculate
-(``verify._speculative``): local symplectic, upward closure, local channels
-and certified channels draw a stack ahead and keep the trials before its
-first cut."""
+"""The seven property engines of ``gsteer verify`` run on stacks, the
+settles of ``verify._count``; each must count, and leave its Generator,
+exactly as the loop over single trials it replaced
+(``oracles.*_trials_loop``).  Four of them speculate: local symplectic,
+upward closure, local channels and certified channels draw a stack ahead and
+settle only the trials up to its first cut, a preservation stack finishing
+the cut trial itself; after j settled, ``_count`` sizes the next stack at
+most 2j + 1."""
 
 import numpy as np
 import pytest
@@ -147,19 +149,28 @@ class TestRedraws:
 
 
 def record_stacks(monkeypatch):
-    """(rows drawn, trials kept before the cut) of every speculative stack
-    the engines run from now on."""
-    stacks = []
-    speculative = verify._speculative
+    """(rows drawn, trials kept before the cut) of every stack the engines
+    settle from now on.  A stack is cut when it finishes a trial itself; it
+    finishes at most one, here on sample_verify: a failed certificate would
+    finish one as a violation, and the recorded runs count none."""
+    stacks, finished = [], []
+    count, sample_verify = verify._count, verify.sample_verify
 
-    def recorded(stack, rows):
+    def counted(n_trials, rng, settle, *rows):
         def recording(trials, rng):
-            verdicts, finish = stack(trials, rng)
-            stacks.append((len(trials), len(verdicts)))
-            return verdicts, finish
-        return speculative(recording, rows)
+            finished.clear()
+            verdicts = settle(trials, rng)
+            assert len(finished) <= 1 and not any(verdicts)
+            stacks.append((len(trials), len(verdicts) - len(finished)))
+            return verdicts
+        return count(n_trials, rng, recording, *rows)
 
-    monkeypatch.setattr(verify, "_speculative", recorded)
+    def single(*args):
+        finished.append(1)
+        return sample_verify(*args)
+
+    monkeypatch.setattr(verify, "_count", counted)
+    monkeypatch.setattr(verify, "sample_verify", single)
     return stacks
 
 

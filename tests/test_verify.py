@@ -8,7 +8,7 @@ from gsteer.channels import GaussianChannel, apply
 from gsteer.linalg import ValidationError
 from gsteer.states import GaussianState, random_state
 
-from oracles import random_psd
+from oracles import random_local_channel, random_psd
 
 # (engine, leading arguments) -> the next rng.random() after 40 trials at
 # seeds 0, 1 and 2; every count is 0.  Recorded when each engine still ran
@@ -67,7 +67,7 @@ class TestForcedViolations:
         assert engine(6, rng) == 6
         for i in range(6):
             if engine is verify.local_channel_trials:
-                verify.random_local_channel(1, 1, rng_channels)
+                random_local_channel(1, 1, rng_channels)
             else:
                 channels.random_unsteerable_channel(*verify._partition(i), rng_channels)
         assert rng.bit_generator.state == rng_channels.bit_generator.state
@@ -79,17 +79,19 @@ class TestForcedViolations:
 
 class TestCount:
     """``_count`` asks ``settle`` for the next range of trials and counts the
-    verdicts it returns, however few."""
+    verdicts it returns, however few; after j settled, the next range holds
+    at most 2j + 1 trials."""
 
     def test_short_stacks_count_each_trial_once(self, monkeypatch):
         # each stack settles at most 2 of its trials, and every third none;
         # a settled trial draws one uniform, as a loop over trials would
         monkeypatch.setattr(verify, "SAMPLE_BLOCK", 5)
-        ranges = []
+        ranges, settled = [], []
 
         def settle(trials, rng):
             ranges.append(trials)
             kept = [] if len(ranges) % 3 == 0 else trials[:2]
+            settled.append(len(kept))
             return [rng.random() < 0.5 for _ in kept]
 
         rng, rng_loop = np.random.default_rng(3), np.random.default_rng(3)
@@ -97,8 +99,24 @@ class TestCount:
         want = sum(rng_loop.random() < 0.5 for _ in range(11))
         assert count == want
         assert rng.bit_generator.state == rng_loop.bit_generator.state
-        assert [r.start for r in ranges] == [0, 2, 4, 4, 6, 8, 8, 10]
-        assert all(len(r) == min(5, 11 - r.start) for r in ranges)
+        assert [(r.start, r.stop) for r in ranges] == [
+            (0, 5), (2, 7), (4, 9), (4, 5), (5, 8), (7, 11), (7, 8), (8, 11), (10, 11), (10, 11)]
+        assert len(ranges[0]) == 5
+        for r, j in zip(ranges[1:], settled):
+            assert len(r) == min(5, 2 * j + 1, 11 - r.start)
+
+    @pytest.mark.parametrize("rows, first", [(3, 3), (1, 1), (9, 5)])
+    def test_first_range_holds_rows_up_to_the_block(self, rows, first, monkeypatch):
+        monkeypatch.setattr(verify, "SAMPLE_BLOCK", 5)
+        ranges = []
+
+        def settle(trials, rng):
+            ranges.append(trials)
+            return [False] * len(trials)
+
+        assert verify._count(20, 0, settle, rows) == 0
+        assert len(ranges[0]) == first
+        assert sum(map(len, ranges)) == 20
 
 
 # engine -> leading arguments, one entry for each of the seven engines
