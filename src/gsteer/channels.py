@@ -40,6 +40,7 @@ from .linalg import (
 from .states import (
     GaussianState,
     _check_max_sympl_eigen,
+    _generator,
     _integer_counts,
     _is_integer,
     _ModeRecord,
@@ -278,7 +279,7 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChann
     modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     dim = 2 * (modes_a + modes_b)
     k, m = _unsteerable_channel_arrays(modes_a, modes_b,
-                                       np.random.default_rng(rng).random((dim, dim)))
+                                       _generator(rng).random((dim, dim)))
     return GaussianChannel._by_construction(modes_a, modes_b, k, m, np.zeros(dim))
 
 
@@ -336,7 +337,7 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
         raise ValidationError("sampling requires a bipartite channel partition")
     max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
     require_tol(tol)
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     modes = (ch.modes_a, ch.modes_b)
     steering = steering_form(*modes)
     # outputs are judged against i*Omega (bona fide) or 0_A (+) i*Omega_B

@@ -196,6 +196,55 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     return Trajectory._by_construction(t_grid, values[:n], w * j2_start + (1.0 - w) * j2_inf)
 
 
+def _passage_grid(t_end: float, dt: float) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
+    """The grid t_0 = 0, t_{k+1} = fl(t_k + dt) up to ``t_end``, without adding
+    k terms: its size n and the map from an array of indices to grid times,
+    bit for bit the terms of ``np.add.accumulate`` (dt, t_end > 0; the grid
+    must climb, which ``first_passage_time``'s 2**52 rule ensures).
+
+    Inside one binade [2^(e-1), 2^e) the grid's floats are whole multiples of
+    one ulp u, so a step rounds t + dt to the u-grid and adds a whole number
+    of ulps; that number can depend on t only through a rounding tie, and a
+    tie rounds to an even multiple, after which every tie finds the same
+    parity.  So once a step has started and ended in the binade (t_{k-1}
+    and t_k both in it), every later step adds fl(t_k + dt) - t_k until the
+    grid leaves it: the walk records such a run as (first index, first
+    time, step) and every other time, each binade's first or second, as a
+    run of one, computed by the float addition itself.  A run's times
+    t + j step are exact: j step is a multiple of u below 2^e.  From dt up to
+    t_end <= 2**52 dt that is at most about 53 binades, two runs each in
+    general, so the walk's cost does not grow with the grid's size.
+    """
+    starts, bases, steps = [], [], []
+    k, t = 0, 0.0
+    settled = False  # t_{k-1} > 0 lies in t_k's binade
+    while t <= t_end:
+        starts.append(k)
+        bases.append(t)
+        exp = math.frexp(t)[1]
+        top = math.ldexp(1.0, exp)  # t's binade is [top / 2, top)
+        step = (t + dt) - t
+        run = 1
+        if settled and t + step < top:
+            ulp = math.ldexp(1.0, max(exp - 53, -1074))
+            if t_end < top:  # the times t + j step <= t_end
+                run = int((t_end - t) / ulp) // int(step / ulp) + 1
+            else:  # the times t + j step < top
+                run = -(-int((top - t) / ulp) // int(step / ulp))
+            t += (run - 1) * step  # the run's last time
+        steps.append(step)
+        k += run
+        settled = t > 0.0 and t + dt < top
+        t += dt
+    starts, bases, steps = np.array(starts), np.array(bases), np.array(steps)
+
+    def times_at(idx: np.ndarray) -> np.ndarray:
+        runs = np.searchsorted(starts, idx, side="right") - 1
+        return bases[runs] + (idx - starts[runs]) * steps[runs]
+
+    return k, times_at
+
+
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float) -> float:
     """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
@@ -203,12 +252,48 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     must be finite and positive, t_max finite and nonnegative, threshold not NaN.
     A grid the scan could not finish is rejected: past t_max / dt = 2**52 a
     step t + dt can round back to t, and no grid time may overflow to inf.
-
-    The grid is scanned in blocks of PASSAGE_BLOCK times, one batched
-    eigendecomposition per block, so an early passage stops after its block.
+    Each of dt, t_max and threshold must be a real number, not a bool, first.
     Clamped j2 is never negative, so once the arguments and ``state0`` pass
-    their checks a threshold <= 0 gives inf with no scan.  Each of dt, t_max
-    and threshold must be a real number, not a bool, first.
+    their checks a threshold <= 0 gives inf with no eigensolve.
+
+    The result is the scan's: the first grid time t_k (the k-th term of
+    t <- fl(t + dt) from 0) whose computed, clamped j2 is below threshold.
+    It is found by a certified search, in O(log N) eigensolves for a grid of
+    N times, and then confirmed by the scan's own test.
+
+    Why the search may skip times: raw j2 = ||cov + F||_1 - Tr cov (F the
+    steering offset) is convex in cov, and cov(t) = w cov0 + (1 - w) cov_inf
+    with w = exp(-lam t); at w = 0, the stationary product state, raw j2 is
+    0, its minimum.  So the exact raw j2 g(w) is nondecreasing in w, and
+    nonincreasing in t.  Let E = 1e-12 S with S = Tr cov0 + Tr cov_inf + 2.
+    The computed raw j2 at t_k is within E of g(exp(-lam t_k)): the
+    covariance's entries (at most S in size) and w are each within a few
+    ulps, the Hermitian eigensolver is backward stable (its eigenvalues err
+    by a small multiple of u ||cov + F||_2, and ||cov + F||_2 <= Tr cov + 1
+    <= S), and j2 sums at most four of them; for 4x4 matrices that totals
+    well under 1e-13 S.  Then a computed j2(t_m) >= threshold + 2E gives
+    g >= threshold + E at t_m and, by monotonicity, at every earlier t_k,
+    whose computed raw j2 is therefore >= threshold.  The tolerance rule
+    clamps j2 to 0 only where lambda_min >= -tol max(1, |lambda_max|), that
+    is where raw j2 <= 2 d tol max(1, |lambda_max|) <= 2 d tol S (d = 4;
+    along the path |lambda_max| <= Tr cov + 1 <= max(Tr cov0, Tr cov_inf) + 1,
+    which S exceeds by at least 5, room for rounding); so when threshold
+    exceeds 2 d tol S no earlier time is clamped either, and none of t_0,
+    ..., t_m is a passage.
+
+    The search: one stack holds the last grid time and nine evenly spaced
+    times before it, so a certified last time gives inf at once.  After it,
+    lo is the last certified index seen (or -1) and hi the first index after
+    it seen uncertified, and each stack of at most ten times splits (lo, hi)
+    evenly, until hi = lo + 1: about 1 + log_11(N / 10) stacks, each one
+    batched eigendecomposition, 4 for N = 10,001 and 15 for N = 10^15.  The
+    grid times come from :func:`_passage_grid`, the scan's own floats.  If
+    hi's j2, computed as the scan computes it, is below threshold, t_hi is
+    the passage; otherwise it lies within 2E above threshold and the scan
+    runs on from t_hi + dt, in blocks of PASSAGE_BLOCK times, one batched
+    eigendecomposition per block, to the first block holding a passage.  A
+    threshold at or below 2 d tol S, where a clamp could hide a passage from
+    the certificate, takes that scan from t = 0.
     """
     for name, value in (("dt", dt), ("t_max", t_max), ("threshold", threshold)):
         if not _is_real(value):
@@ -227,15 +312,45 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     covs_at = relaxation_covariances(state0, bath)
     if threshold <= 0:
         return np.inf
-    t, t_end = 0.0, t_max + dt / 2
-    steps = np.full(PASSAGE_BLOCK, dt)
-    while t <= t_end:
-        steps[0] = t
-        times = np.add.accumulate(steps)
-        times = times[times <= t_end]
-        j2_vals = _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
-        below = np.flatnonzero(j2_vals < threshold)
-        if below.size:
-            return float(times[below[0]])
-        t = times[-1] + dt
-    return np.inf
+    t_end = t_max + dt / 2
+
+    def j2_at(times: np.ndarray) -> np.ndarray:
+        return _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
+
+    def scan_from(t: float) -> float:
+        steps = np.full(PASSAGE_BLOCK, dt)
+        while t <= t_end:
+            steps[0] = t
+            times = np.add.accumulate(steps)
+            times = times[times <= t_end]
+            below = np.flatnonzero(j2_at(times) < threshold)
+            if below.size:
+                return float(times[below[0]])
+            t = times[-1] + dt
+        return np.inf
+
+    # S = Tr cov0 + Tr cov_inf + 2, with Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
+    scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
+    if not threshold > 8.0 * DEFAULT_PSD_TOL * scale:
+        return scan_from(0.0)
+    bar = threshold + 2e-12 * scale
+    n, times_at = _passage_grid(t_end, dt)
+    lo, hi, j2_hi = -1, n, np.inf  # lo certified (or -1), hi not (or n: none seen yet)
+    while hi - lo > 1:
+        if hi == n:
+            parts = min(10, n)
+            idx = n * np.arange(1, parts + 1) // parts - 1
+        else:
+            parts = min(10, hi - lo - 1)
+            idx = lo + (hi - lo) * np.arange(1, parts + 1) // (parts + 1)
+        vals = j2_at(times_at(idx))
+        certified = np.flatnonzero(vals >= bar)
+        first = certified[-1] + 1 if certified.size else 0  # uncertified from here on
+        if first:
+            lo = idx[first - 1]
+        if first < parts:
+            hi, j2_hi = idx[first], vals[first]
+    if hi == n:
+        return np.inf
+    t_hi = float(times_at(np.array([hi]))[0])
+    return t_hi if j2_hi < threshold else scan_from(t_hi + dt)

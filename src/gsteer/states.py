@@ -69,6 +69,15 @@ def _is_integer(n) -> bool:
     return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
+def _generator(rng) -> np.random.Generator:
+    """The one seed reader: ``np.random.default_rng(rng)`` for an integer seed
+    or a Generator (the same Generator, not a copy), after rejecting a bool,
+    which numpy would read as the seed 0 or 1."""
+    if isinstance(rng, (bool, np.bool_)):
+        raise ValidationError(f"rng must be a seed or a Generator, not a bool: got {rng!r}")
+    return np.random.default_rng(rng)
+
+
 def _integer_counts(modes_a, modes_b) -> tuple[int, int]:
     """``modes_a`` and ``modes_b`` as Python ints; they must pass
     :func:`_is_integer`."""
@@ -400,7 +409,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     """
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
-    cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, np.random.default_rng(rng))
+    cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, _generator(rng))
     return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(len(cov)))
 
 

@@ -45,6 +45,7 @@ from .states import (
     _check_mode_counts,
     _covs_from_uniforms,
     _ensure_bona_fide_stack,
+    _generator,
     _is_integer,
     _random_covs,
     ensure_bona_fide,
@@ -106,7 +107,7 @@ def _count(n_trials: int, rng, settle, rows: int = SAMPLE_BLOCK) -> int:
     ``n_trials`` must be a nonnegative integer, checked before any draw."""
     if not (_is_integer(n_trials) and n_trials >= 0):
         raise ValidationError(f"n_trials must be a nonnegative integer, got {n_trials!r}")
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     done = count = 0
     while done < n_trials:
         verdicts = settle(range(done, min(done + rows, done + SAMPLE_BLOCK, n_trials)), rng)

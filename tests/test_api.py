@@ -127,6 +127,11 @@ def test_one_eigensolver_call_site():
     assert identifier_uses("eigvalsh") == {("linalg", "psd_spectra")}
 
 
+def test_one_seed_reader():
+    # every seed reaches numpy through states._generator, which refuses a bool
+    assert identifier_uses("default_rng") == {("states", "_generator")}
+
+
 def test_one_reader_of_caller_arrays():
     # every caller array is read by require_real; require_hermitian takes
     # the adjoint of a complex matrix

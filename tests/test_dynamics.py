@@ -24,6 +24,7 @@ from gsteer.states import (
     BonaFideError,
     GaussianState,
     make_state,
+    random_state,
     squeezed_vacuum_state,
     validate_state,
 )
@@ -376,13 +377,7 @@ class TestFirstPassage:
 
     def test_threshold_at_or_below_zero_is_never_crossed(self, monkeypatch):
         # clamped j2 >= 0, so no scan: 1e12 grid points here would take days
-        calls, steering_spectra = [], dynamics._steering_spectra
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return steering_spectra(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "_steering_spectra", counted)
+        calls = _counted_stacks(monkeypatch)
         start, bath = squeezed_vacuum_state(1.0), BathParameters(0, 0, 0, 0.1)
         # short grids first, so that a scan fails here rather than hangs below
         assert first_passage_time(start, bath, 0.0, 1.0, 0.1) == np.inf
@@ -451,6 +446,146 @@ class TestFirstPassage:
         points = round(t / dt) + 1 if np.isfinite(t) else round(t_max / dt) + 1
         blocks = -(-points // PASSAGE_BLOCK)
         assert len(count_eigvalsh) <= blocks + 2
+
+
+def _counted_stacks(monkeypatch) -> list[int]:
+    """The number of grid times each call of the steering kernel in
+    ``dynamics`` takes, one entry per call."""
+    rows, steering_spectra = [], dynamics._steering_spectra
+
+    def counted(covs, *args, **kwargs):
+        rows.append(len(covs) if covs.ndim == 3 else 1)
+        return steering_spectra(covs, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_steering_spectra", counted)
+    return rows
+
+
+def _random_relaxation(rng) -> tuple[GaussianState, BathParameters]:
+    """A steerable start, squeezed vacuum or random, and a random thermal
+    (R = 0) or squeezed bath, slow enough that j2 stays positive for a while."""
+    if rng.random() < 0.5:
+        state = squeezed_vacuum_state(float(rng.uniform(0.3, 1.5)))
+    else:
+        state = random_state(1, 1, float(rng.uniform(1.0, 2.0)), rng)
+        while j2(state) < 0.2:
+            state = random_state(1, 1, float(rng.uniform(1.0, 2.0)), rng)
+    if rng.random() < 0.5:
+        bath = BathParameters(float(rng.uniform(0.0, 0.1)), 0.0, 0.0, float(rng.uniform(0.01, 0.1)))
+    else:
+        bath = BathParameters(float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.1, 0.6)),
+                              float(rng.uniform(0.0, 6.3)), float(rng.uniform(0.01, 0.1)))
+    return state, bath
+
+
+class TestCertifiedSearch:
+    # a power of two, whose grid is exact; one whose last bit makes a rounding
+    # tie once the grid's ulp is twice its own (from t = 3 dt); and others
+    DTS = [2.0**-7, 2.0**-7 + 2.0**-59, 0.01, 0.0075]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["at zero", "mid-grid", "never", "below the bound"])
+    def test_matches_scan_on_random_baths(self, seed, kind, monkeypatch):
+        rng = np.random.default_rng([seed, len(kind)])
+        state, bath = _random_relaxation(rng)
+        dt = self.DTS[seed % len(self.DTS)]
+        t_max = float(rng.uniform(1.0, 3.0))
+        if kind == "at zero":
+            threshold = j2(state) + 1.0
+        elif kind == "mid-grid":
+            threshold = j2(evolve(state, bath, t_max / 3))
+        elif kind == "never":
+            threshold = 0.5 * j2(evolve(state, bath, t_max + dt))
+        else:
+            threshold = 1e-300
+        if not threshold > 0.0:  # steering died before t_max: no "never" case here
+            threshold = 1e-300
+        rows = _counted_stacks(monkeypatch)
+        got = first_passage_time(state, bath, threshold, t_max, dt)
+        assert got == first_passage_scan(state, bath, threshold, t_max, dt, 1e-9)
+        if threshold == 1e-300:  # below 2 d tol S: the scan from t = 0, a full block first
+            assert rows[0] == PASSAGE_BLOCK
+            return
+        # the search: the last grid time and nine before it first
+        assert rows[0] == 10
+        assert {"at zero": got == 0.0, "mid-grid": 0.0 < got < t_max,
+                "never": got == np.inf}[kind]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_within_the_error_band_scans_on(self, seed, monkeypatch):
+        # j2(t_k) lies in [threshold, threshold + 2E), so t_k is neither certified
+        # nor a passage: the scan runs on from t_k + dt and finds t_(k+1)
+        rng = np.random.default_rng(seed)
+        state, bath = _random_relaxation(rng)
+        dt = self.DTS[seed]
+        steps = np.full(600, dt)
+        steps[0] = 0.0
+        times = np.add.accumulate(steps)
+        vals = sweep(state, bath, times).j2_values
+        # a time with j2 well above 0 and more than 1e-12 above the next one
+        k = rng.choice(np.flatnonzero((vals[1:] > 1e-3) & (vals[:-1] - vals[1:] > 1e-9)))
+        threshold = vals[k] - 1e-12
+        rows = _counted_stacks(monkeypatch)
+        got = first_passage_time(state, bath, threshold, 10.0, dt)
+        assert got == first_passage_scan(state, bath, threshold, 10.0, dt, 1e-9) == times[k + 1]
+        assert rows[-1] == PASSAGE_BLOCK
+
+    def test_passage_400_times_in_takes_few_eigensolves(self, monkeypatch):
+        # a scan of 128-time blocks sends 512 grid times to the eigensolver here
+        state, bath = squeezed_vacuum_state(1.0), BathParameters(0.0, 2.0, 0.0, 0.1)
+        rows = _counted_stacks(monkeypatch)
+        t = first_passage_time(state, bath, 0.01, 10.0, 1e-3)
+        assert 0.3 < t < 0.5
+        assert sum(rows) <= 64, rows
+        assert t == first_passage_scan(state, bath, 0.01, 10.0, 1e-3, 1e-9)
+
+    @pytest.mark.parametrize("call", [
+        # passes near the thermal death time ln 2 / lam, about 7e11 grid times in
+        (BathParameters(0, 0, 0, 1e-9), 0.01, 1e12, 1e-3),
+        # a grid of 1e12 times with no passage
+        (BathParameters(0, 0, 0, 1e-12), 0.01, 1e9, 1e-3),
+    ])
+    def test_huge_grids_take_logarithmic_work(self, call, monkeypatch):
+        state, (bath, threshold, t_max, dt) = squeezed_vacuum_state(1.0), call
+        rows = _counted_stacks(monkeypatch)
+        t = first_passage_time(state, bath, threshold, t_max, dt)
+        assert sum(rows) < 2000, rows
+        if math.isinf(t):
+            assert j2(evolve(state, bath, t_max)) >= threshold
+        else:
+            assert j2(evolve(state, bath, t)) < threshold <= j2(evolve(state, bath, t - dt)) + 1e-12
+
+
+class TestPassageGrid:
+    # powers of two and their odd multiples, steps whose last bit makes a
+    # rounding tie (1 + 2**-52 ties on every step from t = 2), subnormal ones
+    DTS = [1e-3, 0.1, 1 / 3, 2.0**-10, 3 * 2.0**-20, 0.7e-5, 1.0, 1.0 + 2.0**-52,
+           2.0**-7 + 2.0**-59, 5e-324, 2.0**-1022]
+
+    @pytest.mark.parametrize("dt", DTS)
+    def test_equals_accumulate_term_for_term(self, dt):
+        n = 10**6
+        steps = np.full(n, dt)
+        steps[0] = 0.0
+        want = np.add.accumulate(steps)
+        size, times_at = dynamics._passage_grid(want[-1], dt)
+        assert size == n
+        assert np.array_equal(times_at(np.arange(n)), want)
+        k = np.random.default_rng(0).integers(0, n, 1000)  # in no particular order
+        assert np.array_equal(times_at(k), want[k])
+        # an end between two grid times keeps the times up to it
+        assert dynamics._passage_grid(want[-2] + (want[-1] - want[-2]) / 2, dt)[0] == n - 1
+
+    @pytest.mark.parametrize("t_max, dt", [
+        (2.0**52, 1.0), (1e12, 1e-3), (2.0**52 * 0.1, 0.1), (1.0, 2.0**-52), (1e9, 3 * 2.0**-11),
+    ])
+    def test_each_time_is_one_step_after_the_last_at_random_k(self, t_max, dt):
+        t_end = t_max + dt / 2
+        size, times_at = dynamics._passage_grid(t_end, dt)
+        k = np.append(np.random.default_rng(1).integers(0, size - 1, 10_000), [0, size - 2])
+        assert np.array_equal(times_at(k + 1), times_at(k) + dt)
+        last = times_at(np.array([size - 1]))[0]
+        assert last <= t_end < last + dt
 
 
 class TestThermalDeathTime:

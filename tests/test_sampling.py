@@ -168,3 +168,29 @@ class TestRefusedCalls:
         assert type(rep.n_samples) is int
         assert json.loads(rep.to_json())["n_samples"] == 3
         assert_same_report(rep, sample_verify(self.CHANNEL, 3, 4, "unsteerable-preserving"))
+
+
+class TestSeeds:
+    # each sampler that reads a seed, called with rng as its last argument
+    CALLS = {
+        "random_state": lambda rng: random_state(1, 2, 3.0, rng).cov,
+        "random_unsteerable_channel": lambda rng: random_unsteerable_channel(1, 1, rng).K,
+        "sample_verify": lambda rng: sample_verify(certified_channel((1, 1)), 5, rng,
+                                                   "unsteerable-preserving").worst_margin,
+    }
+
+    @pytest.mark.parametrize("seed", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bool_seed_rejected(self, name, seed):
+        # numpy would seed with 0 or 1, although a bool is no count elsewhere
+        with pytest.raises(ValidationError, match="^rng must be a seed or a Generator, not a bool"):
+            self.CALLS[name](seed)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_integer_seed_and_generator_draw_as_default_rng(self, name):
+        call = self.CALLS[name]
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        assert np.array_equal(call(rng), call(5))
+        call(reference)
+        assert rng.bit_generator.state == reference.bit_generator.state  # the same Generator advanced
+        assert np.array_equal(call(np.int64(5)), call(5))

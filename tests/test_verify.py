@@ -133,6 +133,14 @@ def test_bad_trial_counts_rejected_before_any_draw(engine, n_trials):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("seed", [True, False, np.True_, np.False_])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_bool_seed_rejected(engine, seed):
+    # faithfulness_trials(1, 1, 3, True) once ran on the seed 1
+    with pytest.raises(ValidationError, match="^rng must be a seed or a Generator, not a bool"):
+        getattr(verify, engine)(*ENGINES[engine], 3, seed)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_and_numpy_trial_counts_accepted(engine):
     run, lead = getattr(verify, engine), ENGINES[engine]
