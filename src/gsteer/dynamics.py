@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, ValidationError, _is_real, require_real
+from .linalg import DEFAULT_PSD_TOL, ValidationError, require_real, require_real_numbers
 from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
@@ -42,10 +42,7 @@ class BathParameters:
     lam: float
 
     def __post_init__(self):
-        for name in ("n_th", "R", "phi", "lam"):
-            value = getattr(self, name)
-            if not _is_real(value):  # a bool is no parameter
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
+        require_real_numbers(n_th=self.n_th, R=self.R, phi=self.phi, lam=self.lam)
         if not np.isfinite(self.n_th) or self.n_th < 0:
             raise ValidationError(f"n_th must be >= 0, got {self.n_th}")
         for name in ("R", "phi"):
@@ -123,8 +120,7 @@ def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianSta
     """State at time t >= 0 under the closed-form relaxation (bona fide by
     convexity, see :func:`relaxation_covariances`); t must be a real number,
     not a bool."""
-    if not _is_real(t):
-        raise ValidationError(f"t must be a real number, got {t!r}")
+    require_real_numbers(t=t)
     covs_at = relaxation_covariances(state0, bath)
     if not np.isfinite(t) or t < 0:
         raise ValidationError(f"time must be >= 0, got {t}")
@@ -199,8 +195,8 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
 def _passage_grid(t_end: float, dt: float) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
     """The grid t_0 = 0, t_{k+1} = fl(t_k + dt) up to ``t_end``, without adding
     k terms: its size n and the map from an array of indices to grid times,
-    bit for bit the terms of ``np.add.accumulate`` (dt, t_end > 0; the grid
-    must climb, which ``first_passage_time``'s 2**52 rule ensures).
+    bit for bit the floats of those k additions (dt, t_end > 0; the grid must
+    climb, which ``first_passage_time``'s 2**52 rule ensures).
 
     Inside one binade [2^(e-1), 2^e) the grid's floats are whole multiples of
     one ulp u, so a step rounds t + dt to the u-grid and adds a whole number
@@ -222,7 +218,9 @@ def _passage_grid(t_end: float, dt: float) -> tuple[int, Callable[[np.ndarray], 
         starts.append(k)
         bases.append(t)
         exp = math.frexp(t)[1]
-        top = math.ldexp(1.0, exp)  # t's binade is [top / 2, top)
+        # t's binade is [top / 2, top); the float product, unlike ldexp,
+        # gives top = inf for the last binade, [2^1023, 2^1024)
+        top = 2.0 * math.ldexp(0.5, exp)
         step = (t + dt) - t
         run = 1
         if settled and t + step < top:
@@ -247,57 +245,33 @@ def _passage_grid(t_end: float, dt: float) -> tuple[int, Callable[[np.ndarray], 
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float) -> float:
-    """First time on the grid 0, dt, 2 dt, ... (accumulated, up to t_max)
-    with j2 (at DEFAULT_PSD_TOL) below threshold, or inf if there is none; dt
-    must be finite and positive, t_max finite and nonnegative, threshold not NaN.
-    A grid the scan could not finish is rejected: past t_max / dt = 2**52 a
-    step t + dt can round back to t, and no grid time may overflow to inf.
-    Each of dt, t_max and threshold must be a real number, not a bool, first.
-    Clamped j2 is never negative, so once the arguments and ``state0`` pass
-    their checks a threshold <= 0 gives inf with no eigensolve.
+    """First time on the grid 0, dt, 2 dt, ... with j2 (at DEFAULT_PSD_TOL)
+    below threshold, or inf if there is none.
 
-    The result is the scan's: the first grid time t_k (the k-th term of
-    t <- fl(t + dt) from 0) whose computed, clamped j2 is below threshold.
-    It is found by a certified search, in O(log N) eigensolves for a grid of
-    N times, and then confirmed by the scan's own test.
+    The grid is t_0 = 0, t_{k+1} = fl(t_k + dt) up to t_max + dt / 2, as
+    :func:`_passage_grid` gives it.  Each of dt, t_max and threshold must be
+    a real number, not a bool; dt must be finite and positive, t_max finite
+    and nonnegative, threshold not NaN, t_max / dt at most 2**52 (past it a
+    step can round t + dt back to t) and t_max + PASSAGE_BLOCK dt finite.
+    Once the arguments and ``state0`` pass their checks, a threshold <= 0
+    gives inf with no eigensolve: clamped j2 is never negative.
 
-    Why the search may skip times: raw j2 = ||cov + F||_1 - Tr cov (F the
-    steering offset) is convex in cov, and cov(t) = w cov0 + (1 - w) cov_inf
-    with w = exp(-lam t); at w = 0, the stationary product state, raw j2 is
-    0, its minimum.  So the exact raw j2 g(w) is nondecreasing in w, and
-    nonincreasing in t.  Let E = 1e-12 S with S = Tr cov0 + Tr cov_inf + 2.
-    The computed raw j2 at t_k is within E of g(exp(-lam t_k)): the
-    covariance's entries (at most S in size) and w are each within a few
-    ulps, the Hermitian eigensolver is backward stable (its eigenvalues err
-    by a small multiple of u ||cov + F||_2, and ||cov + F||_2 <= Tr cov + 1
-    <= S), and j2 sums at most four of them; for 4x4 matrices that totals
-    well under 1e-13 S.  Then a computed j2(t_m) >= threshold + 2E gives
-    g >= threshold + E at t_m and, by monotonicity, at every earlier t_k,
-    whose computed raw j2 is therefore >= threshold.  The tolerance rule
-    clamps j2 to 0 only where lambda_min >= -tol max(1, |lambda_max|), that
-    is where raw j2 <= 2 d tol max(1, |lambda_max|) <= 2 d tol S (d = 4;
-    along the path |lambda_max| <= Tr cov + 1 <= max(Tr cov0, Tr cov_inf) + 1,
-    which S exceeds by at least 5, room for rounding); so when threshold
-    exceeds 2 d tol S no earlier time is clamped either, and none of t_0,
-    ..., t_m is a passage.
+    Certificate: with S = Tr cov0 + Tr cov_inf + 2, a computed raw j2 is
+    within E = 1e-12 S of the exact one, which is nonincreasing in t
+    (convexity along cov(t) = w cov0 + (1 - w) cov_inf, minimum 0 at w = 0).
+    The tolerance rule clamps j2 to 0 only where raw j2 <= 2 d tol S (d = 4).
+    So a computed j2 >= bar = max(threshold, 8 tol S) + 2E at t_m certifies
+    that no grid time up to t_m is clamped or below threshold.
 
-    The search: one stack holds the last grid time and nine evenly spaced
-    times before it, so a certified last time gives inf at once.  After it,
-    lo is the last certified index seen (or -1) and hi the first index after
-    it seen uncertified, and each stack of at most ten times splits (lo, hi)
-    evenly, until hi = lo + 1: about 1 + log_11(N / 10) stacks, each one
-    batched eigendecomposition, 4 for N = 10,001 and 15 for N = 10^15.  The
-    grid times come from :func:`_passage_grid`, the scan's own floats.  If
-    hi's j2, computed as the scan computes it, is below threshold, t_hi is
-    the passage; otherwise it lies within 2E above threshold and the scan
-    runs on from t_hi + dt, in blocks of PASSAGE_BLOCK times, one batched
-    eigendecomposition per block, to the first block holding a passage.  A
-    threshold at or below 2 d tol S, where a clamp could hide a passage from
-    the certificate, takes that scan from t = 0.
+    Search: one stack holds the last grid time and nine evenly spaced times
+    before it; after it, lo is the last certified index (or -1) and hi the
+    first uncertified one after it, and each stack of at most ten times
+    splits (lo, hi) until hi = lo + 1, one batched eigendecomposition per
+    stack.  A certified last time gives inf; a j2 at hi below threshold gives
+    t_hi.  Otherwise the band scan tests the indices hi + 1, ..., in blocks of
+    PASSAGE_BLOCK, and returns the first time below threshold, or inf.
     """
-    for name, value in (("dt", dt), ("t_max", t_max), ("threshold", threshold)):
-        if not _is_real(value):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
+    require_real_numbers(dt=dt, t_max=t_max, threshold=threshold)
     if not np.isfinite(dt) or dt <= 0:
         raise ValidationError(f"dt must be finite and positive, got {dt}")
     if not np.isfinite(t_max) or t_max < 0:
@@ -312,29 +286,14 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     covs_at = relaxation_covariances(state0, bath)
     if threshold <= 0:
         return np.inf
-    t_end = t_max + dt / 2
 
     def j2_at(times: np.ndarray) -> np.ndarray:
         return _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
 
-    def scan_from(t: float) -> float:
-        steps = np.full(PASSAGE_BLOCK, dt)
-        while t <= t_end:
-            steps[0] = t
-            times = np.add.accumulate(steps)
-            times = times[times <= t_end]
-            below = np.flatnonzero(j2_at(times) < threshold)
-            if below.size:
-                return float(times[below[0]])
-            t = times[-1] + dt
-        return np.inf
-
     # S = Tr cov0 + Tr cov_inf + 2, with Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
     scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
-    if not threshold > 8.0 * DEFAULT_PSD_TOL * scale:
-        return scan_from(0.0)
-    bar = threshold + 2e-12 * scale
-    n, times_at = _passage_grid(t_end, dt)
+    bar = max(threshold, 8.0 * DEFAULT_PSD_TOL * scale) + 2e-12 * scale
+    n, times_at = _passage_grid(t_max + dt / 2, dt)
     lo, hi, j2_hi = -1, n, np.inf  # lo certified (or -1), hi not (or n: none seen yet)
     while hi - lo > 1:
         if hi == n:
@@ -350,7 +309,11 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
             lo = idx[first - 1]
         if first < parts:
             hi, j2_hi = idx[first], vals[first]
-    if hi == n:
-        return np.inf
-    t_hi = float(times_at(np.array([hi]))[0])
-    return t_hi if j2_hi < threshold else scan_from(t_hi + dt)
+    if j2_hi < threshold:
+        return float(times_at(np.array([hi]))[0])
+    for start in range(hi + 1, n, PASSAGE_BLOCK):
+        times = times_at(np.arange(start, min(start + PASSAGE_BLOCK, n)))
+        below = np.flatnonzero(j2_at(times) < threshold)
+        if below.size:
+            return float(times[below[0]])
+    return np.inf

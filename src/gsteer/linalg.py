@@ -11,6 +11,7 @@ between threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -57,14 +58,32 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 def require_real(value, name: str) -> np.ndarray:
     """The one reader of a caller's array: ``value`` as a fresh float array;
-    complex (before numpy drops the imaginary parts) and non-numeric rejected."""
+    complex (before numpy drops the imaginary parts), non-numeric and
+    boolean rejected.  numpy reads True as 1: a bool, a bool array and True
+    or False among the numbers of a nested list are all refused."""
     try:
         arr = np.asarray(value)
-        if not np.iscomplexobj(arr):
-            return np.array(arr, dtype=float)
+        real = None if np.iscomplexobj(arr) else np.array(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a numeric array: {exc}") from None
-    raise ValidationError(f"{name} must be real")
+    if real is None:
+        raise ValidationError(f"{name} must be real")
+    if _holds_bool(value, arr):
+        raise ValidationError(f"{name} must hold numbers, not booleans")
+    return real
+
+
+def _holds_bool(value, arr: np.ndarray) -> bool:
+    """Whether ``value``, read by numpy as ``arr``, holds a bool: a bool
+    dtype, or True or False among the entries of an array-like nested
+    ``arr.ndim`` deep (numpy casts them to a number with the rest)."""
+    if arr.dtype == bool:
+        return True
+    if arr.ndim == 0 or (isinstance(value, np.ndarray) and value.dtype != object):
+        return False  # a scalar that is no bool, or an array of one numeric dtype
+    for _ in range(arr.ndim - 1):
+        value = itertools.chain.from_iterable(value)
+    return not {bool, np.bool_}.isdisjoint(map(type, value))
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -102,6 +121,14 @@ def _is_real(x) -> bool:
     Python counts as int (numpy's bool is no ``numbers.Real``); floats,
     numpy's among them, are settled by the first, cheap test."""
     return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+
+
+def require_real_numbers(**values) -> None:
+    """The real-scalar rule on named arguments, in their order: each must
+    pass :func:`_is_real`, or "<name> must be a real number" is raised."""
+    for name, value in values.items():
+        if not _is_real(value):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def require_tol(tol: float) -> None:

@@ -41,7 +41,6 @@ keeping only its partition rule.  Every caller array is read by ``require_real``
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import numbers
@@ -58,6 +57,7 @@ from .linalg import (
     require_finite,
     require_hermitian,
     require_real,
+    require_real_numbers,
     steering_form,
     symplectic_exp,
 )
@@ -143,21 +143,10 @@ class _Record:
                                    for v in _field_values(self))))
 
 
-def _holds_bool(value, rank: int) -> bool:
-    """Whether an array-like nested ``rank`` deep holds a bool, which numpy
-    would read as 0 or 1: a bool array, or True or False among the numbers
-    of a list (which numpy casts to float with them)."""
-    if isinstance(value, np.ndarray) and value.dtype != object:
-        return value.dtype == bool
-    for _ in range(rank - 1):
-        value = itertools.chain.from_iterable(value)
-    return not {bool, np.bool_}.isdisjoint(map(type, value))
-
-
 class _ModeRecord(_Record):
     """Mode counts plus real, finite float arrays of shape (dim,) * rank (the
     ``_symmetrized`` one stored symmetrized), and their ``_kind`` of JSON
-    document; an array that holds a bool is rejected, after its shape test."""
+    document."""
 
     _kind: str
     _arrays: dict[str, int]  # array field -> rank, in field order
@@ -169,12 +158,9 @@ class _ModeRecord(_Record):
         dim = 2 * (modes_a + modes_b)
         arrays = []
         for name, rank in self._arrays.items():
-            value = getattr(self, name)
-            arr = require_real(value, name)
+            arr = require_real(getattr(self, name), name)
             if arr.shape != (dim,) * rank:
                 raise ValidationError(f"{name} must have shape {(dim,) * rank}, got {arr.shape}")
-            if _holds_bool(value, rank):
-                raise ValidationError(f"{name} must hold numbers, not booleans")
             arrays.append(require_hermitian(arr, name) if name == self._symmetrized
                           else require_finite(arr, name))
         self._settle(modes_a, modes_b, *arrays)
@@ -280,9 +266,7 @@ def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState
     """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]],
     judged by :func:`make_state`'s checks and bona fide rule; a bool or
     non-real parameter is rejected first."""
-    for name, value in zip("abcd", (a, b, c, d)):
-        if not _is_real(value):
-            raise ValidationError(f"{name} must be a real number, got {value!r}")
+    require_real_numbers(a=a, b=b, c=c, d=d)
     return make_state(1, 1, [
         [a, 0.0, c, 0.0],
         [0.0, a, 0.0, d],
@@ -420,8 +404,7 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> Gaussian
     a GaussianState need not be.  Means mix with the same weights; p1 must
     be a real number, not a bool.
     """
-    if not _is_real(p1):
-        raise ValidationError(f"p1 must be a real number, got {p1!r}")
+    require_real_numbers(p1=p1)
     if (s1.modes_a, s1.modes_b) != (s2.modes_a, s2.modes_b):
         raise ValidationError(
             f"partition mismatch: ({s1.modes_a},{s1.modes_b}) vs ({s2.modes_a},{s2.modes_b})")

@@ -30,6 +30,7 @@ from .linalg import (
     ValidationError,
     _is_real,
     psd_spectra,
+    require_real_numbers,
     steering_form,
 )
 from .states import (
@@ -182,9 +183,11 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
         j2 = max(0, 1 + sqrt((a - b + 1)^2 + 4c^2) - (a + b))
 
     and both vanish iff a(b - 1) - c^2 >= 0.  The parameters get every check
-    of :func:`~gsteer.states.standard_form_state`, bona fide test included;
-    parameters whose root overflows are rejected.
+    of :func:`~gsteer.states.standard_form_state`, bona fide test included,
+    its real-number rule before the c = |d| test; parameters whose root
+    overflows are rejected.
     """
+    require_real_numbers(a=a, b=b, c=c, d=d)
     if abs(c - abs(d)) > 1e-12 * max(1.0, abs(c), abs(d)):
         raise ValidationError(f"requires c = |d|, got c = {c}, d = {d}")
     standard_form_state(a, b, c, d)

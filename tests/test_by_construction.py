@@ -339,6 +339,25 @@ class TestOneReader:
         with pytest.raises(ValidationError, match=f"^{name} must be a numeric array: "):
             build(bad)
 
+    @pytest.mark.parametrize("target", READERS)
+    @pytest.mark.parametrize("form", ["bool array", "True in a list", "np.True_ in a list",
+                                      "bool scalar"])
+    def test_booleans_rejected(self, target, form):
+        # numpy reads True as 1.0, and casts a list mixing it with numbers to
+        # float: each of these read as a value the reader accepts
+        build, name, value = READERS[target]
+        arr = np.asarray(value, dtype=float)
+        if form == "bool array":
+            bad = arr != 0
+        elif form == "bool scalar":
+            bad = True
+        else:
+            bad = arr.tolist()
+            row = bad[-1] if arr.ndim == 2 else bad
+            row[-1] = True if form == "True in a list" else np.True_
+        with pytest.raises(ValidationError, match=f"^{name} must hold numbers, not booleans$"):
+            build(bad)
+
 
 class TestShapeMessages:
     # one form for every array of both records: "<name> must have shape ..."

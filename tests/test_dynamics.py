@@ -412,6 +412,12 @@ class TestFirstPassage:
                                   np.float64(1e-3)) == want
         assert first_passage_time(state, bath, 0.01, np.int64(10), 1e-3) == want
 
+    def test_grid_into_the_last_binade(self):
+        # grid times at or above 2^1023 raised a bare OverflowError building the grid
+        t = first_passage_time(squeezed_vacuum_state(1.0), BathParameters(0, 0, 0, 0.1),
+                               0.01, 1e308, 1e300)
+        assert t == 1e300  # j2 = 0 once exp(-lam t) underflows
+
     def test_nan_threshold_rejected(self):
         # every comparison with NaN is false, so the scan would return inf
         with pytest.raises(ValidationError, match="threshold"):
@@ -503,13 +509,29 @@ class TestCertifiedSearch:
         rows = _counted_stacks(monkeypatch)
         got = first_passage_time(state, bath, threshold, t_max, dt)
         assert got == first_passage_scan(state, bath, threshold, t_max, dt, 1e-9)
-        if threshold == 1e-300:  # below 2 d tol S: the scan from t = 0, a full block first
-            assert rows[0] == PASSAGE_BLOCK
-            return
         # the search: the last grid time and nine before it first
         assert rows[0] == 10
+        if threshold == 1e-300:  # below the bar 8 tol S: the band scan settles it
+            return
         assert {"at zero": got == 0.0, "mid-grid": 0.0 < got < t_max,
                 "never": got == np.inf}[kind]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scan_on_thresholds_in_the_clamp_band(self, seed, monkeypatch):
+        # thresholds from 1e-12 to 1e-6 lie below 8 tol S, where the tolerance
+        # rule may clamp j2 to 0: the search certifies down to the bar
+        # 8 tol S + 2E and the band scan runs on from there.  A thermal bath
+        # with lam = 1 kills steering well before t_max
+        rng = np.random.default_rng([seed, 33])
+        state, bath = _random_relaxation(rng)
+        bath = BathParameters(bath.n_th + float(rng.uniform(0.1, 0.5)), bath.R, bath.phi, 1.0)
+        dt = self.DTS[seed % len(self.DTS)]
+        threshold = 10.0 ** rng.uniform(-12.0, -6.0)
+        rows = _counted_stacks(monkeypatch)
+        got = first_passage_time(state, bath, threshold, 20.0, dt)
+        assert got == first_passage_scan(state, bath, threshold, 20.0, dt, 1e-9)
+        assert 0.0 < got < 20.0
+        assert rows[0] == 10
 
     @pytest.mark.parametrize("seed", range(4))
     def test_threshold_within_the_error_band_scans_on(self, seed, monkeypatch):
@@ -553,7 +575,18 @@ class TestCertifiedSearch:
         if math.isinf(t):
             assert j2(evolve(state, bath, t_max)) >= threshold
         else:
-            assert j2(evolve(state, bath, t)) < threshold <= j2(evolve(state, bath, t - dt)) + 1e-12
+            assert j2(evolve(state, bath, t)) < threshold <= j2(evolve(state, bath, t - dt)) ++ 1e-12
+
+    def test_threshold_below_the_bar_on_a_huge_grid(self, monkeypatch):
+        # 1e-8 lies below the bar 8 tol S, about 1.7e-7 here: the search
+        # certifies the 7e11 grid times down to the bar, and the band scan
+        # tests the grid times from there to the passage, not from t = 0
+        s, bath, dt = squeezed_vacuum_state(1.0), BathParameters(0, 0, 0, 1e-9), 1e-3
+        rows = _counted_stacks(monkeypatch)
+        t = first_passage_time(s, bath, 1e-8, 1e12, dt)
+        assert math.isfinite(t)
+        assert j2(evolve(s, bath, t)) < 1e-8 <= j2(evolve(s, bath, t - dt)) + 1e-12
+        assert sum(rows) < 10**6, len(rows)
 
 
 class TestPassageGrid:
@@ -578,6 +611,7 @@ class TestPassageGrid:
 
     @pytest.mark.parametrize("t_max, dt", [
         (2.0**52, 1.0), (1e12, 1e-3), (2.0**52 * 0.1, 0.1), (1.0, 2.0**-52), (1e9, 3 * 2.0**-11),
+        (1e308, 1e300),  # into the last binade, [2^1023, 2^1024)
     ])
     def test_each_time_is_one_step_after_the_last_at_random_k(self, t_max, dt):
         t_end = t_max + dt / 2

@@ -432,8 +432,9 @@ class TestJson:
         with pytest.raises(ValidationError, match="^cov must hold numbers, not booleans$"):
             GaussianState(1, 1, np.eye(4) != 0, np.zeros(4))
 
-    def test_shape_is_tested_before_booleans(self):
-        with pytest.raises(ValidationError, match="^mean must have shape"):
+    def test_booleans_are_tested_before_the_shape(self):
+        # require_real, the one reader, refuses them as it reads the array
+        with pytest.raises(ValidationError, match="^mean must hold numbers, not booleans$"):
             GaussianState(1, 1, np.eye(4), [[True]] * 4)
 
     def test_integer_entries_accepted(self):

@@ -428,6 +428,14 @@ class TestClosedFormStandard:
         with pytest.raises(ValidationError, match=r"c = \|d\|"):
             j_closed_standard(2.0, 2.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("params, name", [
+        ((2, 2, "x", 1), "c"), ((2, 2, 1, None), "d"), ((2, 2, 1j, 1), "c"), ((True, 2, 1, 1), "a"),
+    ])
+    def test_real_number_rule_comes_before_c_equal_abs_d(self, params, name):
+        # "x" and None raised a bare TypeError, and 1j "requires c = |d|"
+        with pytest.raises(ValidationError, match=f"^{name} must be a real number, got "):
+            j_closed_standard(*params)
+
     def test_rejects_what_standard_form_state_rejects(self):
         # within the constraints' slack 1e-9 (ab)^2, but cov + i*Omega has
         # min eigenvalue -5.0e-4; the closed form returned (2.5e-4, 1.00025)
