@@ -32,17 +32,15 @@ from .linalg import (
     ValidationError,
     psd_spectra,
     relative_margin,
+    require_count,
     require_finite,
+    require_number,
     require_real,
-    require_tol,
     steering_form,
 )
 from .states import (
     GaussianState,
-    _check_max_sympl_eigen,
     _generator,
-    _integer_counts,
-    _is_integer,
     _ModeRecord,
     _random_covs,
 )
@@ -77,8 +75,8 @@ class GaussianChannel(_ModeRecord):
 
     @staticmethod
     def _partition(modes_a, modes_b) -> tuple[int, int]:  # each side >= 0, one mode at least
-        modes_a, modes_b = _integer_counts(modes_a, modes_b)
-        if modes_a < 0 or modes_b < 0 or modes_a + modes_b < 1:
+        modes_a, modes_b = require_count(modes_a, "modes_a"), require_count(modes_b, "modes_b")
+        if modes_a + modes_b < 1:
             raise ValidationError(f"invalid mode partition ({modes_a}, {modes_b})")
         return modes_a, modes_b
 
@@ -328,15 +326,11 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
     """
     if predicate not in PREDICATES:
         raise ValidationError(f"unknown predicate {predicate!r}, choose from {PREDICATES}")
-    if not _is_integer(n_samples):
-        raise ValidationError(f"n_samples must be an integer, got {n_samples!r}")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = require_count(n_samples, "n_samples", 1)
     if ch.modes_a < 1 or ch.modes_b < 1:
         raise ValidationError("sampling requires a bipartite channel partition")
-    max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
-    require_tol(tol)
+    max_sympl_eigen = require_number(max_sympl_eigen, "max_sympl_eigen", 1.0)
+    tol = require_number(tol, "tol", 0.0)
     rng = _generator(rng)
     modes = (ch.modes_a, ch.modes_b)
     steering = steering_form(*modes)

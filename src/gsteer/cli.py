@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -33,7 +32,7 @@ from .channels import (
     sample_verify,
 )
 from .dynamics import BathParameters, sweep
-from .linalg import DEFAULT_PSD_TOL, ValidationError
+from .linalg import DEFAULT_PSD_TOL, ValidationError, require_count, require_number
 from .states import (
     BonaFideError,
     squeezed_vacuum_state,
@@ -51,9 +50,9 @@ EXIT_SAMPLING = 4
 
 
 def _resolve_tol(flag: str | None) -> float:
-    """The tolerance from ``--tol``, else GSTEER_TOL, else the default; one
-    parse rule for both, rejecting unparsable, NaN, infinite or negative
-    values."""
+    """The tolerance from ``--tol``, else GSTEER_TOL, else the default; both
+    texts are parsed by ``float`` and judged by the real-number rule, in
+    [0, inf), so -0 reads as 0."""
     source, text = "--tol", flag
     if text is None:
         source, text = "GSTEER_TOL", os.environ.get("GSTEER_TOL")
@@ -62,11 +61,8 @@ def _resolve_tol(flag: str | None) -> float:
     try:
         tol = float(text)
     except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValidationError(
-            f"{source} must be a finite nonnegative number, got {text!r}")
-    return tol
+        tol = text  # no number: the rule rejects the text itself
+    return require_number(tol, source, 0.0)
 
 
 def _read_file(path: str) -> str:
@@ -138,10 +134,8 @@ def cmd_channel(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if not math.isfinite(args.dt) or args.dt <= 0:
-        raise ValidationError(f"--dt must be finite and positive, got {args.dt}")
-    if not math.isfinite(args.tmax) or args.tmax < 0:
-        raise ValidationError(f"--tmax must be finite and nonnegative, got {args.tmax}")
+    args.dt = require_number(args.dt, "--dt", 0.0, ends="()")
+    args.tmax = require_number(args.tmax, "--tmax", 0.0)
     bath = BathParameters(args.nth, args.R, args.phi, args.lam)
     start = squeezed_vacuum_state(args.r)
     try:
@@ -253,8 +247,8 @@ def main(argv=None) -> int:
     try:
         if "tol" in vars(args):
             args.tol = _resolve_tol(args.tol)
-        if vars(args).get("seed", 0) < 0:
-            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        if "seed" in vars(args):
+            args.seed = require_count(args.seed, "--seed")
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON at line {exc.lineno} column {exc.colno}: "

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import DEFAULT_PSD_TOL, ValidationError, require_real, require_real_numbers
+from .linalg import DEFAULT_PSD_TOL, ValidationError, require_number, require_real
 from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
@@ -33,8 +33,10 @@ PASSAGE_BLOCK = 128  # first_passage_time's grid times per eigendecomposition
 @dataclass(frozen=True)
 class BathParameters:
     """Markovian bath: thermal photon number, squeezing (magnitude, phase),
-    and overall damping rate (inverse time units).  Parameters whose
-    stationary covariance overflows (a large R or n_th) are rejected."""
+    and overall damping rate (inverse time units), stored as the floats of
+    the real-number rule: n_th in [0, inf), R and phi finite, lam in
+    (0, inf).  Parameters whose stationary covariance overflows (a large R
+    or n_th) are rejected."""
 
     n_th: float
     R: float
@@ -42,14 +44,11 @@ class BathParameters:
     lam: float
 
     def __post_init__(self):
-        require_real_numbers(n_th=self.n_th, R=self.R, phi=self.phi, lam=self.lam)
-        if not np.isfinite(self.n_th) or self.n_th < 0:
-            raise ValidationError(f"n_th must be >= 0, got {self.n_th}")
-        for name in ("R", "phi"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise ValidationError(f"lam must be positive, got {self.lam}")
+        vars(self).update(  # frozen: the fields are stored past __setattr__
+            n_th=require_number(self.n_th, "n_th", 0.0),
+            R=require_number(self.R, "R", -math.inf, ends="()"),
+            phi=require_number(self.phi, "phi", -math.inf, ends="()"),
+            lam=require_number(self.lam, "lam", 0.0, ends="()"))
         with np.errstate(over="ignore", invalid="ignore"):
             finite = np.isfinite(gamma_infinity(self)).all()
         if not finite:
@@ -118,12 +117,10 @@ def relaxation_covariances(state0: GaussianState,
 
 def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianState:
     """State at time t >= 0 under the closed-form relaxation (bona fide by
-    convexity, see :func:`relaxation_covariances`); t must be a real number,
-    not a bool."""
-    require_real_numbers(t=t)
+    convexity, see :func:`relaxation_covariances`); t is a real number in
+    [0, inf)."""
+    t = require_number(t, "t", 0.0)
     covs_at = relaxation_covariances(state0, bath)
-    if not np.isfinite(t) or t < 0:
-        raise ValidationError(f"time must be >= 0, got {t}")
     return GaussianState._by_construction(1, 1, covs_at(t),
                                           np.exp(-bath.lam * t / 2.0) * state0.mean)
 
@@ -250,9 +247,9 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
 
     The grid is t_0 = 0, t_{k+1} = fl(t_k + dt) up to t_max + dt / 2, as
     :func:`_passage_grid` gives it.  Each of dt, t_max and threshold must be
-    a real number, not a bool; dt must be finite and positive, t_max finite
-    and nonnegative, threshold not NaN, t_max / dt at most 2**52 (past it a
-    step can round t + dt back to t) and t_max + PASSAGE_BLOCK dt finite.
+    a real number: dt in (0, inf), t_max in [0, inf), threshold in
+    [-inf, inf] (not NaN); t_max / dt must be at most 2**52 (past it a step
+    can round t + dt back to t) and t_max + PASSAGE_BLOCK dt finite.
     Once the arguments and ``state0`` pass their checks, a threshold <= 0
     gives inf with no eigensolve: clamped j2 is never negative.
 
@@ -271,18 +268,13 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     t_hi.  Otherwise the band scan tests the indices hi + 1, ..., in blocks of
     PASSAGE_BLOCK, and returns the first time below threshold, or inf.
     """
-    require_real_numbers(dt=dt, t_max=t_max, threshold=threshold)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValidationError(f"dt must be finite and positive, got {dt}")
-    if not np.isfinite(t_max) or t_max < 0:
-        raise ValidationError(f"t_max must be finite and nonnegative, got {t_max}")
-    t_max, dt = float(t_max), float(dt)
+    dt = require_number(dt, "dt", 0.0, ends="()")
+    t_max = require_number(t_max, "t_max", 0.0)
+    threshold = require_number(threshold, "threshold", -math.inf, ends="[]")
     if t_max > dt * 2**52 or math.isinf(t_max + PASSAGE_BLOCK * dt):
         raise ValidationError(
             f"t_max = {t_max} and dt = {dt} give a grid the scan cannot finish: t_max / dt "
             f"must be at most 2**52 and t_max + {PASSAGE_BLOCK} dt finite")
-    if np.isnan(threshold):
-        raise ValidationError("threshold must not be NaN")
     covs_at = relaxation_covariances(state0, bath)
     if threshold <= 0:
         return np.inf

@@ -1,6 +1,11 @@
 """Symplectic forms, validation, the PSD tolerance rule and kernel, and the
 kernels that turn random draws into orthogonal and symplectic matrices.
 
+Validation reads every caller argument once: an array by ``require_real``,
+a real scalar by ``require_number`` (a Python float in its interval) and a
+count by ``require_count`` (a Python int), so the code past them sees only
+floats, ints and float arrays.
+
 All quantities are dimensionless (hbar = 1, so the vacuum covariance matrix is
 the identity) and quadratures are ordered (Q1, P1, Q2, P2, ...).  Matrices are
 plain numpy arrays.  Every function here is pure (callers draw the random
@@ -27,12 +32,11 @@ class ValidationError(ValueError):
     """An input fails a structural precondition (shape, symmetry, finiteness)."""
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: True is no cached 1
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Direct sum of ``n_modes`` copies of [[0, 1], [-1, 0]], built once per
     mode count and shared read-only."""
-    if n_modes < 0:
-        raise ValidationError(f"n_modes must be nonnegative, got {n_modes}")
+    n_modes = require_count(n_modes, "n_modes")
     omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     omega.setflags(write=False)
     return omega
@@ -116,40 +120,56 @@ def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
         return require_finite((arr + adj) / 2.0, name)
 
 
-def _is_real(x) -> bool:
-    """The one real-scalar rule: a ``numbers.Real`` that is not a bool, which
-    Python counts as int (numpy's bool is no ``numbers.Real``); floats,
-    numpy's among them, are settled by the first, cheap test."""
-    return isinstance(x, float) or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+def require_number(value, name: str, low: float, high: float = math.inf,
+                   ends: str = "[)") -> float:
+    """The one real-scalar rule: ``value`` as a Python float in the interval
+    from ``low`` to ``high`` whose ``ends`` are "[)", "()" or "[]".
 
-
-def require_real_numbers(**values) -> None:
-    """The real-scalar rule on named arguments, in their order: each must
-    pass :func:`_is_real`, or "<name> must be a real number" is raised."""
-    for name, value in values.items():
-        if not _is_real(value):
+    ``value`` must be a ``numbers.Real`` that is not a bool (Python counts
+    True as 1; numpy's bool is no ``numbers.Real``), else "<name> must be a
+    real number, got <value>" is raised.  It is converted once, an int or
+    Fraction too large for a float reading as +-inf; NaN fails every
+    interval, with "<name> must be in <interval>, got <value>".  -0.0 is
+    returned as 0.0.
+    """
+    if type(value) is not float:  # a Python float is the hot case: no conversion
+        if not (isinstance(value, float)
+                or isinstance(value, numbers.Real) and not isinstance(value, bool)):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if (low <= value < high if ends == "[)" else low < value < high if ends == "()"
+            else low <= value <= high):
+        return value + 0.0  # -0.0 + 0.0 is 0.0
+    raise ValidationError(f"{name} must be in {ends[0]}{low:g}, {high:g}{ends[1]}, got {value}")
 
 
-def require_tol(tol: float) -> None:
-    """Reject a ``tol`` that is not a finite, nonnegative real number: a bool
-    (``True`` would read as tol = 1), a string, ``None`` or a complex, and an
-    infinite tol, which would pass every matrix."""
-    if not _is_real(tol):
-        raise ValidationError(f"tol must be a real number, got {tol!r}")
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol}")
+def require_count(value, name: str, low: int = 0) -> int:
+    """The one count rule: ``value`` as a Python int >= ``low``.  It must be a
+    ``numbers.Integral`` that is not a bool, else "<name> must be an integer,
+    got <value>" is raised; a smaller count raises "<name> must be in
+    [<low>, inf), got <value>"."""
+    if type(value) is not int:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < low:
+        raise ValidationError(f"{name} must be in [{low}, inf), got {value}")
+    return value
 
 
 def psd_spectra(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The one PSD kernel: ascending spectra of a ``(d, d)`` matrix or a
     ``(..., d, d)`` stack that is Hermitian by construction (not re-checked),
     and the verdict of the one tolerance rule on each: PSD iff
-    lambda_min >= -tol * max(1, |lambda_max|); ``tol`` must pass
-    :func:`require_tol`.  One ``eigvalsh`` serves the whole stack, and a
-    stack's row i equals the ``(d, d)`` call on ``h[i]`` bit for bit."""
+    lambda_min >= -tol * max(1, |lambda_max|), ``tol`` a real number in
+    [0, inf) by :func:`require_number`.  One ``eigvalsh`` serves the whole
+    stack, and a stack's row i equals the ``(d, d)`` call on ``h[i]`` bit for
+    bit."""
     ev = np.linalg.eigvalsh(h)
-    require_tol(tol)
+    tol = require_number(tol, "tol", 0.0)
     # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
     lo, hi = ev[..., 0][()], ev[..., -1][()]
     return ev, (lo >= -tol) | (lo >= -tol * abs(hi))
@@ -175,7 +195,9 @@ class PsdReport:
     def of_hermitian(cls, h: np.ndarray, tol: float) -> PsdReport:
         """The :func:`psd_spectra` report of one ``(d, d)`` matrix that is
         Hermitian by construction, such as a certificate built from validated
-        data; ``h`` is not re-checked."""
+        data; ``h`` is not re-checked.  The report keeps the float the rule
+        reads ``tol`` as."""
+        tol = require_number(tol, "tol", 0.0)
         ev, ok = psd_spectra(h, tol)
         return cls(bool(ok), float(ev[0]), float(ev[-1]), tol)
 

@@ -35,7 +35,9 @@ faithful.
 ``GaussianState``, ``channels.GaussianChannel`` and ``dynamics.Trajectory``
 share one record layer, :class:`_Record`; the first two add the mode counts,
 the one structural check and the JSON document of :class:`_ModeRecord`, each
-keeping only its partition rule.  Every caller array is read by ``require_real``.
+keeping only its partition rule.  Every caller array is read by
+``require_real``, every real scalar by ``require_number`` (a Python float)
+and every mode count by ``require_count`` (a Python int), all of ``linalg``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,21 +53,15 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    _is_real,
     psd_spectra,
+    require_count,
     require_finite,
     require_hermitian,
+    require_number,
     require_real,
-    require_real_numbers,
     steering_form,
     symplectic_exp,
 )
-
-
-def _is_integer(n) -> bool:
-    """The one integer rule: an Integral that is not a bool, which Python
-    counts as int."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _generator(rng) -> np.random.Generator:
@@ -78,22 +73,9 @@ def _generator(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _integer_counts(modes_a, modes_b) -> tuple[int, int]:
-    """``modes_a`` and ``modes_b`` as Python ints; they must pass
-    :func:`_is_integer`."""
-    if type(modes_a) is int and type(modes_b) is int:
-        return modes_a, modes_b
-    if not (_is_integer(modes_a) and _is_integer(modes_b)):
-        raise ValidationError(
-            f"modes_a and modes_b must be integers, got {modes_a!r} and {modes_b!r}")
-    return int(modes_a), int(modes_b)
-
-
 def _check_mode_counts(modes_a, modes_b) -> tuple[int, int]:
-    modes_a, modes_b = _integer_counts(modes_a, modes_b)
-    if modes_a < 1 or modes_b < 1:
-        raise ValidationError(f"mode counts must be positive, got ({modes_a}, {modes_b})")
-    return modes_a, modes_b
+    """A state's partition: each side one mode at least."""
+    return require_count(modes_a, "modes_a", 1), require_count(modes_b, "modes_b", 1)
 
 
 class BonaFideError(ValidationError):
@@ -264,9 +246,10 @@ def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:
 
 def standard_form_state(a: float, b: float, c: float, d: float) -> GaussianState:
     """(1+1)-mode state with covariance [[a,0,c,0],[0,a,0,d],[c,0,b,0],[0,d,0,b]],
-    judged by :func:`make_state`'s checks and bona fide rule; a bool or
-    non-real parameter is rejected first."""
-    require_real_numbers(a=a, b=b, c=c, d=d)
+    each parameter a finite real number, judged by :func:`make_state`'s bona
+    fide rule."""
+    a, b, c, d = (require_number(v, name, -math.inf, ends="()")
+                  for v, name in zip((a, b, c, d), "abcd"))
     return make_state(1, 1, [
         [a, 0.0, c, 0.0],
         [0.0, a, 0.0, d],
@@ -286,9 +269,8 @@ def _schmidt_factors(modes_a, modes_b, gammas) -> tuple[int, int, np.ndarray]:
         raise ValidationError(
             f"expected {k} mixing factors for a ({modes_a}+{modes_b})-mode state, "
             f"got {gammas.shape}")
-    for idx, g in enumerate(gammas):
-        if not np.isfinite(g) or g < 1.0:
-            raise ValidationError(f"mixing factor gamma[{idx}] = {g} must be >= 1")
+    for idx, g in enumerate(gammas.tolist()):
+        require_number(g, f"gamma[{idx}]", 1.0)
     with np.errstate(over="ignore"):
         squares = gammas**2
     if not np.isfinite(squares).all():
@@ -317,8 +299,7 @@ def squeezed_vacuum_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0: the Schmidt
     pure state (so bona fide) that ``steering.pure_family_state`` fills too,
     here with g, s = cosh(2r), sinh(2r)."""
-    if not (_is_real(r) and 0.0 <= r < math.inf):  # a bool is rejected; NaN fails the comparison
-        raise ValidationError(f"squeezing parameter must be >= 0, got {r}")
+    r = require_number(r, "r", 0.0)
     with np.errstate(over="ignore"):
         return _pure_pair_state(np.cosh(2.0 * r), np.sinh(2.0 * r))
 
@@ -344,14 +325,6 @@ def williamson_inverse(sympl_eigenvalues, sympl: np.ndarray) -> np.ndarray:
     nu = np.repeat(np.asarray(sympl_eigenvalues, dtype=float), 2, axis=-1)
     cov = (sympl * nu[..., None, :]) @ sympl.swapaxes(-1, -2)
     return (cov + cov.swapaxes(-1, -2)) / 2.0
-
-
-def _check_max_sympl_eigen(max_sympl_eigen: float) -> float:
-    """``max_sympl_eigen`` as a float; it must be a real number (not a bool),
-    finite and >= 1."""
-    if not (_is_real(max_sympl_eigen) and 1.0 <= max_sympl_eigen < math.inf):
-        raise ValidationError(f"max_sympl_eigen must be >= 1, got {max_sympl_eigen}")
-    return float(max_sympl_eigen)
 
 
 def _random_covs(shape: tuple[int, ...], modes_a: int, modes_b: int,
@@ -392,7 +365,7 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     fixed integer seed; pass independent generators for parallel sampling.
     """
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
-    max_sympl_eigen = _check_max_sympl_eigen(max_sympl_eigen)
+    max_sympl_eigen = require_number(max_sympl_eigen, "max_sympl_eigen", 1.0)
     cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, _generator(rng))
     return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(len(cov)))
 
@@ -401,15 +374,13 @@ def mix_covariances(s1: GaussianState, s2: GaussianState, p1: float) -> Gaussian
     """State with the convex combination p1*cov1 + (1-p1)*cov2 of covariances.
 
     Bona fide when both inputs are (the PSD cone is convex); tested, because
-    a GaussianState need not be.  Means mix with the same weights; p1 must
-    be a real number, not a bool.
+    a GaussianState need not be.  Means mix with the same weights; p1 is a
+    real number in [0, 1].
     """
-    require_real_numbers(p1=p1)
+    p1 = require_number(p1, "p1", 0.0, 1.0, "[]")
     if (s1.modes_a, s1.modes_b) != (s2.modes_a, s2.modes_b):
         raise ValidationError(
             f"partition mismatch: ({s1.modes_a},{s1.modes_b}) vs ({s2.modes_a},{s2.modes_b})")
-    if not 0.0 <= p1 <= 1.0:
-        raise ValidationError(f"p1 must lie in [0, 1], got {p1}")
     cov = p1 * s1.cov + (1.0 - p1) * s2.cov
     mean = p1 * s1.mean + (1.0 - p1) * s2.mean
     return ensure_bona_fide(GaussianState(s1.modes_a, s1.modes_b, cov, mean))

@@ -28,14 +28,13 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    _is_real,
     psd_spectra,
-    require_real_numbers,
+    require_count,
+    require_number,
     steering_form,
 )
 from .states import (
     GaussianState,
-    _is_integer,
     _pure_pair_state,
     _schmidt_factors,
     standard_form_state,
@@ -148,7 +147,9 @@ class SteeringReport:
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
     """Full steering diagnosis from a single eigendecomposition; a
-    covariance with Tr(cov) <= 0 is rejected."""
+    covariance with Tr(cov) <= 0 is rejected.  ``tol_used`` is the float the
+    rule reads ``tol`` as."""
+    tol = require_number(tol, "tol", 0.0)
     ev, ok, j1_val, j2_val = _state_spectra(state, tol)
     return SteeringReport(bool(ok), j1_val, j2_val, float(ev[0]), tol)
 
@@ -184,10 +185,11 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
 
     and both vanish iff a(b - 1) - c^2 >= 0.  The parameters get every check
     of :func:`~gsteer.states.standard_form_state`, bona fide test included,
-    its real-number rule before the c = |d| test; parameters whose root
-    overflows are rejected.
+    its finite-real-number rule before the c = |d| test; parameters whose
+    root overflows are rejected.
     """
-    require_real_numbers(a=a, b=b, c=c, d=d)
+    a, b, c, d = (require_number(v, name, -math.inf, ends="()")
+                  for v, name in zip((a, b, c, d), "abcd"))
     if abs(c - abs(d)) > 1e-12 * max(1.0, abs(c), abs(d)):
         raise ValidationError(f"requires c = |d|, got c = {c}, d = {d}")
     standard_form_state(a, b, c, d)
@@ -201,24 +203,18 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
     return float(j1_val), float(j2_val)
 
 
-def _check_family_parameter(r: float) -> None:
-    if not (_is_real(r) and 1.0 <= r < math.inf):  # a bool is rejected; NaN fails the comparison
-        raise ValidationError(f"family parameter must be >= 1, got {r}")
-
-
 def pure_family_state(r: float) -> GaussianState:
     """The r-parametrized (1+1)-mode pure family (so bona fide): the Schmidt
     form that ``squeezed_vacuum_state`` fills too, here with g, s = r,
     sqrt(r^2 - 1).  The bound chain of ``gsteer verify`` stacks it."""
-    _check_family_parameter(r)
-    r = float(r)
+    r = require_number(r, "r", 1.0)
     return _pure_pair_state(r, math.sqrt(r * r - 1.0))  # r * r overflows to inf silently
 
 
 def n3_upper_bound_pure(r: float) -> float:
     """Closed-form upper bound 1 - 4/(r + 3) on the fidelity-based steering
     measure for the r-parametrized pure family; zero iff r = 1."""
-    _check_family_parameter(r)
+    r = require_number(r, "r", 1.0)
     return 1.0 - 4.0 / (r + 3.0)
 
 
@@ -256,10 +252,9 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     whose largest determinant, about (2r + 4)^4, overflows (r above about
     5.8e76) is rejected.
     """
-    _check_family_parameter(r)
-    if not _is_integer(grid_density) or grid_density < 2:
-        raise ValidationError(f"grid_density must be an integer >= 2, got {grid_density!r}")
-    edge = 2.0 * float(r) + 4.0  # det of the largest cell, a = b = r + 4, is ~ edge^4
+    r = require_number(r, "r", 1.0)
+    grid_density = require_count(grid_density, "grid_density", 2)
+    edge = 2.0 * r + 4.0  # det of the largest cell, a = b = r + 4, is ~ edge^4
     if not math.isfinite(edge * edge * edge * edge):
         raise ValidationError(f"the grid's determinant overflows at r = {r}")
     axis = np.linspace(1.0, r + 4.0, grid_density)

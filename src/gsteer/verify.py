@@ -33,11 +33,11 @@ from .channels import (
 from .dynamics import BathParameters, first_passage_time, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
-    ValidationError,
     _orthogonal_from_normals,
     _orthogonal_symplectic_from_normals,
     psd_spectra,
     relative_margin,
+    require_count,
     steering_form,
     symplectic_exp,
 )
@@ -46,7 +46,6 @@ from .states import (
     _covs_from_uniforms,
     _ensure_bona_fide_stack,
     _generator,
-    _is_integer,
     _random_covs,
     ensure_bona_fide,
     squeezed_vacuum_state,
@@ -105,8 +104,7 @@ def _count(n_trials: int, rng, settle, rows: int = SAMPLE_BLOCK) -> int:
     equal those of that loop, and a settle that draws a whole range but keeps
     only its first j trials draws about as many rows in vain as it settles.
     ``n_trials`` must be a nonnegative integer, checked before any draw."""
-    if not (_is_integer(n_trials) and n_trials >= 0):
-        raise ValidationError(f"n_trials must be a nonnegative integer, got {n_trials!r}")
+    n_trials = require_count(n_trials, "n_trials")
     rng = _generator(rng)
     done = count = 0
     while done < n_trials:

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,7 +128,7 @@ class TestApply:
     ], ids=["random (0, 0)", "random (1.5, 1)", "random (-1, 2)", "identity (1.5, 1)",
             "identity (0, 0)"])
     def test_partition_checked_first(self, build):
-        with pytest.raises(ValidationError, match="partition|integers"):
+        with pytest.raises(ValidationError, match="partition|^modes_a must be "):
             build()
 
     def test_valid_channel_output_validated(self):
@@ -137,6 +139,18 @@ class TestApply:
 
 
 class TestCertificates:
+    # the reports once kept the caller's tol object, which json cannot
+    # write, and a -0.0 tol printed as "tol": -0.0
+    @pytest.mark.parametrize("tol", [np.float32(2.0**-20), Fraction(1, 2**20), np.int64(0),
+                                     -0.0], ids=["float32", "Fraction", "int64", "-0.0"])
+    def test_reports_keep_the_rules_float(self, noncert_unsteerable, tol):
+        result = classify(noncert_unsteerable, tol)
+        for rep in (result.valid_gaussian, result.unsteerable, result.steering_breaking):
+            assert type(rep.tol) is float and math.copysign(1.0, rep.tol) == 1.0
+        assert result == classify(noncert_unsteerable, float(tol) + 0.0)
+        doc = json.loads(result.to_json())
+        assert {entry["tol"] for entry in doc.values()} == {float(tol)}
+
     def test_identity_channel_valid_with_zero_margin(self):
         rep = is_valid_gaussian(identity_channel(1, 1))
         assert rep.ok
@@ -390,7 +404,8 @@ class TestJson:
 
     @pytest.mark.parametrize("modes", [(True, 1), (1, False), (1.0, 1), (1, 1.0)])
     def test_record_rejects_what_its_document_rejects(self, modes):
-        with pytest.raises(ValidationError, match="must be integers"):
+        name = "modes_b" if type(modes[0]) is int else "modes_a"
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             GaussianChannel(*modes, np.eye(4), np.zeros((4, 4)), np.zeros(4))
 
     @pytest.mark.parametrize("name", ["K", "M", "dbar"])

@@ -238,7 +238,8 @@ class TestSweep:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_grid_exits_2(self, flag, value, capsys):
         assert main(["sweep", flag, value]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {flag} must be finite")
+        interval = "(0, inf)" if flag == "--dt" else "[0, inf)"
+        assert capsys.readouterr().err == f"error: {flag} must be in {interval}, got {value}\n"
 
     # only grids numpy refuses to size: one it would try to allocate (say
     # 1e10 points) could exhaust the machine's memory
@@ -323,7 +324,8 @@ class TestSample:
     def test_nonfinite_max_sympl_eigen_exits_2(self, noncert_channel_file, value, capsys):
         assert main(["sample", noncert_channel_file, "--n", "5",
                      "--max-sympl-eigen", value]) == 2
-        assert capsys.readouterr().err.startswith("error: max_sympl_eigen must be >= 1")
+        assert capsys.readouterr().err == (
+            f"error: max_sympl_eigen must be in [1, inf), got {value}\n")
 
     def test_deterministic_output(self, noncert_channel_file, capsys):
         args = ["sample", noncert_channel_file, "--n", "50", "--seed", "9"]
@@ -334,7 +336,7 @@ class TestSample:
 
     def test_negative_seed_exits_2(self, noncert_channel_file, capsys):
         assert main(["sample", noncert_channel_file, "--n", "5", "--seed", "-1"]) == 2
-        assert capsys.readouterr().err == "error: --seed must be nonnegative, got -1\n"
+        assert capsys.readouterr().err == "error: --seed must be in [0, inf), got -1\n"
 
     def test_different_seeds_differ(self, noncert_channel_file, capsys):
         assert main(["sample", noncert_channel_file, "--n", "50", "--seed", "1"]) == 0
@@ -367,7 +369,7 @@ class TestVerify:
         assert main(["verify", "--seed", "-5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --seed must be nonnegative, got -5\n"
+        assert captured.err == "error: --seed must be in [0, inf), got -5\n"
 
     def test_tol_flag_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -488,6 +490,23 @@ class TestTolerance:
         monkeypatch.setenv("GSTEER_TOL", "abc")
         assert main(["check", "--tol", "1e-9", vacuum_file]) == 0
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_zero_reads_as_zero(self, source, vacuum_file, shear_channel_file, capsys,
+                                         monkeypatch):
+        # float("-0") is -0.0, which printed as "tolerance: -0" and "tol_used": -0.0
+        monkeypatch.delenv("GSTEER_TOL", raising=False)
+        flag = []
+        if source == "flag":
+            flag = ["--tol", "-0"]
+        else:
+            monkeypatch.setenv("GSTEER_TOL", "-0")
+        assert main(["check", *flag, vacuum_file]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "tolerance: 0"
+        assert main(["quantify", *flag, vacuum_file]) == 0
+        assert '"tol_used": 0.0\n' in capsys.readouterr().out
+        assert main(["channel", *flag, shear_channel_file, "--classify"]) == 0
+        assert '"tol": -0.0' not in capsys.readouterr().out
+
 
 class TestInputTolerance:
     """Input is judged bona fide at the fixed 1e-9; --tol sets the analysis
@@ -541,7 +560,7 @@ class TestBooleanModeCounts:
         path = tmp_path / "state.json"
         path.write_text(json.dumps(doc))
         assert main(["check", str(path)]) == 2
-        assert "integers" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got True\n"
 
     @pytest.mark.parametrize("key", ["modes_a", "modes_b"])
     def test_channel_document(self, key, tmp_path, capsys):
@@ -550,7 +569,7 @@ class TestBooleanModeCounts:
         path = tmp_path / "channel.json"
         path.write_text(json.dumps(doc))
         assert main(["channel", str(path), "--classify"]) == 2
-        assert "integers" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got True\n"
 
 
 class TestRoundTrip:

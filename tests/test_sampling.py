@@ -137,8 +137,8 @@ class TestRefusedCalls:
 
     @pytest.mark.parametrize("args, kwargs, match", [
         ((CHANNEL, 5), {"predicate": "unitarity"}, "unknown predicate"),
-        ((CHANNEL, 0), {}, "n_samples must be >= 1"),
-        ((CHANNEL, -1), {}, "n_samples must be >= 1"),
+        ((CHANNEL, 0), {}, r"n_samples must be in \[1, inf\), got 0$"),
+        ((CHANNEL, -1), {}, r"n_samples must be in \[1, inf\), got -1$"),
         ((CHANNEL, True), {}, "n_samples must be an integer"),
         ((CHANNEL, 2.5), {}, "n_samples must be an integer"),
         ((CHANNEL, 5.0), {}, "n_samples must be an integer"),
@@ -147,11 +147,13 @@ class TestRefusedCalls:
         ((CHANNEL, 5), {"max_sympl_eigen": np.nan}, "max_sympl_eigen"),
         ((CHANNEL, 5), {"max_sympl_eigen": np.inf}, "max_sympl_eigen"),
         ((CHANNEL, 5), {"max_sympl_eigen": 0.5}, "max_sympl_eigen"),
-        ((CHANNEL, 5), {"tol": np.inf}, "tol must be finite"),
-        ((CHANNEL, 5), {"tol": np.nan}, "tol must be finite"),
-        ((CHANNEL, 5), {"tol": -1.0}, "tol must be finite"),
-        ((CHANNEL, 5), {"max_sympl_eigen": True}, "^max_sympl_eigen must be >= 1, got True$"),
-        ((CHANNEL, 5), {"max_sympl_eigen": "5"}, "^max_sympl_eigen must be >= 1, got 5$"),
+        ((CHANNEL, 5), {"tol": np.inf}, r"tol must be in \[0, inf\), got inf$"),
+        ((CHANNEL, 5), {"tol": np.nan}, r"tol must be in \[0, inf\), got nan$"),
+        ((CHANNEL, 5), {"tol": -1.0}, r"tol must be in \[0, inf\), got -1.0$"),
+        ((CHANNEL, 5), {"max_sympl_eigen": True},
+         "^max_sympl_eigen must be a real number, got True$"),
+        ((CHANNEL, 5), {"max_sympl_eigen": "5"},
+         "^max_sympl_eigen must be a real number, got '5'$"),
     ])
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_generator_untouched(self, args, kwargs, match, predicate):

@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,6 +143,17 @@ class TestJValues:
         # key order is part of the CLI's output bytes
         assert list(doc) == ["unsteerable", "j1", "j2", "min_eigenvalue", "tol_used"]
         assert doc == {key: getattr(rep, key) for key in doc}
+
+    # the report once kept the caller's tol object, which json cannot
+    # write, and a -0.0 tol printed as "tol_used": -0.0
+    @pytest.mark.parametrize("tol", [np.float32(2.0**-20), Fraction(1, 2**20), np.int64(0),
+                                     -0.0], ids=["float32", "Fraction", "int64", "-0.0"])
+    def test_report_keeps_the_rules_float(self, tol):
+        state = pure_family_state(1.5)
+        rep = steering_report(state, tol)
+        assert type(rep.tol_used) is float and math.copysign(1.0, rep.tol_used) == 1.0
+        assert rep == steering_report(state, float(tol) + 0.0)
+        assert json.loads(rep.to_json())["tol_used"] == float(tol)
 
 
 def tolerance_band_witness():
@@ -519,12 +532,14 @@ class TestFidelityBound:
     @pytest.mark.parametrize("r", [0.5, np.nan, np.inf, -np.inf, True, np.True_])
     @pytest.mark.parametrize("build", [pure_family_state, n3_upper_bound_pure, n3_bound_grid])
     def test_one_family_parameter_rule(self, build, r):
-        with pytest.raises(ValidationError, match=r"^family parameter must be >= 1, got "):
+        rule = r"in \[1, inf\)" if isinstance(r, float) else "a real number"
+        with pytest.raises(ValidationError, match=f"^r must be {rule}, got "):
             build(r)
 
     @pytest.mark.parametrize("density", [30.0, 2.5, True, 1, "30"])
     def test_grid_density_must_be_an_integer(self, density):
-        with pytest.raises(ValidationError, match=r"^grid_density must be an integer >= 2, got "):
+        rule = r"in \[2, inf\)" if type(density) is int else "an integer"
+        with pytest.raises(ValidationError, match=f"^grid_density must be {rule}, got "):
             n3_bound_grid(2.0, density)
         assert n3_bound_grid(2.0, np.int64(5)) == n3_bound_grid(2.0, 5)
 
