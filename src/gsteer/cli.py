@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -47,6 +48,11 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PHYSICALITY = 3
 EXIT_SAMPLING = 4
+
+# sweep's start and bath flags by the names squeezed_vacuum_state and
+# BathParameters give them in their errors, which hold the intervals
+_SWEEP_FLAGS = {"r": "--r", "n_th": "--nth", "R": "--R", "phi": "--phi", "lam": "--lambda"}
+_SWEEP_FIELD = re.compile(r"\b(%s)\b(?: =)?" % "|".join(_SWEEP_FLAGS))
 
 
 def _resolve_tol(flag: str | None) -> float:
@@ -136,8 +142,11 @@ def cmd_channel(args) -> int:
 def cmd_sweep(args) -> int:
     args.dt = require_number(args.dt, "--dt", 0.0, ends="()")
     args.tmax = require_number(args.tmax, "--tmax", 0.0)
-    bath = BathParameters(args.nth, args.R, args.phi, args.lam)
-    start = squeezed_vacuum_state(args.r)
+    try:
+        bath = BathParameters(args.nth, args.R, args.phi, args.lam)
+        start = squeezed_vacuum_state(args.r)
+    except ValidationError as exc:
+        raise ValidationError(_SWEEP_FIELD.sub(lambda m: _SWEEP_FLAGS[m[1]], str(exc))) from None
     try:
         t_grid = np.arange(0.0, args.tmax + args.dt / 2, args.dt)
         trajectory = sweep(start, bath, t_grid, tol=args.tol)

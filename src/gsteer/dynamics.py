@@ -189,67 +189,17 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     return Trajectory._by_construction(t_grid, values[:n], w * j2_start + (1.0 - w) * j2_inf)
 
 
-def _passage_grid(t_end: float, dt: float) -> tuple[int, Callable[[np.ndarray], np.ndarray]]:
-    """The grid t_0 = 0, t_{k+1} = fl(t_k + dt) up to ``t_end``, without adding
-    k terms: its size n and the map from an array of indices to grid times,
-    bit for bit the floats of those k additions (dt, t_end > 0; the grid must
-    climb, which ``first_passage_time``'s 2**52 rule ensures).
-
-    Inside one binade [2^(e-1), 2^e) the grid's floats are whole multiples of
-    one ulp u, so a step rounds t + dt to the u-grid and adds a whole number
-    of ulps; that number can depend on t only through a rounding tie, and a
-    tie rounds to an even multiple, after which every tie finds the same
-    parity.  So once a step has started and ended in the binade (t_{k-1}
-    and t_k both in it), every later step adds fl(t_k + dt) - t_k until the
-    grid leaves it: the walk records such a run as (first index, first
-    time, step) and every other time, each binade's first or second, as a
-    run of one, computed by the float addition itself.  A run's times
-    t + j step are exact: j step is a multiple of u below 2^e.  From dt up to
-    t_end <= 2**52 dt that is at most about 53 binades, two runs each in
-    general, so the walk's cost does not grow with the grid's size.
-    """
-    starts, bases, steps = [], [], []
-    k, t = 0, 0.0
-    settled = False  # t_{k-1} > 0 lies in t_k's binade
-    while t <= t_end:
-        starts.append(k)
-        bases.append(t)
-        exp = math.frexp(t)[1]
-        # t's binade is [top / 2, top); the float product, unlike ldexp,
-        # gives top = inf for the last binade, [2^1023, 2^1024)
-        top = 2.0 * math.ldexp(0.5, exp)
-        step = (t + dt) - t
-        run = 1
-        if settled and t + step < top:
-            ulp = math.ldexp(1.0, max(exp - 53, -1074))
-            if t_end < top:  # the times t + j step <= t_end
-                run = int((t_end - t) / ulp) // int(step / ulp) + 1
-            else:  # the times t + j step < top
-                run = -(-int((top - t) / ulp) // int(step / ulp))
-            t += (run - 1) * step  # the run's last time
-        steps.append(step)
-        k += run
-        settled = t > 0.0 and t + dt < top
-        t += dt
-    starts, bases, steps = np.array(starts), np.array(bases), np.array(steps)
-
-    def times_at(idx: np.ndarray) -> np.ndarray:
-        runs = np.searchsorted(starts, idx, side="right") - 1
-        return bases[runs] + (idx - starts[runs]) * steps[runs]
-
-    return k, times_at
-
-
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float) -> float:
     """First time on the grid 0, dt, 2 dt, ... with j2 (at DEFAULT_PSD_TOL)
     below threshold, or inf if there is none.
 
-    The grid is t_0 = 0, t_{k+1} = fl(t_k + dt) up to t_max + dt / 2, as
-    :func:`_passage_grid` gives it.  Each of dt, t_max and threshold must be
-    a real number: dt in (0, inf), t_max in [0, inf), threshold in
-    [-inf, inf] (not NaN); t_max / dt must be at most 2**52 (past it a step
-    can round t + dt back to t) and t_max + PASSAGE_BLOCK dt finite.
+    The grid is ``np.arange(0.0, t_max + dt / 2, dt)``, the times ``sweep``
+    takes: t_k = fl(k dt) for k below numpy's length ceil((t_max + dt / 2) / dt),
+    read by index without building the array.  Each of dt, t_max and
+    threshold must be a real number: dt in (0, inf), t_max in [0, inf),
+    threshold in [-inf, inf] (not NaN); t_max / dt must be at most 2**52 (so
+    every index is exact as a float) and t_max + PASSAGE_BLOCK dt finite.
     Once the arguments and ``state0`` pass their checks, a threshold <= 0
     gives inf with no eigensolve: clamped j2 is never negative.
 
@@ -285,7 +235,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     # S = Tr cov0 + Tr cov_inf + 2, with Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
     scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
     bar = max(threshold, 8.0 * DEFAULT_PSD_TOL * scale) + 2e-12 * scale
-    n, times_at = _passage_grid(t_max + dt / 2, dt)
+    n = math.ceil((t_max + dt / 2) / dt)  # np.arange's length, without its array
     lo, hi, j2_hi = -1, n, np.inf  # lo certified (or -1), hi not (or n: none seen yet)
     while hi - lo > 1:
         if hi == n:
@@ -294,7 +244,7 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         else:
             parts = min(10, hi - lo - 1)
             idx = lo + (hi - lo) * np.arange(1, parts + 1) // (parts + 1)
-        vals = j2_at(times_at(idx))
+        vals = j2_at(idx * dt)
         certified = np.flatnonzero(vals >= bar)
         first = certified[-1] + 1 if certified.size else 0  # uncertified from here on
         if first:
@@ -302,9 +252,9 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
         if first < parts:
             hi, j2_hi = idx[first], vals[first]
     if j2_hi < threshold:
-        return float(times_at(np.array([hi]))[0])
+        return float(hi * dt)
     for start in range(hi + 1, n, PASSAGE_BLOCK):
-        times = times_at(np.arange(start, min(start + PASSAGE_BLOCK, n)))
+        times = np.arange(start, min(start + PASSAGE_BLOCK, n)) * dt
         below = np.flatnonzero(j2_at(times) < threshold)
         if below.size:
             return float(times[below[0]])

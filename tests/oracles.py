@@ -232,12 +232,11 @@ def sweep_points(state0, bath, t_grid, tol: float):
 
 def first_passage_scan(state0, bath, threshold: float, t_max: float, dt: float,
                        tol: float) -> float:
-    """``first_passage_time`` as one ``evolve`` per accumulated grid time."""
-    t = 0.0
-    while t <= t_max + dt / 2:
+    """``first_passage_time`` as one ``evolve`` per time of its grid, the
+    array ``np.arange`` builds."""
+    for t in np.arange(0.0, t_max + dt / 2, dt):
         if j2(evolve(state0, bath, t), tol) < threshold:
-            return t
-        t += dt
+            return float(t)
     return np.inf
 
 

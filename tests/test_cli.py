@@ -263,13 +263,27 @@ class TestSweep:
     def test_invalid_bath_exits_2(self):
         assert main(["sweep", "--nth", "-1"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "0", "--lambda must be in (0, inf), got 0.0"),
+        ("--nth", "-1", "--nth must be in [0, inf), got -1.0"),
+        ("--r", "nan", "--r must be in [0, inf), got nan"),
+        ("--R", "inf", "--R must be in (-inf, inf), got inf"),
+        ("--phi", "nan", "--phi must be in (-inf, inf), got nan"),
+    ])
+    def test_out_of_range_start_or_bath_names_the_flag(self, flag, value, message, capsys):
+        # the library names the field (lam, n_th, ...); the command names its flag
+        assert main(["sweep", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("flag, value", [("--R", "800"), ("--nth", "1e308")])
     def test_overflowing_bath_exits_2_without_warnings(self, flag, value, capsys):
         # pytest turns any numpy overflow warning into an error
         assert main(["sweep", flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bath parameters n_th = ")
-        assert err.endswith("give a non-finite stationary covariance\n")
+        names = {"--R": "--nth 0.0 and --R 800.0", "--nth": "--nth 1e+308 and --R 1.0"}[flag]
+        assert capsys.readouterr().err == (
+            f"error: bath parameters {names} give a non-finite stationary covariance\n")
 
     def test_deterministic_output(self, capsys):
         args = ["sweep", "--r", "0.7", "--phi", "3", "--tmax", "3", "--dt", "0.1"]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gsteer import dynamics
+from gsteer.cli import main
 from gsteer.dynamics import (
     PASSAGE_BLOCK,
     BathParameters,
@@ -335,6 +336,28 @@ class TestSweep:
         assert not count_require_hermitian
 
 
+SCAN_CASES = [
+    # strong squeezed baths: passage at t ~ 0.1-0.4
+    (1.0, BathParameters(0.0, 2.0, 0.0, 0.1), 0.01, 10.0, 1e-3),
+    (1.0, BathParameters(0.0, 2.37, 0.0, 0.1), 0.01, 10.0, 1e-3),
+    # thermal baths
+    (1.0, BathParameters(5.0, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
+    (1.0, BathParameters(9.3, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
+    # passage inside the first block, at t = 0, and never
+    (0.5, BathParameters(0.0, 0.0, 0.0, 0.5), 0.3, 10.0, 0.01),
+    (1.0, BathParameters(0.0, 1.0, 0.0, 0.1), 10.0, 1.0, 0.1),
+    (1.0, BathParameters(0.0, 0.0, 0.0, 0.1), 0.01, 2.0, 1e-3),
+]
+
+# paper_suite's decay orderings: its six passages and their grid indices
+PAPER_PASSAGES = [
+    *((1.0, BathParameters(0.0, rr, 0.0, 0.1), 0.01, 10.0, 1e-3, k)
+      for rr, k in ((2.0, 415), (3.0, 53), (5.0, 1))),
+    *((1.0, BathParameters(nth, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3, k)
+      for nth, k in ((10.0, 170), (20.0, 86), (30.0, 58))),
+]
+
+
 class TestFirstPassage:
     def test_never_below_threshold(self):
         bath = BathParameters(0.0, 0.0, 0.0, 0.1)
@@ -424,18 +447,7 @@ class TestFirstPassage:
             first_passage_time(squeezed_vacuum_state(1.0), BathParameters(0, 1, 0, 0.1),
                                np.nan, 1.0, 0.1)
 
-    @pytest.mark.parametrize("r, bath, threshold, t_max, dt", [
-        # strong squeezed baths: passage at t ~ 0.1-0.4
-        (1.0, BathParameters(0.0, 2.0, 0.0, 0.1), 0.01, 10.0, 1e-3),
-        (1.0, BathParameters(0.0, 2.37, 0.0, 0.1), 0.01, 10.0, 1e-3),
-        # thermal baths
-        (1.0, BathParameters(5.0, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
-        (1.0, BathParameters(9.3, 0.5, 0.0, 0.1), 0.01, 10.0, 1e-3),
-        # passage inside the first block, at t = 0, and never
-        (0.5, BathParameters(0.0, 0.0, 0.0, 0.5), 0.3, 10.0, 0.01),
-        (1.0, BathParameters(0.0, 1.0, 0.0, 0.1), 10.0, 1.0, 0.1),
-        (1.0, BathParameters(0.0, 0.0, 0.0, 0.1), 0.01, 2.0, 1e-3),
-    ])
+    @pytest.mark.parametrize("r, bath, threshold, t_max, dt", SCAN_CASES)
     def test_matches_scalar_scan(self, r, bath, threshold, t_max, dt):
         state = squeezed_vacuum_state(r)
         got = first_passage_time(state, bath, threshold, t_max, dt)
@@ -485,8 +497,8 @@ def _random_relaxation(rng) -> tuple[GaussianState, BathParameters]:
 
 
 class TestCertifiedSearch:
-    # a power of two, whose grid is exact; one whose last bit makes a rounding
-    # tie once the grid's ulp is twice its own (from t = 3 dt); and others
+    # a power of two, whose times k dt are exact; one with a bit 52 places
+    # below its lead, whose products k dt round; and decimal steps
     DTS = [2.0**-7, 2.0**-7 + 2.0**-59, 0.01, 0.0075]
 
     @pytest.mark.parametrize("seed", range(6))
@@ -540,9 +552,7 @@ class TestCertifiedSearch:
         rng = np.random.default_rng(seed)
         state, bath = _random_relaxation(rng)
         dt = self.DTS[seed]
-        steps = np.full(600, dt)
-        steps[0] = 0.0
-        times = np.add.accumulate(steps)
+        times = np.arange(600) * dt
         vals = sweep(state, bath, times).j2_values
         # a time with j2 well above 0 and more than 1e-12 above the next one
         k = rng.choice(np.flatnonzero((vals[1:] > 1e-3) & (vals[:-1] - vals[1:] > 1e-9)))
@@ -589,37 +599,60 @@ class TestCertifiedSearch:
         assert sum(rows) < 10**6, len(rows)
 
 
-class TestPassageGrid:
-    # powers of two and their odd multiples, steps whose last bit makes a
-    # rounding tie (1 + 2**-52 ties on every step from t = 2), subnormal ones
-    DTS = [1e-3, 0.1, 1 / 3, 2.0**-10, 3 * 2.0**-20, 0.7e-5, 1.0, 1.0 + 2.0**-52,
-           2.0**-7 + 2.0**-59, 5e-324, 2.0**-1022]
+def _sweep_rows(r, bath, t_max, dt, capsys) -> tuple[np.ndarray, np.ndarray]:
+    """The t and j2 columns of ``gsteer sweep`` with these flags."""
+    flags = {"--r": r, "--nth": bath.n_th, "--R": bath.R, "--phi": bath.phi,
+             "--lambda": bath.lam, "--tmax": t_max, "--dt": dt}
+    assert main(["sweep", *itertools.chain.from_iterable(
+        (flag, repr(value)) for flag, value in flags.items())]) == 0
+    rows = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",", ndmin=2)
+    return rows[:, 0], rows[:, 1]
 
-    @pytest.mark.parametrize("dt", DTS)
-    def test_equals_accumulate_term_for_term(self, dt):
-        n = 10**6
-        steps = np.full(n, dt)
-        steps[0] = 0.0
-        want = np.add.accumulate(steps)
-        size, times_at = dynamics._passage_grid(want[-1], dt)
-        assert size == n
-        assert np.array_equal(times_at(np.arange(n)), want)
-        k = np.random.default_rng(0).integers(0, n, 1000)  # in no particular order
-        assert np.array_equal(times_at(k), want[k])
-        # an end between two grid times keeps the times up to it
-        assert dynamics._passage_grid(want[-2] + (want[-1] - want[-2]) / 2, dt)[0] == n - 1
 
-    @pytest.mark.parametrize("t_max, dt", [
-        (2.0**52, 1.0), (1e12, 1e-3), (2.0**52 * 0.1, 0.1), (1.0, 2.0**-52), (1e9, 3 * 2.0**-11),
-        (1e308, 1e300),  # into the last binade, [2^1023, 2^1024)
-    ])
-    def test_each_time_is_one_step_after_the_last_at_random_k(self, t_max, dt):
-        t_end = t_max + dt / 2
-        size, times_at = dynamics._passage_grid(t_end, dt)
-        k = np.append(np.random.default_rng(1).integers(0, size - 1, 10_000), [0, size - 2])
-        assert np.array_equal(times_at(k + 1), times_at(k) + dt)
-        last = times_at(np.array([size - 1]))[0]
-        assert last <= t_end < last + dt
+class TestPassageOnTheSweepGrid:
+    """A passage is a time of np.arange(0.0, t_max + dt / 2, dt), the grid
+    ``gsteer sweep`` evaluates with the same flags."""
+
+    @staticmethod
+    def _check(r, bath, threshold, t_max, dt, capsys) -> float:
+        t = first_passage_time(squeezed_vacuum_state(r), bath, threshold, t_max, dt)
+        grid = np.arange(0.0, t_max + dt / 2, dt)
+        times, j2s = _sweep_rows(r, bath, t_max, dt, capsys)
+        assert np.array_equal(times, grid)
+        if math.isinf(t):
+            assert np.all(j2s >= threshold)
+            return t
+        assert type(t) is float
+        assert t in grid
+        k = int(np.flatnonzero(grid == t)[0])  # the sweep's row at t
+        assert j2s[k] < threshold
+        assert np.all(j2s[:k] >= threshold - 1e-12)
+        return t
+
+    @pytest.mark.parametrize("r, bath, threshold, t_max, dt", SCAN_CASES)
+    def test_scan_cases(self, r, bath, threshold, t_max, dt, capsys):
+        self._check(r, bath, threshold, t_max, dt, capsys)
+
+    @pytest.mark.parametrize("r, bath, threshold, t_max, dt, k", PAPER_PASSAGES)
+    def test_paper_suite_passages_keep_their_index(self, r, bath, threshold, t_max, dt, k,
+                                                     capsys):
+        assert self._check(r, bath, threshold, t_max, dt, capsys) == k * dt
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 1 / 3, 2.0**-10, 2.0**-7 + 2.0**-59])
+    @pytest.mark.parametrize("steps", [1000.0, 1000.5, 1001.5])
+    def test_passage_on_the_last_grid_time(self, dt, steps):
+        # t_max = (k + 1/2) dt puts t_max + dt / 2 on a grid time, where the
+        # rounding of (t_max + dt / 2) / dt decides numpy's length.  A
+        # threshold between j2 at the last two grid times gives the last one;
+        # one between j2 there and at the time after it gives inf
+        state, bath = squeezed_vacuum_state(1.0), BathParameters(0.0, 0.0, 0.0, 0.1 / (1000 * dt))
+        t_max = steps * dt
+        grid = np.arange(0.0, t_max + dt / 2, dt)
+        after = len(grid) * dt
+        before_last, last, past = sweep(state, bath, np.append(grid[-2:], after)).j2_values
+        assert before_last - last > 1e-9 and last - past > 1e-9
+        assert first_passage_time(state, bath, (before_last + last) / 2, t_max, dt) == grid[-1]
+        assert first_passage_time(state, bath, (last + past) / 2, t_max, dt) == np.inf
 
 
 class TestThermalDeathTime:
