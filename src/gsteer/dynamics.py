@@ -27,7 +27,9 @@ from .states import GaussianState, _Record, ensure_bona_fide
 from .steering import _steering_spectra
 
 SWEEP_BLOCK = 1024  # sweep's times per eigendecomposition, which bounds its memory
-PASSAGE_BLOCK = 128  # first_passage_time's grid times per eigendecomposition
+# first_passage_time's grid times per eigendecomposition, and the size of a
+# sweep's first block (or SWEEP_BLOCK, if smaller), from which its blocks double
+PASSAGE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,22 @@ def relaxation_covariances(state0: GaussianState,
     return covs_at
 
 
+def _certificate_bounds(state0: GaussianState, bath: BathParameters) -> tuple[float, float]:
+    """(S, E) for the certificates of :func:`sweep` and
+    :func:`first_passage_time`: S = Tr cov0 + Tr cov_inf + 2 bounds the norm
+    of every steering matrix along the relaxation, and E = 1e-12 S bounds,
+    with ample room (a backward-stable Hermitian eigensolver is within a few
+    eps S), both the error of a computed eigenvalue of one and that of a
+    computed raw j2 = 2 max(-lambda_min, 0).
+
+    Along cov(w) = w cov0 + (1 - w) cov_inf, w = exp(-lam t), the steering
+    matrix is affine in w, so its lambda_min is concave in w and raw j2
+    convex, with minimum 0 at w = 0; w never grows with t."""
+    # Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
+    scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
+    return scale, 1e-12 * scale
+
+
 def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianState:
     """State at time t >= 0 under the closed-form relaxation (bona fide by
     convexity, see :func:`relaxation_covariances`); t is a real number in
@@ -165,10 +183,22 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
     """j2 along a strictly increasing time grid, with the decay envelope.
 
-    The grid times are evaluated in blocks of SWEEP_BLOCK times, one batched
-    eigendecomposition each, so memory stays bounded however long the grid;
-    t = 0 and t = inf, the envelope's ends, are the tail of the last block.
-    A grid of up to SWEEP_BLOCK times is one block.
+    The grid is eigensolved in blocks, one batched eigendecomposition each:
+    the first holds min(PASSAGE_BLOCK, SWEEP_BLOCK) times, with t = 0 and
+    t = inf, the envelope's ends, at its tail, and each next block twice as
+    many times as the last, up to SWEEP_BLOCK, so memory stays bounded
+    however long the grid.
+
+    The sweep stops after the first block that holds a grid time t_k whose
+    computed lambda_min, and the computed lambda_min at t = inf, are both at
+    least 2E - tol (E = 1e-12 S, S = Tr cov0 + Tr cov_inf + 2, as in
+    :func:`first_passage_time`); every later time gets j2 = +0.0 without an
+    eigensolve.  The rule is exact: lambda_min is concave in w = exp(-lam t),
+    which never grows with t, so a later time has exact lambda_min
+    >= min(lambda_k, lambda_inf) - E >= E - tol and computed lambda_min
+    >= -tol.  Its verdict holds, and its clamped j2 is the +0.0 the
+    eigensolve would give.  A sweep with no such time (say tol = 0 with a
+    pure stationary state, whose lambda_inf is 0 < 2E) eigensolves every time.
     """
     t_grid = require_real(t_grid, "t_grid")  # a copy: the Trajectory freezes it
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -177,13 +207,23 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
     if t_grid[0] < 0:
         raise ValidationError("t_grid must be nonnegative")
     covs_at = relaxation_covariances(state0, bath)
+    tol = require_number(tol, "tol", 0.0)
+    bar = 2.0 * _certificate_bounds(state0, bath)[1] - tol
     n = t_grid.size
-    values = np.empty(n + 2)
-    for start in range(0, n, SWEEP_BLOCK):
-        times = t_grid[start:start + SWEEP_BLOCK]
-        if start + SWEEP_BLOCK >= n:
-            times = np.append(times, [0.0, np.inf])
-        values[start:start + times.size] = _steering_spectra(covs_at(times), 1, 1, tol)[2]
+    values = np.zeros(n + 2)  # j2 at the grid times, then at t = 0 and t = inf
+    start, size, ends = 0, min(PASSAGE_BLOCK, SWEEP_BLOCK), [0.0, np.inf]
+    while start < n:
+        stop = min(start + size, n)
+        ev, _, j2_vals = _steering_spectra(covs_at(np.append(t_grid[start:stop], ends)),
+                                           1, 1, tol)
+        values[start:stop] = j2_vals[:stop - start]
+        if ends:  # the first block
+            values[n:], ends = j2_vals[-2:], []
+            if ev[-1, 0] < bar:
+                bar = np.inf  # lambda_min at t = inf below the bar: no time is certified
+        if (ev[:stop - start, 0] >= bar).any():
+            break  # every later time is certified: its j2 is the +0.0 already there
+        start, size = stop, min(2 * size, SWEEP_BLOCK)
     j2_start, j2_inf = values[n:]
     w = np.exp(-bath.lam * t_grid)
     return Trajectory._by_construction(t_grid, values[:n], w * j2_start + (1.0 - w) * j2_inf)
@@ -203,12 +243,15 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     Once the arguments and ``state0`` pass their checks, a threshold <= 0
     gives inf with no eigensolve: clamped j2 is never negative.
 
-    Certificate: with S = Tr cov0 + Tr cov_inf + 2, a computed raw j2 is
-    within E = 1e-12 S of the exact one, which is nonincreasing in t
-    (convexity along cov(t) = w cov0 + (1 - w) cov_inf, minimum 0 at w = 0).
-    The tolerance rule clamps j2 to 0 only where raw j2 <= 2 d tol S (d = 4).
-    So a computed j2 >= bar = max(threshold, 8 tol S) + 2E at t_m certifies
-    that no grid time up to t_m is clamped or below threshold.
+    Certificate: with S = Tr cov0 + Tr cov_inf + 2 and E = 1e-12 S (one
+    helper gives both to this and :func:`sweep`), a computed raw j2 is
+    within E of the exact one, which is nonincreasing in t (convexity along
+    cov(t) = w cov0 + (1 - w) cov_inf, minimum 0 at w = 0).  The tolerance
+    rule clamps j2 to 0 only where raw j2 <= 2 d tol S (d = 4).  So a
+    computed j2 >= bar = max(threshold, 8 tol S) + 2E at t_m certifies that
+    no grid time up to t_m is clamped or below threshold.  :func:`sweep`
+    applies the mirror certificate, on lambda_min, to the times after its
+    first certified-unsteerable one.
 
     Search: one stack holds the last grid time and nine evenly spaced times
     before it; after it, lo is the last certified index (or -1) and hi the
@@ -232,9 +275,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     def j2_at(times: np.ndarray) -> np.ndarray:
         return _steering_spectra(covs_at(times), 1, 1, DEFAULT_PSD_TOL)[2]
 
-    # S = Tr cov0 + Tr cov_inf + 2, with Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
-    scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
-    bar = max(threshold, 8.0 * DEFAULT_PSD_TOL * scale) + 2e-12 * scale
+    scale, err = _certificate_bounds(state0, bath)
+    bar = max(threshold, 8.0 * DEFAULT_PSD_TOL * scale) + 2.0 * err
     n = math.ceil((t_max + dt / 2) / dt)  # np.arange's length, without its array
     lo, hi, j2_hi = -1, n, np.inf  # lo certified (or -1), hi not (or n: none seen yet)
     while hi - lo > 1:

@@ -22,7 +22,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_PSD_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -242,6 +241,9 @@ def symplectic_exp(n_modes: int, h: np.ndarray) -> np.ndarray:
     """exp(Omega H) with H = (h + h^T)/2, symplectic because Omega H lies in
     the symplectic Lie algebra, for one ``(2n, 2n)`` h or a
     ``(..., 2n, 2n)`` stack; ``scipy.linalg.expm`` runs per slice, so row i
-    of a stack equals the single call on ``h[i]`` bit for bit."""
+    of a stack equals the single call on ``h[i]`` bit for bit.  scipy is
+    imported here, its only use, so commands that draw nothing never load it."""
+    import scipy.linalg
+
     h = (h + h.swapaxes(-1, -2)) / 2.0
     return scipy.linalg.expm(symplectic_form(n_modes) @ h)

@@ -298,10 +298,14 @@ def schmidt_pure_state(modes_a: int, modes_b: int, gammas) -> GaussianState:
 def squeezed_vacuum_state(r: float) -> GaussianState:
     """Two-mode squeezed vacuum with squeezing parameter r >= 0: the Schmidt
     pure state (so bona fide) that ``steering.pure_family_state`` fills too,
-    here with g, s = cosh(2r), sinh(2r)."""
+    here with g, s = cosh(2r), sinh(2r); an r whose cosh(2r) overflows (r
+    above about 355) is rejected with a message that names it."""
     r = require_number(r, "r", 0.0)
     with np.errstate(over="ignore"):
-        return _pure_pair_state(np.cosh(2.0 * r), np.sinh(2.0 * r))
+        g, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
+    if not math.isfinite(g):  # sinh(2r) overflows with cosh(2r)
+        raise ValidationError(f"cov contains non-finite entries at r = {r}")
+    return _pure_pair_state(g, s)
 
 
 # [[g, 0, s, 0], [0, g, 0, -s], [s, 0, g, 0], [0, -s, 0, g]] as indices into

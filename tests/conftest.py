@@ -9,11 +9,16 @@ from gsteer import linalg
 @pytest.fixture
 def count_eigvalsh(monkeypatch):
     """Count calls of numpy.linalg.eigvalsh: the returned list grows by one
-    entry per call (a batched call on a stack counts once)."""
+    entry per call (a batched call on a stack counts once), the number of
+    matrices it solves (1 for a single matrix, k for a stack of k)."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+
+    def counted(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 

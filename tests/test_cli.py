@@ -285,6 +285,11 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: bath parameters {names} give a non-finite stationary covariance\n")
 
+    def test_overflowing_squeezing_exits_2_naming_r(self, capsys):
+        # cosh(2r) overflows above r of about 355; pytest fails on a numpy warning
+        assert main(["sweep", "--r", "800"]) == 2
+        assert capsys.readouterr().err == "error: cov contains non-finite entries at --r 800.0\n"
+
     def test_deterministic_output(self, capsys):
         args = ["sweep", "--r", "0.7", "--phi", "3", "--tmax", "3", "--dt", "0.1"]
         assert main(args) == 0
@@ -457,6 +462,33 @@ class TestParserReuse:
                                capture_output=True, timeout=120)
         assert fresh.returncode == 0, fresh.stderr
         assert out.encode() == fresh.stdout
+
+    def test_commands_without_draws_never_import_scipy(self):
+        # only symplectic_exp, behind the random draws, needs scipy and
+        # imports it itself: a fresh import of the CLI, and check, quantify,
+        # channel and sweep after it, leave every scipy module unloaded
+        code = """
+import contextlib, io, sys
+from importlib.resources import files
+import gsteer.cli
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+imported = scipy_modules()
+state = str(files("gsteer.fixtures") / "state_shear_witness.json")
+channel = str(files("gsteer.fixtures") / "channel_shear_local.json")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [gsteer.cli.main(argv) for argv in (
+        ["check", state], ["quantify", state], ["channel", channel, "--classify"],
+        ["channel", channel, state], ["sweep", "--tmax", "1"])]
+print(codes, imported, scipy_modules())
+"""
+        src = str(Path(gsteer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-c", code],
+                               env={**os.environ, "PYTHONPATH": path},
+                               capture_output=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.decode().splitlines()[-1] == "[0, 0, 0, 0, 0] [] []"
 
     def test_help_same_bytes_twice(self, capsys):
         outs = []

@@ -283,17 +283,48 @@ class TestSweep:
                 for t, v, b in sweep_points(state, bath, grid, tol))
             assert sweep(state, bath, grid, tol).to_csv() == expected
 
-    def test_one_batched_eigensolve(self, count_eigvalsh):
-        # state0's bona fide test and one call for all 601 grid points plus
-        # the envelope's two ends
+    def test_eigensolves_stop_at_the_certified_time(self, count_eigvalsh):
+        # this bath's j2 is certifiably 0 from grid index 13 of 601, inside
+        # the first block: state0's bona fide test, then one stack of the
+        # first block and the envelope's two ends, and no more
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
-        sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
-        assert len(count_eigvalsh) <= 2
+        traj = sweep(squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
+        assert count_eigvalsh == [1, PASSAGE_BLOCK + 2]
+        assert np.all(traj.j2_values[PASSAGE_BLOCK:] == 0.0)
+        assert not np.signbit(traj.j2_values[PASSAGE_BLOCK:]).any()
+
+    @pytest.mark.parametrize("r, bath, grid, tol, solved", [
+        # tol 0 with a pure stationary state: lambda_inf = 0 < 2E, no certificate
+        (1.0, BathParameters(0.0, 0.8, 1.0, 0.1), np.arange(0.0, 60.0 + 1e-9, 0.1), 0.0,
+         [1, 130, 256, 217]),
+        # a death inside the first block
+        (1.0, BathParameters(0.5, 0.3, 1.0, 0.1), np.arange(0.0, 60.0 + 1e-9, 0.1), 1e-9,
+         [1, 130]),
+        # small lam, fine dt: the death (index 2136) is in the fifth block
+        (1.0, BathParameters(0.5, 0.3, 1.0, 0.01), np.arange(0.0, 30.0, 0.01), 1e-9,
+         [1, 130, 256, 512, 1024, 1024]),
+        # an irregular grid that does not start at 0, its death in the second block
+        (0.7, BathParameters(0.5, 0.3, 1.0, 0.01),
+         0.05 + np.cumsum(np.random.default_rng(36).uniform(0.01, 0.2, 400)), 1e-9,
+         [1, 130, 256]),
+        # a one-point grid
+        (1.0, BathParameters(0.5, 0.3, 1.0, 0.1), np.array([7.5]), 1e-9, [1, 3]),
+    ])
+    def test_certified_tail_matches_per_point_evolve(self, r, bath, grid, tol, solved,
+                                                     count_eigvalsh):
+        # the certified tail's +0.0 against one evolve and one j2 per time
+        # point, byte for byte; the eigensolved stacks show which case ran
+        traj = sweep(squeezed_vacuum_state(r), bath, grid, tol)
+        assert count_eigvalsh == solved
+        expected = "t,j2,bound\n" + "".join(
+            f"{t:.17g},{v:.17g},{b:.17g}\n"
+            for t, v, b in sweep_points(squeezed_vacuum_state(r), bath, grid, tol))
+        assert traj.to_csv() == expected
 
     def test_blocks_match_one_stack(self, monkeypatch):
         # stack row i equals the one-matrix eigensolve bit for bit, so a
-        # 601-point grid in blocks of 7 (86 blocks, the envelope's two ends
-        # the tail of the last) reads as one stack
+        # 601-point grid in blocks of 7 (the envelope's two ends the tail of
+        # the first) reads as one stack
         grid = np.arange(0.0, 60.0 + 1e-9, 0.1)
         args = (squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1), grid)
         whole = sweep(*args)
@@ -309,15 +340,16 @@ class TestSweep:
         # caches (the steering offsets), which are not the sweep's memory.
         # At 600,001 points the peak stays within 1.75x the returned arrays
         # (13.7 MiB): sweep hands them over and copies none of them, and
-        # writes each block's j2 into one preallocated array.
-        args = (squeezed_vacuum_state(1.0), BathParameters(0.3, 0.8, 1.0, 0.1))
-        sweep(*args, [0.0, 1.0, 2.0])
+        # writes each block's j2 into one preallocated array.  At tol 0 the
+        # pure stationary state certifies no time, so every block is solved.
+        args = (squeezed_vacuum_state(1.0), BathParameters(0.0, 0.8, 1.0, 0.1))
+        sweep(*args, [0.0, 1.0, 2.0], 0.0)
 
         def traced(grid):
             """The sweep's tracemalloc peak and the bytes of its arrays."""
             tracemalloc.start()
             try:
-                traj = sweep(*args, grid)
+                traj = sweep(*args, grid, 0.0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
