@@ -1,20 +1,10 @@
-"""Gaussian channels (K, M, dbar) acting on covariance matrices and means.
+"""Gaussian channels (K, M, dbar): cov -> K cov K^T + M, mean -> K mean + dbar.
 
-A channel maps cov -> K cov K^T + M and mean -> K mean + dbar.  Three PSD
-certificates classify it:
+Three independent PSD certificates classify a channel, F = 0_A (+) i*Omega_B:
 
   valid Gaussian      M + i*Omega - i K Omega K^T >= 0
-  unsteerable         M + F - K F K^T >= 0, F = 0_A (+) i*Omega_B
+  unsteerable         M + F - K F K^T >= 0
   steering breaking   M + F - i K Omega K^T >= 0
-
-The unsteerable certificate guarantees the channel maps unsteerable states to
-unsteerable states; it is sufficient but not necessary, so the three verdicts
-are kept independent and each carries its own eigenvalue margin.  Monte-Carlo
-sampling (``sample_verify``) can falsify, but never certify, the semantic
-"maps every unsteerable state to an unsteerable state" property.
-
-``GaussianChannel`` shares the structural check of ``states.GaussianState``
-and adds only its own partition rule and M's PSD test.
 """
 
 from __future__ import annotations
@@ -57,11 +47,9 @@ class SamplingAbortError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class GaussianChannel(_ModeRecord):
-    """Immutable channel record; M is symmetrized and required PSD.
-
-    Composite channels built from checked channels, and certified random
-    channels, skip the check through :meth:`_by_construction`.
-    """
+    """Immutable channel record: the structural check of
+    :class:`~gsteer.states.GaussianState`, one side possibly empty, and M
+    tested PSD at DEFAULT_PSD_TOL."""
 
     modes_a: int
     modes_b: int
@@ -89,8 +77,7 @@ class GaussianChannel(_ModeRecord):
 
 
 def identity_channel(modes_a: int, modes_b: int) -> GaussianChannel:
-    """K = I, M = 0, dbar = 0 on a checked partition: exact, so built
-    without the record's check."""
+    """K = I, M = 0, dbar = 0 on a checked partition, built without a check."""
     modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     dim = 2 * (modes_a + modes_b)
     return GaussianChannel._by_construction(modes_a, modes_b, np.eye(dim),
@@ -114,11 +101,10 @@ def side_b_channel(K, M, dbar=None) -> GaussianChannel:
 
 
 def certificate_matrix(k: np.ndarray, m, f_out: np.ndarray, f_in: np.ndarray) -> np.ndarray:
-    """The symmetrized certificate M + F_out - K F_in K^T for Hermitian
-    offsets F_out and F_in; pass m = 0 for the M-free part.  Each argument is
-    one ``(d, d)`` matrix or a ``(..., d, d)`` stack, broadcast together; a
-    stack's row i equals the ``(d, d)`` call on row i bit for bit.  A K large
-    enough to overflow the product is rejected, not handed to the eigensolver."""
+    """The symmetrized M + F_out - K F_in K^T (m = 0 for the M-free part) of
+    matrices or broadcast stacks, row i equal to the call on row i bit for
+    bit; a huge K overflows it, which raises "channel certificate contains
+    non-finite entries"."""
     with np.errstate(over="ignore", invalid="ignore"):
         cert = m + f_out - k @ f_in @ k.swapaxes(-1, -2)
         cert = (cert + np.conj(cert).swapaxes(-1, -2)) / 2.0
@@ -132,12 +118,8 @@ def is_valid_gaussian(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdR
 
 
 def is_unsteerable_channel(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Certificate M + F - K F K^T >= 0 with F = 0_A (+) i*Omega_B.
-
-    Sufficient for the channel to map every unsteerable state to an
-    unsteerable state; failing it does not prove the channel ever creates
-    steering.
-    """
+    """Certificate M + F - K F K^T >= 0: sufficient, not necessary, for the
+    channel to map unsteerable states to unsteerable states."""
     f = steering_form(ch.modes_a, ch.modes_b)
     return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, f, f), tol)
 
@@ -166,6 +148,7 @@ class ChannelClassification:
 
 
 def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassification:
+    """The three certificate verdicts of ``ch`` at ``tol``."""
     return ChannelClassification(
         valid_gaussian=is_valid_gaussian(ch, tol),
         unsteerable=is_unsteerable_channel(ch, tol),
@@ -174,12 +157,9 @@ def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassi
 
 
 def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
-    """Apply the channel: cov' = K cov K^T + M, mean' = K mean + dbar.
-
-    The output is finite and symmetric but not tested for the bona fide
-    condition, so experiments on non-certified channels can inspect it;
-    :func:`~gsteer.states.ensure_bona_fide` tests it.
-    """
+    """The output state, tested finite but not bona fide, so a non-certified
+    channel's output can be inspected (:func:`~gsteer.states.ensure_bona_fide`
+    tests it)."""
     if (ch.modes_a, ch.modes_b) != (state.modes_a, state.modes_b):
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
@@ -191,10 +171,8 @@ def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
 
 
 def _act(k: np.ndarray, m: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """K cov K^T + M for one ``(d, d)`` cov or a ``(..., d, d)`` stack, with
-    one K and M or stacks of them, tested for finiteness after the
-    symmetrization GaussianState applies (finite inputs can overflow either
-    step); a stack's row i equals the ``(d, d)`` call on row i bit for bit."""
+    """K cov K^T + M, symmetrized and tested finite, for one cov or a stack,
+    with one K and M or stacks; row i equals the call on row i bit for bit."""
     cov = k @ covs @ k.swapaxes(-1, -2) + m
     return require_finite((cov + cov.swapaxes(-1, -2)) / 2.0, "cov")
 
@@ -210,15 +188,8 @@ def _direct_sum(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
 
 
 def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChannel:
-    """Direct sum of an A-side channel and a B-side channel.
-
-    Requires each side to pass its own unsteerable certificate, which for an
-    A-side channel reduces to M_A >= 0 and for a B-side channel to the full
-    validity certificate; the composed channel then always passes the
-    unsteerable certificate (its certificate is the direct sum of the sides').
-    Its K, M and dbar are direct sums of the sides' checked arrays, so M is
-    symmetric, finite and PSD by construction and is not checked again.
-    """
+    """Direct sum of an A-side and a B-side channel that each pass their
+    unsteerable certificate, so the sum passes it too; built without a check."""
     if ch_a.modes_b != 0:
         raise ValidationError("ch_a must act on A modes only (modes_b == 0)")
     if ch_b.modes_a != 0:
@@ -236,30 +207,24 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
 
 @functools.lru_cache(maxsize=None)
 def _channel_offsets(modes_a: int, modes_b: int) -> np.ndarray:
-    """The offsets i*Omega and 0_A (+) i*Omega_B of the validity and the
-    unsteerable certificates as one ``(2, d, d)`` stack, built once per
-    partition and shared read-only."""
+    """The offsets i*Omega and 0_A (+) i*Omega_B as one ``(2, d, d)`` stack,
+    cached read-only."""
     f = np.stack([steering_form(0, modes_a + modes_b), steering_form(modes_a, modes_b)])
     f.setflags(write=False)
     return f
 
 
 def _certified_shift(k: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """max(0, -lambda_min of F - K F K^T for each F of the ``(c, d, d)``
-    stack ``offsets``) + CHANNEL_SLACK: M = shift * I passes each
-    certificate M + F - K F K^T by CHANNEL_SLACK.  For one ``(d, d)`` K a
-    numpy scalar, for a ``(..., d, d)`` stack one shift per row, equal to
-    the single call's bit for bit; the certificates of every row and offset
-    take one eigensolve."""
+    """The shift that makes M = shift * I pass M + F - K F K^T >= 0 by
+    CHANNEL_SLACK for each F of ``offsets``, in one eigensolve; one per row
+    of a K stack, equal to the single call's bit for bit."""
     lo = psd_spectra(certificate_matrix(k[..., None, :, :], 0.0, offsets, offsets), 0.0)[0]
     return np.maximum(0.0, -lo[..., 0].min(axis=-1)) + CHANNEL_SLACK
 
 
 def _unsteerable_channel_arrays(modes_a: int, modes_b: int, u: np.ndarray):
     """K and M of :func:`random_unsteerable_channel` from its ``(d, d)``
-    block of ``rng.random()`` draws, or from a ``(..., d, d)`` stack of
-    them row by row: K = (-1 + 2u) / d is ``Generator.uniform(-1, 1)``
-    scaled, and M = shift * I."""
+    ``rng.random()`` draws u, or row by row from a stack."""
     dim = u.shape[-1]
     k = (-1.0 + 2.0 * u) / dim
     shift = _certified_shift(k, _channel_offsets(modes_a, modes_b))
@@ -267,13 +232,9 @@ def _unsteerable_channel_arrays(modes_a: int, modes_b: int, u: np.ndarray):
 
 
 def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChannel:
-    """Random channel passing both the validity and unsteerable certificates.
-
-    Draws K with entries uniform in [-1, 1] scaled by 1/(2(m+n)), then sets
-    M = (alpha + CHANNEL_SLACK) * I where alpha compensates the most negative
-    eigenvalue of the two M-free certificate parts, so both certificates are
-    PSD by construction.
-    """
+    """K uniform in [-1, 1] / (2(m+n)) and M = shift * I that passes the
+    validity and unsteerable certificates by CHANNEL_SLACK: certified by
+    construction, built without a check."""
     modes_a, modes_b = GaussianChannel._partition(modes_a, modes_b)
     dim = 2 * (modes_a + modes_b)
     k, m = _unsteerable_channel_arrays(modes_a, modes_b,
@@ -283,11 +244,8 @@ def random_unsteerable_channel(modes_a: int, modes_b: int, rng) -> GaussianChann
 
 @dataclass(frozen=True)
 class SampleReport:
-    """Outcome of a Monte-Carlo predicate check over random input states.
-
-    Sampling can only falsify a channel property; zero violations is
-    evidence, not a certificate.
-    """
+    """Outcome of :func:`sample_verify`: zero violations is evidence, not a
+    certificate."""
 
     predicate: str
     n_samples: int
@@ -309,20 +267,16 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
                   predicate: str = "bona-fide",
                   max_sympl_eigen: float = 5.0,
                   tol: float = 1e-8) -> SampleReport:
-    """Push random states through the channel and count predicate violations.
-
-    ``bona-fide`` checks that outputs of random valid states satisfy the bona
-    fide condition; ``unsteerable-preserving`` restricts inputs to unsteerable
-    states (by rejection, one draw at a time) and checks outputs stay
-    unsteerable.  Rejection beyond MAX_OVERSAMPLING times n_samples aborts
-    with a diagnostic.  Margins are the relative minimum eigenvalues of the
-    output certificates.
+    """Count the outputs of random input states that fail ``predicate``:
+    bona fide outputs of bona fide inputs, or unsteerable outputs of
+    unsteerable inputs, drawn by rejection (SamplingAbortError past
+    MAX_OVERSAMPLING * n_samples draws).  Margins are the outputs'
+    :func:`~gsteer.linalg.relative_margin`.
 
     Every argument is checked before the first draw, so a refused call
-    leaves ``rng`` where it was.  Samples run in stacks of at most
-    SAMPLE_BLOCK: bona-fide inputs are drawn as one stack, and each stack's
-    outputs take one channel action and one ``eigvalsh``.  The report, and
-    the Generator's end state, equal those of a loop over single samples.
+    leaves ``rng`` where it was.  Stacks of at most SAMPLE_BLOCK samples
+    take one channel action and one eigensolve each; the report and the
+    Generator's end state equal those of a loop over single samples.
     """
     if predicate not in PREDICATES:
         raise ValidationError(f"unknown predicate {predicate!r}, choose from {PREDICATES}")

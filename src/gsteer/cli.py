@@ -1,16 +1,5 @@
-"""Command-line front end.
-
-Subcommands: ``check`` (bona fide + steering verdicts), ``quantify``
-(steering report as JSON), ``channel`` (classify and/or apply), ``sweep``
-(decay trajectory as CSV), ``sample`` (Monte-Carlo falsification), and
-``verify`` (replay the regression suites).
-
-Exit codes: 0 success, 1 a ``verify`` check failed, 2 invalid input,
-3 physicality (bona fide) violation, 4 sampling abort.  Input is judged bona
-fide at the fixed 1e-9; GSTEER_TOL, or over it ``--tol``, sets the analysis
-tolerance (``check``'s bona fide verdict too) and must be finite and
-nonnegative, as must ``--seed`` (exit 2 otherwise); ``verify`` takes no tol.
-Numeric output has 17 significant digits, byte-identical for fixed seeds.
+"""The ``gsteer`` command line, whose contract README.md states: subcommands,
+exit codes, tolerances, 17-digit and byte-identical fixed-seed output.
 """
 
 from __future__ import annotations
@@ -56,9 +45,8 @@ _SWEEP_FIELD = re.compile(r"\b(%s)\b(?: =)?" % "|".join(_SWEEP_FLAGS))
 
 
 def _resolve_tol(flag: str | None) -> float:
-    """The tolerance from ``--tol``, else GSTEER_TOL, else the default; both
-    texts are parsed by ``float`` and judged by the real-number rule, in
-    [0, inf), so -0 reads as 0."""
+    """The tolerance from ``--tol``, else GSTEER_TOL, else the default, read
+    by ``float`` and the real-number rule in [0, inf)."""
     source, text = "--tol", flag
     if text is None:
         source, text = "GSTEER_TOL", os.environ.get("GSTEER_TOL")
@@ -88,8 +76,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _write_lines(lines, path: str | None) -> None:
-    """Each string of the iterable ``lines``, in turn, to the file at
-    ``path`` or to stdout, so the whole text is never held at once."""
+    """Each string of ``lines``, in turn, to the file at ``path`` or stdout."""
     if path is None:
         sys.stdout.writelines(lines)
     else:
@@ -187,9 +174,8 @@ def cmd_verify(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``gsteer`` argument parser, built on the first call and shared by
-    every later one: parsing leaves no state on it, so each :func:`main`
-    call stays independent of the calls before it."""
+    """The ``gsteer`` parser, built once: parsing leaves no state on it, so
+    each :func:`main` call is independent of the ones before."""
     parser = argparse.ArgumentParser(
         prog="gsteer",
         description="Gaussian steering toolkit: criteria, quantifications, "
@@ -251,6 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one ``gsteer`` command and return its exit code, as the entry
+    point would; argparse errors and ``--help`` raise SystemExit."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

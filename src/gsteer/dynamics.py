@@ -1,17 +1,9 @@
-"""Closed-form Markovian evolution of (1+1)-mode covariance matrices.
+"""Closed-form Markovian relaxation of (1+1)-mode states and the j2 decay scans.
 
 Both modes couple identically to a squeezed thermal bath with damping rate
-``lam``, so the covariance matrix relaxes exponentially toward a stationary
-product state:
-
-    cov(t) = exp(-lam t) cov(0) + (1 - exp(-lam t)) cov_inf.
-
-First moments decay as exp(-lam t / 2); the steering quantities ignore them.
-Convexity of j2 over covariance mixing gives the decay envelope
-
-    j2(t) <= exp(-lam t) j2(0) + (1 - exp(-lam t)) j2(inf)
-
-evaluated alongside every sweep.
+``lam``: cov(t) = w cov(0) + (1 - w) cov_inf with w = exp(-lam t), and the
+mean decays as exp(-lam t / 2).  j2 is convex over covariance mixing, so
+j2(t) <= w j2(0) + (1 - w) j2(inf), the envelope every sweep carries.
 """
 
 from __future__ import annotations
@@ -34,11 +26,9 @@ PASSAGE_BLOCK = 128
 
 @dataclass(frozen=True)
 class BathParameters:
-    """Markovian bath: thermal photon number, squeezing (magnitude, phase),
-    and overall damping rate (inverse time units), stored as the floats of
-    the real-number rule: n_th in [0, inf), R and phi finite, lam in
-    (0, inf).  Parameters whose stationary covariance overflows (a large R
-    or n_th) are rejected."""
+    """Markovian bath, stored as floats: thermal photon number n_th in
+    [0, inf), finite squeezing magnitude R and phase phi, damping rate lam in
+    (0, inf).  A bath whose stationary covariance overflows is rejected."""
 
     n_th: float
     R: float
@@ -72,12 +62,9 @@ class BathParameters:
 
 
 def gamma_infinity(bath: BathParameters) -> np.ndarray:
-    """Stationary 4x4 covariance matrix: two identical single-mode squeezed
-    thermal blocks 2 [[1/2 + L+, M_I], [M_I, 1/2 + L-]] with L+- = N +- Re M.
-
-    Bona fide by construction: each block has det = (1 + 2N)^2 - 4|M|^2
-    = 1 + 4 n_th (n_th + 1) >= 1, since N(N+1) - |M|^2 = n_th (n_th + 1).
-    Exactly symmetric, and finite for every bath that BathParameters accepts."""
+    """Stationary 4x4 covariance: two blocks 2 [[1/2 + N + Re M, Im M],
+    [Im M, 1/2 + N - Re M]], exactly symmetric and finite.  Bona fide by
+    construction: each block has det 1 + 4 n_th (n_th + 1) >= 1."""
     n = bath.photon_number
     m = bath.squeezing
     l_plus, l_minus = n + m.real, n - m.real
@@ -89,22 +76,17 @@ def gamma_infinity(bath: BathParameters) -> np.ndarray:
 
 
 def stationary_state(bath: BathParameters) -> GaussianState:
-    """Zero-mean state at the stationary covariance (bona fide: see gamma_infinity)."""
+    """Zero-mean state at :func:`gamma_infinity`, built without a check."""
     return GaussianState._by_construction(1, 1, gamma_infinity(bath), np.zeros(4))
 
 
 def relaxation_covariances(state0: GaussianState,
                            bath: BathParameters) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from times t to the covariances cov(t) of the closed-form
-    relaxation: a 4x4 matrix for one time, a ``(k, 4, 4)`` stack for k times.
-
-    ``state0`` is validated here, once; the stationary covariance is bona fide
-    by construction.  Every covariance the map returns is a convex combination
-    of these two finite, exactly symmetric, bona fide covariances (t = 0 and
-    t = inf give them exactly), so it is all three too: the stacks of
-    :func:`sweep` and :func:`first_passage_time` go to the eigensolver with
-    no structural check.  The times are not checked: the caller passes t >= 0.
-    """
+    """The map t -> cov(t): a 4x4 matrix for one time, a ``(k, 4, 4)`` stack
+    for k times t >= 0 (not checked).  ``state0`` is tested bona fide here,
+    once; every cov(t) is a convex combination of it and :func:`gamma_infinity`,
+    so finite, exactly symmetric and bona fide, and goes to the eigensolver
+    unchecked."""
     if (state0.modes_a, state0.modes_b) != (1, 1):
         raise ValidationError("evolution is defined for (1+1)-mode states")
     ensure_bona_fide(state0)
@@ -118,25 +100,20 @@ def relaxation_covariances(state0: GaussianState,
 
 
 def _certificate_bounds(state0: GaussianState, bath: BathParameters) -> tuple[float, float]:
-    """(S, E) for the certificates of :func:`sweep` and
-    :func:`first_passage_time`: S = Tr cov0 + Tr cov_inf + 2 bounds the norm
-    of every steering matrix along the relaxation, and E = 1e-12 S bounds,
-    with ample room (a backward-stable Hermitian eigensolver is within a few
-    eps S), both the error of a computed eigenvalue of one and that of a
-    computed raw j2 = 2 max(-lambda_min, 0).
+    """(S, E) of the certificates of :func:`sweep` and :func:`first_passage_time`.
 
-    Along cov(w) = w cov0 + (1 - w) cov_inf, w = exp(-lam t), the steering
-    matrix is affine in w, so its lambda_min is concave in w and raw j2
-    convex, with minimum 0 at w = 0; w never grows with t."""
+    S = Tr cov0 + Tr cov_inf + 2 bounds the norm of every steering matrix of
+    the relaxation, and E = 1e-12 S, with ample room, the error of a computed
+    lambda_min and of a computed raw j2.  The steering matrix is affine in
+    w = exp(-lam t), which never grows with t, so lambda_min is concave in w
+    and raw j2 convex, with minimum 0 at w = 0."""
     # Tr cov_inf = 4 (1 + 2N) (see gamma_infinity)
     scale = float(np.add.reduce(state0.cov.diagonal())) + 6.0 + 8.0 * bath.photon_number
     return scale, 1e-12 * scale
 
 
 def evolve(state0: GaussianState, bath: BathParameters, t: float) -> GaussianState:
-    """State at time t >= 0 under the closed-form relaxation (bona fide by
-    convexity, see :func:`relaxation_covariances`); t is a real number in
-    [0, inf)."""
+    """State at time t in [0, inf), bona fide by :func:`relaxation_covariances`."""
     t = require_number(t, "t", 0.0)
     covs_at = relaxation_covariances(state0, bath)
     return GaussianState._by_construction(1, 1, covs_at(t),
@@ -153,7 +130,8 @@ def _require_increasing(times: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory(_Record):
-    """j2 decay curve with its convexity envelope at the same time points."""
+    """j2 decay curve and its envelope: three real 1-D arrays of one shape,
+    the times finite and strictly increasing."""
 
     times: np.ndarray
     j2_values: np.ndarray
@@ -169,36 +147,29 @@ class Trajectory(_Record):
         self._settle(times, vals, bounds)
 
     def _csv_rows(self):
-        """The lines of :meth:`to_csv`, newline-terminated, one at a time."""
+        """The text of :meth:`to_csv` in newline-terminated pieces: the
+        header, then blocks of SWEEP_BLOCK rows."""
         yield "t,j2,bound\n"
-        for t, v, b in zip(self.times, self.j2_values, self.bound_values):
-            yield f"{t:.17g},{v:.17g},{b:.17g}\n"
+        for start in range(0, self.times.size, SWEEP_BLOCK):
+            block = np.column_stack([values[start:start + SWEEP_BLOCK] for values in
+                                     (self.times, self.j2_values, self.bound_values)])
+            yield ("%.17g,%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist())
 
     def to_csv(self) -> str:
-        """CSV with header t,j2,bound at 17 significant digits."""
+        """CSV with header t,j2,bound, every value at 17 significant digits."""
         return "".join(self._csv_rows())
 
 
 def sweep(state0: GaussianState, bath: BathParameters, t_grid,
           tol: float = DEFAULT_PSD_TOL) -> Trajectory:
-    """j2 along a strictly increasing time grid, with the decay envelope.
+    """j2 at each time of a nonempty, finite, strictly increasing,
+    nonnegative grid, with the envelope; at most SWEEP_BLOCK times per
+    eigensolve, so memory stays bounded.
 
-    The grid is eigensolved in blocks, one batched eigendecomposition each:
-    the first holds min(PASSAGE_BLOCK, SWEEP_BLOCK) times, with t = 0 and
-    t = inf, the envelope's ends, at its tail, and each next block twice as
-    many times as the last, up to SWEEP_BLOCK, so memory stays bounded
-    however long the grid.
-
-    The sweep stops after the first block that holds a grid time t_k whose
-    computed lambda_min, and the computed lambda_min at t = inf, are both at
-    least 2E - tol (E = 1e-12 S, S = Tr cov0 + Tr cov_inf + 2, as in
-    :func:`first_passage_time`); every later time gets j2 = +0.0 without an
-    eigensolve.  The rule is exact: lambda_min is concave in w = exp(-lam t),
-    which never grows with t, so a later time has exact lambda_min
-    >= min(lambda_k, lambda_inf) - E >= E - tol and computed lambda_min
-    >= -tol.  Its verdict holds, and its clamped j2 is the +0.0 the
-    eigensolve would give.  A sweep with no such time (say tol = 0 with a
-    pure stationary state, whose lambda_inf is 0 < 2E) eigensolves every time.
+    Early stop: once a stack holds a time whose computed lambda_min, and that
+    at t = inf, are >= 2E - tol (:func:`_certificate_bounds`), no later time
+    is solved.  Concavity gives each later time exact lambda_min >= E - tol,
+    so computed lambda_min >= -tol: its j2 is the +0.0 an eigensolve gives.
     """
     t_grid = require_real(t_grid, "t_grid")  # a copy: the Trajectory freezes it
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -231,35 +202,21 @@ def sweep(state0: GaussianState, bath: BathParameters, t_grid,
 
 def first_passage_time(state0, bath: BathParameters, threshold: float,
                        t_max: float, dt: float) -> float:
-    """First time on the grid 0, dt, 2 dt, ... with j2 (at DEFAULT_PSD_TOL)
-    below threshold, or inf if there is none.
+    """The first time of ``np.arange(0.0, t_max + dt / 2, dt)``, the grid of
+    ``gsteer sweep --tmax t_max --dt dt``, with j2 (at DEFAULT_PSD_TOL) below
+    ``threshold``, or inf if there is none.
 
-    The grid is ``np.arange(0.0, t_max + dt / 2, dt)``, the times ``sweep``
-    takes: t_k = fl(k dt) for k below numpy's length ceil((t_max + dt / 2) / dt),
-    read by index without building the array.  Each of dt, t_max and
-    threshold must be a real number: dt in (0, inf), t_max in [0, inf),
-    threshold in [-inf, inf] (not NaN); t_max / dt must be at most 2**52 (so
-    every index is exact as a float) and t_max + PASSAGE_BLOCK dt finite.
-    Once the arguments and ``state0`` pass their checks, a threshold <= 0
-    gives inf with no eigensolve: clamped j2 is never negative.
+    dt is in (0, inf), t_max in [0, inf) and threshold in [-inf, inf];
+    t_max / dt must be at most 2**52 and t_max + PASSAGE_BLOCK dt finite.
+    Once these and ``state0`` are checked, a threshold <= 0 gives inf.
 
-    Certificate: with S = Tr cov0 + Tr cov_inf + 2 and E = 1e-12 S (one
-    helper gives both to this and :func:`sweep`), a computed raw j2 is
-    within E of the exact one, which is nonincreasing in t (convexity along
-    cov(t) = w cov0 + (1 - w) cov_inf, minimum 0 at w = 0).  The tolerance
-    rule clamps j2 to 0 only where raw j2 <= 2 d tol S (d = 4).  So a
-    computed j2 >= bar = max(threshold, 8 tol S) + 2E at t_m certifies that
-    no grid time up to t_m is clamped or below threshold.  :func:`sweep`
-    applies the mirror certificate, on lambda_min, to the times after its
-    first certified-unsteerable one.
-
-    Search: one stack holds the last grid time and nine evenly spaced times
-    before it; after it, lo is the last certified index (or -1) and hi the
-    first uncertified one after it, and each stack of at most ten times
-    splits (lo, hi) until hi = lo + 1, one batched eigendecomposition per
-    stack.  A certified last time gives inf; a j2 at hi below threshold gives
-    t_hi.  Otherwise the band scan tests the indices hi + 1, ..., in blocks of
-    PASSAGE_BLOCK, and returns the first time below threshold, or inf.
+    Exact search: exact raw j2 is nonincreasing in t, a computed one is
+    within E of it, and the rule clamps only where raw j2 <= 8 tol S
+    (:func:`_certificate_bounds`).  So a computed j2 >= max(threshold,
+    8 tol S) + 2E at a grid time certifies that no time up to it is below
+    threshold.  Stacks of at most ten times find the last certified index and
+    a scan goes on after it: the result is the first grid time whose
+    computed j2 is below threshold.
     """
     dt = require_number(dt, "dt", 0.0, ends="()")
     t_max = require_number(t_max, "t_max", 0.0)
@@ -280,12 +237,8 @@ def first_passage_time(state0, bath: BathParameters, threshold: float,
     n = math.ceil((t_max + dt / 2) / dt)  # np.arange's length, without its array
     lo, hi, j2_hi = -1, n, np.inf  # lo certified (or -1), hi not (or n: none seen yet)
     while hi - lo > 1:
-        if hi == n:
-            parts = min(10, n)
-            idx = n * np.arange(1, parts + 1) // parts - 1
-        else:
-            parts = min(10, hi - lo - 1)
-            idx = lo + (hi - lo) * np.arange(1, parts + 1) // (parts + 1)
+        parts = min(10, hi - lo - 1)
+        idx = lo + (hi - 1 - lo) * np.arange(1, parts + 1) // parts
         vals = j2_at(idx * dt)
         certified = np.flatnonzero(vals >= bar)
         first = certified[-1] + 1 if certified.size else 0  # uncertified from here on

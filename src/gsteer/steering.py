@@ -1,19 +1,10 @@
-"""A-to-B unsteerability criterion and the trace-norm steering quantifications.
+"""The A-to-B unsteerability criterion and the trace-norm quantifications.
 
-A state with covariance matrix G is unsteerable from A to B under Gaussian
-measurements on A iff G + 0_A (+) i*Omega_B >= 0.  The two quantifications
-are the trace-norm excess of that matrix over the trace of G, in ratio form
-
-    j1 = ||G + 0_A (+) i*Omega_B||_1 / Tr(G) - 1
-
-and in difference form
-
-    j2 = ||G + 0_A (+) i*Omega_B||_1 - Tr(G).
-
-Omega_B is traceless, so j2 = 2 * sum|lambda_neg| over the steering matrix's
-negative eigenvalues and j1 = j2 / Tr(G); both are computed in that form from
-a single eigendecomposition, with no optimization.  Means never enter: every
-function here depends on the covariance matrix only.
+A state of covariance G is unsteerable from A to B by Gaussian measurements
+iff G + 0_A (+) i*Omega_B >= 0.  With T = ||G + 0_A (+) i*Omega_B||_1,
+j1 = T / Tr(G) - 1 and j2 = T - Tr(G); Omega_B is traceless, so
+j2 = 2 * sum|lambda_neg| and j1 = j2 / Tr(G), from one eigendecomposition.
+Means never enter.
 """
 
 from __future__ import annotations
@@ -42,33 +33,27 @@ from .states import (
 
 
 def steering_matrix(state: GaussianState) -> np.ndarray:
-    """cov + 0_A (+) i*Omega_B, Hermitian by construction because
-    GaussianState stores a symmetric cov."""
+    """cov + 0_A (+) i*Omega_B, Hermitian because the record's cov is symmetric."""
     return state.cov + steering_form(state.modes_a, state.modes_b)
 
 
 def is_unsteerable(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
-    """Tolerant PSD verdict for the steering matrix (truthy report with margin)."""
+    """The tolerance rule's report on the steering matrix: the criterion at ``tol``."""
     return PsdReport.of_hermitian(steering_matrix(state), tol)
 
 
 def _raw_j2(ev: np.ndarray):
-    """Raw j2 = 2 * sum max(-lambda, 0) over the last axis of spectra
-    (positive if some lambda < 0, else +0.0)."""
+    """Raw j2 = 2 * sum max(-lambda, 0) over the last axis of spectra."""
     return 2.0 * np.add.reduce(np.maximum(-ev, 0.0), -1)  # ndarray.sum without its wrapper
 
 
 def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
                       clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The one steering-spectrum kernel: ascending spectra, verdicts and j2
-    of the steering matrices of a ``(d, d)`` covariance or a ``(..., d, d)``
-    stack, finite and exactly symmetric (the caller's record, check or
-    algebra guarantees it; not checked).
-
-    The spectra and verdicts are :func:`~gsteer.linalg.psd_spectra`'s; raw
-    j2 is :func:`_raw_j2`'s.  The verdict is taken even with clamp=False, so
-    a bad ``tol`` is always rejected; with clamp=True j2 is 0.0 where it holds.
-    """
+    """The one steering-spectrum kernel: spectra, verdicts and j2 of the
+    steering matrices of a finite, symmetric (not checked) ``(d, d)``
+    covariance or ``(..., d, d)`` stack.  The verdict is taken even with
+    clamp=False, so a bad ``tol`` is always rejected; with clamp=True j2 is
+    +0.0 where it holds."""
     ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
     j2_vals = _raw_j2(ev)
     if clamp:
@@ -78,18 +63,10 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
 
 def _state_spectra(state: GaussianState, tol: float,
                    clamp: bool = True) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The kernel on one state, with j1 = j2 / Tr(cov): (ev, ok, j1, j2),
-    j1 and j2 as floats, bit for bit the row of the one-state stack.  A
-    covariance whose trace, the denominator of j1, is not positive is
-    rejected (a bona fide covariance has Tr(cov) >= d).
-
-    j2 is 0.0 where the clamped verdict holds.  Otherwise, with at most two
-    negative eigenvalues it is summed from the spectrum as floats: at most
-    two terms max(-lambda, 0) are nonzero, and every summation order gives
-    fl(t1 + t2), as addition commutes and t + 0 = t.  With three or more it
-    is the stack's own :func:`_raw_j2`, whose order a plain sum need not
-    follow to the last bit.
-    """
+    """The kernel on one state: (ev, ok, j1, j2), j1 = j2 / Tr(cov), both
+    floats equal to the one-state stack's bit for bit (a sum of at most two
+    nonzero terms is the same in any order; three or more take the stack's
+    own reduction).  A covariance with Tr(cov) <= 0 is rejected."""
     cov = state.cov
     trace = float(np.add.reduce(cov.diagonal()))  # the sum ndarray.trace takes, called directly
     if not trace > 0.0:
@@ -107,27 +84,21 @@ def _state_spectra(state: GaussianState, tol: float,
 
 def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
              clamp: bool = True) -> tuple[float, float]:
-    """(j1, j2) = (j2 / Tr(cov), 2 * sum|lambda_neg|) from one
-    eigendecomposition of the steering matrix.
-
-    With clamp=True (the default) j1 and j2 are exactly 0 if and only if the
-    unsteerability verdict holds at the same tol (see :func:`is_unsteerable`),
-    and positive otherwise, at every finite tol >= 0.  Pass clamp=False for
-    the raw values, which are >= 0 and positive exactly when lambda_min < 0.
-    Both equal the row of the stacked kernel bit for bit: j2 is a sum of at
-    most two nonzero terms, the same float in any order, or the stack's own
-    reduction.  A covariance with Tr(cov) <= 0 is rejected.
-    """
+    """(j1, j2) from one eigendecomposition of the steering matrix.  With
+    clamp=True both are exactly 0 iff :func:`is_unsteerable` holds at the
+    same ``tol``, else positive; clamp=False gives the raw values, positive
+    exactly when lambda_min < 0.  Tr(cov) <= 0 raises "Tr(cov) must be
+    positive, got ..."."""
     return _state_spectra(state, tol, clamp)[2:]
 
 
 def j1(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
-    """Ratio-form steering quantification (nonnegative, 0 iff unsteerable)."""
+    """j1 of :func:`j_values`."""
     return j_values(state, tol, clamp)[0]
 
 
 def j2(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
-    """Difference-form steering quantification (nonnegative, 0 iff unsteerable)."""
+    """j2 of :func:`j_values`."""
     return j_values(state, tol, clamp)[1]
 
 
@@ -146,28 +117,18 @@ class SteeringReport:
 
 
 def steering_report(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> SteeringReport:
-    """Full steering diagnosis from a single eigendecomposition; a
-    covariance with Tr(cov) <= 0 is rejected.  ``tol_used`` is the float the
-    rule reads ``tol`` as."""
+    """The verdict, j1, j2 and lambda_min of :func:`j_values`'s one
+    eigendecomposition; ``tol_used`` is the float the rule reads."""
     tol = require_number(tol, "tol", 0.0)
     ev, ok, j1_val, j2_val = _state_spectra(state, tol)
     return SteeringReport(bool(ok), j1_val, j2_val, float(ev[0]), tol)
 
 
 def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
-    """Closed-form (j1, j2) for a pure state in phase-space Schmidt form.
-
-    For mixing factors gamma_k the steering matrix has eigenvalue quadruples
-    (1 + 2g +- sqrt(4g^2 - 3))/2 and (2g - 1 +- sqrt(4g^2 - 3))/2 per factor,
-    plus |modes_a - modes_b| pairs from the unpaired vacuum modes, giving
-
-        j2 = sum_k (1 - 2g_k + sqrt(4g_k^2 - 3)) = sum_k (1 - 3 / (2g_k + root_k))
-        j1 = j2 / Tr(cov) = j2 / (sum_k 4g_k + 2|n - m|)
-
-    with root_k = 2 sqrt(g_k^2 - 0.75), bit-equal to sqrt(4g_k^2 - 3).  The
-    second form of j2 has no cancellation, so it tends to 1 per factor as g_k
-    grows.  Factors whose squares overflow are rejected.
-    """
+    """Closed-form (j1, j2) of :func:`~gsteer.states.schmidt_pure_state`:
+    j2 = sum_k (1 - 3 / (2 g_k + sqrt(4 g_k^2 - 3))), the cancellation-free
+    form of sum_k (1 - 2 g_k + sqrt(4 g_k^2 - 3)), and
+    j1 = j2 / (sum_k 4 g_k + 2 |modes_a - modes_b|)."""
     modes_a, modes_b, gammas = _schmidt_factors(modes_a, modes_b, gammas)
     root = 2.0 * np.sqrt(gammas**2 - 0.75)
     j2_val = float(np.sum(1.0 - 3.0 / (2.0 * gammas + root)))
@@ -176,18 +137,11 @@ def j_closed_schmidt(modes_a: int, modes_b: int, gammas) -> tuple[float, float]:
 
 
 def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """Closed-form (j1, j2) for (1+1)-mode standard-form states with c = |d|.
-
-    Covers the mixed thermal (c = d) and squeezed thermal (c = -d) families:
-
-        j1 = max(0, (1 + a + b + sqrt((a - b + 1)^2 + 4c^2)) / (2(a + b)) - 1)
-        j2 = max(0, 1 + sqrt((a - b + 1)^2 + 4c^2) - (a + b))
-
-    and both vanish iff a(b - 1) - c^2 >= 0.  The parameters get every check
-    of :func:`~gsteer.states.standard_form_state`, bona fide test included,
-    its finite-real-number rule before the c = |d| test; parameters whose
-    root overflows are rejected.
-    """
+    """Closed-form (j1, j2) of :func:`~gsteer.states.standard_form_state`
+    with c = |d|, tested between its number rule and its bona fide test:
+    with root = sqrt((a - b + 1)^2 + 4c^2), which must not overflow,
+    j2 = max(0, 1 + root - (a + b)) and j1 = max(0, (1 + a + b + root) /
+    (2(a + b)) - 1); both vanish iff a(b - 1) >= c^2."""
     a, b, c, d = (require_number(v, name, -math.inf, ends="()")
                   for v, name in zip((a, b, c, d), "abcd"))
     if abs(c - abs(d)) > 1e-12 * max(1.0, abs(c), abs(d)):
@@ -204,9 +158,8 @@ def j_closed_standard(a: float, b: float, c: float, d: float) -> tuple[float, fl
 
 
 def pure_family_state(r: float) -> GaussianState:
-    """The r-parametrized (1+1)-mode pure family (so bona fide): the Schmidt
-    form that ``squeezed_vacuum_state`` fills too, here with g, s = r,
-    sqrt(r^2 - 1).  The bound chain of ``gsteer verify`` stacks it."""
+    """The pure r-family, r in [1, inf): ``_pure_pair_state`` with g, s = r,
+    sqrt(r^2 - 1), built without a check."""
     r = require_number(r, "r", 1.0)
     return _pure_pair_state(r, math.sqrt(r * r - 1.0))  # r * r overflows to inf silently
 
@@ -219,38 +172,17 @@ def n3_upper_bound_pure(r: float) -> float:
 
 
 def n3_bound_grid(r: float, grid_density: int = 30) -> float:
-    """Grid estimate of the fidelity-based steering bound for the r-family.
+    """1 - the largest overlap 4 / sqrt(det(cov_r + cov)) of
+    ``pure_family_state(r)`` with the grid's standard-form cells that pass
+    the standard-form constraints and (ab - c^2)(ab - d^2) >= a^2: a, b in
+    [1, r + 4] and c, d in [-sqrt(ab - 1), sqrt(ab - 1)],
+    ``grid_density`` (an integer >= 2) points each.  An r whose largest det,
+    about (2r + 4)^4, overflows is rejected.  Memory grows as grid_density^3.
 
-    Maximizes the overlap with standard-form states over a grid with a, b in
-    [1, r + 4] and c, d in [-sqrt(ab - 1), sqrt(ab - 1)], keeping only cells
-    that satisfy the standard-form constraints plus the unsteerability
-    inequality (ab - c^2)(ab - d^2) >= a^2, and returns 1 - best overlap.
-    Estimates from nested (refined) grids never increase.
-
-    The overlap with the pure r-family state is 4 / sqrt(det(cov_r + cov)),
-    whose determinant factors into the block halves X(a, b, c) Y(a, b, d),
-    X = (r + a)(r + b) - (s + c)^2 and Y = (r + a)(r + b) - (-s + d)^2 with
-    s = sqrt(r^2 - 1).  What depends on (a, b) or (a, b, c) alone is built
-    once as an n^2 or n^3 array: ab, the c grid (which the d axis reuses),
-    ab - c^2, X and Y, each half set to 0 where its one-sided constraint,
-    a(ab - c^2) >= b or b(ab - d^2) >= a, fails, so that det > 0 fails too.
-    The cells are then searched line by line, a line being the n cells d of
-    one (a, b, c).  Each line's det = X Y is bounded below by |X| times the
-    least nonzero |Y| of its (a, b) row (inf where X = 0 or the row has no
-    nonzero Y: such a line holds only det = 0).  Lines are visited in
-    increasing order of that bound, the n cheapest first and then at most
-    n^2 at a time, and the search stops once no line left has a bound below
-    the least admissible det found.  A visited line forms the product
-    (ab - c^2)(ab - d^2), the two constraints coupling c and d, and det with
-    the same expressions as a full scan.  Rounding is monotone, so
-    |fl(X Y)| >= fl(|X| min|Y|): a skipped line holds no smaller admissible
-    det, and the least det is exactly that of the full n^4-cell scan.
-    Correctly rounded sqrt and division are monotone, so the largest
-    admissible overlap is 4 / sqrt(smallest admissible det) bit for bit, and
-    only that minimum is kept.  Memory grows as n^3, n = ``grid_density``,
-    which must be an integer >= 2 (a bool or a float is rejected); an r
-    whose largest determinant, about (2r + 4)^4, overflows (r above about
-    5.8e76) is rejected.
+    Exact pruning: det = X(a, b, c) Y(a, b, d) and rounding is monotone, so
+    fl(|X| min|Y|) bounds every det of a line of d from below; skipping the
+    lines whose bound is not below the least admissible det found leaves
+    that least det, and so the result, equal to a full scan's bit for bit.
     """
     r = require_number(r, "r", 1.0)
     grid_density = require_count(grid_density, "grid_density", 2)

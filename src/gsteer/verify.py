@@ -1,11 +1,6 @@
-"""Named regression and property checks replayed by the ``verify`` command.
-
-Two suites: ``paper`` replays the numeric regressions (fixture channels and
-states with known verdicts, the closed-form bound chain, decay curves, the
-fidelity-bound grid); ``properties`` runs the randomized trial suites behind
-the structural guarantees (faithfulness, upward closure, channel classes,
-mixture bounds, monotonicity).  Every check reports expected vs got with its
-tolerance so failures are directly actionable.
+"""The named checks of ``gsteer verify``, each reporting expected, got and
+tolerance: ``paper`` replays the numeric regressions, ``properties`` runs
+the randomized trial engines.
 """
 
 from __future__ import annotations
@@ -93,17 +88,12 @@ class CheckResult:
 # randomized trial engines (shared with the test suite)
 
 def _count(n_trials: int, rng, settle, rows: int = SAMPLE_BLOCK) -> int:
-    """Count the violations among trials 0, ..., n_trials - 1 on one Generator.
-
-    ``settle(trials, rng)`` takes the range of the next at most
-    min(rows, SAMPLE_BLOCK) trials, draws for them in trial order and returns
-    the verdicts (True for a violation) of its first j (j <= len(trials),
-    possibly 0), with the Generator left where a loop over single trials
-    would leave it after the j-th; the next range starts after them and holds
-    at most 2j + 1 trials.  So the count, and the Generator's end state,
-    equal those of that loop, and a settle that draws a whole range but keeps
-    only its first j trials draws about as many rows in vain as it settles.
-    ``n_trials`` must be a nonnegative integer, checked before any draw."""
+    """The violations among ``n_trials`` trials (a count, checked before any
+    draw) on one Generator, equal to a loop over single trials, as is the
+    Generator's end state.  ``settle(trials, rng)`` draws for a range of at
+    most min(rows, SAMPLE_BLOCK) trials and returns the verdicts of its first
+    j, leaving the Generator where that loop would after the j-th; the next
+    range starts there and holds at most 2j + 1 trials."""
     n_trials = require_count(n_trials, "n_trials")
     rng = _generator(rng)
     done = count = 0
@@ -120,25 +110,21 @@ def _partition(i: int) -> tuple[int, int]:
 
 
 def _gram(g: np.ndarray) -> np.ndarray:
-    """The random PSD matrix w w^T, w = g / 2, of the engines' channels for
-    one ``(dim, dim)`` standard normal draw or a ``(..., dim, dim)`` stack."""
+    """The random PSD w w^T, w = g / 2, of standard normals g or a stack."""
     w = g * 0.5
     return w @ w.swapaxes(-1, -2)
 
 
 def _raw_j_values(covs: np.ndarray, modes_a: int, modes_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw (j1, j2) of :func:`j_values` with clamp=False on a ``(..., d, d)``
-    stack of covariances, bona fide by construction (so their traces, the
-    denominators of j1, are positive): one eigensolve."""
+    """Raw (j1, j2) of :func:`j_values` on a stack of bona fide (not
+    checked) covariances, in one eigensolve."""
     j2_vals = _steering_spectra(covs, modes_a, modes_b, DEFAULT_PSD_TOL, clamp=False)[2]
     return j2_vals / np.trace(covs, axis1=-2, axis2=-1), j2_vals
 
 
 def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
-    """Count states where (j1 == 0), (j2 == 0) and the PSD verdict disagree.
-
-    Each stack of states is one draw and one eigensolve, whose verdicts and
-    clamped j2 are those of :func:`is_unsteerable` and :func:`j_values`."""
+    """Count random states where (j1 == 0), (j2 == 0) and
+    :func:`is_unsteerable` disagree, one eigensolve per stack."""
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
 
     def settle(trials, rng):
@@ -151,25 +137,16 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
 
 
 def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=None) -> int:
-    """Count the trials i whose channel fails a certificate M + F - K F K^T
-    >= 0, F each of the ``(c, d, d)`` stack ``offsets(modes_a, modes_b)``
-    (none if ``offsets`` is None), at TRIAL_TOL (one violation, and no input
-    is drawn), or maps the unsteerable input of ``sample_verify(ch, 1, rng,
+    """Count the trials whose channel fails a certificate M + F - K F K^T >= 0
+    at TRIAL_TOL, F of ``offsets(modes_a, modes_b)`` (no input is drawn
+    then), or maps the unsteerable input of ``sample_verify(ch, 1, rng,
     "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL)`` to a steerable
-    output.
+    output.  Trial i draws ``draw(*partition(i), rng)``, then its inputs;
+    ``build`` gives K and M from the draws, row by row on stacks.
 
-    Trial i of partition ``partition(i)`` draws its channel,
-    ``draw(modes_a, modes_b, rng)``, then its inputs; ``build(modes_a,
-    modes_b, *draws)`` gives K and M, row by row on stacks of the draws.  A
-    stack, the settle of :func:`_count` (PRESERVATION_ROWS at first), takes
-    each trial's channel and one candidate input (the Generator state saved
-    between them) and judges, per partition, the shift certificates that
-    ``build`` may need in one eigensolve, and the certificates, candidates
-    and outputs in one more.  The first trial whose certificate fails or
-    whose candidate is redrawn cuts the stack: the Generator goes back to
-    just after its channel, and the stack finishes that trial itself, a
-    violation if the certificate failed, else on :func:`sample_verify`, and
-    settles the trials up to it.
+    A stack judges each trial's channel and first candidate input; the first
+    trial whose certificate fails or whose candidate is redrawn rewinds the
+    Generator to just after its channel and finishes on the single path.
     """
     def stack(trials, rng):
         groups, after_channel = {}, []
@@ -222,49 +199,43 @@ def _one_partition(i: int) -> tuple[int, int]:
 
 
 def _unsteerable_offset(modes_a: int, modes_b: int) -> np.ndarray:
-    """The unsteerable certificate's offset 0_A (+) i*Omega_B as a
-    ``(1, d, d)`` stack."""
+    """The unsteerable certificate's offset as a ``(1, d, d)`` stack."""
     return steering_form(modes_a, modes_b)[None]
 
 
 def _noise_channel_arrays(modes_a: int, modes_b: int, g: np.ndarray):
-    """K = I and M = the Gram matrix of :func:`_gram` of upward closure's
-    additive-noise channel from one ``(d, d)`` standard normal draw or a
-    ``(..., d, d)`` stack of them (K broadcast to M's shape)."""
+    """K = I and M = :func:`_gram` of upward closure's additive-noise
+    channel, from standard normals or a stack (K broadcast to M's shape)."""
     m = _gram(g)
     return np.broadcast_to(np.eye(m.shape[-1]), m.shape), m
 
 
 def upward_closure_trials(n_trials: int, rng) -> int:
-    """Adding a PSD matrix P to an unsteerable covariance must stay unsteerable:
-    the additive-noise channel K = I, M = P (PSD by construction)."""
+    """An unsteerable covariance plus a PSD matrix stays unsteerable."""
     return _preservation_trials(
         n_trials, rng, _one_partition,
         lambda modes_a, modes_b, rng: (rng.standard_normal((4, 4)),), _noise_channel_arrays)
 
 
 def local_channel_trials(n_trials: int, rng) -> int:
-    """Tensor products of valid local channels: certified unsteerable and
-    empirically unsteerability-preserving."""
+    """Tensor products of valid local channels are certified unsteerable and
+    preserve unsteerability."""
     return _preservation_trials(n_trials, rng, _one_partition, _local_channel_draws,
                                 _local_channel_arrays, _unsteerable_offset)
 
 
 def _local_channel_draws(modes_a: int, modes_b: int, rng) -> tuple[np.ndarray, ...]:
-    """The draws of one local channel, A side x B side, in stream order: K_A's
-    ``rng.random()`` block, M_A's normals, then K_B's and M_B's."""
+    """The draws of one local channel in stream order: K_A's uniforms, M_A's
+    normals, then K_B's and M_B's."""
     dim_a, dim_b = 2 * modes_a, 2 * modes_b
     return (rng.random((dim_a, dim_a)), rng.standard_normal((dim_a, dim_a)),
             rng.random((dim_b, dim_b)), rng.standard_normal((dim_b, dim_b)))
 
 
 def _local_channel_arrays(modes_a: int, modes_b: int, u_a, g_a, u_b, g_b):
-    """K and M of a local channel from :func:`_local_channel_draws`, one set
-    or stacks of them row by row: K_A and K_B are ``Generator.uniform(-1, 1)``
-    scaled, M_A a Gram matrix, M_B a Gram matrix plus the shift that
-    certifies K_B, so both side conditions hold by construction and the
-    channel equals ``tensor_local(side_a_channel(K_A, M_A),
-    side_b_channel(K_B, M_B))``."""
+    """K and M of :func:`_local_channel_draws`, row by row on stacks: the
+    channel ``tensor_local(side_a_channel(K_A, M_A), side_b_channel(K_B,
+    M_B))``, each side certified by construction (M_B carries K_B's shift)."""
     k_b = -1.0 + 2.0 * u_b
     shift = _certified_shift(k_b, _unsteerable_offset(0, modes_b))
     m_b = _gram(g_b) + shift[..., None, None] * np.eye(2 * modes_b)
@@ -273,7 +244,7 @@ def _local_channel_arrays(modes_a: int, modes_b: int, u_a, g_a, u_b, g_b):
 
 def certified_channel_trials(n_trials: int, rng) -> int:
     """Channels passing the unsteerable certificate keep unsteerable states
-    unsteerable; partitions alternate between (1+1) and (1+2)."""
+    unsteerable, on (1+1) and (1+2) partitions in turn."""
     return _preservation_trials(
         n_trials, rng, _partition,
         lambda modes_a, modes_b, rng: (rng.random((2 * (modes_a + modes_b),) * 2),),
@@ -281,20 +252,11 @@ def certified_channel_trials(n_trials: int, rng) -> int:
 
 
 def local_symplectic_trials(n_trials: int, rng) -> int:
-    """Local symplectic conjugation preserves the unsteerable verdict.
-
-    States whose steering-matrix margin (:func:`relative_margin`, the margin
-    of :class:`PsdReport`) is at most MARGIN_FLOOR in size are redrawn:
-    congruence preserves eigenvalue signs but not their size, so the tolerant
-    verdict is only meaningful away from the boundary.  The channel (M = 0)
-    is built without a check.
-
-    A trial draws 26 uniforms when its first state is kept: 18 for the state,
-    then 4 for each side's exp(Omega H), H uniform in [-0.5, 0.5].  A stack,
-    the settle of :func:`_count`, draws one such row per trial; the first
-    redraw cuts it, and the Generator goes back to just after the redrawn
-    state's 18 draws, where the next stack begins.
-    """
+    """Local symplectic conjugation preserves the unsteerable verdict.  A
+    state whose margin is at most MARGIN_FLOOR in size is redrawn, as
+    congruence keeps eigenvalue signs but not sizes.  A kept trial draws 26
+    uniforms: 18 for the state, 4 for each side's exp(Omega H); the first
+    redraw cuts a stack, the Generator rewound to just after its 18."""
     def stack(trials, rng):
         saved = rng.bit_generator.state
         u = rng.random((len(trials), 26))
@@ -318,13 +280,8 @@ def local_symplectic_trials(n_trials: int, rng) -> int:
 
 
 def mixture_bound_trials(n_trials: int, rng) -> int:
-    """Raw j2 is convex and raw j1 subadditive-plus-one over covariance mixing.
-
-    A trial draws 37 uniforms: two (1+1) states of :func:`random_state` with
-    ``max_sympl_eigen`` 3 (18 each), then the weight p1.  The mixes of a
-    stack take the bona fide test of :func:`mix_covariances` as one
-    eigensolve, and the raw j values of the mixes and both inputs one more.
-    """
+    """Raw j2 is convex and raw j1 subadditive-plus-one over covariance
+    mixing.  A trial draws 37 uniforms: two (1+1) states (18 each), then p1."""
     def settle(trials, rng):
         k = len(trials)
         u = rng.random((k, 37))
@@ -342,16 +299,10 @@ def mixture_bound_trials(n_trials: int, rng) -> int:
 
 
 def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
-    """j1 and j2 never increase under K_A orthogonal, K_B orthogonal
-    symplectic, with arbitrary PSD local noise (a direct sum of Gram matrices,
-    so the channel is built without a check).
-
-    A trial of partition (a + b) draws a state (``n + d^2`` uniforms), then
-    standard normals for K_A's QR (2a x 2a), for the b x b unitary behind K_B
-    (real, then imaginary part) and for the two Gram matrices (2a x 2a,
-    2b x 2b).  A stack draws its trials in trial order, then runs each
-    partition's trials as one group.
-    """
+    """j1 and j2 never increase under orthogonal K_A and orthogonal
+    symplectic K_B with PSD local noise.  A trial draws a state's n + d^2
+    uniforms, then normals for K_A (2a x 2a), K_B's unitary (b x b, real
+    then imaginary) and the two Gram matrices (2a x 2a, 2b x 2b)."""
     def settle(trials, rng):
         groups = {}
         for pos, i in enumerate(trials):
@@ -370,9 +321,8 @@ def orthogonal_monotonicity_trials(n_trials: int, rng) -> int:
 
 def _orthogonal_violations(modes_a: int, modes_b: int, u: np.ndarray,
                            g: np.ndarray) -> np.ndarray:
-    """The verdicts of :func:`orthogonal_monotonicity_trials` on a group of
-    trials of one partition, from one row of uniforms ``u`` and of normals
-    ``g`` per trial: one QR per factor, one channel action, one eigensolve."""
+    """The verdicts of :func:`orthogonal_monotonicity_trials` on one
+    partition's trials, from a row of uniforms and of normals each."""
     k, da, db = len(u), 2 * modes_a, 2 * modes_b
     orth, re, im, g_a, g_b = np.split(
         g, np.cumsum([da * da, modes_b**2, modes_b**2, da * da]), axis=1)
@@ -394,10 +344,9 @@ def _count_check(name: str, violations: int, n_trials: int, tol_text: str) -> Ch
 
 
 def _bound_chain(rs: np.ndarray) -> tuple[bool, str]:
-    """Whether z(r) <= j2(r) holds on the pure family at every r of ``rs``,
-    strictly for r > 1 and with equality at r = 1; else the first failure in
-    r order, described.  j2 comes from one batched eigendecomposition of the
-    :func:`pure_family_state` covariance stack, symmetric and finite by construction."""
+    """Whether z(r) <= j2(r) on the pure family at every r of ``rs``, strict
+    for r > 1 and equal at r = 1, with j2 from one eigensolve; else the first
+    failure, described."""
     covs = np.array([pure_family_state(r).cov for r in rs])
     j2_vals = _steering_spectra(covs, 1, 1, DEFAULT_PSD_TOL)[2]
     for r, val in zip(rs, j2_vals.tolist()):
@@ -417,6 +366,7 @@ def _shear_witness_j2() -> tuple[float, float]:
 
 
 def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """The numeric regressions: fixtures, bound chain, decay curves, fidelity grid."""
     results: list[CheckResult] = []
 
     # shear witness regression: j2 grows from ~0.0148 to ~0.0152
@@ -523,6 +473,8 @@ def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """The trial engines at 1000 trials each, engine i on seed + i, and the
+    shear witness."""
     trials = 1000  # per randomized check
     short = partial(np.format_float_scientific, trim="-", exp_digits=1)  # "1e-9"
     clamp, tol = f"clamp {short(DEFAULT_PSD_TOL)}", short(TRIAL_TOL)
@@ -550,6 +502,7 @@ SUITES = {"paper": (paper_suite,), "properties": (properties_suite,),
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """The results of the suites of ``SUITES[suite]``, in order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     return [result for part in SUITES[suite] for result in part(seed)]

@@ -4,12 +4,14 @@ only together with this test."""
 
 import ast
 import inspect
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
 import gsteer
+import gsteer.cli
 import gsteer.dynamics
 import gsteer.verify
 
@@ -174,3 +176,18 @@ def test_every_trial_engine_counts_through_count():
 def test_test_oracles_stay_out_of_the_package(name):
     # the per-trial loop and the single-draw generators live in tests/oracles.py
     assert identifier_uses(name) == set()
+
+
+def written_docstring(value):
+    """The docstring in ``value``'s own definition; a dataclass's generated
+    signature line does not count."""
+    return ast.get_docstring(ast.parse(textwrap.dedent(inspect.getsource(value))).body[0])
+
+
+@pytest.mark.parametrize("value", [
+    *(getattr(gsteer, name) for name in sorted(PUBLIC_NAMES) if callable(getattr(gsteer, name))),
+    gsteer.cli.main, gsteer.verify.paper_suite, gsteer.verify.properties_suite,
+    gsteer.verify.run_suite], ids=lambda value: value.__name__)
+def test_public_callables_have_docstrings(value):
+    # each contract is stated once, in the docstring of the code that enforces it
+    assert written_docstring(value)

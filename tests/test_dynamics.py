@@ -744,6 +744,20 @@ class TestTrajectory:
         assert lines[1] == "0,0.25,0.5"
         assert len(lines) == 3
 
+    def test_csv_blocks_match_per_row_format(self):
+        # the rows go out in blocks of SWEEP_BLOCK through one % format each;
+        # the edge values sit on both sides of a block boundary
+        edge = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, np.finfo(float).max]
+        n = dynamics.SWEEP_BLOCK + len(edge)
+        vals = np.linspace(-1.0, 1.0, n)
+        vals[dynamics.SWEEP_BLOCK - 3:dynamics.SWEEP_BLOCK + 4] = edge
+        times = np.arange(n) * 0.1
+        times[1:3] = 5e-324, 1e-300
+        traj = Trajectory(times, vals, vals[::-1].copy())
+        expected = "t,j2,bound\n" + "".join(
+            f"{t:.17g},{v:.17g},{b:.17g}\n" for t, v, b in zip(times, vals, vals[::-1]))
+        assert traj.to_csv() == expected
+
     def test_full_precision(self):
         v = 0.1234567890123456789
         traj = Trajectory(np.array([0.0]), np.array([v]), np.array([v]))
