@@ -1,6 +1,7 @@
-"""Symplectic forms, the argument rules, the one PSD kernel with its
-tolerance rule, and the kernels that turn caller-drawn numbers into random
-orthogonal and symplectic matrices.
+"""Symplectic forms, the argument rules, the one binding of LAPACK's
+Hermitian eigensolver, the one PSD kernel with its tolerance rule, and the
+kernels that turn caller-drawn numbers into random orthogonal and
+symplectic matrices.
 
 hbar = 1 (the vacuum covariance is the identity), quadratures are ordered
 (Q1, P1, Q2, P2, ...) and matrices are plain numpy arrays.  Every function
@@ -16,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 DEFAULT_PSD_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
@@ -55,13 +57,16 @@ def require_finite(mat: np.ndarray, name: str = "matrix") -> np.ndarray:
 def require_real(value, name: str) -> np.ndarray:
     """The one reader of a caller's array, as a fresh float array.  Complex
     raises "<name> must be real", non-numeric "<name> must be a numeric
-    array: ...", and a bool anywhere in it, which numpy reads as 0 or 1,
-    "<name> must hold numbers, not booleans"."""
+    array: ...", a number too large for a float, such as the int 10**400,
+    "<name> holds a number too large for a float", and a bool anywhere in
+    it, which numpy reads as 0 or 1, "<name> must hold numbers, not booleans"."""
     try:
         arr = np.asarray(value)
         real = None if np.iscomplexobj(arr) else np.array(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a numeric array: {exc}") from None
+    except OverflowError:
+        raise ValidationError(f"{name} holds a number too large for a float") from None
     if real is None:
         raise ValidationError(f"{name} must be real")
     if _holds_bool(value, arr):
@@ -141,17 +146,35 @@ def require_count(value, name: str, low: int = 0) -> int:
     return value
 
 
+def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a float64 or complex128 Hermitian (not
+    checked) ``(..., d, d)`` array, from its lower triangle by LAPACK's
+    ``?syevd``/``?heevd``: numpy's ``eigvalsh`` gufunc, called with the
+    signature ``np.linalg.eigvalsh`` uses, so the result equals
+    ``np.linalg.eigvalsh(h)`` bit for bit, without that wrapper's per-call
+    checks.  A row that does not converge is all NaN and raises nothing
+    here; numpy's errstate reports it as an invalid value."""
+    return _umath_linalg.eigvalsh_lo(h, signature="D->d" if h.dtype.kind == "c" else "d->d")
+
+
 def psd_spectra(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one PSD kernel: one ``eigvalsh`` of a Hermitian (not checked)
-    ``(d, d)`` matrix or ``(..., d, d)`` stack, ascending, and the one
-    tolerance rule's verdict on each, PSD iff lambda_min >= -tol * max(1,
-    |lambda_max|), tol in [0, inf).  Row i of a stack equals the call on
-    ``h[i]`` bit for bit."""
-    ev = np.linalg.eigvalsh(h)
+    """The one PSD kernel: one :func:`hermitian_eigenvalues` call on a
+    Hermitian (not checked) ``(d, d)`` matrix or ``(..., d, d)`` stack,
+    ascending, and the one tolerance rule's verdict on each, PSD iff
+    lambda_min >= -tol * max(1, |lambda_max|), tol in [0, inf).  Row i of a
+    stack equals the call on ``h[i]`` bit for bit.  A spectrum that did not
+    converge raises ``numpy.linalg.LinAlgError("Eigenvalues did not
+    converge")``, as ``np.linalg.eigvalsh`` does."""
+    ev = hermitian_eigenvalues(h)
     tol = require_number(tol, "tol", 0.0)
     # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
     lo, hi = ev[..., 0][()], ev[..., -1][()]
-    return ev, (lo >= -tol) | (lo >= -tol * abs(hi))
+    ok = (lo >= -tol) | (lo >= -tol * abs(hi))
+    # a row that did not converge is NaN, which fails the rule, so only a
+    # failed verdict is searched for one (a single one without numpy calls)
+    if (not ok and lo != lo) if ev.ndim == 1 else (not ok.all() and np.isnan(lo).any()):
+        raise LinAlgError("Eigenvalues did not converge")
+    return ev, ok
 
 
 def relative_margin(lo, hi):

@@ -125,8 +125,12 @@ def identifier_uses(name):
 
 
 def test_one_eigensolver_call_site():
-    # every eigenvalue of the package goes through the one PSD kernel
-    assert identifier_uses("eigvalsh") == {("linalg", "psd_spectra")}
+    # every eigenvalue of the package comes from the one binding of LAPACK,
+    # called only by the one PSD kernel; numpy's eigvalsh wrapper is not used
+    assert identifier_uses("eigvalsh_lo") == {("linalg", "hermitian_eigenvalues")}
+    assert identifier_uses("hermitian_eigenvalues") == {("linalg", "hermitian_eigenvalues"),
+                                                        ("linalg", "psd_spectra")}
+    assert identifier_uses("eigvalsh") == set()
 
 
 def test_one_seed_reader():

@@ -416,6 +416,16 @@ class TestJson:
             with pytest.raises(ValidationError, match=f"^{name} must hold numbers, not booleans$"):
                 GaussianChannel(1, 1, **dict(arrays, **{name: value}))
 
+    @pytest.mark.parametrize("name", ["K", "M", "dbar"])
+    def test_integer_too_large_for_a_float_rejected(self, name):
+        # numpy keeps 10**400 as a Python int, which no float holds
+        arrays = {"K": np.eye(4), "M": np.eye(4), "dbar": np.ones(4)}
+        value = arrays[name].tolist()
+        value[0] = [10**400, *value[0][1:]] if name != "dbar" else 10**400
+        with pytest.raises(ValidationError,
+                           match=f"^{name} holds a number too large for a float$"):
+            GaussianChannel(1, 1, **dict(arrays, **{name: value}))
+
     def test_fixture_descriptions_ignored(self):
         doc = json.loads(fixtures.fixture_text(fixtures.CHANNEL_SHEAR_LOCAL))
         assert "description" in doc

@@ -694,6 +694,26 @@ class TestDocumentErrors:
         assert self.run(kind, doc, tmp_path, capsys) == (
             2, f"error: {key} must hold numbers, not booleans\n")
 
+    @pytest.mark.parametrize("kind, command, key", [
+        ("state", "check", "cov"), ("state", "check", "mean"),
+        ("state", "quantify", "cov"), ("state", "quantify", "mean"),
+        ("channel", "channel", "K"), ("channel", "channel", "M"),
+        ("channel", "channel", "dbar"),
+    ])
+    def test_integer_too_large_for_a_float(self, kind, command, key, tmp_path, capsys):
+        # json reads 1 followed by 400 zeros as a Python int that no float holds
+        doc = self.KINDS[kind][2]
+        first = np.array(doc[key])
+        first.flat[0] = 0.125  # a marker that json writes as itself
+        text = json.dumps(dict(doc, **{key: first.tolist()})).replace("0.125", "1" + "0" * 400)
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        args = [command, str(path), *(["--classify"] if kind == "channel" else [])]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} holds a number too large for a float\n"
+
     # far deeper than the interpreter's recursion limit, so that json.loads
     # raises RecursionError
     DEEP = b'{"modes_a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"

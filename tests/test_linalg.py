@@ -7,6 +7,7 @@ from gsteer.linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
+    hermitian_eigenvalues,
     psd_spectra,
     require_hermitian,
     steering_form,
@@ -43,16 +44,16 @@ def pure_family_steering_matrix(gamma):
 
 def checked_eigenvalues(h):
     """The eigenvalues of the checked and symmetrized ``h``."""
-    return np.linalg.eigvalsh(require_hermitian(h))
+    return hermitian_eigenvalues(require_hermitian(h))
 
 
 def psd_report(h, tol=DEFAULT_PSD_TOL):
     return PsdReport.of_hermitian(h, tol)
 
 
-def random_hermitian(dim, rng, scale=1.0):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (z + z.conj().T) / 2.0
+def random_hermitian(dim, rng, scale=1.0, shape=()):
+    z = rng.standard_normal((*shape, dim, dim)) + 1j * rng.standard_normal((*shape, dim, dim))
+    return scale * (z + z.conj().swapaxes(-1, -2)) / 2.0
 
 
 class TestSymplecticForm:
@@ -89,6 +90,57 @@ class TestSymplecticForm:
 
 
 class TestHermitianEigenvalues:
+    """The one binding of LAPACK's Hermitian eigensolver: numpy's private
+    ``eigvalsh`` gufunc, whose result must stay ``np.linalg.eigvalsh``'s bit
+    for bit; a numpy that moves or changes the gufunc fails here."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_equals_numpy_eigvalsh_bit_for_bit(self, dtype, dim):
+        rng = np.random.default_rng(dim)
+        for shape in ((), (5,), (3, 4)):
+            h = random_hermitian(dim, rng, scale=10.0 ** rng.uniform(-3, 3), shape=shape)
+            h = h.real.copy() if dtype is np.float64 else h
+            got = hermitian_eigenvalues(h)
+            want = np.linalg.eigvalsh(h)
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == want.shape == (*shape, dim)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["psd_spectra", "psd_spectra-stack", "j_values",
+                                      "is_unsteerable", "validate_state"])
+    def test_nan_spectrum_raises(self, name, monkeypatch):
+        from gsteer import fixtures, linalg
+        from gsteer.states import validate_state
+        from gsteer.steering import is_unsteerable, j_values
+
+        state = fixtures.load_state(fixtures.STATE_SHEAR_WITNESS)
+        solve = linalg.hermitian_eigenvalues
+
+        def first_row_not_converged(h):
+            # a solve that does not converge returns its row as NaN; the
+            # other rows of a stack still pass the rule
+            ev = solve(h)
+            ev.reshape(-1, ev.shape[-1])[0] = np.nan
+            return ev
+
+        call = {"psd_spectra": lambda: psd_spectra(np.eye(4), 0.0),
+                "psd_spectra-stack": lambda: psd_spectra(np.array([np.eye(4)] * 3), 0.0),
+                "j_values": lambda: j_values(state),
+                "is_unsteerable": lambda: is_unsteerable(state),
+                "validate_state": lambda: validate_state(state)}[name]
+        monkeypatch.setattr(linalg, "hermitian_eigenvalues", first_row_not_converged)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            call()
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_lapack_failure_raises(self, shape):
+        # LAPACK does not converge on NaN; numpy's errstate reports an
+        # invalid value first, here silenced
+        h = np.full((*shape, 4, 4), np.nan)
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            psd_spectra(h, DEFAULT_PSD_TOL)
+
     def test_identity(self):
         assert np.allclose(checked_eigenvalues(np.eye(4)), np.ones(4))
 

@@ -437,6 +437,14 @@ class TestJson:
         with pytest.raises(ValidationError, match="^cov must hold numbers, not booleans$"):
             GaussianState(1, 1, np.eye(4) != 0, np.zeros(4))
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        # numpy keeps 10**400 as a Python int, which no float holds
+        cov = [[10**400, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        with pytest.raises(ValidationError, match="^cov holds a number too large for a float$"):
+            make_state(1, 1, cov)
+        with pytest.raises(ValidationError, match="^mean holds a number too large for a float$"):
+            GaussianState(1, 1, np.eye(4), [0, 0, 0, -(10**400)])
+
     def test_booleans_are_tested_before_the_shape(self):
         # require_real, the one reader, refuses them as it reads the array
         with pytest.raises(ValidationError, match="^mean must hold numbers, not booleans$"):

@@ -10,7 +10,7 @@ most 2j + 1."""
 import numpy as np
 import pytest
 
-from gsteer import channels, verify
+from gsteer import channels, linalg, verify
 
 from oracles import (
     certified_channel_trials_loop,
@@ -77,19 +77,19 @@ def test_preservation_equals_loop_across_full_stacks(name, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ENGINES)
 def test_spectra_equal_the_loops(name, seed, monkeypatch):
-    # every matrix either side judges goes through numpy's eigvalsh (the one
-    # call site); the spectra, row by row, must be the same floats, which
-    # pins the states, channels and outputs, not only the counts.  A
-    # speculative stack also judges the rows it drew past its cut.
+    # every matrix either side judges goes through linalg.hermitian_eigenvalues
+    # (called only by psd_spectra); the spectra, row by row, must be the same
+    # floats, which pins the states, channels and outputs, not only the
+    # counts.  A speculative stack also judges the rows it drew past its cut.
     seen = []
-    eigvalsh = np.linalg.eigvalsh
+    hermitian_eigenvalues = linalg.hermitian_eigenvalues
 
     def recorded(h):
-        ev = eigvalsh(h)
+        ev = hermitian_eigenvalues(h)
         seen.extend(map(tuple, ev.reshape(-1, ev.shape[-1]).tolist()))
         return ev
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", recorded)
     monkeypatch.setattr(verify, "MARGIN_FLOOR", 0.05)  # redraws in local symplectic
     engine, loop, lead = ENGINES[name]
     engine(*lead, 40, seed)
