@@ -31,7 +31,11 @@ class ValidationError(ValueError):
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Direct sum of ``n_modes`` copies of [[0, 1], [-1, 0]], cached read-only."""
     n_modes = require_count(n_modes, "n_modes")
-    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    try:
+        eye = np.eye(n_modes)
+    except ValueError:  # a count too large for numpy to size the array
+        raise ValidationError("n_modes must be small enough for numpy to size the form") from None
+    omega = np.kron(eye, np.array([[0.0, 1.0], [-1.0, 0.0]]))
     omega.setflags(write=False)
     return omega
 
@@ -87,29 +91,24 @@ def _holds_bool(value, arr: np.ndarray) -> bool:
 
 
 def require_hermitian(h: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """A nonempty square matrix within HERMITICITY_TOL * max(1, largest
-    |entry|) of Hermitian, as the finite (h + h^dagger)/2; else a
-    ValidationError naming the worst entry, or the non-finite entries."""
-    arr = np.asarray(h)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValidationError(f"{name} must have positive dimension")
-    adj = np.conj(arr).T if np.iscomplexobj(arr) else arr.T
+    """A real square matrix, shape and dtype checked by the caller, within
+    HERMITICITY_TOL * max(1, largest |entry|) of symmetric, as the finite
+    (h + h^T)/2; else a ValidationError naming the worst entry, or the
+    non-finite entries."""
     # caller input only: inf - inf and overflow are expected and caught below
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = np.abs(arr - adj)
+        defect = np.abs(h - h.T)
         worst = defect.max()
         # the scale is >= 1, so a defect within HERMITICITY_TOL passes at any
         # scale; a non-finite entry makes worst NaN or the scale inf and passes
         if worst > HERMITICITY_TOL:
-            scale = max(1.0, float(np.abs(arr).max()))
+            scale = max(1.0, float(np.abs(h).max()))
             if worst > HERMITICITY_TOL * scale:
                 i, j = np.unravel_index(int(np.argmax(defect)), defect.shape)
                 raise ValidationError(
                     f"{name} is not symmetric: |h[{i},{j}] - conj(h[{j},{i}])| = "
                     f"{worst:.6e} exceeds {HERMITICITY_TOL:g} * {scale:.6e}")
-        return require_finite((arr + adj) / 2.0, name)
+        return require_finite((h + h.T) / 2.0, name)
 
 
 def require_number(value, name: str, low: float, high: float = math.inf,
@@ -161,12 +160,13 @@ def psd_spectra(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The one PSD kernel: one :func:`hermitian_eigenvalues` call on a
     Hermitian (not checked) ``(d, d)`` matrix or ``(..., d, d)`` stack,
     ascending, and the one tolerance rule's verdict on each, PSD iff
-    lambda_min >= -tol * max(1, |lambda_max|), tol in [0, inf).  Row i of a
-    stack equals the call on ``h[i]`` bit for bit.  A spectrum that did not
-    converge raises ``numpy.linalg.LinAlgError("Eigenvalues did not
+    lambda_min >= -tol * max(1, |lambda_max|).  ``tol`` is a float in
+    [0, inf) that the caller has read (the public functions read theirs
+    with :func:`require_number`; internal callers pass constants).  Row i of
+    a stack equals the call on ``h[i]`` bit for bit.  A spectrum that did
+    not converge raises ``numpy.linalg.LinAlgError("Eigenvalues did not
     converge")``, as ``np.linalg.eigvalsh`` does."""
     ev = hermitian_eigenvalues(h)
-    tol = require_number(tol, "tol", 0.0)
     # [()] makes a single spectrum's ends numpy scalars, cheaper to compare
     lo, hi = ev[..., 0][()], ev[..., -1][()]
     ok = (lo >= -tol) | (lo >= -tol * abs(hi))

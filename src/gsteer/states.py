@@ -22,7 +22,6 @@ from .linalg import (
     DEFAULT_PSD_TOL,
     PsdReport,
     ValidationError,
-    psd_spectra,
     require_count,
     require_finite,
     require_hermitian,
@@ -175,26 +174,15 @@ def validate_state(state: GaussianState, tol: float = DEFAULT_PSD_TOL) -> PsdRep
 
 def ensure_bona_fide(state: GaussianState) -> GaussianState:
     """``state`` if it is bona fide at DEFAULT_PSD_TOL, else BonaFideError
-    carrying the minimum eigenvalue of cov + i*Omega."""
+    carrying the minimum eigenvalue of cov + i*Omega.  The one bona fide
+    test of caller input; covariances bona fide by construction skip it."""
     report = validate_state(state)
     if not report.ok:
-        raise _bona_fide_error(report.min_eigenvalue)
+        lo = report.min_eigenvalue
+        raise BonaFideError(
+            f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
+            f"is {lo:.6e} (tol {DEFAULT_PSD_TOL:g})", lo)
     return state
-
-
-def _ensure_bona_fide_stack(covs: np.ndarray, n_modes: int) -> None:
-    """:func:`ensure_bona_fide` on a finite, symmetric (not checked)
-    ``(k, d, d)`` stack in one eigensolve: the error of its first failing row."""
-    ev, ok = psd_spectra(covs + steering_form(0, n_modes), DEFAULT_PSD_TOL)
-    if not ok.all():
-        raise _bona_fide_error(float(ev[ok.argmin(), 0]))
-
-
-def _bona_fide_error(min_eigenvalue: float) -> BonaFideError:
-    """The error of a covariance failing the bona fide test at DEFAULT_PSD_TOL."""
-    return BonaFideError(
-        f"covariance matrix is not bona fide: min eigenvalue of cov + i*Omega "
-        f"is {min_eigenvalue:.6e} (tol {DEFAULT_PSD_TOL:g})", min_eigenvalue)
 
 
 def make_state(modes_a: int, modes_b: int, cov, mean=None) -> GaussianState:

@@ -51,9 +51,8 @@ def _steering_spectra(covs: np.ndarray, modes_a: int, modes_b: int, tol: float,
                       clamp: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one steering-spectrum kernel: spectra, verdicts and j2 of the
     steering matrices of a finite, symmetric (not checked) ``(d, d)``
-    covariance or ``(..., d, d)`` stack.  The verdict is taken even with
-    clamp=False, so a bad ``tol`` is always rejected; with clamp=True j2 is
-    +0.0 where it holds."""
+    covariance or ``(..., d, d)`` stack, at a ``tol`` the caller has read;
+    with clamp=True j2 is +0.0 where the verdict holds."""
     ev, unsteerable = psd_spectra(covs + steering_form(modes_a, modes_b), tol)
     j2_vals = _raw_j2(ev)
     if clamp:
@@ -89,7 +88,7 @@ def j_values(state: GaussianState, tol: float = DEFAULT_PSD_TOL,
     same ``tol``, else positive; clamp=False gives the raw values, positive
     exactly when lambda_min < 0.  Tr(cov) <= 0 raises "Tr(cov) must be
     positive, got ..."."""
-    return _state_spectra(state, tol, clamp)[2:]
+    return _state_spectra(state, require_number(tol, "tol", 0.0), clamp)[2:]
 
 
 def j1(state: GaussianState, tol: float = DEFAULT_PSD_TOL, clamp: bool = True) -> float:
@@ -189,7 +188,10 @@ def n3_bound_grid(r: float, grid_density: int = 30) -> float:
     edge = 2.0 * r + 4.0  # det of the largest cell, a = b = r + 4, is ~ edge^4
     if not math.isfinite(edge * edge * edge * edge):
         raise ValidationError(f"the grid's determinant overflows at r = {r}")
-    axis = np.linspace(1.0, r + 4.0, grid_density)
+    try:
+        axis = np.linspace(1.0, r + 4.0, grid_density)
+    except ValueError:  # a count too large for numpy to size the array
+        raise ValidationError("grid_density must be small enough for numpy to size the grid") from None
     s = np.sqrt(r * r - 1.0)
     steps = np.arange(grid_density, dtype=float)
     # (a, b) and (a, b, c) arrays; the d axis reuses the c grid

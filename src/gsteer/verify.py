@@ -39,7 +39,6 @@ from .linalg import (
 from .states import (
     _check_mode_counts,
     _covs_from_uniforms,
-    _ensure_bona_fide_stack,
     _generator,
     _random_covs,
     ensure_bona_fide,
@@ -287,9 +286,9 @@ def mixture_bound_trials(n_trials: int, rng) -> int:
         u = rng.random((k, 37))
         covs = _covs_from_uniforms(u[:, :36].reshape(k, 2, 18), 2, 3.0)
         p1 = u[:, 36, None, None]
-        # exactly symmetric, so mix_covariances' symmetrization leaves it unchanged
+        # exactly symmetric, so mix_covariances' symmetrization leaves it
+        # unchanged; a convex mix of bona fide covariances is bona fide
         mix = p1 * covs[:, 0] + (1.0 - p1) * covs[:, 1]
-        _ensure_bona_fide_stack(mix, 2)
         j1_vals, j2_vals = _raw_j_values(np.stack([mix, covs[:, 0], covs[:, 1]]), 1, 1)
         p1 = p1[:, 0, 0]
         # | of the two comparisons is the loop's or: NaN compares False in both

@@ -139,10 +139,14 @@ def test_one_seed_reader():
 
 
 def test_one_reader_of_caller_arrays():
-    # every caller array is read by require_real; require_hermitian takes
-    # the adjoint of a complex matrix
-    assert identifier_uses("iscomplexobj") == {("linalg", "require_real"),
-                                               ("linalg", "require_hermitian")}
+    # every caller array is read by require_real, which alone refuses a
+    # complex one; require_hermitian takes the real arrays it returns
+    assert identifier_uses("iscomplexobj") == {("linalg", "require_real")}
+
+
+def test_psd_kernel_trusts_its_callers_tol():
+    # every public tol is read where it enters; the kernel reads none
+    assert ("linalg", "psd_spectra") not in identifier_uses("require_number")
 
 
 def test_relaxation_stays_in_dynamics():

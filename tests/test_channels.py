@@ -251,6 +251,12 @@ class TestTensorLocal:
         with pytest.raises(ValidationError):
             tensor_local(b, b)
 
+    def test_b_side_with_a_modes_rejected(self):
+        a = side_a_channel(np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValidationError,
+                           match=r"^ch_b must act on B modes only \(modes_a == 0\)$"):
+            tensor_local(a, a)
+
     def test_equals_checked_channel(self):
         # built without GaussianChannel's check, yet bit-equal to its output
         rng = np.random.default_rng(37)

@@ -7,7 +7,9 @@ complex, ``None``, an out-of-range value and ``10**400`` (inf as a float)
 raise ``ValidationError`` naming the parameter, and a function that draws
 leaves its Generator where it was.  An in-range ``Fraction``,
 ``np.float32`` or ``np.int64`` gives the result of the equal float or int.
-A count has no upper end: ``10**400`` is a well-formed count.
+A count has no upper end: ``10**400`` is a well-formed count, such as a
+seed.  A count that sizes an array, ``symplectic_form``'s ``n_modes`` or
+``n3_bound_grid``'s ``grid_density``, is refused where numpy cannot size it.
 """
 
 from decimal import Decimal
@@ -169,14 +171,14 @@ CASES = {
         (0.25, 0.5, 1.0), (0.0, -0.25, INF, 10**400)),
     # counts
     "symplectic_form.n_modes": Case(lambda v, rng: symplectic_form(v), "n_modes",
-                                    (0, 1, 2), (-1,)),
+                                    (0, 1, 2), (-1, 2**62, 10**400)),
     **{f"{label}.{name}": _modes(*entry, position)
        for label, entry in MODE_COUNTS.items()
        for position, name in enumerate(("modes_a", "modes_b"))},
     "sample_verify.n_samples": Case(lambda v, rng: sample_verify(CHANNEL, v, rng), "n_samples",
                                     (1, 3), (0, -1)),
     "n3_bound_grid.grid_density": Case(lambda v, rng: n3_bound_grid(2.0, v), "grid_density",
-                                       (2, 4), (1, 0, -1)),
+                                       (2, 4), (1, 0, -1, 2**62, 10**400)),
     **{f"{engine}.n_trials": Case(
         lambda v, rng, engine=engine, lead=lead: getattr(verify, engine)(*lead, v, rng),
         "n_trials", *TRIALS)
