@@ -44,7 +44,6 @@ def pure_family_steering_matrix(gamma):
 
 def checked_eigenvalues(h):
     """The eigenvalues of the symmetrized ``h``."""
-    h = np.asarray(h)
     return hermitian_eigenvalues((h + np.conj(h).T) / 2.0)
 
 
