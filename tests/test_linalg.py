@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from gsteer.linalg import (
     steering_form,
     symplectic_form,
 )
+from gsteer.states import GaussianState
 from oracles import (
     jacobi_eigenvalues,
     random_orthogonal,
@@ -199,6 +202,18 @@ class TestRequireHermitianStack:
                 r"^h is not symmetric: \|h\[1,2\] - conj\(h\[2,1\]\)\| = "
                 r"1\.000000e-09 exceeds 1e-12 \* 1\.000000e\+00$")):
             require_hermitian(small, name="h")
+
+    def test_rejects_non_square_and_non_finite(self):
+        # the record's structural check refuses a shape other than (dim, dim)
+        # before require_hermitian sees it; require_hermitian refuses inf
+        for cov in (np.zeros((4, 5)), np.zeros(4), np.array([np.eye(4), np.eye(4)])):
+            with pytest.raises(ValidationError, match=(
+                    rf"^cov must have shape \(4, 4\), got {re.escape(str(cov.shape))}$")):
+                GaussianState(1, 1, cov, np.zeros(4))
+        h = np.eye(2)
+        h[1, 1] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            require_hermitian(h)
 
     @pytest.mark.parametrize("entries", [{(0, 0): 1.7e308}, {(1, 1): np.inf}, {(0, 1): np.inf},
                                          {(0, 1): np.inf, (1, 0): -np.inf},
