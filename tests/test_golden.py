@@ -2,7 +2,9 @@
 ``gsteer.cli.main`` and its stdout must equal the recording in
 ``tests/golden/``: ``verify --suite all``, ``sample`` on both non-certified
 channel fixtures under both predicates, ``quantify`` and ``check`` on both
-witness states, and the sha256 of the default ``sweep`` CSV.  The README
+witness states, ``channel --classify`` on the three channel fixtures, the
+shear channel applied to the shear witness, and the sha256 of the default
+``sweep`` CSV.  The README
 promises byte-identical output for fixed seeds; a change that moves a
 digit, a draw or a verdict fails here.
 """
@@ -16,6 +18,7 @@ import pytest
 from gsteer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = resources.files("gsteer.fixtures")
 CHANNELS = ("channel_noncert_bonafide", "channel_noncert_unsteerable")
 PREDICATES = ("bona-fide", "unsteerable-preserving")
 STATES = ("state_shear_witness", "state_tolerance_band_witness")
@@ -28,6 +31,10 @@ RUNS = {
        for channel in CHANNELS for predicate in PREDICATES},
     **{f"{command}_{state}.txt": (command, state, ())
        for command in ("quantify", "check") for state in STATES},
+    **{f"channel_classify_{channel}.txt": ("channel", channel, ("--classify",))
+       for channel in (*CHANNELS, "channel_shear_local")},
+    "channel_channel_shear_local_state_shear_witness.txt":
+        ("channel", "channel_shear_local", (str(FIXTURES / "state_shear_witness.json"),)),
 }
 
 
@@ -35,7 +42,7 @@ def run(command, fixture=None, args=()):
     """The exit code and stdout of one ``gsteer`` command at the default tolerance."""
     argv = [command]
     if fixture is not None:
-        argv.append(str(resources.files("gsteer.fixtures") / f"{fixture}.json"))
+        argv.append(str(FIXTURES / f"{fixture}.json"))
     return main([*argv, *args])
 
 
