@@ -1,10 +1,12 @@
 """Gaussian channels (K, M, dbar): cov -> K cov K^T + M, mean -> K mean + dbar.
 
-Three independent PSD certificates classify a channel, F = 0_A (+) i*Omega_B:
+Three independent PSD certificates M + F_out - K F_in K^T >= 0 classify a
+channel, F = 0_A (+) i*Omega_B:
 
-  valid Gaussian      M + i*Omega - i K Omega K^T >= 0
-  unsteerable         M + F - K F K^T >= 0
-  steering breaking   M + F - i K Omega K^T >= 0
+  certificate         F_out     F_in
+  valid Gaussian      i*Omega   i*Omega
+  unsteerable         F         F
+  steering breaking   F         i*Omega
 """
 
 from __future__ import annotations
@@ -111,24 +113,41 @@ def certificate_matrix(k: np.ndarray, m, f_out: np.ndarray, f_in: np.ndarray) ->
     return require_finite(cert, "channel certificate")
 
 
+@functools.lru_cache(maxsize=None)
+def _certificate_offsets(modes_a: int, modes_b: int) -> np.ndarray:
+    """The ``(2, 3, d, d)`` table (F_out, F_in) of the three certificates,
+    in the field order of :class:`ChannelClassification`, cached read-only."""
+    omega, f = steering_form(0, modes_a + modes_b), steering_form(modes_a, modes_b)
+    table = np.array([(omega, f, f), (omega, f, omega)])
+    table.setflags(write=False)
+    return table
+
+
+def _certificates(ch: GaussianChannel, tol, rows: slice = slice(None)) -> list[PsdReport]:
+    """The reports at ``tol`` of the certificates ``rows`` of the table on
+    ``ch``, in one eigensolve."""
+    tol = require_number(tol, "tol", 0.0)
+    f_out, f_in = _certificate_offsets(ch.modes_a, ch.modes_b)[:, rows]
+    ev, ok = psd_spectra(certificate_matrix(ch.K, ch.M, f_out, f_in), tol)
+    return [PsdReport(*report, tol)
+            for report in zip(ok.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())]
+
+
 def is_valid_gaussian(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Certificate M + i*Omega - i K Omega K^T >= 0."""
-    omega = steering_form(0, ch.n_modes)
-    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, omega, omega), tol)
+    return _certificates(ch, tol, slice(0, 1))[0]
 
 
 def is_unsteerable_channel(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Certificate M + F - K F K^T >= 0: sufficient, not necessary, for the
     channel to map unsteerable states to unsteerable states."""
-    f = steering_form(ch.modes_a, ch.modes_b)
-    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, f, f), tol)
+    return _certificates(ch, tol, slice(1, 2))[0]
 
 
 def is_steering_breaking(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> PsdReport:
     """Certificate M + F - i K Omega K^T >= 0; sufficient for every output
     state to be unsteerable."""
-    f, omega = steering_form(ch.modes_a, ch.modes_b), steering_form(0, ch.n_modes)
-    return PsdReport.of_hermitian(certificate_matrix(ch.K, ch.M, f, omega), tol)
+    return _certificates(ch, tol, slice(2, 3))[0]
 
 
 @dataclass(frozen=True)
@@ -148,12 +167,8 @@ class ChannelClassification:
 
 
 def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassification:
-    """The three certificate verdicts of ``ch`` at ``tol``."""
-    return ChannelClassification(
-        valid_gaussian=is_valid_gaussian(ch, tol),
-        unsteerable=is_unsteerable_channel(ch, tol),
-        steering_breaking=is_steering_breaking(ch, tol),
-    )
+    """The three certificate verdicts of ``ch`` at ``tol``, in one eigensolve."""
+    return ChannelClassification(*_certificates(ch, tol))
 
 
 def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
@@ -205,20 +220,12 @@ def tensor_local(ch_a: GaussianChannel, ch_b: GaussianChannel) -> GaussianChanne
         np.concatenate([ch_a.dbar, ch_b.dbar]))
 
 
-@functools.lru_cache(maxsize=None)
-def _channel_offsets(modes_a: int, modes_b: int) -> np.ndarray:
-    """The offsets i*Omega and 0_A (+) i*Omega_B as one ``(2, d, d)`` stack,
-    cached read-only."""
-    f = np.stack([steering_form(0, modes_a + modes_b), steering_form(modes_a, modes_b)])
-    f.setflags(write=False)
-    return f
-
-
-def _certified_shift(k: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The shift that makes M = shift * I pass M + F - K F K^T >= 0 by
-    CHANNEL_SLACK for each F of ``offsets``, in one eigensolve; one per row
-    of a K stack, equal to the single call's bit for bit."""
-    lo = psd_spectra(certificate_matrix(k[..., None, :, :], 0.0, offsets, offsets), 0.0)[0]
+def _certified_shift(k: np.ndarray, offsets) -> np.ndarray:
+    """The shift that makes M = shift * I pass by CHANNEL_SLACK each
+    certificate of ``offsets``, its (F_out, F_in) stacks (rows of the
+    :func:`_certificate_offsets` table), in one eigensolve; one per row of
+    a K stack, equal to the single call's bit for bit."""
+    lo = psd_spectra(certificate_matrix(k[..., None, :, :], 0.0, *offsets), 0.0)[0]
     return np.maximum(0.0, -lo[..., 0].min(axis=-1)) + CHANNEL_SLACK
 
 
@@ -227,7 +234,7 @@ def _unsteerable_channel_arrays(modes_a: int, modes_b: int, u: np.ndarray):
     ``rng.random()`` draws u, or row by row from a stack."""
     dim = u.shape[-1]
     k = (-1.0 + 2.0 * u) / dim
-    shift = _certified_shift(k, _channel_offsets(modes_a, modes_b))
+    shift = _certified_shift(k, _certificate_offsets(modes_a, modes_b)[:, :2])
     return k, shift[..., None, None] * np.eye(dim)
 
 

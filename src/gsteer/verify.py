@@ -15,8 +15,8 @@ from .channels import (
     SAMPLE_BLOCK,
     GaussianChannel,
     _act,
+    _certificate_offsets,
     _certified_shift,
-    _channel_offsets,
     _direct_sum,
     _unsteerable_channel_arrays,
     apply,
@@ -135,13 +135,14 @@ def faithfulness_trials(modes_a: int, modes_b: int, n_trials: int, rng) -> int:
     return _count(n_trials, rng, settle)
 
 
-def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=None) -> int:
-    """Count the trials whose channel fails a certificate M + F - K F K^T >= 0
-    at TRIAL_TOL, F of ``offsets(modes_a, modes_b)`` (no input is drawn
-    then), or maps the unsteerable input of ``sample_verify(ch, 1, rng,
-    "unsteerable-preserving", PRESERVATION_VMAX, TRIAL_TOL)`` to a steerable
-    output.  Trial i draws ``draw(*partition(i), rng)``, then its inputs;
-    ``build`` gives K and M from the draws, row by row on stacks.
+def _preservation_trials(n_trials: int, rng, partition, draw, build, rows=slice(0)) -> int:
+    """Count the trials whose channel fails at TRIAL_TOL a certificate of
+    the ``rows`` of the :func:`~gsteer.channels._certificate_offsets` table
+    (no input is drawn then), or maps the unsteerable input of
+    ``sample_verify(ch, 1, rng, "unsteerable-preserving", PRESERVATION_VMAX,
+    TRIAL_TOL)`` to a steerable output.  Trial i draws ``draw(*partition(i),
+    rng)``, then its inputs; ``build`` gives K and M from the draws, row by
+    row on stacks.
 
     A stack judges each trial's channel and first candidate input; the first
     trial whose certificate fails or whose candidate is redrawn rewinds the
@@ -166,10 +167,10 @@ def _preservation_trials(n_trials: int, rng, partition, draw, build, offsets=Non
             covs = _covs_from_uniforms(np.array(u), sum(modes), PRESERVATION_VMAX)
             steering = steering_form(*modes)
             # per trial: its certificates, its candidate and its output
-            f = () if offsets is None else offsets(*modes)
-            h = np.empty((len(pos), len(f) + 2, *covs.shape[1:]), dtype=complex)
-            if len(f):
-                h[:, :-2] = certificate_matrix(k[:, None], m[:, None], f, f)
+            f_out, f_in = _certificate_offsets(*modes)[:, rows]
+            h = np.empty((len(pos), len(f_out) + 2, *covs.shape[1:]), dtype=complex)
+            if len(f_out):
+                h[:, :-2] = certificate_matrix(k[:, None], m[:, None], f_out, f_in)
             np.add(covs, steering, out=h[:, -2])
             np.add(_act(k, m, covs), steering, out=h[:, -1])
             ok = psd_spectra(h, TRIAL_TOL)[1]
@@ -197,11 +198,6 @@ def _one_partition(i: int) -> tuple[int, int]:
     return (1, 1)
 
 
-def _unsteerable_offset(modes_a: int, modes_b: int) -> np.ndarray:
-    """The unsteerable certificate's offset as a ``(1, d, d)`` stack."""
-    return steering_form(modes_a, modes_b)[None]
-
-
 def _noise_channel_arrays(modes_a: int, modes_b: int, g: np.ndarray):
     """K = I and M = :func:`_gram` of upward closure's additive-noise
     channel, from standard normals or a stack (K broadcast to M's shape)."""
@@ -220,7 +216,7 @@ def local_channel_trials(n_trials: int, rng) -> int:
     """Tensor products of valid local channels are certified unsteerable and
     preserve unsteerability."""
     return _preservation_trials(n_trials, rng, _one_partition, _local_channel_draws,
-                                _local_channel_arrays, _unsteerable_offset)
+                                _local_channel_arrays, slice(1, 2))
 
 
 def _local_channel_draws(modes_a: int, modes_b: int, rng) -> tuple[np.ndarray, ...]:
@@ -236,7 +232,7 @@ def _local_channel_arrays(modes_a: int, modes_b: int, u_a, g_a, u_b, g_b):
     channel ``tensor_local(side_a_channel(K_A, M_A), side_b_channel(K_B,
     M_B))``, each side certified by construction (M_B carries K_B's shift)."""
     k_b = -1.0 + 2.0 * u_b
-    shift = _certified_shift(k_b, _unsteerable_offset(0, modes_b))
+    shift = _certified_shift(k_b, _certificate_offsets(0, modes_b)[:, 1:2])
     m_b = _gram(g_b) + shift[..., None, None] * np.eye(2 * modes_b)
     return _direct_sum(-1.0 + 2.0 * u_a, k_b), _direct_sum(_gram(g_a), m_b)
 
@@ -247,7 +243,7 @@ def certified_channel_trials(n_trials: int, rng) -> int:
     return _preservation_trials(
         n_trials, rng, _partition,
         lambda modes_a, modes_b, rng: (rng.random((2 * (modes_a + modes_b),) * 2),),
-        _unsteerable_channel_arrays, _channel_offsets)
+        _unsteerable_channel_arrays, slice(0, 2))
 
 
 def local_symplectic_trials(n_trials: int, rng) -> int:

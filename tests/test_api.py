@@ -133,6 +133,16 @@ def test_one_eigensolver_call_site():
     assert identifier_uses("eigvalsh") == set()
 
 
+def test_one_table_of_channel_certificates():
+    # the (F_out, F_in) pairs of the three channel certificates are written
+    # once, in the table every certificate judge and engine slices
+    in_channels = {where for module, where in identifier_uses("steering_form")
+                   if module == "channels"}
+    assert in_channels == {None, "_certificate_offsets", "sample_verify"}
+    assert identifier_uses("_channel_offsets") == set()
+    assert identifier_uses("_unsteerable_offset") == set()
+
+
 def test_one_seed_reader():
     # every seed reaches numpy through states._generator, which refuses a bool
     assert identifier_uses("default_rng") == {("states", "_generator")}

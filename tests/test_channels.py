@@ -279,7 +279,7 @@ class TestTensorLocal:
             k_a = rng_checked.uniform(-1.0, 1.0, (2, 2))
             m_a = random_psd(2, rng_checked)
             k_b = rng_checked.uniform(-1.0, 1.0, (db, db))
-            shift = channels._certified_shift(k_b, steering_form(0, modes_b)[None])
+            shift = channels._certified_shift(k_b, (steering_form(0, modes_b)[None],) * 2)
             m_b = random_psd(db, rng_checked) + shift * np.eye(db)
             checked = tensor_local(side_a_channel(k_a, m_a), side_b_channel(k_b, m_b))
             assert ch == checked

@@ -336,11 +336,17 @@ class TestPsdSpectra:
         assert True in verdicts and False in verdicts
 
     @pytest.mark.parametrize("name, solves", [
-        ("is_unsteerable", 1), ("validate_state", 1), ("steering_report", 1), ("classify", 3),
+        ("is_unsteerable", 1), ("validate_state", 1), ("steering_report", 1), ("classify", 1),
+        ("is_valid_gaussian", 1), ("is_unsteerable_channel", 1), ("is_steering_breaking", 1),
         ("j_values", 1), ("j2", 1)])
     def test_eigensolves_per_verdict(self, count_eigvalsh, name, solves):
         from gsteer import fixtures
-        from gsteer.channels import classify
+        from gsteer.channels import (
+            classify,
+            is_steering_breaking,
+            is_unsteerable_channel,
+            is_valid_gaussian,
+        )
         from gsteer.states import validate_state
         from gsteer.steering import is_unsteerable, j2, j_values, steering_report
 
@@ -351,10 +357,15 @@ class TestPsdSpectra:
                 "steering_report": lambda: steering_report(state),
                 "j_values": lambda: j_values(state),
                 "j2": lambda: j2(state),
-                "classify": lambda: classify(channel)}[name]
+                "classify": lambda: classify(channel),
+                "is_valid_gaussian": lambda: is_valid_gaussian(channel),
+                "is_unsteerable_channel": lambda: is_unsteerable_channel(channel),
+                "is_steering_breaking": lambda: is_steering_breaking(channel)}[name]
         count_eigvalsh.clear()
         call()
         assert len(count_eigvalsh) == solves
+        # classify solves its three certificates as one stack
+        assert sum(count_eigvalsh) == (3 if name == "classify" else 1)
 
 
 class TestInfiniteTol:
