@@ -174,15 +174,16 @@ def classify(ch: GaussianChannel, tol: float = DEFAULT_PSD_TOL) -> ChannelClassi
 def apply(ch: GaussianChannel, state: GaussianState) -> GaussianState:
     """The output state, tested finite but not bona fide, so a non-certified
     channel's output can be inspected (:func:`~gsteer.states.ensure_bona_fide`
-    tests it)."""
+    tests it); a mean or cov that overflows raises "<name> contains
+    non-finite entries"."""
     if (ch.modes_a, ch.modes_b) != (state.modes_a, state.modes_b):
         raise ValidationError(
             f"partition mismatch: channel ({ch.modes_a},{ch.modes_b}) vs "
             f"state ({state.modes_a},{state.modes_b})")
-    # finite inputs can overflow, so the mean is tested too
-    mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
-    return GaussianState._by_construction(ch.modes_a, ch.modes_b,
-                                          _act(ch.K, ch.M, state.cov), mean)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = require_finite(ch.K @ state.mean + ch.dbar, "mean")
+        cov = _act(ch.K, ch.M, state.cov)
+    return GaussianState._by_construction(ch.modes_a, ch.modes_b, cov, mean)
 
 
 def _act(k: np.ndarray, m: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -300,36 +301,39 @@ def sample_verify(ch: GaussianChannel, n_samples: int, rng,
     draws = violations = 0
     worst, margin_sum = math.inf, 0.0
     first_counterexample = None
-    for start in range(0, n_samples, SAMPLE_BLOCK):
-        k = min(SAMPLE_BLOCK, n_samples - start)
-        if predicate == "bona-fide":
-            covs = _random_covs((k,), *modes, max_sympl_eigen, rng)
-            draws += k
-        else:
-            covs = np.empty((k, ch.dim, ch.dim))
-            for i in range(k):
-                while True:
-                    draws += 1
-                    if draws > MAX_OVERSAMPLING * n_samples:
-                        raise SamplingAbortError(
-                            f"rejection sampling exceeded {MAX_OVERSAMPLING}x oversampling "
-                            f"({draws} draws for {predicate!r}); the input distribution "
-                            f"rarely satisfies the predicate's precondition")
-                    covs[i] = _random_covs((), *modes, max_sympl_eigen, rng)
-                    if psd_spectra(covs[i] + steering, tol)[1]:
-                        break
-        ev, ok = psd_spectra(_act(ch.K, ch.M, covs) + judged, tol)
-        margins = relative_margin(ev[:, 0], ev[:, -1]).tolist()
-        worst = min(worst, *margins)
-        for margin in margins:  # left to right: np.sum and sum() reorder the terms
-            margin_sum += margin
-        n_ok = int(np.count_nonzero(ok))
-        violations += k - n_ok
-        if first_counterexample is None and n_ok < k:
-            # argmin of the verdicts is the first violation; its row is
-            # copied so the report does not keep the stack alive
-            first_counterexample = GaussianState._by_construction(
-                *modes, covs[ok.argmin()].copy(), np.zeros(ch.dim))
+    # an overflow raises "cov contains non-finite entries", not numpy's
+    # warning; one errstate per call, not per draw
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_samples, SAMPLE_BLOCK):
+            k = min(SAMPLE_BLOCK, n_samples - start)
+            if predicate == "bona-fide":
+                covs = _random_covs((k,), *modes, max_sympl_eigen, rng)
+                draws += k
+            else:
+                covs = np.empty((k, ch.dim, ch.dim))
+                for i in range(k):
+                    while True:
+                        draws += 1
+                        if draws > MAX_OVERSAMPLING * n_samples:
+                            raise SamplingAbortError(
+                                f"rejection sampling exceeded {MAX_OVERSAMPLING}x oversampling "
+                                f"({draws} draws for {predicate!r}); the input distribution "
+                                f"rarely satisfies the predicate's precondition")
+                        covs[i] = _random_covs((), *modes, max_sympl_eigen, rng)
+                        if psd_spectra(covs[i] + steering, tol)[1]:
+                            break
+            ev, ok = psd_spectra(_act(ch.K, ch.M, covs) + judged, tol)
+            margins = relative_margin(ev[:, 0], ev[:, -1]).tolist()
+            worst = min(worst, *margins)
+            for margin in margins:  # left to right: np.sum and sum() reorder the terms
+                margin_sum += margin
+            n_ok = int(np.count_nonzero(ok))
+            violations += k - n_ok
+            if first_counterexample is None and n_ok < k:
+                # argmin of the verdicts is the first violation; its row is
+                # copied so the report does not keep the stack alive
+                first_counterexample = GaussianState._by_construction(
+                    *modes, covs[ok.argmin()].copy(), np.zeros(ch.dim))
     return SampleReport(predicate, n_samples, violations, worst,
                         margin_sum / n_samples, draws, first_counterexample)
 

@@ -296,10 +296,11 @@ def random_state(modes_a: int, modes_b: int, max_sympl_eigen: float, rng) -> Gau
     """Zero-mean state S diag(nu) S^T, nu_k uniform in [1, max_sympl_eigen]
     and S = exp(Omega H), H's entries uniform in [-1, 1].  Bona fide by
     construction (every nu_k >= 1), so only tested finite: a huge
-    max_sympl_eigen overflows."""
+    max_sympl_eigen overflows and raises "cov contains non-finite entries"."""
     modes_a, modes_b = _check_mode_counts(modes_a, modes_b)
     max_sympl_eigen = require_number(max_sympl_eigen, "max_sympl_eigen", 1.0)
-    cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, _generator(rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _random_covs((), modes_a, modes_b, max_sympl_eigen, _generator(rng))
     return GaussianState._by_construction(modes_a, modes_b, cov, np.zeros(len(cov)))
 
 

@@ -28,6 +28,7 @@ from .channels import (
 from .dynamics import BathParameters, first_passage_time, sweep
 from .linalg import (
     DEFAULT_PSD_TOL,
+    ValidationError,
     _orthogonal_from_normals,
     _orthogonal_symplectic_from_normals,
     psd_spectra,
@@ -361,7 +362,9 @@ def _shear_witness_j2() -> tuple[float, float]:
 
 
 def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """The numeric regressions: fixtures, bound chain, decay curves, fidelity grid."""
+    """The numeric regressions: fixtures, bound chain, decay curves,
+    fidelity grid; ``seed``, a count, is read before any work."""
+    seed = require_count(seed, "seed")
     results: list[CheckResult] = []
 
     # shear witness regression: j2 grows from ~0.0148 to ~0.0152
@@ -469,7 +472,8 @@ def paper_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 def properties_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """The trial engines at 1000 trials each, engine i on seed + i, and the
-    shear witness."""
+    shear witness; ``seed``, a count, is read before any work."""
+    seed = require_count(seed, "seed")
     trials = 1000  # per randomized check
     short = partial(np.format_float_scientific, trim="-", exp_digits=1)  # "1e-9"
     clamp, tol = f"clamp {short(DEFAULT_PSD_TOL)}", short(TRIAL_TOL)
@@ -497,7 +501,8 @@ SUITES = {"paper": (paper_suite,), "properties": (properties_suite,),
 
 
 def run_suite(suite: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """The results of the suites of ``SUITES[suite]``, in order."""
+    """The results of the suites of ``SUITES[suite]``, in order; an unknown
+    suite raises ValidationError."""
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise ValidationError(f"unknown suite {suite!r}")
     return [result for part in SUITES[suite] for result in part(seed)]

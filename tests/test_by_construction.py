@@ -181,21 +181,19 @@ class TestOverflow:
         with pytest.raises(ValidationError, match="cov contains non-finite entries"):
             build()
 
-    # numpy warns on the overflowing products themselves, as it always has
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # apply, random_state and sample_verify silence numpy's overflow warning
+    # and raise their own error, as pytest fails on a warning
     def test_apply_output(self):
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(ValidationError, match="cov contains non-finite entries"):
             apply(ch, squeezed_vacuum_state(0.5))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_apply_mean(self):
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
         state = GaussianState(1, 1, np.zeros((4, 4)), np.full(4, 1e200))
         with pytest.raises(ValidationError, match="mean contains non-finite entries"):
             apply(ch, state)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_channel_cli_exits_2(self, tmp_path, capsys):
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))
         ch_file, state_file = tmp_path / "ch.json", tmp_path / "state.json"
@@ -208,22 +206,24 @@ class TestOverflow:
         # K cov K^T is finite (9.025e307 on the diagonal), cov + cov^T is not
         ch = GaussianChannel(1, 1, np.diag([9.5e153, 9.5e153, 1.0, 1.0]),
                              np.zeros((4, 4)), np.zeros(4))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
-                apply(ch, squeezed_vacuum_state(0.0))
+        with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+            apply(ch, squeezed_vacuum_state(0.0))
         ch_file, state_file = tmp_path / "ch.json", tmp_path / "state.json"
         ch_file.write_text(channel_to_json(ch))
         state_file.write_text(state_to_json(squeezed_vacuum_state(0.0)))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert main(["channel", str(ch_file), str(state_file)]) == 2
+        assert main(["channel", str(ch_file), str(state_file)]) == 2
         assert capsys.readouterr().err == "error: cov contains non-finite entries\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_random_state(self):
         with pytest.raises(ValidationError, match="cov contains non-finite entries"):
             random_state(1, 1, 1e308, 0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("predicate", ["bona-fide", "unsteerable-preserving"])
+    def test_sample_verify(self, predicate):
+        ch = fixtures.load_channel(fixtures.CHANNEL_NONCERT_BONAFIDE)
+        with pytest.raises(ValidationError, match="^cov contains non-finite entries$"):
+            sample_verify(ch, 3, 0, predicate, 1e308)
+
     def test_sample_cli_exits_2(self, tmp_path, capsys):
         path = tmp_path / "ch.json"
         path.write_text(fixtures.fixture_text(fixtures.CHANNEL_NONCERT_BONAFIDE))

@@ -198,7 +198,7 @@ class TestCertificates:
             assert is_unsteerable(out).ok
 
     @pytest.mark.parametrize("certificate", [
-        is_valid_gaussian, is_unsteerable_channel, is_steering_breaking])
+        is_valid_gaussian, is_unsteerable_channel, is_steering_breaking, classify])
     def test_overflowing_certificate_rejected(self, certificate):
         # checked before the eigensolver sees it, with no numpy warning
         ch = GaussianChannel(1, 1, 1e200 * np.eye(4), np.zeros((4, 4)), np.zeros(4))

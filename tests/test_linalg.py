@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gsteer.linalg import (
     DEFAULT_PSD_TOL,
+    HERMITICITY_TOL,
     PsdReport,
     ValidationError,
     hermitian_eigenvalues,
@@ -180,11 +181,22 @@ class TestHermitianEigenvalues:
         assert np.allclose(ev, np.ones(3))
 
     def test_relative_tolerance_for_large_matrices(self):
-        # products of large matrices carry absolute asymmetry well above 1e-12
+        # on entries of about 4e6 an asymmetry above HERMITICITY_TOL passes
+        # within HERMITICITY_TOL times the largest |entry|, and fails above it
         rng = np.random.default_rng(4)
         k = rng.uniform(-1e3, 1e3, (4, 4))
         g = k @ np.diag([1.0, 1.0, 2.0, 2.0]) @ k.T
-        require_hermitian(g)
+        assert np.array_equal(g, g.T)
+        scale = np.abs(g).max()  # on the diagonal, which the asymmetry leaves
+        near, over = g.copy(), g.copy()
+        near[0, 1] += 1e-7
+        over[0, 1] += 1.01 * HERMITICITY_TOL * scale
+        assert scale > 1e6 and np.abs(over).max() == scale
+        assert (HERMITICITY_TOL < near[0, 1] - near[1, 0] < HERMITICITY_TOL * scale
+                < over[0, 1] - over[1, 0])
+        assert np.array_equal(require_hermitian(near), (near + near.T) / 2.0)
+        with pytest.raises(ValidationError, match=r"^matrix is not symmetric: \|h\[0,1\]"):
+            require_hermitian(over)
 
 
 class TestRequireHermitianStack:

@@ -142,6 +142,31 @@ def test_bool_seed_rejected(engine, seed):
         getattr(verify, engine)(*ENGINES[engine], 3, seed)
 
 
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Every seed reaches numpy's default_rng, which now fails the test."""
+    def refuse(*args):
+        raise AssertionError("drew before the arguments were read")
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, -1, "1"])
+@pytest.mark.parametrize("suite", ["paper", "properties"])
+def test_bad_suite_seed_rejected_before_any_draw(suite, seed, no_draws):
+    # properties_suite(True) once ran as seed 1, 1.5 escaped as numpy's
+    # TypeError and -1 as its ValueError
+    rule = r"in \[0, inf\)" if type(seed) is int else "an integer"
+    with pytest.raises(ValidationError, match=f"^seed must be {rule}, got "):
+        getattr(verify, f"{suite}_suite")(seed)
+    with pytest.raises(ValidationError, match=f"^seed must be {rule}, got "):
+        verify.run_suite(suite, seed)
+
+
+def test_unknown_suite_rejected_before_any_draw(no_draws):
+    with pytest.raises(ValidationError, match="^unknown suite 'nope'$"):
+        verify.run_suite("nope")
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_zero_and_numpy_trial_counts_accepted(engine):
     run, lead = getattr(verify, engine), ENGINES[engine]
